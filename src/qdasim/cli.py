@@ -27,7 +27,7 @@ from .linalg import (
     eig_hermitian,
     trace_distance,
 )
-from .lda import classical_lda_oracle, feature_map, fisher_criterion, quantum_lda
+from .lda import classical_lda_oracle, feature_map, fisher_criterion, qpe_draws, quantum_lda
 from .oracle import LabeledDataset, between_scatter, class_statistics, within_scatter
 from .qda import classify, fit, lda_classify
 from .rotation import rotation_amplitudes
@@ -165,21 +165,10 @@ def run_reduce(args) -> RunReport:
             "eigenvalue_estimates": basis.eigenvalue_estimates,
         }
         metrics["fisher_quantum"] = fisher_criterion(data, basis)
-        stats = class_statistics(data)
-        spec = ChainSpec(
-            stages=(
-                (within_scatter(data, stats), SpectralFunction.from_name("inverse-sqrt")),
-                (between_scatter(stats), SpectralFunction.from_name("sqrt")),
-            ),
-            kappa_eff=args.kappa_eff,
-            eps=args.eps,
-            t=args.t,
-        )
-        chain_report = chain_apply(spec, seed=args.seed)
-        metrics["chain_stage_success"] = chain_report.stage_success_probabilities
-        metrics["chain_stage_bounds"] = chain_report.stage_bounds
-        metrics["copies_used"] = chain_report.copies_used
-        metrics["draws_consumed"] = max(4096, 64 * (1 << args.t))
+        metrics["chain_stage_success"] = basis.chain.stage_success_probabilities
+        metrics["chain_stage_bounds"] = basis.chain.stage_bounds
+        metrics["copies_used"] = basis.chain.copies_used
+        metrics["draws_consumed"] = qpe_draws(args.t)
     if args.path == "both":
         metrics["per_direction_overlap"] = np.array(
             [

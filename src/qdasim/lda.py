@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainSpec, chain_apply, chain_stage
+from .chain import ChainReport, ChainSpec, chain_apply, chain_stage
 from .errors import DomainRejection, NumericalFailure
 from .linalg import (
     DensityOperator,
@@ -38,12 +38,14 @@ class ProjectionBasis:
     (they are eigenvectors of a non-symmetric product) and carry no norm
     convention beyond being nonzero. ``eigenvalue_estimates`` refer to the
     unit-trace chain operator, so both construction paths report on the same
-    scale.
+    scale. ``chain`` is the whitening chain run of the quantum path (None for
+    the classical oracle).
     """
 
     directions: np.ndarray
     intermediates: np.ndarray
     eigenvalue_estimates: np.ndarray
+    chain: ChainReport | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = np.atleast_2d(np.asarray(self.directions, dtype=float))
@@ -138,6 +140,11 @@ def classical_lda_oracle(
     )
 
 
+def qpe_draws(t: int) -> int:
+    """Register draws ``quantum_lda`` spends sampling a t-bit eigenvalue register."""
+    return max(4096, 64 * (1 << t))
+
+
 def quantum_lda(
     data: LabeledDataset,
     p: int,
@@ -164,7 +171,8 @@ def quantum_lda(
     spec = ChainSpec(
         stages=((sw, _INV_SQRT), (sb, _SQRT)), kappa_eff=kappa_eff, eps=eps, t=t
     )
-    rho_chain = chain_apply(spec, seed=seed).output
+    chain = chain_apply(spec, seed=seed)
+    rho_chain = chain.output
 
     # depolarizing pre-blend compresses the spectrum strictly below 1 (a pure
     # chain output would otherwise wrap the phase register); eigenvectors are
@@ -175,8 +183,7 @@ def quantum_lda(
         (1.0 - gamma) * rho_chain.matrix + gamma * np.eye(n) / n
     )
     joint = phase_estimation(generator, generator, t)
-    draws = max(4096, 64 * (1 << t))
-    samples = sample_eigenpairs(joint, draws, seed=seed)
+    samples = sample_eigenpairs(joint, qpe_draws(t), seed=seed)
 
     big_t = 1 << t
     floor = 1.0 / big_t
@@ -214,6 +221,7 @@ def quantum_lda(
         directions=np.array(ws),
         intermediates=np.array(vs),
         eigenvalue_estimates=np.array(estimates),
+        chain=chain,
     )
 
 

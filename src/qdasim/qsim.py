@@ -9,7 +9,8 @@ small systems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -221,13 +222,25 @@ def phase_estimation(
 
 @dataclass(frozen=True)
 class EigenSample:
-    """One distinct register outcome with its post-measurement system vector."""
+    """One distinct register outcome with its post-measurement system vector.
+
+    ``vector`` is diagonalized from the conditional block on first access and
+    cached, so outcomes that are ranked but never inspected cost no ``eigh``.
+    """
 
     eigenvalue: float
-    vector: np.ndarray
     frequency: float
     register_value: int
     probability: float  # exact-path marginal of this outcome
+    _factors: _QpeFactors = field(repr=False, compare=False)
+
+    @cached_property
+    def vector(self) -> np.ndarray:
+        """Top eigenvector of the normalized post-measurement system state."""
+        block = self._factors.conditional_block(self.register_value)
+        p_m = float(np.trace(block).real)
+        _, vv = np.linalg.eigh(block / p_m)
+        return _fix_vector_sign(vv[:, -1])
 
 
 def _fix_vector_sign(v: np.ndarray) -> np.ndarray:
@@ -239,37 +252,37 @@ def _fix_vector_sign(v: np.ndarray) -> np.ndarray:
 def sample_eigenpairs(
     joint: RegisteredState, draws: int, seed=None
 ) -> list[EigenSample]:
-    """Sample the eigenvalue register and return post-measurement eigenvector
-    estimates with empirical frequencies, sorted by descending eigenvalue."""
+    """Sample the eigenvalue register and return one sample per distinct
+    outcome with its empirical frequency, sorted by descending eigenvalue.
+
+    Outcomes whose marginal weight is at most ``POSTSELECT_FLOOR`` are
+    dropped. Each sample's post-measurement eigenvector estimate is
+    diagonalized on first access of ``EigenSample.vector``."""
     if draws < 1:
         raise DomainRejection("draws must be a positive integer")
     names = [n for n, _ in joint.register_layout]
     if names[:1] != ["eigenvalue"] or joint._factors is None:
         raise DomainRejection("joint state was not produced by phase_estimation")
-    probs = joint._factors.register_marginal()
-    total = probs.sum()
+    factors = joint._factors
+    weights = factors.register_marginal()  # unnormalized: tr(conditional_block(m))
+    total = weights.sum()
     if total <= 0.0:
         raise NumericalFailure("register marginal vanished")
-    probs = probs / total
+    probs = weights / total
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(draws, probs)
     big_t = probs.size
-    samples = []
-    for m in np.nonzero(counts)[0]:
-        block = joint._factors.conditional_block(int(m))
-        p_m = float(np.trace(block).real)
-        if p_m <= POSTSELECT_FLOOR:
-            continue
-        wv, vv = np.linalg.eigh(block / p_m)
-        samples.append(
-            EigenSample(
-                eigenvalue=m / big_t,
-                vector=_fix_vector_sign(vv[:, -1]),
-                frequency=counts[m] / draws,
-                register_value=int(m),
-                probability=float(probs[m]),
-            )
+    samples = [
+        EigenSample(
+            eigenvalue=m / big_t,
+            frequency=counts[m] / draws,
+            register_value=int(m),
+            probability=float(probs[m]),
+            _factors=factors,
         )
+        for m in np.nonzero(counts)[0]
+        if weights[m] > POSTSELECT_FLOOR
+    ]
     samples.sort(key=lambda s: (-s.eigenvalue, -s.frequency, s.register_value))
     return samples
 

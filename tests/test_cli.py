@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +49,15 @@ class TestReduce:
         assert main(args) == EXIT_OK
         second = json.loads(out.read_text())
         assert strip_timestamp(first) == strip_timestamp(second)
+
+    def test_report_matches_stored_golden_bytes(self, capsys):
+        # seeded runs must reproduce the stored report byte for byte (timestamp cleared)
+        golden = Path(__file__).parent / "golden" / "reduce_three_gauss_p2_t8_seed1.json"
+        args = ["reduce", "--synthetic", "three-gauss", "--p", "2", "--t", "8",
+                "--seed", "1", "--path", "both"]
+        assert main(args) == EXIT_OK
+        out = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', capsys.readouterr().out)
+        assert out.encode("utf-8") == golden.read_bytes()
 
     def test_feature_map_degree(self, tmp_path):
         code, report = run_cli(

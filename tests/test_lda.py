@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qdasim import lda, qsim
 from qdasim.chain import ChainSpec, chain_apply
 from qdasim.errors import DomainRejection
 from qdasim.linalg import DensityOperator, SpectralFunction, trace_distance
@@ -154,6 +155,27 @@ class TestQuantumLda:
             assert overlap(quantum.directions[r], oracle.directions[r]) >= 0.95
         gram = quantum.intermediates @ quantum.intermediates.T
         assert np.max(np.abs(gram - np.eye(2))) < 1e-6
+
+    def test_only_inspected_outcomes_are_diagonalized(self, monkeypatch):
+        blocks = []
+        outcomes = []
+        conditional_block = qsim._QpeFactors.conditional_block
+        sample = lda.sample_eigenpairs
+
+        def counted_block(factors, m):
+            blocks.append(m)
+            return conditional_block(factors, m)
+
+        def recorded_sample(*args, **kwargs):
+            samples = sample(*args, **kwargs)
+            outcomes.extend(s.register_value for s in samples)
+            return samples
+
+        monkeypatch.setattr(qsim._QpeFactors, "conditional_block", counted_block)
+        monkeypatch.setattr(lda, "sample_eigenpairs", recorded_sample)
+        quantum_lda(three_class_dataset(seed=4), 2, 100.0, 0.1, 8, seed=4)
+        assert 2 <= len(blocks) < len(set(outcomes))
+        assert len(blocks) == len(set(blocks))  # each vector diagonalized once
 
 
 class TestFisherCriterion:

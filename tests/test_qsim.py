@@ -192,6 +192,22 @@ class TestSampleEigenpairs:
         with pytest.raises(DomainRejection, match="draws"):
             sample_eigenpairs(joint, 0)
 
+    def test_vectors_match_eager_diagonalization_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        gen = random_density_spectrum(rng, 6, low=0.2, high=1.0)
+        inp = random_density(rng, 6)
+        joint = phase_estimation(gen, inp, 6)
+        samples = sample_eigenpairs(joint, 4096, seed=2)
+        assert len(samples) > 1
+        for s in samples:
+            block = joint._factors.conditional_block(s.register_value)
+            _, vv = np.linalg.eigh(block / float(np.trace(block).real))
+            top = vv[:, -1]
+            pivot = int(np.argmax(np.abs(top)))
+            expected = top / (top[pivot] / abs(top[pivot]))
+            assert np.array_equal(s.vector, expected)
+            assert s.vector is s.vector  # diagonalized once, then cached
+
 
 class TestSwapTest:
     def test_identical_states(self):
