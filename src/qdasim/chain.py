@@ -9,7 +9,11 @@ counts).
 The stage simulation resolves each eigenvalue at the idealized t-bit
 register (truncated, not rounded) and carries all eigenbasis cross terms
 exactly; postselection is exact renormalization, so amplitude amplification
-changes no output state and enters only the cost model.
+changes no output state and enters only the cost model. Each stage is
+computed in closed form: the ancilla-|1> branch of the rotated
+system x ancilla state is V diag(a_1) beta diag(a_1) V^dagger, with beta the
+incoming state in the stage eigenbasis, so the 2N x 2N joint state is never
+built.
 """
 from __future__ import annotations
 
@@ -21,11 +25,13 @@ import numpy as np
 from .errors import DomainRejection, NumericalFailure
 from .linalg import (
     DensityOperator,
+    HermitianOperator,
     SpectralFunction,
+    _filter_mask,
     eig_hermitian,
     matrix_function,
 )
-from .qsim import PHASE_BITS_MAX, PHASE_BITS_MIN, RegisteredState, postselect_ancilla
+from .qsim import PHASE_BITS_MAX, PHASE_BITS_MIN, POSTSELECT_FLOOR
 from .rotation import rotation_amplitudes
 
 DEFAULT_EPS = 0.1
@@ -46,6 +52,16 @@ class _StageSpectrum:
         """Kept eigenvalues whose register value is nonzero."""
         return self.keep & (self.registers > 0.0)
 
+    @property
+    def kappa(self) -> float:
+        """Condition number of the kept spectrum."""
+        kept = self.eigenvalues[self.keep]
+        return float(kept.max() / kept.min())
+
+    def copies(self, eps: float) -> int:
+        """Copies of the stage operator one stage consumes: ceil(kappa^2 / eps^3)."""
+        return math.ceil(self.kappa**2 / eps**3)
+
 
 def _analyze_stage(a: DensityOperator, t: int, kappa_eff: float) -> _StageSpectrum:
     sol = eig_hermitian(a)
@@ -53,7 +69,7 @@ def _analyze_stage(a: DensityOperator, t: int, kappa_eff: float) -> _StageSpectr
     lam_max = float(w[0])
     if lam_max <= 0.0:
         raise DomainRejection("stage operator has no positive spectrum")
-    keep = w >= lam_max / kappa_eff * (1.0 - 1e-12)
+    keep = _filter_mask(w, kappa_eff)
     big_t = 1 << t
     # the register saturates at its top value instead of wrapping, so a pure
     # state (eigenvalue exactly 1) reads 1 - 2^-t rather than 0
@@ -114,12 +130,6 @@ class ChainSpec:
                         f"stage {j}: C = {c} makes |C f| = {c * top:.6g} exceed 1"
                     )
             object.__setattr__(self, "c_consts", cs)
-
-    def stage_c(self, j: int) -> float:
-        if self.c_consts is not None:
-            return self.c_consts[j]
-        a, f = self.stages[j]
-        return _default_c(_analyze_stage(a, self.t, self.kappa_eff), f, self.eps)
 
 
 @dataclass(frozen=True)
@@ -182,20 +192,16 @@ def classical_chain_oracle(spec: ChainSpec) -> DensityOperator:
 def _stage_amplitudes(
     spectrum: _StageSpectrum, f: SpectralFunction, c_const: float
 ) -> np.ndarray:
-    """Ancilla amplitude pairs per eigenvalue.
+    """Ancilla |1> amplitude a_1 per eigenvalue.
 
     Filtered or register-unresolved eigenvalues leave the ancilla in |0>
-    (no rotation), so postselecting |1> removes them exactly as the
+    (no rotation, a_1 = 0), so postselecting |1> removes them exactly as the
     condition-number window prescribes.
     """
-    n = spectrum.eigenvalues.size
-    pairs = np.zeros((n, 2))
-    pairs[:, 0] = 1.0
-    for l in range(n):
-        if spectrum.resolved[l]:
-            a0, a1 = rotation_amplitudes(float(spectrum.registers[l]), f, c_const)
-            pairs[l] = (a0, a1)
-    return pairs
+    a1 = np.zeros(spectrum.eigenvalues.size)
+    for l in np.nonzero(spectrum.resolved)[0]:
+        a1[l] = rotation_amplitudes(float(spectrum.registers[l]), f, c_const)[1]
+    return a1
 
 
 @dataclass(frozen=True)
@@ -232,36 +238,30 @@ def _run_stage(
             f"no kept eigenvalue is resolvable in a {t}-bit register; increase t"
         )
     c_const = _default_c(spectrum, f_j, eps) if c_j is None else float(c_j)
-    pairs = _stage_amplitudes(spectrum, f_j, c_const)
+    a1 = _stage_amplitudes(spectrum, f_j, c_const)
     v = spectrum.eigenvectors
     beta = v.conj().T @ rho_prev.matrix @ v
-    n = a_j.dim
-    columns = np.empty((2 * n, n), dtype=complex)
-    for l in range(n):
-        columns[:, l] = np.kron(v[:, l], pairs[l])
-    joint = RegisteredState(
-        (("system", n), ("ancilla", 2)),
-        DensityOperator(columns @ beta @ columns.conj().T),
-    )
-    try:
-        reduced, prob = postselect_ancilla(joint, "ancilla", 1)
-    except NumericalFailure as err:
+    # closed-form ancilla-|1> branch of the rotated system x ancilla state,
+    # symmetrized before it is renormalized
+    k = v * a1
+    block = HermitianOperator(k @ beta @ k.conj().T).matrix
+    prob = float(np.trace(block).real)
+    if prob < POSTSELECT_FLOOR:
         raise NumericalFailure(
-            f"stage postselection vanished (state orthogonal to the resolved "
-            f"spectrum of the stage operator): {err}"
-        ) from err
+            "stage postselection vanished (state orthogonal to the resolved "
+            "spectrum of the stage operator): vanishing postselection branch: "
+            f"P(ancilla=1) = {prob:.3e}"
+        )
     # universal success floor: squared minimum rotation amplitude times the
     # incoming weight inside the resolved support
     support_weight = float(np.sum(np.diag(beta).real[spectrum.resolved]))
-    min_amp = float(np.min(np.abs(pairs[spectrum.resolved, 1])))
-    kept = spectrum.eigenvalues[spectrum.keep]
-    kappa_j = float(kept.max() / kept.min())
+    min_amp = float(np.min(np.abs(a1[spectrum.resolved])))
     return _StageResult(
-        state=reduced.state,
+        state=DensityOperator(block / prob),
         probability=prob,
         floor=min_amp**2 * support_weight,
         amplified_floor=min_amp * support_weight,
-        copies=math.ceil(kappa_j**2 / eps**3),
+        copies=spectrum.copies(eps),
     )
 
 
@@ -272,7 +272,6 @@ def chain_stage(
     t: int,
     kappa_eff: float,
     c_j: float | None = None,
-    seed=None,
     eps: float = DEFAULT_EPS,
 ) -> tuple[DensityOperator, float]:
     """One generalized inversion stage: phase estimation in the eigenbasis of
@@ -281,24 +280,25 @@ def chain_stage(
 
     Returns the conditional state, proportional to f_j(a_j) rho f_j(a_j)^dagger
     on the register-resolved spectrum, and the exact success probability.
-    The postselected branch is renormalized exactly, so no shots are spent and
-    ``seed`` is accepted only for interface uniformity.
+    The postselected branch is renormalized exactly, so no shots are spent.
     """
-    del seed
     result = _run_stage(rho_prev, a_j, f_j, t, kappa_eff, c_j, eps)
     return result.state, result.probability
 
 
-def chain_apply(
-    spec: ChainSpec, rho0: DensityOperator | None = None, seed=None
-) -> ChainReport:
+def stage_copies(a: DensityOperator, kappa_eff: float, eps: float) -> int:
+    """Copies of ``a`` that one chain stage on it consumes at precision eps."""
+    # the register width does not enter the copy count
+    return _analyze_stage(a, PHASE_BITS_MIN, kappa_eff).copies(eps)
+
+
+def chain_apply(spec: ChainSpec, rho0: DensityOperator | None = None) -> ChainReport:
     """Fold the stages in order over rho0 (default: the maximally mixed state).
 
     The report carries per-stage success probabilities, their guaranteed
     floors, the per-stage copy counts, and their products; the output state's
     trace distance to ``classical_chain_oracle`` shrinks as t grows.
     """
-    del seed
     if rho0 is None:
         if not spec.stages:
             raise DomainRejection("empty chain needs an explicit rho0")
@@ -308,7 +308,8 @@ def chain_apply(
     probs, bounds, copies = [], [], []
     amplified_stage1 = 1.0
     for j, (a, f) in enumerate(spec.stages):
-        result = _run_stage(rho, a, f, spec.t, spec.kappa_eff, spec.stage_c(j), spec.eps)
+        c_j = None if spec.c_consts is None else spec.c_consts[j]
+        result = _run_stage(rho, a, f, spec.t, spec.kappa_eff, c_j, spec.eps)
         rho = result.state
         probs.append(result.probability)
         bounds.append(result.floor)
@@ -339,9 +340,8 @@ def complexity_estimate(spec: ChainSpec, x_cost: float = 1.0) -> float:
     ratio_product = 1.0
     for j, (a, f) in enumerate(spec.stages):
         spectrum = _analyze_stage(a, spec.t, spec.kappa_eff)
-        kept = spectrum.eigenvalues[spectrum.keep]
-        kappa_sq_sum += float(kept.max() / kept.min()) ** 2
-        fk = np.abs(f(kept))
+        kappa_sq_sum += spectrum.kappa**2
+        fk = np.abs(f(spectrum.eigenvalues[spectrum.keep]))
         ratio = float(fk.max() / fk.min())
         ratio_product *= ratio if j == 0 else ratio**2
     return x_cost / spec.eps**3 * kappa_sq_sum * ratio_product

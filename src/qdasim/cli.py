@@ -17,14 +17,19 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .chain import ChainSpec, chain_apply, classical_chain_oracle, complexity_estimate
+from .chain import (
+    ChainSpec,
+    chain_apply,
+    classical_chain_oracle,
+    complexity_estimate,
+    stage_copies,
+)
 from .data_io import RunReport, generate, load_csv, save_csv, synthetic_preset
 from .errors import DomainRejection, NumericalFailure
 from .linalg import (
     DensityOperator,
     HermitianOperator,
     SpectralFunction,
-    eig_hermitian,
     trace_distance,
 )
 from .lda import classical_lda_oracle, feature_map, fisher_criterion, qpe_draws, quantum_lda
@@ -247,12 +252,9 @@ def run_classify(args) -> RunReport:
         )
     if "quantum" in paths:
         metrics["shots_consumed"] = int(args.shots) * model.k * test.M
-        copies = []
-        for op in model.covariance_ops:
-            w = np.clip(eig_hermitian(op).eigenvalues, 0.0, None)
-            kept = w[w >= w[0] / args.kappa_eff * (1 - 1e-12)]
-            copies.append(math.ceil(float(kept.max() / kept.min()) ** 2 / args.eps**3))
-        metrics["copies_used"] = np.array(copies)
+        metrics["copies_used"] = np.array(
+            [stage_copies(op, args.kappa_eff, args.eps) for op in model.covariance_ops]
+        )
     parameters = {
         "train": descriptor,
         "test": test_descriptor,
@@ -317,7 +319,7 @@ def _load_chain_stages(args) -> tuple[ChainSpec, dict]:
 def run_chain(args) -> RunReport:
     spec, descriptor = _load_chain_stages(args)
     oracle = classical_chain_oracle(spec)
-    report = chain_apply(spec, seed=args.seed)
+    report = chain_apply(spec)
     outputs = {
         "classical": oracle.matrix,
         "quantum": report.output.matrix,

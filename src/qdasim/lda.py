@@ -171,7 +171,7 @@ def quantum_lda(
     spec = ChainSpec(
         stages=((sw, _INV_SQRT), (sb, _SQRT)), kappa_eff=kappa_eff, eps=eps, t=t
     )
-    chain = chain_apply(spec, seed=seed)
+    chain = chain_apply(spec)
     rho_chain = chain.output
 
     # depolarizing pre-blend compresses the spectrum strictly below 1 (a pure
@@ -212,7 +212,7 @@ def quantum_lda(
     for vec, estimate in selected:
         v = _sign_fix(vec)
         rho_v = DensityOperator(np.outer(v, v))
-        back, _ = chain_stage(rho_v, sb, _INV_SQRT, t, kappa_eff, None, seed, eps)
+        back, _ = chain_stage(rho_v, sb, _INV_SQRT, t, kappa_eff, None, eps)
         w = _sign_fix(_real_cast(eig_hermitian(back).eigenvectors[:, 0]))
         vs.append(v)
         ws.append(w)

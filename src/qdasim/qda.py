@@ -136,7 +136,7 @@ def fit(
 
 
 def invert_apply(
-    model: ClassifierModel, c: int, path: str = "classical", t: int = 8, seed=None
+    model: ClassifierModel, c: int, path: str = "classical", t: int = 8
 ) -> tuple[np.ndarray, float]:
     """Unit direction and norm of the inverted-covariance class mean.
 
@@ -157,9 +157,7 @@ def invert_apply(
         raise DomainRejection(f"class {c} mean vanishes; nothing to invert")
     mu_hat = mu / mu_norm
     rho = DensityOperator(np.outer(mu_hat, mu_hat))
-    out, _ = chain_stage(
-        rho, model.covariance_ops[c - 1], _INV, t, model.kappa_eff, None, seed
-    )
+    out, _ = chain_stage(rho, model.covariance_ops[c - 1], _INV, t, model.kappa_eff)
     vec = np.real(eig_hermitian(out).eigenvectors[:, 0])
     if float(vec @ mu) < 0.0:
         vec = -vec
@@ -196,7 +194,7 @@ def discriminant(
     mu = model.class_means[c - 1]
     shifted = x - 0.5 * mu
     shifted_norm = float(np.linalg.norm(shifted))
-    direction, inv_norm = invert_apply(model, c, path, t, _child_seed(seed, c))
+    direction, inv_norm = invert_apply(model, c, path, t)
     if shifted_norm < 1e-14:
         inner = 0.0  # zero vector has zero overlap contribution by convention
     elif path == "classical":

@@ -297,24 +297,27 @@ def _validate_state_vector(v: np.ndarray, require_real: bool = False) -> np.ndar
     return v
 
 
-def swap_test(a, b, shots: int, seed=None) -> ShotResult:
-    """Estimate |<a|b>|^2 from the swap-test acceptance rate (1 + |<a|b>|^2)/2."""
-    va = _validate_state_vector(a)
-    vb = _validate_state_vector(b)
-    if va.size != vb.size:
-        raise DomainRejection(f"dimension mismatch: {va.size} vs {vb.size}")
+def _acceptance_estimate(x: float, shots: int, seed) -> ShotResult:
+    """Estimate x from ``shots`` draws of an outcome accepted with rate (1 + x)/2."""
     if shots < 1:
         raise DomainRejection("shots must be a positive integer")
-    fidelity = float(abs(np.vdot(va, vb)) ** 2)
-    p_accept = 0.5 + 0.5 * fidelity
     rng = np.random.default_rng(seed)
-    accepted = int(rng.binomial(shots, min(p_accept, 1.0)))
+    accepted = int(rng.binomial(shots, min(max(0.5 + 0.5 * x, 0.0), 1.0)))
     p_hat = accepted / shots
     return ShotResult(
         estimate=2.0 * p_hat - 1.0,
         shots=shots,
         standard_error=2.0 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / shots),
     )
+
+
+def swap_test(a, b, shots: int, seed=None) -> ShotResult:
+    """Estimate |<a|b>|^2 from the swap-test acceptance rate (1 + |<a|b>|^2)/2."""
+    va = _validate_state_vector(a)
+    vb = _validate_state_vector(b)
+    if va.size != vb.size:
+        raise DomainRejection(f"dimension mismatch: {va.size} vs {vb.size}")
+    return _acceptance_estimate(float(abs(np.vdot(va, vb)) ** 2), shots, seed)
 
 
 def overlap_test_signed(a, b, shots: int, seed=None) -> ShotResult:
@@ -325,18 +328,7 @@ def overlap_test_signed(a, b, shots: int, seed=None) -> ShotResult:
     vb = _validate_state_vector(b, require_real=True)
     if va.size != vb.size:
         raise DomainRejection(f"dimension mismatch: {va.size} vs {vb.size}")
-    if shots < 1:
-        raise DomainRejection("shots must be a positive integer")
-    overlap = float(np.real(np.vdot(va, vb)))
-    p_accept = 0.5 + 0.5 * overlap
-    rng = np.random.default_rng(seed)
-    accepted = int(rng.binomial(shots, min(max(p_accept, 0.0), 1.0)))
-    p_hat = accepted / shots
-    return ShotResult(
-        estimate=2.0 * p_hat - 1.0,
-        shots=shots,
-        standard_error=2.0 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / shots),
-    )
+    return _acceptance_estimate(float(np.real(np.vdot(va, vb))), shots, seed)
 
 
 def postselect_ancilla(

@@ -142,22 +142,15 @@ def shift_add_multiply(
     integer_bits: int | None = None,
     fraction_bits: int | None = None,
 ) -> FixedPointValue:
-    """Grade-school product: add left-shifted copies of a per set bit of b.
+    """Exact integer product of the magnitudes, truncated once to the output width.
 
-    The partial-product accumulation is exact; the single truncation to the
-    output width happens at the end, so |result - exact| <= 2**-fraction_bits.
+    The product is exact; the single truncation to the output width happens
+    at the end, so |result - exact| <= 2**-fraction_bits.
     Overflow beyond the output integer width is flagged, never silent.
     """
     ib = max(a.integer_bits, b.integer_bits) if integer_bits is None else integer_bits
     fb = max(a.fraction_bits, b.fraction_bits) if fraction_bits is None else fraction_bits
-    acc = 0
-    rest = b.magnitude
-    shift = 0
-    while rest:
-        if rest & 1:
-            acc += a.magnitude << shift
-        rest >>= 1
-        shift += 1
+    acc = a.magnitude * b.magnitude
     # acc carries a.fraction_bits + b.fraction_bits fractional bits
     drop = a.fraction_bits + b.fraction_bits - fb
     mag = acc >> drop if drop >= 0 else acc << -drop

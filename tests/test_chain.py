@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 
 from qdasim.chain import (
+    DEFAULT_EPS,
     ChainSpec,
+    _analyze_stage,
+    _default_c,
     chain_apply,
     chain_stage,
     classical_chain_oracle,
     complexity_estimate,
+    stage_copies,
 )
 from qdasim.errors import DomainRejection, NumericalFailure
 from qdasim.linalg import (
@@ -21,6 +25,8 @@ from qdasim.linalg import (
     matrix_function,
     trace_distance,
 )
+from qdasim.qsim import RegisteredState, postselect_ancilla
+from qdasim.rotation import rotation_amplitudes
 
 from conftest import random_density_spectrum
 
@@ -34,6 +40,45 @@ ONE = SpectralFunction.power(0)
 def spectrum_density(values) -> DensityOperator:
     w = np.asarray(values, dtype=float)
     return DensityOperator(np.diag(w / w.sum()))
+
+
+def joint_route_stage(rho, a, f, t, kappa_eff, c_j=None, eps=DEFAULT_EPS):
+    """Reference stage: build the 2N x 2N system x ancilla state after the
+    eigenvalue-controlled rotation, then postselect the ancilla on |1>."""
+    spectrum = _analyze_stage(a, t, kappa_eff)
+    c_const = _default_c(spectrum, f, eps) if c_j is None else c_j
+    n = a.dim
+    pairs = np.zeros((n, 2))
+    pairs[:, 0] = 1.0
+    for l in np.nonzero(spectrum.resolved)[0]:
+        pairs[l] = rotation_amplitudes(float(spectrum.registers[l]), f, c_const)
+    v = spectrum.eigenvectors
+    beta = v.conj().T @ rho.matrix @ v
+    columns = np.empty((2 * n, n), dtype=complex)
+    for l in range(n):
+        columns[:, l] = np.kron(v[:, l], pairs[l])
+    joint = RegisteredState(
+        (("system", n), ("ancilla", 2)),
+        DensityOperator(columns @ beta @ columns.conj().T),
+    )
+    reduced, prob = postselect_ancilla(joint, "ancilla", 1)
+    return reduced.state, prob
+
+
+def random_rank_density(rng, n: int, rank: int, real: bool) -> DensityOperator:
+    g = rng.standard_normal((n, rank))
+    if not real:
+        g = g + 1j * rng.standard_normal((n, rank))
+    m = g @ g.conj().T
+    return DensityOperator(m / np.trace(m).real)
+
+
+def outcome(route, *args):
+    """(state, probability) of a stage route, or the class of its rejection."""
+    try:
+        return route(*args)
+    except (DomainRejection, NumericalFailure) as err:
+        return type(err)
 
 
 class TestClassicalChainOracle:
@@ -136,6 +181,51 @@ class TestChainStage:
             chain_stage(
                 DensityOperator(np.eye(8) / 8.0), a, IDENTITY, t=2, kappa_eff=1e6
             )
+
+
+class TestClosedFormStage:
+    FUNCTIONS = (IDENTITY, INVERSE, SQRT, INV_SQRT, ONE)
+
+    def test_matches_joint_route_reference(self):
+        rng = np.random.default_rng(5)
+        compared = 0
+        for n in (1, 2, 3, 4, 7, 8, 16, 31, 32, 64):
+            low = max(1, n // 2)
+            for rho_rank, a_rank in ((n, n), (low, n), (n, low), (low, low)):
+                real = bool(rng.random() < 0.5)
+                rho = random_rank_density(rng, n, rho_rank, real)
+                a = random_rank_density(rng, n, a_rank, not real)
+                for f in self.FUNCTIONS:
+                    args = (rho, a, f, 8, 100.0)
+                    closed = outcome(chain_stage, *args)
+                    joint = outcome(joint_route_stage, *args)
+                    if isinstance(joint, type):
+                        assert closed is joint, (n, rho_rank, a_rank, f.name)
+                        continue
+                    (state, prob), (ref_state, ref_prob) = closed, joint
+                    assert abs(prob - ref_prob) <= 1e-14
+                    assert np.max(np.abs(state.matrix - ref_state.matrix)) <= 1e-14
+                    compared += 1
+        assert compared >= 190
+
+    def test_both_routes_reject_alike(self):
+        a = DensityOperator(np.diag([1.0, 0.0]))
+        orthogonal = DensityOperator(np.diag([0.0, 1.0]))
+        flat = DensityOperator(np.eye(8) / 8.0)
+        cases = (
+            ((orthogonal, a, SQRT, 8, 2.0), NumericalFailure),
+            ((flat, flat, IDENTITY, 2, 1e6), DomainRejection),
+        )
+        for args, error in cases:
+            assert outcome(chain_stage, *args) is error
+            assert outcome(joint_route_stage, *args) is error
+
+    def test_stage_copies_match_chain_report(self):
+        rng = np.random.default_rng(6)
+        ops = [random_rank_density(rng, 6, rank, False) for rank in (6, 3)]
+        spec = ChainSpec(stages=tuple((a, INVERSE) for a in ops), kappa_eff=50.0, eps=0.2)
+        report = chain_apply(spec)
+        assert list(report.copies_used) == [stage_copies(a, 50.0, 0.2) for a in ops]
 
 
 class TestChainApply:

@@ -51,13 +51,22 @@ class TestReduce:
         assert strip_timestamp(first) == strip_timestamp(second)
 
     def test_report_matches_stored_golden_bytes(self, capsys):
-        # seeded runs must reproduce the stored report byte for byte (timestamp cleared)
-        golden = Path(__file__).parent / "golden" / "reduce_three_gauss_p2_t8_seed1.json"
-        args = ["reduce", "--synthetic", "three-gauss", "--p", "2", "--t", "8",
-                "--seed", "1", "--path", "both"]
-        assert main(args) == EXIT_OK
-        out = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', capsys.readouterr().out)
-        assert out.encode("utf-8") == golden.read_bytes()
+        # seeded runs must reproduce the stored reports byte for byte (timestamp cleared)
+        goldens = {
+            "reduce_three_gauss_p2_t8_seed1.json": [
+                "reduce", "--synthetic", "three-gauss", "--p", "2", "--t", "8",
+                "--seed", "1", "--path", "both"],
+            "chain_three_gauss_t10_seed1.json": [
+                "chain", "--synthetic", "three-gauss", "--t", "10", "--seed", "1"],
+            "classify_three_gauss_n10_t8_seed1.json": [
+                "classify", "--synthetic", "three-gauss", "--test-count", "10",
+                "--path", "both", "--t", "8", "--seed", "1"],
+        }
+        for name, args in goldens.items():
+            golden = Path(__file__).parent / "golden" / name
+            assert main(args) == EXIT_OK
+            out = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', capsys.readouterr().out)
+            assert out.encode("utf-8") == golden.read_bytes(), name
 
     def test_feature_map_degree(self, tmp_path):
         code, report = run_cli(

@@ -131,7 +131,7 @@ class TestInvertApply:
             model = fit(data, 100.0)
             for c in range(1, 4):
                 vc, nc = invert_apply(model, c, "classical")
-                vq, nq = invert_apply(model, c, "quantum", t=8, seed=seed)
+                vq, nq = invert_apply(model, c, "quantum", t=8)
                 assert abs(np.dot(vc, vq)) >= 0.99
                 assert nq == nc  # quantum path reuses the recorded norm
 

@@ -26,6 +26,26 @@ def fp(x, ib=4, fb=16):
     return FixedPointValue.from_float(x, ib, fb)
 
 
+def shift_add_reference(a, b, ib, fb):
+    """Grade-school product: add left-shifted copies of a per set bit of b,
+    then truncate once to Q(ib).(fb) and flag lost high bits."""
+    acc = 0
+    rest = b.magnitude
+    shift = 0
+    while rest:
+        if rest & 1:
+            acc += a.magnitude << shift
+        rest >>= 1
+        shift += 1
+    drop = a.fraction_bits + b.fraction_bits - fb
+    mag = acc >> drop if drop >= 0 else acc << -drop
+    limit = 1 << (ib + fb)
+    overflow = a.overflow or b.overflow or mag >= limit
+    if mag >= limit:
+        mag &= limit - 1
+    return FixedPointValue(a.sign * b.sign if mag else 1, mag, ib, fb, overflow)
+
+
 class TestFixedPointValue:
     def test_value_round_trip(self):
         v = fp(0.625, 4, 8)
@@ -70,6 +90,30 @@ class TestShiftAddMultiply:
             out = shift_add_multiply(a, c)
             partials = max(1, bin(c.magnitude).count("1"))
             assert abs(out.value - a.value * c.value) <= partials * 2.0**-b
+
+
+    def test_matches_shift_add_reference_at_mixed_widths(self):
+        rng = np.random.default_rng(0)
+        overflowed = 0
+        for _ in range(2000):
+            operands = []
+            for _ in range(2):
+                ib, fb = int(rng.integers(0, 9)), int(rng.integers(0, 40))
+                mag = int(rng.integers(0, 1 << (ib + fb))) if ib + fb else 0
+                sign = int(rng.choice([-1, 1])) if mag else 1
+                operands.append(FixedPointValue(sign, mag, ib, fb, bool(rng.random() < 0.05)))
+            a, b = operands
+            if rng.random() < 0.5:
+                ib, fb = None, None
+                ref_ib = max(a.integer_bits, b.integer_bits)
+                ref_fb = max(a.fraction_bits, b.fraction_bits)
+            else:
+                ib, fb = int(rng.integers(0, 6)), int(rng.integers(0, 60))
+                ref_ib, ref_fb = ib, fb
+            out = shift_add_multiply(a, b, ib, fb)
+            assert out == shift_add_reference(a, b, ref_ib, ref_fb)
+            overflowed += out.overflow and not (a.overflow or b.overflow)
+        assert overflowed > 100  # truncated outputs are part of the sample
 
 
 class TestTaylorEval:
