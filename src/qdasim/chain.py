@@ -81,7 +81,7 @@ def _default_c(spectrum: _StageSpectrum, f: SpectralFunction, eps: float) -> flo
     resolved = spectrum.resolved
     if not resolved.any():
         raise DomainRejection(
-            "condition-number filter (or register resolution) removed the full spectrum"
+            "no kept eigenvalue is resolvable in the phase register; increase t"
         )
     return (1.0 - eps) / float(np.max(np.abs(f(spectrum.registers[resolved]))))
 
@@ -91,17 +91,15 @@ class ChainSpec:
     """Ordered (operator, spectral function) stages plus the run parameters.
 
     Stage j applies f_j to A_j; stage 1 acts first (it is the rightmost
-    factor of the chain product). ``c_consts`` are the per-stage rotation
-    normalization constants; when omitted they default to
-    (1 - eps) / max |f_j| over the register-resolved unfiltered spectrum,
-    which maximizes postselection success.
+    factor of the chain product). Every stage's rotation normalization
+    constant is C_j = (1 - eps) / max |f_j| over the register-resolved
+    unfiltered spectrum, which maximizes postselection success.
     """
 
     stages: tuple[tuple[DensityOperator, SpectralFunction], ...]
     kappa_eff: float = 100.0
     eps: float = DEFAULT_EPS
     t: int = 8
-    c_consts: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", tuple((a, f) for a, f in self.stages))
@@ -118,18 +116,6 @@ class ChainSpec:
             raise DomainRejection(
                 f"t={self.t} outside [{PHASE_BITS_MIN}, {PHASE_BITS_MAX}]"
             )
-        if self.c_consts is not None:
-            cs = tuple(float(c) for c in self.c_consts)
-            if len(cs) != len(self.stages):
-                raise DomainRejection("c_consts length does not match stage count")
-            for j, ((a, f), c) in enumerate(zip(self.stages, cs), start=1):
-                spectrum = _analyze_stage(a, self.t, self.kappa_eff)
-                top = float(np.max(np.abs(f(spectrum.registers[spectrum.resolved]))))
-                if c <= 0.0 or c * top > 1.0 + 1e-12:
-                    raise DomainRejection(
-                        f"stage {j}: C = {c} makes |C f| = {c * top:.6g} exceed 1"
-                    )
-            object.__setattr__(self, "c_consts", cs)
 
 
 @dataclass(frozen=True)
@@ -219,7 +205,6 @@ def _run_stage(
     f_j: SpectralFunction,
     t: int,
     kappa_eff: float,
-    c_j: float | None,
     eps: float,
 ) -> _StageResult:
     if rho_prev.dim != a_j.dim:
@@ -233,12 +218,7 @@ def _run_stage(
         raise DomainRejection(
             "condition-number filter removed the full spectrum (rank collapse)"
         )
-    if not spectrum.resolved.any():
-        raise DomainRejection(
-            f"no kept eigenvalue is resolvable in a {t}-bit register; increase t"
-        )
-    c_const = _default_c(spectrum, f_j, eps) if c_j is None else float(c_j)
-    a1 = _stage_amplitudes(spectrum, f_j, c_const)
+    a1 = _stage_amplitudes(spectrum, f_j, _default_c(spectrum, f_j, eps))
     v = spectrum.eigenvectors
     beta = v.conj().T @ rho_prev.matrix @ v
     # closed-form ancilla-|1> branch of the rotated system x ancilla state,
@@ -271,7 +251,6 @@ def chain_stage(
     f_j: SpectralFunction,
     t: int,
     kappa_eff: float,
-    c_j: float | None = None,
     eps: float = DEFAULT_EPS,
 ) -> tuple[DensityOperator, float]:
     """One generalized inversion stage: phase estimation in the eigenbasis of
@@ -282,7 +261,7 @@ def chain_stage(
     on the register-resolved spectrum, and the exact success probability.
     The postselected branch is renormalized exactly, so no shots are spent.
     """
-    result = _run_stage(rho_prev, a_j, f_j, t, kappa_eff, c_j, eps)
+    result = _run_stage(rho_prev, a_j, f_j, t, kappa_eff, eps)
     return result.state, result.probability
 
 
@@ -308,8 +287,7 @@ def chain_apply(spec: ChainSpec, rho0: DensityOperator | None = None) -> ChainRe
     probs, bounds, copies = [], [], []
     amplified_stage1 = 1.0
     for j, (a, f) in enumerate(spec.stages):
-        c_j = None if spec.c_consts is None else spec.c_consts[j]
-        result = _run_stage(rho, a, f, spec.t, spec.kappa_eff, c_j, spec.eps)
+        result = _run_stage(rho, a, f, spec.t, spec.kappa_eff, spec.eps)
         rho = result.state
         probs.append(result.probability)
         bounds.append(result.floor)

@@ -34,7 +34,7 @@ from .linalg import (
 )
 from .lda import classical_lda_oracle, feature_map, fisher_criterion, qpe_draws, quantum_lda
 from .oracle import LabeledDataset, between_scatter, class_statistics, within_scatter
-from .qda import classify, fit, lda_classify
+from .qda import classify, fit
 from .rotation import rotation_amplitudes
 
 EXIT_OK = 0
@@ -58,13 +58,21 @@ def _default_seed() -> int:
     return int(os.environ.get("QDASIM_SEED", "0"))
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+_COMMON_FLAGS = {
+    "--kappa-eff": {"type": float, "default": 100.0},
+    "--eps": {"type": float, "default": 0.1},
+    "--t": {"type": int, "default": 8, "help": "phase-register bits"},
+    "--shots": {"type": int, "default": 8192},
+    "--path": {"choices": ("quantum", "classical", "both"), "default": "both"},
+}
+
+
+def _add_common(sub: argparse.ArgumentParser, *flags: str) -> None:
+    # each subcommand names only the shared flags its handler reads, so no
+    # flag is accepted only to be ignored
     sub.add_argument("--seed", type=int, default=None, help="RNG seed (fallback: QDASIM_SEED, then 0)")
-    sub.add_argument("--kappa-eff", type=float, default=100.0)
-    sub.add_argument("--eps", type=float, default=0.1)
-    sub.add_argument("--t", type=int, default=8, help="phase-register bits")
-    sub.add_argument("--shots", type=int, default=8192)
-    sub.add_argument("--path", choices=("quantum", "classical", "both"), default="both")
+    for flag in flags:
+        sub.add_argument(flag, **_COMMON_FLAGS[flag])
     sub.add_argument("--output", default=None, help="report path (default: stdout)")
 
 
@@ -84,7 +92,7 @@ def build_parser() -> _Parser:
     _add_dataset_source(reduce_p)
     reduce_p.add_argument("--p", type=int, default=1, help="projection directions")
     reduce_p.add_argument("--degree", type=int, default=1, help="polynomial feature-map degree")
-    _add_common(reduce_p)
+    _add_common(reduce_p, "--kappa-eff", "--eps", "--t", "--path")
 
     cls_p = commands.add_parser("classify", help="discriminant classification")
     _add_dataset_source(cls_p)
@@ -92,7 +100,7 @@ def build_parser() -> _Parser:
     cls_p.add_argument("--test-count", type=int, default=None, help="synthetic test samples per class")
     cls_p.add_argument("--lda", action="store_true", help="shared within-class covariance")
     cls_p.add_argument("--prior", choices=("log", "linear"), default="log")
-    _add_common(cls_p)
+    _add_common(cls_p, *_COMMON_FLAGS)
 
     chain_p = commands.add_parser("chain", help="spectral-function chain evaluation")
     src = chain_p.add_mutually_exclusive_group(required=True)
@@ -102,7 +110,7 @@ def build_parser() -> _Parser:
     chain_p.add_argument("--per-class", type=int, default=50)
     chain_p.add_argument("--functions", default=None, help="comma-separated spectral functions, stage order")
     chain_p.add_argument("--x-cost", type=float, default=1.0, help="per-copy construction cost unit")
-    _add_common(chain_p)
+    _add_common(chain_p, "--kappa-eff", "--eps", "--t")
 
     rot_p = commands.add_parser("rotate-check", help="fixed-point rotation-angle sweep")
     rot_p.add_argument("--function", default="inverse")
@@ -111,7 +119,7 @@ def build_parser() -> _Parser:
     rot_p.add_argument("--order", type=int, default=8, help="series order for f")
     rot_p.add_argument("--arcsin-terms", type=int, default=None, help="arcsin series terms (default: auto)")
     rot_p.add_argument("--grid-bits", type=int, default=8, help="dyadic grid granularity")
-    _add_common(rot_p)
+    _add_common(rot_p, "--kappa-eff", "--eps")
 
     gen_p = commands.add_parser("gen", help="generate a synthetic dataset CSV")
     gen_p.add_argument("--synthetic", required=True)
@@ -217,13 +225,12 @@ def run_classify(args) -> RunReport:
             f"test dimension {test.N} does not match training dimension {train.N}"
         )
     model = fit(train, args.kappa_eff, shared_covariance=args.lda)
-    evaluate = lda_classify if args.lda else classify
     paths = ("quantum", "classical") if args.path == "both" else (args.path,)
     outputs: dict = {}
     for path in paths:
         decisions, values, margins = [], [], []
         for i, x in enumerate(test.samples):
-            result = evaluate(
+            result = classify(
                 model,
                 x,
                 path=path,

@@ -212,7 +212,7 @@ def quantum_lda(
     for vec, estimate in selected:
         v = _sign_fix(vec)
         rho_v = DensityOperator(np.outer(v, v))
-        back, _ = chain_stage(rho_v, sb, _INV_SQRT, t, kappa_eff, None, eps)
+        back, _ = chain_stage(rho_v, sb, _INV_SQRT, t, kappa_eff, eps)
         w = _sign_fix(_real_cast(eig_hermitian(back).eigenvectors[:, 0]))
         vs.append(v)
         ws.append(w)

@@ -345,15 +345,6 @@ def postselect_ancilla(
         raise DomainRejection(
             f"outcome {outcome} outside register {register!r} of dimension {dims[idx]}"
         )
-    if joint._factors is not None and idx == 0 and joint._dense is None:
-        block = joint._factors.conditional_block(outcome)
-        prob = float(np.trace(block).real)
-        if prob < POSTSELECT_FLOOR:
-            raise NumericalFailure(
-                f"vanishing postselection branch: P({register}={outcome}) = {prob:.3e}"
-            )
-        reduced = RegisteredState(joint.register_layout[1:], DensityOperator(block / prob))
-        return reduced, prob
     n_reg = len(dims)
     r = joint.state.matrix.reshape(*dims, *dims)
     sel: list = [slice(None)] * (2 * n_reg)

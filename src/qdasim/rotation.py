@@ -328,8 +328,8 @@ def _windowed_series(
     coeff_vals = _preconditioned_coefficients(f, c_const, x0, order)
     if any(abs(c) >= float(1 << integer_bits) for c in coeff_vals):
         raise DomainRejection(
-            "preconditioned Taylor coefficients overflow the integer field; "
-            "widen integer_bits"
+            f"preconditioned Taylor coefficients overflow the {integer_bits}-bit "
+            "integer field"
         )
     coeffs = tuple(
         FixedPointValue.from_float(c, integer_bits, working_bits) for c in coeff_vals
@@ -348,10 +348,8 @@ def rotation_amplitudes(
     c_const: float,
     *,
     fraction_bits: int = DEFAULT_FRACTION_BITS,
-    integer_bits: int = DEFAULT_INTEGER_BITS,
     order: int = DEFAULT_TAYLOR_ORDER,
     arcsin_terms: int | None = None,
-    guard_bits: int = DEFAULT_GUARD_BITS,
     method: str = "fixed",
 ) -> tuple[float, float]:
     """Ancilla amplitudes (sqrt(1 - C^2 f(lam)^2), C f(lam)) for the stage rotation.
@@ -377,8 +375,8 @@ def rotation_amplitudes(
     if method != "fixed":
         raise DomainRejection(f"unknown rotation method {method!r}")
 
-    wb = fraction_bits + guard_bits
-    ib = integer_bits
+    wb = fraction_bits + DEFAULT_GUARD_BITS
+    ib = DEFAULT_INTEGER_BITS
     lam_reg = FixedPointValue.from_float(lam, ib, fraction_bits)
     g = _windowed_series(lam_reg, f, c_const, order, ib, wb)
     if abs(g.value) >= 1.0:

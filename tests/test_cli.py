@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, report content, exit codes, determinism."""
 from __future__ import annotations
 
+import argparse
 import json
 import re
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdasim.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
+from qdasim.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, build_parser, main
 
 
 def run_cli(args, tmp_path, name="report.json"):
@@ -224,3 +225,46 @@ class TestSeedFallback:
         )
         assert code == EXIT_OK
         assert report["seed"] == 31
+
+
+class TestFlagSurface:
+    def test_each_subcommand_accepts_only_the_flags_it_reads(self, tmp_path, capsys):
+        (commands,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        options = {
+            name: {flag for action in sub._actions for flag in action.option_strings}
+            for name, sub in commands.choices.items()
+        }
+        shared = {"-h", "--help", "--seed", "--output"}
+        assert options == {
+            "reduce": shared | {"--data", "--synthetic", "--per-class", "--p", "--degree",
+                                "--kappa-eff", "--eps", "--t", "--path"},
+            "classify": shared | {"--data", "--synthetic", "--per-class", "--test",
+                                  "--test-count", "--lda", "--prior", "--kappa-eff",
+                                  "--eps", "--t", "--shots", "--path"},
+            "chain": shared | {"--operators", "--data", "--synthetic", "--per-class",
+                               "--functions", "--x-cost", "--kappa-eff", "--eps", "--t"},
+            "rotate-check": shared | {"--function", "--c-const", "--bits", "--order",
+                                      "--arcsin-terms", "--grid-bits", "--kappa-eff",
+                                      "--eps"},
+            "gen": shared | {"--synthetic", "--per-class", "--out"},
+        }
+        removed = {
+            "reduce": ["--shots"],
+            "chain": ["--shots", "--path"],
+            "rotate-check": ["--t", "--shots", "--path"],
+            "gen": ["--kappa-eff", "--eps", "--t", "--shots", "--path"],
+        }
+        valid = {
+            "reduce": ["reduce", "--synthetic", "two-gauss", "--path", "classical"],
+            "chain": ["chain", "--synthetic", "two-gauss"],
+            "rotate-check": ["rotate-check", "--function", "inverse"],
+            "gen": ["gen", "--synthetic", "two-gauss", "--out", str(tmp_path / "d.csv")],
+        }
+        values = {"--path": "quantum"}
+        for command, flags in removed.items():
+            for flag in flags:
+                code = main(valid[command] + [flag, values.get(flag, "8"), "--seed", "1"])
+                assert code == EXIT_USAGE, (command, flag)
+                assert "unrecognized arguments" in capsys.readouterr().err
