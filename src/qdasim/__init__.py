@@ -28,6 +28,7 @@ from .oracle import (
     within_scatter,
 )
 from .qsim import (
+    QpeState,
     RegisteredState,
     ShotResult,
     density_exponentiation_step,
@@ -91,6 +92,7 @@ __all__ = [
     "class_statistics",
     "weighted_superposition",
     "within_scatter",
+    "QpeState",
     "RegisteredState",
     "ShotResult",
     "density_exponentiation_step",

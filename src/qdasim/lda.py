@@ -20,7 +20,7 @@ from .linalg import (
     matrix_function,
 )
 from .oracle import LabeledDataset, between_scatter, class_statistics, within_scatter
-from .qsim import phase_estimation, sample_eigenpairs
+from .qsim import PHASE_BITS_MAX, phase_estimation, sample_eigenpairs
 
 _SQRT = SpectralFunction.from_name("sqrt")
 _INV = SpectralFunction.from_name("inverse")
@@ -161,8 +161,8 @@ def quantum_lda(
     inverse square root of the between-class operator to each sampled vector
     through a final chain stage.
     """
-    if not 4 <= t <= 12:
-        raise DomainRejection(f"t={t} outside [4, 12]")
+    if not 4 <= t <= PHASE_BITS_MAX:
+        raise DomainRejection(f"t={t} outside [4, {PHASE_BITS_MAX}]")
     if p < 1:
         raise DomainRejection("need at least one direction")
     stats = class_statistics(data)
@@ -192,7 +192,6 @@ def quantum_lda(
         for s in samples
         if s.probability >= floor and s.frequency >= 0.5 * s.probability
     ]
-    candidates.sort(key=lambda s: (-s.eigenvalue, -s.frequency, s.register_value))
     selected = []
     for s in candidates:
         vec = _real_cast(s.vector)

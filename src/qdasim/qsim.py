@@ -1,16 +1,16 @@
 """Simulation primitives: swap-interaction exponentiation, phase estimation,
 shot-sampled overlap tests, and ancilla postselection.
 
-Joint register-system states produced by phase estimation are kept in a
-factored eigenbasis form internally so wide eigenvalue registers never force
-a dense (2^t * N)^2 matrix; the dense state is materialized on demand for
-small systems.
+Phase estimation returns the joint register-system state factored in the
+generator eigenbasis (``QpeState``), so a wide eigenvalue register never
+forces a dense (2^t * N)^2 matrix. Sampling the register reads each
+post-measurement vector as a generator eigenvector, which is exact when the
+input commutes with the generator; any other input is rejected.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -21,8 +21,8 @@ PHASE_BITS_MIN = 2
 PHASE_BITS_MAX = 12
 MIN_SLICES = 5
 POSTSELECT_FLOOR = 1e-12
-# dense materialization cap: (dim)^2 complex entries must stay desk-sized
-_MATERIALIZE_DIM_LIMIT = 4096
+# largest off-diagonal |beta| entry for which a sample is read as an eigenvector
+COMMUTE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -39,29 +39,18 @@ class ShotResult:
 
 
 @dataclass(frozen=True)
-class _QpeFactors:
-    """Factored QPE joint state: sum_{l,l'} beta[l,l'] |a_l><a_l'| x |u_l><u_l'|."""
+class QpeState:
+    """Eigenvalue-register x system state after phase estimation, factored as
+    sum_{l,l'} beta[l,l'] |a_l><a_l'| x |u_l><u_l'|."""
 
     profiles: np.ndarray  # (N, T) register amplitude profiles a_l
-    vectors: np.ndarray  # (N, N) eigenvector columns u_l
-    beta: np.ndarray  # (N, N) input state in the eigenbasis
+    vectors: np.ndarray  # (N, N) generator eigenvector columns u_l
+    beta: np.ndarray  # (N, N) input state in the generator eigenbasis
 
     def register_marginal(self) -> np.ndarray:
+        """Measurement distribution of the eigenvalue register."""
         weights = np.real(np.diag(self.beta))
         return np.maximum(weights @ (np.abs(self.profiles) ** 2), 0.0)
-
-    def conditional_block(self, m: int) -> np.ndarray:
-        """Unnormalized system block given register outcome m; trace = P(m)."""
-        a = self.profiles[:, m]
-        mixed = self.beta * np.outer(a, a.conj())
-        return self.vectors @ mixed @ self.vectors.conj().T
-
-    def dense(self) -> np.ndarray:
-        n, t = self.profiles.shape
-        k = np.empty((t * n, n), dtype=complex)
-        for l in range(n):
-            k[:, l] = np.kron(self.profiles[l], self.vectors[:, l])
-        return k @ self.beta @ k.conj().T
 
 
 class RegisteredState:
@@ -71,20 +60,17 @@ class RegisteredState:
     dimensions equals the state dimension.
     """
 
-    def __init__(self, register_layout, state: DensityOperator | None = None, *, _factors=None):
+    def __init__(self, register_layout, state: DensityOperator):
         self.register_layout = tuple((str(n), int(d)) for n, d in register_layout)
         if len({name for name, _ in self.register_layout}) != len(self.register_layout):
             raise DomainRejection("register names must be unique")
         if any(d < 1 for _, d in self.register_layout):
             raise DomainRejection("register dimensions must be positive")
-        if state is None and _factors is None:
-            raise DomainRejection("a registered state needs a state")
-        self._dense = state
-        self._factors = _factors
-        if state is not None and state.dim != self.dim:
+        if state.dim != self.dim:
             raise DomainRejection(
                 f"register dimensions {self.dims} do not factor state dimension {state.dim}"
             )
+        self.state = state
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -94,17 +80,6 @@ class RegisteredState:
     def dim(self) -> int:
         return int(np.prod(self.dims))
 
-    @property
-    def state(self) -> DensityOperator:
-        if self._dense is None:
-            if self.dim > _MATERIALIZE_DIM_LIMIT:
-                raise NumericalFailure(
-                    f"refusing to materialize a dense {self.dim}x{self.dim} state; "
-                    "use the register-level accessors"
-                )
-            self._dense = DensityOperator(self._factors.dense())
-        return self._dense
-
     def register_index(self, name: str) -> int:
         for i, (n, _) in enumerate(self.register_layout):
             if n == name:
@@ -112,25 +87,6 @@ class RegisteredState:
         raise DomainRejection(
             f"no register named {name!r}; layout has {[n for n, _ in self.register_layout]}"
         )
-
-    def register_marginal(self, name: str) -> np.ndarray:
-        """Measurement distribution of one register."""
-        idx = self.register_index(name)
-        if self._factors is not None and idx == 0 and self._dense is None:
-            return self._factors.register_marginal()
-        dims = self.dims
-        r = self.state.matrix.reshape(*dims, *dims)
-        n_reg = len(dims)
-        probs = np.empty(dims[idx])
-        for outcome in range(dims[idx]):
-            sel: list = [slice(None)] * (2 * n_reg)
-            sel[idx] = outcome
-            sel[n_reg + idx] = outcome
-            block = r[tuple(sel)]
-            # trace over all remaining registers
-            rest = int(np.prod([d for i, d in enumerate(dims) if i != idx]))
-            probs[outcome] = np.trace(block.reshape(rest, rest)).real
-        return np.maximum(probs, 0.0)
 
 
 def density_exponentiation_step(
@@ -174,7 +130,7 @@ def phase_estimation(
     t: int,
     steps: int = 64,
     method: str = "exact",
-) -> RegisteredState:
+) -> QpeState:
     """Joint eigenvalue-register x system state after t-bit phase estimation.
 
     Measuring the eigenvalue register yields each eigenvalue of the generator
@@ -211,36 +167,22 @@ def phase_estimation(
     else:
         raise DomainRejection(f"unknown phase-estimation method {method!r}")
     beta = sol.eigenvectors.conj().T @ input_state.matrix @ sol.eigenvectors
-    factors = _QpeFactors(
+    return QpeState(
         profiles=_register_profiles(phases, t),
         vectors=sol.eigenvectors,
         beta=beta,
     )
-    layout = (("eigenvalue", 1 << t), ("system", generator.dim))
-    return RegisteredState(layout, _factors=factors)
 
 
 @dataclass(frozen=True)
 class EigenSample:
-    """One distinct register outcome with its post-measurement system vector.
-
-    ``vector`` is diagonalized from the conditional block on first access and
-    cached, so outcomes that are ranked but never inspected cost no ``eigh``.
-    """
+    """One distinct register outcome with its post-measurement system vector."""
 
     eigenvalue: float
     frequency: float
     register_value: int
     probability: float  # exact-path marginal of this outcome
-    _factors: _QpeFactors = field(repr=False, compare=False)
-
-    @cached_property
-    def vector(self) -> np.ndarray:
-        """Top eigenvector of the normalized post-measurement system state."""
-        block = self._factors.conditional_block(self.register_value)
-        p_m = float(np.trace(block).real)
-        _, vv = np.linalg.eigh(block / p_m)
-        return _fix_vector_sign(vv[:, -1])
+    vector: np.ndarray = field(repr=False, compare=False)  # top post-measurement vector
 
 
 def _fix_vector_sign(v: np.ndarray) -> np.ndarray:
@@ -249,22 +191,25 @@ def _fix_vector_sign(v: np.ndarray) -> np.ndarray:
     return v / phase
 
 
-def sample_eigenpairs(
-    joint: RegisteredState, draws: int, seed=None
-) -> list[EigenSample]:
+def sample_eigenpairs(joint: QpeState, draws: int, seed=None) -> list[EigenSample]:
     """Sample the eigenvalue register and return one sample per distinct
     outcome with its empirical frequency, sorted by descending eigenvalue.
 
     Outcomes whose marginal weight is at most ``POSTSELECT_FLOOR`` are
-    dropped. Each sample's post-measurement eigenvector estimate is
-    diagonalized on first access of ``EigenSample.vector``."""
+    dropped. The input must commute with the generator (beta diagonal to
+    ``COMMUTE_TOL``): the post-measurement state of outcome m is then
+    sum_l beta_ll |a_l(m)|^2 |u_l><u_l|, whose top vector is the eigenvector
+    column u_l of largest weight."""
     if draws < 1:
         raise DomainRejection("draws must be a positive integer")
-    names = [n for n, _ in joint.register_layout]
-    if names[:1] != ["eigenvalue"] or joint._factors is None:
-        raise DomainRejection("joint state was not produced by phase_estimation")
-    factors = joint._factors
-    weights = factors.register_marginal()  # unnormalized: tr(conditional_block(m))
+    populations = np.real(np.diag(joint.beta))
+    off_diagonal = float(np.max(np.abs(joint.beta - np.diag(np.diag(joint.beta)))))
+    if off_diagonal > COMMUTE_TOL:
+        raise DomainRejection(
+            f"input does not commute with the generator (off-diagonal weight "
+            f"{off_diagonal:.3e} > {COMMUTE_TOL:g}); sampled vectors would not be eigenvectors"
+        )
+    weights = joint.register_marginal()  # unnormalized outcome probabilities
     total = weights.sum()
     if total <= 0.0:
         raise NumericalFailure("register marginal vanished")
@@ -278,7 +223,9 @@ def sample_eigenpairs(
             frequency=counts[m] / draws,
             register_value=int(m),
             probability=float(probs[m]),
-            _factors=factors,
+            vector=_fix_vector_sign(
+                joint.vectors[:, np.argmax(populations * np.abs(joint.profiles[:, m]) ** 2)]
+            ),
         )
         for m in np.nonzero(counts)[0]
         if weights[m] > POSTSELECT_FLOOR

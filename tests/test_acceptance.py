@@ -260,11 +260,11 @@ class TestAcceptance:
             input_state = DensityOperator(np.outer(vec, vec))
             target_bin = int(round(grid_vals[pick] * big_t))
             exact = phase_estimation(generator, input_state, t, method="exact")
-            p_exact = exact.register_marginal("eigenvalue")[target_bin]
+            p_exact = exact.register_marginal()[target_bin]
             simulated = phase_estimation(
                 generator, input_state, t, steps=64, method="simulated"
             )
-            p_sim = simulated.register_marginal("eigenvalue")[target_bin]
+            p_sim = simulated.register_marginal()[target_bin]
             exact_ok += p_exact >= 1.0 - 1e-9
             simulated_ok += p_sim >= 0.99
         assert exact_ok == cases

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qdasim import lda, qsim
+from qdasim import lda
 from qdasim.chain import ChainSpec, chain_apply
 from qdasim.errors import DomainRejection
 from qdasim.linalg import DensityOperator, SpectralFunction, trace_distance
@@ -156,26 +156,26 @@ class TestQuantumLda:
         gram = quantum.intermediates @ quantum.intermediates.T
         assert np.max(np.abs(gram - np.eye(2))) < 1e-6
 
-    def test_only_inspected_outcomes_are_diagonalized(self, monkeypatch):
-        blocks = []
-        outcomes = []
-        conditional_block = qsim._QpeFactors.conditional_block
+    def test_sample_vectors_are_read_without_eigh(self, monkeypatch):
+        eigh_shapes = []
+        eigh = np.linalg.eigh
         sample = lda.sample_eigenpairs
 
-        def counted_block(factors, m):
-            blocks.append(m)
-            return conditional_block(factors, m)
+        def counted_eigh(a, *args, **kwargs):
+            eigh_shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
 
-        def recorded_sample(*args, **kwargs):
+        def sample_and_read_every_vector(*args, **kwargs):
+            monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
             samples = sample(*args, **kwargs)
-            outcomes.extend(s.register_value for s in samples)
+            vectors = [s.vector for s in samples]
+            monkeypatch.setattr(np.linalg, "eigh", eigh)
+            assert len(vectors) > 2
             return samples
 
-        monkeypatch.setattr(qsim._QpeFactors, "conditional_block", counted_block)
-        monkeypatch.setattr(lda, "sample_eigenpairs", recorded_sample)
+        monkeypatch.setattr(lda, "sample_eigenpairs", sample_and_read_every_vector)
         quantum_lda(three_class_dataset(seed=4), 2, 100.0, 0.1, 8, seed=4)
-        assert 2 <= len(blocks) < len(set(outcomes))
-        assert len(blocks) == len(set(blocks))  # each vector diagonalized once
+        assert eigh_shapes == []
 
 
 class TestFisherCriterion:

@@ -81,14 +81,14 @@ class TestPhaseEstimation:
         gen = DensityOperator(np.diag([0.25, 0.75]))
         inp = DensityOperator(np.diag([0.0, 1.0]))
         joint = phase_estimation(gen, inp, 2)
-        marginal = joint.register_marginal("eigenvalue")
+        marginal = joint.register_marginal()
         # 0.75 in two bits is .11, register value 3
         assert marginal[3] == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_mixture_splits_evenly(self):
         gen = DensityOperator(np.diag([0.25, 0.75]))
         joint = phase_estimation(gen, DensityOperator(np.eye(2) / 2.0), 2)
-        marginal = joint.register_marginal("eigenvalue")
+        marginal = joint.register_marginal()
         assert marginal[1] == pytest.approx(0.5, abs=1e-12)
         assert marginal[3] == pytest.approx(0.5, abs=1e-12)
 
@@ -96,7 +96,7 @@ class TestPhaseEstimation:
         gen = DensityOperator(np.diag([0.3, 0.7]))
         inp = DensityOperator(np.diag([1.0, 0.0]))
         joint = phase_estimation(gen, inp, 8)
-        marginal = joint.register_marginal("eigenvalue")
+        marginal = joint.register_marginal()
         near = np.abs(np.arange(256) / 256.0 - 0.3) <= 2.0**-8
         assert marginal[near].sum() >= 0.8
 
@@ -128,7 +128,7 @@ class TestPhaseEstimation:
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             gen = DensityOperator((q * grid_vals) @ q.T)
             joint = phase_estimation(gen, gen, t)
-            marginal = joint.register_marginal("eigenvalue")
+            marginal = joint.register_marginal()
             bins = np.unique((grid_vals * big_t).astype(int))
             assert marginal[bins].sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -137,10 +137,8 @@ class TestPhaseEstimation:
         t = 4
         gen = DensityOperator(np.diag([1 / 16, 3 / 16, 5 / 16, 7 / 16]))
         inp = DensityOperator(np.diag([0.0, 0.0, 0.0, 1.0]))
-        exact = phase_estimation(gen, inp, t, method="exact").register_marginal("eigenvalue")
-        sim = phase_estimation(gen, inp, t, steps=64, method="simulated").register_marginal(
-            "eigenvalue"
-        )
+        exact = phase_estimation(gen, inp, t, method="exact").register_marginal()
+        sim = phase_estimation(gen, inp, t, steps=64, method="simulated").register_marginal()
         assert exact[7] == pytest.approx(1.0, abs=1e-12)
         assert sim[7] >= 0.99
 
@@ -150,7 +148,7 @@ class TestPhaseEstimation:
         errs = []
         for steps in (16, 64, 256):
             marginal = phase_estimation(gen, inp, 5, steps=steps, method="simulated")
-            errs.append(1.0 - marginal.register_marginal("eigenvalue")[12])
+            errs.append(1.0 - marginal.register_marginal()[12])
         assert errs[0] > errs[1] > errs[2]
 
     def test_min_slice_count_enforced(self):
@@ -192,21 +190,12 @@ class TestSampleEigenpairs:
         with pytest.raises(DomainRejection, match="draws"):
             sample_eigenpairs(joint, 0)
 
-    def test_vectors_match_eager_diagonalization_bit_for_bit(self):
+    def test_input_not_commuting_with_generator_rejected(self):
         rng = np.random.default_rng(11)
         gen = random_density_spectrum(rng, 6, low=0.2, high=1.0)
-        inp = random_density(rng, 6)
-        joint = phase_estimation(gen, inp, 6)
-        samples = sample_eigenpairs(joint, 4096, seed=2)
-        assert len(samples) > 1
-        for s in samples:
-            block = joint._factors.conditional_block(s.register_value)
-            _, vv = np.linalg.eigh(block / float(np.trace(block).real))
-            top = vv[:, -1]
-            pivot = int(np.argmax(np.abs(top)))
-            expected = top / (top[pivot] / abs(top[pivot]))
-            assert np.array_equal(s.vector, expected)
-            assert s.vector is s.vector  # diagonalized once, then cached
+        joint = phase_estimation(gen, random_density(rng, 6), 6)
+        with pytest.raises(DomainRejection, match="commute"):
+            sample_eigenpairs(joint, 4096, seed=2)
 
 
 class TestSwapTest:
@@ -356,10 +345,16 @@ class TestRegisteredState:
             RegisteredState((("a", 2), ("a", 3)), DensityOperator(np.eye(6) / 6.0))
 
     def test_materialized_qpe_state_matches_factored_marginal(self):
-        gen = DensityOperator(np.diag([0.25, 0.75]))
-        joint = phase_estimation(gen, DensityOperator(np.eye(2) / 2.0), 4)
-        factored = joint.register_marginal("eigenvalue").copy()
-        dense_state = joint.state  # forces materialization
-        dense_marginal = joint.register_marginal("eigenvalue")
-        assert np.allclose(factored, dense_marginal, atol=1e-12)
-        assert abs(dense_state.trace() - 1.0) < 1e-9
+        # dense joint state sum beta[l,l'] |a_l x u_l><a_l' x u_l'| as the reference
+        rng = np.random.default_rng(12)
+        for n in (2, 3, 4):
+            for t in range(2, 6):
+                gen = random_density_spectrum(rng, n, low=0.2, high=1.0)
+                joint = phase_estimation(gen, random_density(rng, n), t)
+                k = np.column_stack(
+                    [np.kron(joint.profiles[l], joint.vectors[:, l]) for l in range(n)]
+                )
+                dense = (k @ joint.beta @ k.conj().T).reshape(1 << t, n, 1 << t, n)
+                traces = np.einsum("mimi->m", dense).real
+                assert abs(traces.sum() - 1.0) < 1e-9
+                assert np.max(np.abs(traces - joint.register_marginal())) < 1e-12
