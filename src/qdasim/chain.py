@@ -175,42 +175,66 @@ def classical_chain_oracle(spec: ChainSpec) -> DensityOperator:
     return DensityOperator(product / trace)
 
 
-def _stage_amplitudes(
-    spectrum: _StageSpectrum, f: SpectralFunction, c_const: float
-) -> np.ndarray:
-    """Ancilla |1> amplitude a_1 per eigenvalue.
-
-    Filtered or register-unresolved eigenvalues leave the ancilla in |0>
-    (no rotation, a_1 = 0), so postselecting |1> removes them exactly as the
-    condition-number window prescribes.
-    """
-    a1 = np.zeros(spectrum.eigenvalues.size)
-    for l in np.nonzero(spectrum.resolved)[0]:
-        a1[l] = rotation_amplitudes(float(spectrum.registers[l]), f, c_const)[1]
-    return a1
-
-
 @dataclass(frozen=True)
 class _StageResult:
     state: DensityOperator
     probability: float
     floor: float
     amplified_floor: float
+
+
+@dataclass(frozen=True)
+class PreparedStage:
+    """The state-independent part of one chain stage on (a_j, f_j, t): its
+    spectrum, ancilla |1> amplitudes a_1 and copy count."""
+
+    spectrum: _StageSpectrum
+    a1: np.ndarray
     copies: int
 
+    def apply(self, rho_prev: DensityOperator) -> _StageResult:
+        """Rotate rho_prev and postselect the ancilla on |1>."""
+        v = self.spectrum.eigenvectors
+        if rho_prev.dim != v.shape[0]:
+            raise DomainRejection(
+                f"state dimension {rho_prev.dim} does not match operator {v.shape[0]}"
+            )
+        beta = v.conj().T @ rho_prev.matrix @ v
+        # closed-form ancilla-|1> branch of the rotated system x ancilla state,
+        # symmetrized before it is renormalized
+        k = v * self.a1
+        block = HermitianOperator(k @ beta @ k.conj().T).matrix
+        prob = float(np.trace(block).real)
+        if prob < POSTSELECT_FLOOR:
+            raise NumericalFailure(
+                "stage postselection vanished (state orthogonal to the resolved "
+                "spectrum of the stage operator): vanishing postselection branch: "
+                f"P(ancilla=1) = {prob:.3e}"
+            )
+        # universal success floor: squared minimum rotation amplitude times the
+        # incoming weight inside the resolved support
+        resolved = self.spectrum.resolved
+        support_weight = float(np.sum(np.diag(beta).real[resolved]))
+        min_amp = float(np.min(np.abs(self.a1[resolved])))
+        return _StageResult(
+            state=DensityOperator(block / prob),
+            probability=prob,
+            floor=min_amp**2 * support_weight,
+            amplified_floor=min_amp * support_weight,
+        )
 
-def _run_stage(
-    rho_prev: DensityOperator,
+
+def prepare_stage(
     a_j: DensityOperator,
     f_j: SpectralFunction,
     t: int,
     kappa_eff: float,
-    eps: float,
-) -> _StageResult:
-    if rho_prev.dim != a_j.dim:
-        raise DomainRejection(
-            f"state dimension {rho_prev.dim} does not match operator {a_j.dim}"
-        )
+    eps: float = DEFAULT_EPS,
+) -> PreparedStage:
+    """Phase estimation on a_j and the f_j rotation, each distinct register
+    value rotated once. Filtered or register-unresolved eigenvalues leave the
+    ancilla in |0> (a_1 = 0), so postselecting |1> removes them exactly as the
+    condition-number window prescribes."""
     if not PHASE_BITS_MIN <= t <= PHASE_BITS_MAX:
         raise DomainRejection(f"t={t} outside [{PHASE_BITS_MIN}, {PHASE_BITS_MAX}]")
     spectrum = _analyze_stage(a_j, t, kappa_eff)
@@ -218,31 +242,13 @@ def _run_stage(
         raise DomainRejection(
             "condition-number filter removed the full spectrum (rank collapse)"
         )
-    a1 = _stage_amplitudes(spectrum, f_j, _default_c(spectrum, f_j, eps))
-    v = spectrum.eigenvectors
-    beta = v.conj().T @ rho_prev.matrix @ v
-    # closed-form ancilla-|1> branch of the rotated system x ancilla state,
-    # symmetrized before it is renormalized
-    k = v * a1
-    block = HermitianOperator(k @ beta @ k.conj().T).matrix
-    prob = float(np.trace(block).real)
-    if prob < POSTSELECT_FLOOR:
-        raise NumericalFailure(
-            "stage postselection vanished (state orthogonal to the resolved "
-            "spectrum of the stage operator): vanishing postselection branch: "
-            f"P(ancilla=1) = {prob:.3e}"
-        )
-    # universal success floor: squared minimum rotation amplitude times the
-    # incoming weight inside the resolved support
-    support_weight = float(np.sum(np.diag(beta).real[spectrum.resolved]))
-    min_amp = float(np.min(np.abs(a1[spectrum.resolved])))
-    return _StageResult(
-        state=DensityOperator(block / prob),
-        probability=prob,
-        floor=min_amp**2 * support_weight,
-        amplified_floor=min_amp * support_weight,
-        copies=spectrum.copies(eps),
-    )
+    c_const = _default_c(spectrum, f_j, eps)
+    resolved = spectrum.resolved
+    values, where = np.unique(spectrum.registers[resolved], return_inverse=True)
+    a1 = np.zeros(spectrum.eigenvalues.size)
+    amplitudes = [rotation_amplitudes(float(r), f_j, c_const)[1] for r in values]
+    a1[resolved] = np.asarray(amplitudes)[where]
+    return PreparedStage(spectrum, a1, spectrum.copies(eps))
 
 
 def chain_stage(
@@ -261,7 +267,7 @@ def chain_stage(
     on the register-resolved spectrum, and the exact success probability.
     The postselected branch is renormalized exactly, so no shots are spent.
     """
-    result = _run_stage(rho_prev, a_j, f_j, t, kappa_eff, eps)
+    result = prepare_stage(a_j, f_j, t, kappa_eff, eps).apply(rho_prev)
     return result.state, result.probability
 
 
@@ -287,11 +293,12 @@ def chain_apply(spec: ChainSpec, rho0: DensityOperator | None = None) -> ChainRe
     probs, bounds, copies = [], [], []
     amplified_stage1 = 1.0
     for j, (a, f) in enumerate(spec.stages):
-        result = _run_stage(rho, a, f, spec.t, spec.kappa_eff, spec.eps)
+        stage = prepare_stage(a, f, spec.t, spec.kappa_eff, spec.eps)
+        result = stage.apply(rho)
         rho = result.state
         probs.append(result.probability)
         bounds.append(result.floor)
-        copies.append(result.copies)
+        copies.append(stage.copies)
         if j == 0:
             amplified_stage1 = result.amplified_floor
     return ChainReport(

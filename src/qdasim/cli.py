@@ -34,7 +34,7 @@ from .linalg import (
 )
 from .lda import classical_lda_oracle, feature_map, fisher_criterion, qpe_draws, quantum_lda
 from .oracle import LabeledDataset, between_scatter, class_statistics, within_scatter
-from .qda import classify, fit
+from .qda import classify_many, fit
 from .rotation import rotation_amplitudes
 
 EXIT_OK = 0
@@ -228,24 +228,11 @@ def run_classify(args) -> RunReport:
     paths = ("quantum", "classical") if args.path == "both" else (args.path,)
     outputs: dict = {}
     for path in paths:
-        decisions, values, margins = [], [], []
-        for i, x in enumerate(test.samples):
-            result = classify(
-                model,
-                x,
-                path=path,
-                shots=args.shots,
-                seed=None if args.seed is None else args.seed + i,
-                t=args.t,
-                prior_mode=args.prior,
-            )
-            decisions.append(result.chosen)
-            values.append(result.values)
-            margins.append(result.margin)
+        results = classify_many(model, test.samples, path, args.shots, args.seed, args.t, args.prior)
         outputs[path] = {
-            "decisions": np.array(decisions),
-            "discriminants": np.array(values),
-            "margins": np.array(margins),
+            "decisions": np.array([r.chosen for r in results]),
+            "discriminants": np.array([r.values for r in results]),
+            "margins": np.array([r.margin for r in results]),
         }
     metrics: dict = {
         "test_truth_agreement": {

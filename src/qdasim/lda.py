@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainReport, ChainSpec, chain_apply, chain_stage
+from .chain import ChainReport, ChainSpec, chain_apply, prepare_stage
 from .errors import DomainRejection, NumericalFailure
 from .linalg import (
     DensityOperator,
@@ -159,7 +159,7 @@ def quantum_lda(
     two-stage chain for the whitened product, phase-estimates the chain
     output against itself and samples the top-p eigenpairs, then applies the
     inverse square root of the between-class operator to each sampled vector
-    through a final chain stage.
+    through one prepared chain stage.
     """
     if not 4 <= t <= PHASE_BITS_MAX:
         raise DomainRejection(f"t={t} outside [4, {PHASE_BITS_MAX}]")
@@ -207,11 +207,11 @@ def quantum_lda(
             "the sampling noise floor"
         )
 
+    back_map = prepare_stage(sb, _INV_SQRT, t, kappa_eff, eps)
     vs, ws, estimates = [], [], []
     for vec, estimate in selected:
         v = _sign_fix(vec)
-        rho_v = DensityOperator(np.outer(v, v))
-        back, _ = chain_stage(rho_v, sb, _INV_SQRT, t, kappa_eff, eps)
+        back = back_map.apply(DensityOperator(np.outer(v, v))).state
         w = _sign_fix(_real_cast(eig_hermitian(back).eigenvectors[:, 0]))
         vs.append(v)
         ws.append(w)

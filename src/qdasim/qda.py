@@ -74,10 +74,7 @@ class DiscriminantResult:
             raise DomainRejection("chosen class must be the lowest-index argmax")
 
 
-def _invert_mean(
-    op: DensityOperator, scale: float, mu: np.ndarray, kappa_eff: float
-) -> tuple[np.ndarray, float]:
-    inv = matrix_function(op, _INV, kappa_eff).matrix
+def _invert_mean(inv: np.ndarray, scale: float, mu: np.ndarray) -> tuple[np.ndarray, float]:
     product = np.real(inv @ mu) / scale
     norm = float(np.linalg.norm(product))
     if norm < 1e-12:
@@ -109,18 +106,20 @@ def fit(
     if shared_covariance:
         pooled = within_scatter(data, stats)
         pool_scale = stats.norm_within / (data.M - k)
-        ops = tuple(pooled for _ in range(k))
+        ops = (pooled,) * k
+        inverses = (matrix_function(pooled, _INV, kappa_eff).matrix,) * k
         scales = np.full(k, pool_scale)
     else:
         ops = tuple(
             class_covariance_operator(data, stats, c) for c in range(1, k + 1)
         )
+        inverses = tuple(matrix_function(op, _INV, kappa_eff).matrix for op in ops)
         scales = stats.per_class_norm / (stats.class_counts - 1)
     directions = np.empty((k, data.N))
     norms = np.empty(k)
     for c in range(1, k + 1):
         directions[c - 1], norms[c - 1] = _invert_mean(
-            ops[c - 1], float(scales[c - 1]), stats.class_means[c - 1], kappa_eff
+            inverses[c - 1], float(scales[c - 1]), stats.class_means[c - 1]
         )
     return ClassifierModel(
         class_means=stats.class_means,
@@ -168,6 +167,31 @@ def _child_seed(seed, c: int):
     return None if seed is None else np.random.SeedSequence([int(seed), c])
 
 
+def _score(model, x, c, inverted, path, shots, seed, prior_mode) -> float:
+    """Class-c discriminant of query x from the class's (direction, norm)."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != model.dim:
+        raise DomainRejection(f"query dimension {x.size} does not match {model.dim}")
+    if not np.all(np.isfinite(x)):
+        raise DomainRejection("query vector has non-finite entries")
+    if prior_mode not in ("log", "linear"):
+        raise DomainRejection(f"unknown prior mode {prior_mode!r}")
+    direction, inv_norm = inverted
+    shifted = x - 0.5 * model.class_means[c - 1]
+    shifted_norm = float(np.linalg.norm(shifted))
+    if shifted_norm < 1e-14:
+        inner = 0.0  # zero vector has zero overlap contribution by convention
+    elif path == "classical":
+        inner = inv_norm * float(direction @ shifted)
+    else:
+        result = overlap_test_signed(
+            direction, shifted / shifted_norm, shots, _child_seed(seed, c)
+        )
+        inner = inv_norm * shifted_norm * result.estimate
+    prior = float(model.priors[c - 1])
+    return inner + (math.log(prior) if prior_mode == "log" else prior)
+
+
 def discriminant(
     model: ClassifierModel,
     x,
@@ -184,28 +208,38 @@ def discriminant(
     ``prior_mode`` selects log-prior scoring (default) or the literal linear
     prior variant; both orders coincide for balanced classes.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != model.dim:
-        raise DomainRejection(f"query dimension {x.size} does not match {model.dim}")
-    if not np.all(np.isfinite(x)):
-        raise DomainRejection("query vector has non-finite entries")
-    if prior_mode not in ("log", "linear"):
-        raise DomainRejection(f"unknown prior mode {prior_mode!r}")
-    mu = model.class_means[c - 1]
-    shifted = x - 0.5 * mu
-    shifted_norm = float(np.linalg.norm(shifted))
-    direction, inv_norm = invert_apply(model, c, path, t)
-    if shifted_norm < 1e-14:
-        inner = 0.0  # zero vector has zero overlap contribution by convention
-    elif path == "classical":
-        inner = inv_norm * float(direction @ shifted)
-    else:
-        result = overlap_test_signed(
-            direction, shifted / shifted_norm, shots, _child_seed(seed, c)
-        )
-        inner = inv_norm * shifted_norm * result.estimate
-    prior = float(model.priors[c - 1])
-    return inner + (math.log(prior) if prior_mode == "log" else prior)
+    inverted = invert_apply(model, c, path, t)
+    return _score(model, x, c, inverted, path, shots, seed, prior_mode)
+
+
+def classify_many(
+    model: ClassifierModel,
+    X,
+    path: str = "classical",
+    shots: int = 8192,
+    seed=None,
+    t: int = 8,
+    prior_mode: str = "log",
+) -> list[DiscriminantResult]:
+    """Classify each row of X against class inversions computed once per batch.
+
+    Row i is scored with seed ``seed + i`` (``None`` when seed is ``None``).
+    Ties break to the lowest class index; the margin is the gap to the
+    runner-up.
+    """
+    inverted = [invert_apply(model, c, path, t) for c in range(1, model.k + 1)]
+    results = []
+    for i, x in enumerate(np.asarray(X, dtype=float)):
+        row_seed = None if seed is None else seed + i
+        values = [
+            _score(model, x, c, inverted[c - 1], path, shots, row_seed, prior_mode)
+            for c in range(1, model.k + 1)
+        ]
+        chosen = int(np.argmax(values)) + 1
+        rest = np.delete(values, chosen - 1)
+        margin = float(values[chosen - 1] - rest.max()) if rest.size else float("inf")
+        results.append(DiscriminantResult(values=values, chosen=chosen, margin=margin))
+    return results
 
 
 def classify(
@@ -217,24 +251,9 @@ def classify(
     t: int = 8,
     prior_mode: str = "log",
 ) -> DiscriminantResult:
-    """Evaluate all class discriminants and pick the argmax.
-
-    Ties break to the lowest class index; the margin is the gap to the
-    runner-up.
-    """
-    values = np.array(
-        [
-            discriminant(model, x, c, path, shots, seed, t, prior_mode)
-            for c in range(1, model.k + 1)
-        ]
-    )
-    chosen = int(np.argmax(values)) + 1
-    if values.size == 1:
-        margin = float("inf")
-    else:
-        rest = np.delete(values, chosen - 1)
-        margin = float(values[chosen - 1] - rest.max())
-    return DiscriminantResult(values=values, chosen=chosen, margin=margin)
+    """Evaluate all class discriminants and pick the argmax: ``classify_many`` on one row."""
+    x = np.reshape(np.asarray(x, dtype=float), (1, -1))
+    return classify_many(model, x, path, shots, seed, t, prior_mode)[0]
 
 
 def lda_classify(

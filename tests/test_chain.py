@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from qdasim import chain
 from qdasim.chain import (
     DEFAULT_EPS,
     ChainSpec,
@@ -16,6 +17,7 @@ from qdasim.chain import (
     chain_stage,
     classical_chain_oracle,
     complexity_estimate,
+    prepare_stage,
     stage_copies,
 )
 from qdasim.errors import DomainRejection, NumericalFailure
@@ -227,6 +229,71 @@ class TestClosedFormStage:
         spec = ChainSpec(stages=tuple((a, INVERSE) for a in ops), kappa_eff=50.0, eps=0.2)
         report = chain_apply(spec)
         assert list(report.copies_used) == [stage_copies(a, 50.0, 0.2) for a in ops]
+
+
+class TestPreparedStage:
+    def test_one_preparation_serves_many_states_bitwise(self):
+        rng = np.random.default_rng(8)
+        n = 6
+        a = random_rank_density(rng, n, n, False)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        states = (
+            DensityOperator(np.outer(v, v.conj()) / np.vdot(v, v).real),  # pure
+            random_density_spectrum(rng, n),  # full-rank mixed
+            random_rank_density(rng, n, 2, True),  # rank-deficient
+            DensityOperator(np.eye(n) / n),
+        )
+        for f in (INVERSE, SQRT, INV_SQRT):
+            prepared = prepare_stage(a, f, 8, 100.0)
+            for rho in states:
+                result = prepared.apply(rho)
+                state, prob = chain_stage(rho, a, f, 8, 100.0)
+                assert np.array_equal(result.state.matrix, state.matrix)
+                assert result.probability == prob
+
+    def test_apply_rejects_mismatched_dimension(self):
+        prepared = prepare_stage(spectrum_density([1.0, 2.0, 3.0]), INVERSE, 8, 100.0)
+        with pytest.raises(DomainRejection, match="does not match operator 3"):
+            prepared.apply(DensityOperator(np.eye(2) / 2.0))
+
+    def test_one_rotation_per_distinct_register_value(self, monkeypatch):
+        calls = []
+        rotate = chain.rotation_amplitudes
+
+        def counted(lam, *args, **kwargs):
+            calls.append(lam)
+            return rotate(lam, *args, **kwargs)
+
+        monkeypatch.setattr(chain, "rotation_amplitudes", counted)
+        rng = np.random.default_rng(9)
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        # repeated eigenvalues: 8 eigenvalues over 3 and 4 distinct values
+        ops = [
+            DensityOperator((q * w) @ q.T / w.sum())
+            for w in (np.repeat([1.0, 2.0, 4.0], [3, 3, 2]), np.repeat([3.0, 1.0, 2.0, 5.0], 2))
+        ]
+        spec = ChainSpec(stages=((ops[0], INVERSE), (ops[1], SQRT)), kappa_eff=50.0, t=10)
+        chain_apply(spec)
+        distinct = sum(
+            np.unique(s.registers[s.resolved]).size
+            for s in (_analyze_stage(a, 10, 50.0) for a in ops)
+        )
+        assert distinct < 16
+        assert len(calls) == distinct
+
+    def test_amplitudes_match_per_eigenvalue_rotation_bitwise(self):
+        rng = np.random.default_rng(10)
+        q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        w = np.repeat([0.5, 1.0, 1.5, 2.0], 3) + np.repeat([0.0, 1e-9], 6)
+        a = DensityOperator((q * w) @ q.T / w.sum())
+        for f in (INVERSE, SQRT, INV_SQRT):
+            prepared = prepare_stage(a, f, 8, 100.0)
+            spectrum = prepared.spectrum
+            c_const = _default_c(spectrum, f, DEFAULT_EPS)
+            expected = np.zeros(12)
+            for l in np.nonzero(spectrum.resolved)[0]:
+                expected[l] = rotation_amplitudes(float(spectrum.registers[l]), f, c_const)[1]
+            assert np.array_equal(prepared.a1, expected)
 
 
 class TestChainApply:

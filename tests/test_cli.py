@@ -62,6 +62,9 @@ class TestReduce:
             "classify_three_gauss_n10_t8_seed1.json": [
                 "classify", "--synthetic", "three-gauss", "--test-count", "10",
                 "--path", "both", "--t", "8", "--seed", "1"],
+            "classify_lda_three_gauss_n10_t8_seed1.json": [
+                "classify", "--synthetic", "three-gauss", "--test-count", "10", "--lda",
+                "--path", "both", "--t", "8", "--seed", "1"],
         }
         for name, args in goldens.items():
             golden = Path(__file__).parent / "golden" / name

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qdasim import lda
-from qdasim.chain import ChainSpec, chain_apply
+from qdasim import chain, lda
+from qdasim.chain import ChainSpec, chain_apply, chain_stage
 from qdasim.errors import DomainRejection
-from qdasim.linalg import DensityOperator, SpectralFunction, trace_distance
+from qdasim.linalg import DensityOperator, SpectralFunction, eig_hermitian, trace_distance
 from qdasim.lda import (
     ProjectionBasis,
     classical_lda_oracle,
@@ -18,7 +18,7 @@ from qdasim.lda import (
     quantum_lda,
     scatter_matrices,
 )
-from qdasim.oracle import LabeledDataset
+from qdasim.oracle import LabeledDataset, between_scatter, class_statistics
 
 
 def two_class_dataset(seed=1, per_class=200, sep=1.5, sigma=0.3, n=4):
@@ -176,6 +176,26 @@ class TestQuantumLda:
         monkeypatch.setattr(lda, "sample_eigenpairs", sample_and_read_every_vector)
         quantum_lda(three_class_dataset(seed=4), 2, 100.0, 0.1, 8, seed=4)
         assert eigh_shapes == []
+
+    def test_back_map_stage_prepared_once_for_all_directions(self, monkeypatch):
+        analyzed = []
+        analyze = chain._analyze_stage
+
+        def counted(a, *args):
+            analyzed.append(a)
+            return analyze(a, *args)
+
+        monkeypatch.setattr(chain, "_analyze_stage", counted)
+        data = three_class_dataset(seed=4)
+        basis = quantum_lda(data, 2, 100.0, 0.1, 8, seed=4)
+        sb = between_scatter(class_statistics(data))
+        # two whitening stages, then one S_B stage for both directions
+        assert len(analyzed) == 3
+        assert np.array_equal(analyzed[2].matrix, sb.matrix)
+        for v, w in zip(basis.intermediates, basis.directions):
+            back, _ = chain_stage(DensityOperator(np.outer(v, v)), sb, lda._INV_SQRT, 8, 100.0, 0.1)
+            top = lda._sign_fix(lda._real_cast(eig_hermitian(back).eigenvectors[:, 0]))
+            assert np.array_equal(top, w)
 
 
 class TestFisherCriterion:

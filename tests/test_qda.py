@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qdasim import qda
 from qdasim.errors import DomainRejection
 from qdasim.oracle import LabeledDataset
 from qdasim.qda import (
     DiscriminantResult,
     classify,
+    classify_many,
     discriminant,
     fit,
     invert_apply,
@@ -94,6 +96,27 @@ class TestFit:
         )
         with pytest.raises(DomainRejection, match=r"\[2\]"):
             fit(data, 100.0)
+
+
+class TestSharedCovarianceFit:
+    def test_pooled_inverse_computed_once_with_same_bits(self, monkeypatch):
+        data, _ = gauss3(seed=6, per_class=15)
+        calls = []
+        inverse = qda.matrix_function
+        monkeypatch.setattr(
+            qda, "matrix_function", lambda *args: calls.append(args) or inverse(*args)
+        )
+        model = fit(data, 100.0, shared_covariance=True)
+        assert len(calls) == 1
+        pooled = model.covariance_ops[0]
+        assert all(op is pooled for op in model.covariance_ops)
+        for c in range(1, 4):
+            inv = inverse(pooled, qda._INV, 100.0).matrix
+            direction, norm = qda._invert_mean(
+                inv, float(model.covariance_scales[c - 1]), model.class_means[c - 1]
+            )
+            assert np.array_equal(direction, model.inverse_directions[c - 1])
+            assert norm == model.inverse_norms[c - 1]
 
 
 class TestInvertApply:
@@ -242,6 +265,54 @@ class TestClassify:
         result = classify(model, means[2] * 0.9, "classical")
         shifted = result.values + 123.456
         assert int(np.argmax(shifted)) + 1 == result.chosen
+
+
+class TestClassifyMany:
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("path", ["quantum", "classical"])
+    def test_rows_match_per_query_classify_bitwise(self, monkeypatch, path, shared):
+        data, means = gauss3(seed=2, per_class=20)
+        model = fit(data, 100.0, shared_covariance=shared)
+        rng = np.random.default_rng(3)
+        queries = means[rng.integers(0, 3, size=12)] + 0.8 * rng.standard_normal((12, 4))
+        expected = [
+            classify(model, x, path, shots=256, seed=40 + i, t=8)
+            for i, x in enumerate(queries)
+        ]
+        per_class = [
+            [discriminant(model, x, c, path, 256, 40 + i, 8) for c in range(1, 4)]
+            for i, x in enumerate(queries)
+        ]
+        calls = []
+        invert = qda.invert_apply
+        monkeypatch.setattr(
+            qda, "invert_apply", lambda *args: calls.append(args) or invert(*args)
+        )
+        results = classify_many(model, queries, path, shots=256, seed=40, t=8)
+        assert len(calls) <= model.k
+        assert len(results) == len(queries)
+        for got, want, values in zip(results, expected, per_class):
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.values, values)
+            assert (got.chosen, got.margin) == (want.chosen, want.margin)
+
+    def test_unseeded_rows_stay_unseeded(self, monkeypatch):
+        data, means = gauss3(seed=2, per_class=20)
+        model = fit(data, 100.0)
+        seeds = []
+        monkeypatch.setattr(
+            qda, "_child_seed", lambda seed, c: seeds.append(seed) or None
+        )
+        classify_many(model, means, "quantum", shots=64, seed=None)
+        assert seeds == [None] * 9
+
+    def test_bad_query_rejected(self):
+        data, means = gauss3(seed=2, per_class=20)
+        model = fit(data, 100.0)
+        with pytest.raises(DomainRejection, match="non-finite"):
+            classify_many(model, np.vstack([means[0], [np.nan] * 4]))
+        with pytest.raises(DomainRejection, match="query dimension 3"):
+            classify_many(model, np.zeros((2, 3)))
 
 
 class TestLdaClassify:
