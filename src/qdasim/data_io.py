@@ -123,39 +123,43 @@ def synthetic_preset(name: str, per_class: int = 50, seed: int = 0) -> Synthetic
 
 
 def load_csv(path) -> LabeledDataset:
-    """Read a dataset; every rejection names the offending line."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise DomainRejection(f"{path}: file is empty")
-    header = [cell.strip() for cell in rows[0]]
-    if len(header) < 2 or header[-1].lower() != "label":
-        raise DomainRejection(
-            f"{path}: line 1: header must name feature columns plus a final 'label' column"
-        )
-    n = len(header) - 1
+    """Read a dataset row by row; every rejection names the offending line."""
     samples, labels, order = [], [], {}
-    for i, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != n + 1:
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        first = next(reader, None)
+        if first is None:
+            raise DomainRejection(f"{path}: file is empty")
+        header = [cell.strip() for cell in first]
+        if len(header) < 2 or header[-1].lower() != "label":
             raise DomainRejection(
-                f"{path}: line {i}: expected {n + 1} cells, found {len(row)}"
+                f"{path}: line 1: header must name feature columns plus a final 'label' column"
             )
-        values = []
-        for j, cell in enumerate(row[:-1]):
-            try:
-                values.append(float(cell))
-            except ValueError:
+        n = len(header) - 1
+        for i, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != n + 1:
                 raise DomainRejection(
-                    f"{path}: line {i}: non-numeric feature value {cell!r} "
-                    f"in column {header[j]!r}"
-                ) from None
-        label = row[-1].strip()
-        if label not in order:
-            order[label] = len(order) + 1
-        samples.append(values)
-        labels.append(order[label])
+                    f"{path}: line {i}: expected {n + 1} cells, found {len(row)}"
+                )
+            try:
+                # numpy parses each str cell with Python float(): same grammar, same bits
+                values = np.array(row[:-1], dtype=float)
+            except ValueError:
+                for j, cell in enumerate(row[:-1]):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise DomainRejection(
+                            f"{path}: line {i}: non-numeric feature value {cell!r} "
+                            f"in column {header[j]!r}"
+                        ) from None
+            label = row[-1].strip()
+            if label not in order:
+                order[label] = len(order) + 1
+            samples.append(values)
+            labels.append(order[label])
     if not samples:
         raise DomainRejection(f"{path}: no data rows")
     return LabeledDataset(

@@ -64,11 +64,15 @@ class DensityOperator(HermitianOperator):
 
     def __init__(self, matrix) -> None:
         super().__init__(matrix)
-        w = np.linalg.eigvalsh(self.matrix)
-        if w[0] < -PSD_TOL:
-            raise DomainRejection(
-                f"not positive semidefinite: min eigenvalue {w[0]:.3e} below -{PSD_TOL:.0e}"
-            )
+        try:
+            # a Cholesky factor of rho + PSD_TOL * I certifies lambda_min >= -PSD_TOL
+            np.linalg.cholesky(self.matrix + PSD_TOL * np.eye(self.dim))
+        except np.linalg.LinAlgError:
+            w = np.linalg.eigvalsh(self.matrix)
+            if w[0] < -PSD_TOL:
+                raise DomainRejection(
+                    f"not positive semidefinite: min eigenvalue {w[0]:.3e} below -{PSD_TOL:.0e}"
+                ) from None
         tr = self.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise DomainRejection(f"trace {tr!r} differs from 1 by more than {TRACE_TOL:.0e}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import chain_stage
+from .chain import PreparedStage, prepare_stage
 from .errors import DomainRejection
 from .linalg import DensityOperator, SpectralFunction, eig_hermitian, matrix_function
 from .oracle import LabeledDataset, class_covariance_operator, class_statistics, within_scatter
@@ -150,13 +150,18 @@ def invert_apply(
         return model.inverse_directions[c - 1].copy(), float(model.inverse_norms[c - 1])
     if path != "quantum":
         raise DomainRejection(f"unknown path {path!r}")
+    stage = prepare_stage(model.covariance_ops[c - 1], _INV, t, model.kappa_eff)
+    return _apply_inversion(model, c, stage)
+
+
+def _apply_inversion(model, c: int, stage: PreparedStage) -> tuple[np.ndarray, float]:
+    """Quantum-path ``invert_apply`` through class c's prepared inversion stage."""
     mu = model.class_means[c - 1]
     mu_norm = float(np.linalg.norm(mu))
     if mu_norm < 1e-12:
         raise DomainRejection(f"class {c} mean vanishes; nothing to invert")
     mu_hat = mu / mu_norm
-    rho = DensityOperator(np.outer(mu_hat, mu_hat))
-    out, _ = chain_stage(rho, model.covariance_ops[c - 1], _INV, t, model.kappa_eff)
+    out = stage.apply(DensityOperator(np.outer(mu_hat, mu_hat))).state
     vec = np.real(eig_hermitian(out).eigenvectors[:, 0])
     if float(vec @ mu) < 0.0:
         vec = -vec
@@ -227,7 +232,16 @@ def classify_many(
     Ties break to the lowest class index; the margin is the gap to the
     runner-up.
     """
-    inverted = [invert_apply(model, c, path, t) for c in range(1, model.k + 1)]
+    if path == "quantum":
+        # classes fitted with shared_covariance hold one pooled operator: prepare it once
+        ops = {id(op): op for op in model.covariance_ops}
+        stages = {key: prepare_stage(op, _INV, t, model.kappa_eff) for key, op in ops.items()}
+        inverted = [
+            _apply_inversion(model, c, stages[id(op)])
+            for c, op in enumerate(model.covariance_ops, start=1)
+        ]
+    else:
+        inverted = [invert_apply(model, c, path, t) for c in range(1, model.k + 1)]
     results = []
     for i, x in enumerate(np.asarray(X, dtype=float)):
         row_seed = None if seed is None else seed + i

@@ -23,6 +23,7 @@ MIN_SLICES = 5
 POSTSELECT_FLOOR = 1e-12
 # largest off-diagonal |beta| entry for which a sample is read as an eigenvector
 COMMUTE_TOL = 1e-10
+_PROFILE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -112,16 +113,21 @@ def density_exponentiation_step(
 
 
 def _register_profiles(phases: np.ndarray, t: int) -> np.ndarray:
-    """QPE register amplitudes a_m(phi) = (1/T) sum_tau e^{2 pi i tau (phi - m/T)}."""
+    """QPE register amplitudes a_m(phi) = (1/T) sum_tau e^{2 pi i tau (phi - m/T)},
+    evaluated in row blocks of about ``_PROFILE_BLOCK`` elements to bound temporaries."""
     big_t = 1 << t
     m = np.arange(big_t)
-    delta = phases[:, None] - m[None, :] / big_t
-    num = np.sin(np.pi * big_t * delta)
-    den = big_t * np.sin(np.pi * delta)
-    phase = np.exp(1j * np.pi * (big_t - 1) * delta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        amp = np.where(np.abs(den) < 1e-14, 1.0, num / np.where(den == 0.0, 1.0, den))
-    return phase * amp
+    rows = max(1, _PROFILE_BLOCK // big_t)
+    out = np.empty((phases.size, big_t), dtype=complex)
+    for lo in range(0, phases.size, rows):
+        delta = phases[lo : lo + rows, None] - m[None, :] / big_t
+        num = np.sin(np.pi * big_t * delta)
+        den = big_t * np.sin(np.pi * delta)
+        phase = np.exp(1j * np.pi * (big_t - 1) * delta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            amp = np.where(np.abs(den) < 1e-14, 1.0, num / np.where(den == 0.0, 1.0, den))
+        np.multiply(phase, amp, out=out[lo : lo + rows])
+    return out
 
 
 def phase_estimation(

@@ -1,6 +1,8 @@
 """Shared random-object generators for the test suite."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from qdasim.linalg import DensityOperator, HermitianOperator
@@ -30,3 +32,23 @@ def random_density_spectrum(
 def random_unit_vector(rng: np.random.Generator, n: int, real: bool = True) -> np.ndarray:
     v = rng.standard_normal(n) if real else rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Call fn and return (result, peak bytes tracemalloc saw allocated during the call).
+
+    The peak counts everything the call holds at once, its result included;
+    what the arguments held before the call is not counted.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    base, _ = tracemalloc.get_traced_memory()
+    tracemalloc.reset_peak()
+    try:
+        result = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak - base

@@ -51,8 +51,10 @@ class TestReduce:
         second = json.loads(out.read_text())
         assert strip_timestamp(first) == strip_timestamp(second)
 
-    def test_report_matches_stored_golden_bytes(self, capsys):
-        # seeded runs must reproduce the stored reports byte for byte (timestamp cleared)
+    def test_report_matches_stored_golden_bytes(self, capsys, monkeypatch):
+        # seeded runs must reproduce the stored reports byte for byte (timestamp cleared);
+        # run from the repository root so the CSV path recorded in the report is stable
+        monkeypatch.chdir(Path(__file__).parent.parent)
         goldens = {
             "reduce_three_gauss_p2_t8_seed1.json": [
                 "reduce", "--synthetic", "three-gauss", "--p", "2", "--t", "8",
@@ -65,6 +67,9 @@ class TestReduce:
             "classify_lda_three_gauss_n10_t8_seed1.json": [
                 "classify", "--synthetic", "three-gauss", "--test-count", "10", "--lda",
                 "--path", "both", "--t", "8", "--seed", "1"],
+            "reduce_csv_three_gauss_p2_t12_seed1.json": [
+                "reduce", "--data", "tests/golden/three_gauss_seed1.csv", "--path", "both",
+                "--p", "2", "--t", "12", "--seed", "1"],
         }
         for name, args in goldens.items():
             golden = Path(__file__).parent / "golden" / name

@@ -17,6 +17,8 @@ from qdasim.data_io import (
 from qdasim.errors import DomainRejection
 from qdasim.oracle import LabeledDataset
 
+from conftest import traced_peak
+
 
 class TestLoadCsv:
     def test_basic_file(self, tmp_path):
@@ -59,6 +61,50 @@ class TestLoadCsv:
         assert np.array_equal(back.samples, data.samples)
         assert np.array_equal(back.labels, data.labels)
         assert back.label_names == data.label_names
+
+    def test_cells_parse_as_python_float(self, tmp_path):
+        cells = [["  1.5", "1_000 ", "-0.0"], ["2e-3", "+.5", " -7E+2 "], ["1e-320", "0.1", "3"]]
+        path = tmp_path / "cells.csv"
+        path.write_bytes(
+            b" u , v ,w,label\r\n"
+            b"  1.5,1_000 ,-0.0,\"lo, mid\"\r\n"
+            b"\r\n"
+            b"2e-3,+.5, -7E+2 ,hi\r\n"
+            b"1e-320,0.1,3,\"lo, mid\"\r\n"
+            b"\r\n"
+        )
+        data = load_csv(path)
+        expected = np.array([[float(c) for c in row] for row in cells])
+        assert np.array_equal(data.samples, expected)
+        assert np.array_equal(np.signbit(data.samples), np.signbit(expected))
+        assert list(data.labels) == [1, 2, 1]
+        assert data.label_names == ("lo, mid", "hi")
+        assert data.feature_names == ("u", "v", "w")
+
+    @pytest.mark.parametrize(
+        "row, where",
+        [
+            ("1.0,0x10,3,a", "line 4: non-numeric feature value '0x10' in column 'v'"),
+            ("1.0,2.0,,a", "line 4: non-numeric feature value '' in column 'w'"),
+            ("1 0,2.0,3,a", "line 4: non-numeric feature value '1 0' in column 'u'"),
+            ("1.0,2.0,a", "line 4: expected 4 cells, found 3"),
+        ],
+    )
+    def test_bad_row_cites_line_and_column(self, tmp_path, row, where):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"u,v,w,label\r\n1,2,3,a\r\n\r\n{row}\r\n")
+        with pytest.raises(DomainRejection) as err:
+            load_csv(path)
+        assert where in str(err.value)
+
+    def test_peak_memory_is_near_the_samples(self, tmp_path):
+        rng = np.random.default_rng(5)
+        data = LabeledDataset(rng.standard_normal((1200, 256)), np.repeat([1, 2, 3], 400))
+        path = tmp_path / "wide.csv"
+        save_csv(data, path)
+        back, peak = traced_peak(load_csv, path)
+        assert np.array_equal(back.samples, data.samples)
+        assert peak <= 4 * back.samples.nbytes
 
 
 class TestGenerate:

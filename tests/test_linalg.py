@@ -7,6 +7,7 @@ import pytest
 
 from qdasim.errors import DomainRejection
 from qdasim.linalg import (
+    PSD_TOL,
     DensityOperator,
     HermitianOperator,
     SpectralFunction,
@@ -46,6 +47,35 @@ class TestDensityOperator:
     def test_rejects_wrong_trace(self):
         with pytest.raises(DomainRejection, match="trace"):
             DensityOperator(np.diag([0.7, 0.7]))
+
+    @pytest.mark.parametrize("n", [2, 8, 64, 256])
+    @pytest.mark.parametrize("rank_two", [False, True])
+    def test_psd_rule_matches_min_eigenvalue_at_the_tolerance(self, n, rank_two):
+        # states with a prescribed minimum eigenvalue in a random complex basis; the
+        # accept/reject decision and the message agree with the eigvalsh rule
+        rng = np.random.default_rng(n + rank_two)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        for lam_min in (0.0, -5e-11, -9e-11, -1.1e-10, -2e-10, -1e-6):
+            w = np.zeros(n) if rank_two else rng.uniform(0.5, 1.0, n)
+            w[:2] = rng.uniform(0.5, 1.0, 2)
+            w *= (1.0 - lam_min) / w[:-1].sum()
+            w[-1] = lam_min
+            m = (q * w) @ q.conj().T
+            reference = np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]
+            assert (reference >= -PSD_TOL) == (lam_min > -PSD_TOL)
+            if lam_min > -PSD_TOL:
+                DensityOperator(m)
+            else:
+                with pytest.raises(DomainRejection, match="semidefinite") as err:
+                    DensityOperator(m)
+                assert f"min eigenvalue {reference:.3e}" in str(err.value)
+
+    def test_valid_state_needs_no_eigensolver(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        m = random_density(rng, 64).matrix
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: pytest.fail("eigvalsh called"))
+        DensityOperator(m)
+        DensityOperator(np.diag([1.0, 0.0, 0.0]))
 
 
 class TestEigHermitian:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qdasim import qda
+from qdasim import chain, qda
 from qdasim.errors import DomainRejection
 from qdasim.oracle import LabeledDataset
 from qdasim.qda import (
@@ -295,6 +295,18 @@ class TestClassifyMany:
             assert np.array_equal(got.values, want.values)
             assert np.array_equal(got.values, values)
             assert (got.chosen, got.margin) == (want.chosen, want.margin)
+
+    @pytest.mark.parametrize("shared, stages", [(True, 1), (False, 3)])
+    def test_one_stage_prepared_per_distinct_operator(self, monkeypatch, shared, stages):
+        data, means = gauss3(seed=2, per_class=20)
+        model = fit(data, 100.0, shared_covariance=shared)
+        analyses = []
+        analyze = chain._analyze_stage
+        monkeypatch.setattr(
+            chain, "_analyze_stage", lambda *args: analyses.append(args) or analyze(*args)
+        )
+        classify_many(model, means, "quantum", shots=64, seed=5, t=8)
+        assert len(analyses) == stages
 
     def test_unseeded_rows_stay_unseeded(self, monkeypatch):
         data, means = gauss3(seed=2, per_class=20)

@@ -9,6 +9,7 @@ from qdasim.errors import DomainRejection, NumericalFailure
 from qdasim.linalg import DensityOperator, trace_distance
 from qdasim.qsim import (
     RegisteredState,
+    _register_profiles,
     density_exponentiation_step,
     overlap_test_signed,
     phase_estimation,
@@ -17,7 +18,7 @@ from qdasim.qsim import (
     swap_test,
 )
 
-from conftest import random_density, random_density_spectrum, random_unit_vector
+from conftest import random_density, random_density_spectrum, random_unit_vector, traced_peak
 
 
 def exact_conjugation(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
@@ -155,6 +156,39 @@ class TestPhaseEstimation:
         gen = DensityOperator(np.diag([0.25, 0.75]))
         with pytest.raises(DomainRejection, match="slices"):
             phase_estimation(gen, gen, 4, steps=2, method="simulated")
+
+
+def one_expression_profiles(phases: np.ndarray, t: int) -> np.ndarray:
+    """Reference: the register-profile formula over all rows at once."""
+    big_t = 1 << t
+    m = np.arange(big_t)
+    delta = phases[:, None] - m[None, :] / big_t
+    num = np.sin(np.pi * big_t * delta)
+    den = big_t * np.sin(np.pi * delta)
+    phase = np.exp(1j * np.pi * (big_t - 1) * delta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        amp = np.where(np.abs(den) < 1e-14, 1.0, num / np.where(den == 0.0, 1.0, den))
+    return phase * amp
+
+
+class TestRegisterProfiles:
+    @pytest.mark.parametrize("t", range(2, 13))
+    def test_row_blocks_equal_one_expression(self, t):
+        rng = np.random.default_rng(t)
+        big_t = 1 << t
+        for n in (1, 15, 16, 17, 300):
+            phases = rng.uniform(0.0, 1.0, n)
+            # exact bin centres, where den = 0 at their own bin, the top one included
+            centres = [1.0 - 2.0**-t, 0.0, 1.0 / big_t, 0.5]
+            phases[: len(centres)] = centres[:n]
+            assert np.array_equal(_register_profiles(phases, t), one_expression_profiles(phases, t))
+
+    def test_phase_estimation_peak_memory_is_near_its_result(self):
+        rng = np.random.default_rng(6)
+        gen = random_density_spectrum(rng, 256)
+        joint, peak = traced_peak(phase_estimation, gen, gen, 12)
+        assert joint.profiles.shape == (256, 4096)
+        assert peak <= 2 * joint.profiles.nbytes
 
 
 class TestSampleEigenpairs:
