@@ -161,7 +161,7 @@ def classical_chain_oracle(spec: ChainSpec) -> DensityOperator:
     if not spec.stages:
         raise DomainRejection("empty chain has no operator content")
     dim = spec.stages[0][0].dim
-    f_total = np.eye(dim, dtype=complex)
+    f_total = np.eye(dim)
     for a, f in spec.stages:
         if a.dim != dim:
             raise DomainRejection("chain stages have mismatched dimensions")

@@ -315,8 +315,8 @@ def run_chain(args) -> RunReport:
     oracle = classical_chain_oracle(spec)
     report = chain_apply(spec)
     outputs = {
-        "classical": oracle.matrix,
-        "quantum": report.output.matrix,
+        "classical": oracle.matrix.astype(complex),
+        "quantum": report.output.matrix.astype(complex),
     }
     metrics = {
         "trace_distance": trace_distance(report.output, oracle),

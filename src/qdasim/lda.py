@@ -211,8 +211,10 @@ def quantum_lda(
     vs, ws, estimates = [], [], []
     for vec, estimate in selected:
         v = _sign_fix(vec)
-        back = back_map.apply(DensityOperator(np.outer(v, v))).state
-        w = _sign_fix(_real_cast(eig_hermitian(back).eigenvectors[:, 0]))
+        # a pure state through one congruence stays rank one: any column is w
+        back = back_map.apply(DensityOperator(np.outer(v, v))).state.matrix
+        pivot = int(np.argmax(np.diag(back)))
+        w = _sign_fix(back[:, pivot] / np.sqrt(back[pivot, pivot]))
         vs.append(v)
         ws.append(w)
         estimates.append(estimate)

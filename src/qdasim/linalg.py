@@ -1,8 +1,11 @@
-"""Dense complex Hermitian linear algebra.
+"""Dense Hermitian linear algebra, real or complex.
 
 Eigendecomposition, spectral matrix functions with condition-number
 filtering, partial traces, and operator distance metrics. Everything here
 is a pure function of its inputs; matrices are small (N <= 256) and dense.
+An operator keeps the arithmetic of its input: real symmetric input is
+stored as float64 and stays real through every function here, complex input
+as complex128.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ TRACE_TOL = 1e-9
 
 
 class HermitianOperator:
-    """Dense N x N complex Hermitian matrix.
+    """Dense N x N Hermitian matrix: float64 for real input, complex128 otherwise.
 
     Asymmetry below ``HERMITICITY_TOL`` is absorbed by symmetrizing
     (H + H†)/2 on ingest; anything larger is rejected with the measured
@@ -28,7 +31,7 @@ class HermitianOperator:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix) -> None:
-        m = np.asarray(matrix, dtype=complex)
+        m = np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainRejection(f"operator must be a square matrix, got shape {m.shape}")
         if m.shape[0] < 1:

@@ -115,10 +115,7 @@ def class_statistics(data: LabeledDataset) -> ClassStatistics:
 
 def _weighted_projector_mixture(deviations: np.ndarray, total: float) -> DensityOperator:
     """Unit-trace mixture (1/total) sum_i d_i d_i^T; zero rows carry no weight."""
-    acc = np.zeros((deviations.shape[1], deviations.shape[1]))
-    for d in deviations:
-        acc += np.outer(d, d)
-    return DensityOperator(acc / total)
+    return DensityOperator(deviations.T @ deviations / total)
 
 
 def between_scatter(stats: ClassStatistics) -> DensityOperator:

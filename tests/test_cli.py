@@ -160,6 +160,20 @@ class TestChain:
         bounds = report["metrics"]["stage_bounds"]
         assert all(s >= b * (1 - 1e-9) for s, b in zip(success, bounds))
 
+    def test_real_operators_report_complex_layout(self, tmp_path):
+        ops = tmp_path / "ops.json"
+        ops.write_text(json.dumps({"operators": [[[0.6, 0.1], [0.1, 0.4]], [[0.5, -0.2], [-0.2, 0.7]]]}))
+        code, report = run_cli(
+            ["chain", "--operators", str(ops), "--functions", "inverse,sqrt", "--seed", "0"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        for path in ("classical", "quantum"):
+            matrix = report["outputs"][path]
+            assert set(matrix) == {"real", "imag"}
+            assert np.shape(matrix["real"]) == np.shape(matrix["imag"]) == (2, 2)
+            assert all(x == 0.0 for row in matrix["imag"] for x in row)
+
     def test_function_count_mismatch_is_usage_error(self, tmp_path, capsys):
         ops = tmp_path / "ops.json"
         ops.write_text(json.dumps({"operators": [[[1.0, 0.0], [0.0, 1.0]]]}))

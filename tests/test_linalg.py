@@ -35,6 +35,21 @@ class TestHermitianOperator:
         with pytest.raises(DomainRejection):
             HermitianOperator(np.ones((2, 3)))
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([[2, 1], [1, 3]]), [[2.0, 1], [1, 3.0]]],
+        ids=["float", "int", "nested-list"],
+    )
+    def test_real_input_stays_float64(self, matrix):
+        h = HermitianOperator(matrix)
+        assert h.matrix.dtype == np.float64
+        assert np.array_equal(h.matrix, [[2.0, 1.0], [1.0, 3.0]])
+
+    def test_complex_input_stays_complex128(self):
+        h = HermitianOperator(np.array([[2.0, 1j], [-1j, 3.0]]))
+        assert h.matrix.dtype == np.complex128
+        assert HermitianOperator(np.eye(2, dtype=complex)).matrix.dtype == np.complex128
+
 
 class TestDensityOperator:
     def test_accepts_valid_state(self):

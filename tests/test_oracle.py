@@ -9,6 +9,7 @@ from qdasim.errors import DomainRejection
 from qdasim.linalg import DensityOperator, partial_trace
 from qdasim.oracle import (
     LabeledDataset,
+    _weighted_projector_mixture,
     between_scatter,
     class_covariance_operator,
     class_statistics,
@@ -134,6 +135,29 @@ class TestWithinScatter:
         data = LabeledDataset(np.tile([1.0, 2.0], (3, 1)), np.array([1, 1, 1]))
         with pytest.raises(DomainRejection, match="within-class"):
             within_scatter(data, class_statistics(data))
+
+
+class TestWeightedProjectorMixture:
+    @staticmethod
+    def outer_loop(deviations, total):
+        acc = np.zeros((deviations.shape[1], deviations.shape[1]))
+        for d in deviations:
+            acc += np.outer(d, d)
+        return acc / total
+
+    @pytest.mark.parametrize(
+        "shape,zero_rows",
+        [((40, 6), (0, 7, 39)), ((3, 10), (1,)), ((1, 5), ()), ((1200, 256), (0, 600))],
+        ids=["zero-rows", "m-below-n", "single-row", "1200x256"],
+    )
+    def test_gram_product_matches_outer_product_loop(self, shape, zero_rows):
+        deviations = np.random.default_rng(shape[0]).standard_normal(shape)
+        deviations[list(zero_rows)] = 0.0
+        total = float(np.sum(deviations * deviations))
+        mixture = _weighted_projector_mixture(deviations, total)
+        reference = self.outer_loop(deviations, total)
+        assert mixture.matrix.dtype == np.float64
+        assert np.max(np.abs(mixture.matrix - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
 class TestClassCovarianceOperator:
