@@ -59,8 +59,10 @@ class _StageSpectrum:
         return float(kept.max() / kept.min())
 
     def copies(self, eps: float) -> int:
-        """Copies of the stage operator one stage consumes: ceil(kappa^2 / eps^3)."""
-        return math.ceil(self.kappa**2 / eps**3)
+        """Copies of the stage operator one stage consumes: ceil(kappa^2 / eps^3), where a
+        ratio within 1e-12 relative of an integer is that integer (kappa's last bit aside)."""
+        ratio = self.kappa**2 / eps**3
+        return round(ratio) if abs(ratio - round(ratio)) <= 1e-12 * ratio else math.ceil(ratio)
 
 
 def _analyze_stage(a: DensityOperator, t: int, kappa_eff: float) -> _StageSpectrum:

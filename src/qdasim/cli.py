@@ -246,9 +246,9 @@ def run_classify(args) -> RunReport:
         )
     if "quantum" in paths:
         metrics["shots_consumed"] = int(args.shots) * model.k * test.M
-        metrics["copies_used"] = np.array(
-            [stage_copies(op, args.kappa_eff, args.eps) for op in model.covariance_ops]
-        )
+        ops = {id(op): op for op in model.covariance_ops}  # --lda classes share one operator
+        copies = {key: stage_copies(op, args.kappa_eff, args.eps) for key, op in ops.items()}
+        metrics["copies_used"] = np.array([copies[id(op)] for op in model.covariance_ops])
     parameters = {
         "train": descriptor,
         "test": test_descriptor,

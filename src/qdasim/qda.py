@@ -15,7 +15,7 @@ import numpy as np
 
 from .chain import PreparedStage, prepare_stage
 from .errors import DomainRejection
-from .linalg import DensityOperator, SpectralFunction, eig_hermitian, matrix_function
+from .linalg import DensityOperator, SpectralFunction, matrix_function
 from .oracle import LabeledDataset, class_covariance_operator, class_statistics, within_scatter
 from .qsim import overlap_test_signed
 
@@ -161,8 +161,9 @@ def _apply_inversion(model, c: int, stage: PreparedStage) -> tuple[np.ndarray, f
     if mu_norm < 1e-12:
         raise DomainRejection(f"class {c} mean vanishes; nothing to invert")
     mu_hat = mu / mu_norm
-    out = stage.apply(DensityOperator(np.outer(mu_hat, mu_hat))).state
-    vec = np.real(eig_hermitian(out).eigenvectors[:, 0])
+    out = np.real(stage.apply(DensityOperator(np.outer(mu_hat, mu_hat))).state.matrix)
+    pivot = int(np.argmax(np.diag(out)))  # the state is rank one: any column is the direction
+    vec = out[:, pivot] / math.sqrt(out[pivot, pivot])
     if float(vec @ mu) < 0.0:
         vec = -vec
     return vec, float(model.inverse_norms[c - 1])

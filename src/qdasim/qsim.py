@@ -2,10 +2,10 @@
 shot-sampled overlap tests, and ancilla postselection.
 
 Phase estimation returns the joint register-system state factored in the
-generator eigenbasis (``QpeState``), so a wide eigenvalue register never
-forces a dense (2^t * N)^2 matrix. Sampling the register reads each
-post-measurement vector as a generator eigenvector, which is exact when the
-input commutes with the generator; any other input is rejected.
+generator eigenbasis (``QpeState``); outcome probabilities are the real Fejer
+kernel, computed in column blocks where read, so no (N, 2^t) array is built.
+Sampling reads each post-measurement vector as a generator eigenvector, exact
+when the input commutes with the generator; any other input is rejected.
 """
 from __future__ import annotations
 
@@ -42,16 +42,24 @@ class ShotResult:
 @dataclass(frozen=True)
 class QpeState:
     """Eigenvalue-register x system state after phase estimation, factored as
-    sum_{l,l'} beta[l,l'] |a_l><a_l'| x |u_l><u_l'|."""
+    sum_{l,l'} beta[l,l'] |a_l><a_l'| x |u_l><u_l'|, a_l the register profile of phases[l]."""
 
-    profiles: np.ndarray  # (N, T) register amplitude profiles a_l
+    phases: np.ndarray  # (N,) eigenphases the register resolves
+    t: int  # register width
     vectors: np.ndarray  # (N, N) generator eigenvector columns u_l
     beta: np.ndarray  # (N, N) input state in the generator eigenbasis
 
+    def _weight_blocks(self, values: np.ndarray):
+        """|a_l(m)|^2 for register values m in blocks of ~``_PROFILE_BLOCK`` elements."""
+        width = max(1, _PROFILE_BLOCK // self.phases.size)
+        for lo in range(0, values.size, width):
+            yield _register_weights(self.phases, self.t, values[lo : lo + width])
+
     def register_marginal(self) -> np.ndarray:
         """Measurement distribution of the eigenvalue register."""
-        weights = np.real(np.diag(self.beta))
-        return np.maximum(weights @ (np.abs(self.profiles) ** 2), 0.0)
+        populations = np.real(np.diag(self.beta))
+        blocks = self._weight_blocks(np.arange(1 << self.t))
+        return np.maximum(np.concatenate([populations @ w for w in blocks]), 0.0)
 
 
 class RegisteredState:
@@ -112,22 +120,16 @@ def density_exponentiation_step(
     return DensityOperator(out)
 
 
-def _register_profiles(phases: np.ndarray, t: int) -> np.ndarray:
-    """QPE register amplitudes a_m(phi) = (1/T) sum_tau e^{2 pi i tau (phi - m/T)},
-    evaluated in row blocks of about ``_PROFILE_BLOCK`` elements to bound temporaries."""
+def _register_weights(phases: np.ndarray, t: int, values: np.ndarray) -> np.ndarray:
+    """QPE outcome probabilities |a_m(phi)|^2 = sin^2(pi T d) / (T sin(pi d))^2,
+    d = phi - m/T (the Fejer kernel), for every phase and register value m."""
     big_t = 1 << t
-    m = np.arange(big_t)
-    rows = max(1, _PROFILE_BLOCK // big_t)
-    out = np.empty((phases.size, big_t), dtype=complex)
-    for lo in range(0, phases.size, rows):
-        delta = phases[lo : lo + rows, None] - m[None, :] / big_t
-        num = np.sin(np.pi * big_t * delta)
-        den = big_t * np.sin(np.pi * delta)
-        phase = np.exp(1j * np.pi * (big_t - 1) * delta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            amp = np.where(np.abs(den) < 1e-14, 1.0, num / np.where(den == 0.0, 1.0, den))
-        np.multiply(phase, amp, out=out[lo : lo + rows])
-    return out
+    delta = phases[:, None] - values[None, :] / big_t
+    num = np.sin(np.pi * big_t * delta)
+    den = big_t * np.sin(np.pi * delta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        amp = np.where(np.abs(den) < 1e-14, 1.0, num / np.where(den == 0.0, 1.0, den))
+    return amp * amp
 
 
 def phase_estimation(
@@ -173,11 +175,7 @@ def phase_estimation(
     else:
         raise DomainRejection(f"unknown phase-estimation method {method!r}")
     beta = sol.eigenvectors.conj().T @ input_state.matrix @ sol.eigenvectors
-    return QpeState(
-        profiles=_register_profiles(phases, t),
-        vectors=sol.eigenvectors,
-        beta=beta,
-    )
+    return QpeState(phases=phases, t=t, vectors=sol.eigenvectors, beta=beta)
 
 
 @dataclass(frozen=True)
@@ -222,19 +220,18 @@ def sample_eigenpairs(joint: QpeState, draws: int, seed=None) -> list[EigenSampl
     probs = weights / total
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(draws, probs)
-    big_t = probs.size
+    drawn = np.nonzero((counts > 0) & (weights > POSTSELECT_FLOOR))[0]
+    blocks = joint._weight_blocks(drawn)  # weights of the drawn outcomes only
+    tops = [col for w in blocks for col in np.argmax(populations[:, None] * w, axis=0)]
     samples = [
         EigenSample(
-            eigenvalue=m / big_t,
+            eigenvalue=m / probs.size,
             frequency=counts[m] / draws,
             register_value=int(m),
             probability=float(probs[m]),
-            vector=_fix_vector_sign(
-                joint.vectors[:, np.argmax(populations * np.abs(joint.profiles[:, m]) ** 2)]
-            ),
+            vector=_fix_vector_sign(joint.vectors[:, col]),
         )
-        for m in np.nonzero(counts)[0]
-        if weights[m] > POSTSELECT_FLOOR
+        for m, col in zip(drawn, tops)
     ]
     samples.sort(key=lambda s: (-s.eigenvalue, -s.frequency, s.register_value))
     return samples

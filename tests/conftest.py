@@ -52,3 +52,17 @@ def traced_peak(fn, *args, **kwargs):
         if started:
             tracemalloc.stop()
     return result, peak - base
+
+
+def one_expression_profiles(phases: np.ndarray, t: int) -> np.ndarray:
+    """Reference QPE register amplitudes a_m(phi) = (1/T) sum_tau e^{2 pi i tau (phi - m/T)}
+    as one complex (N, 2^t) table, evaluated over all rows at once."""
+    big_t = 1 << t
+    m = np.arange(big_t)
+    delta = phases[:, None] - m[None, :] / big_t
+    num = np.sin(np.pi * big_t * delta)
+    den = big_t * np.sin(np.pi * delta)
+    phase = np.exp(1j * np.pi * (big_t - 1) * delta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        amp = np.where(np.abs(den) < 1e-14, 1.0, num / np.where(den == 0.0, 1.0, den))
+    return phase * amp

@@ -296,6 +296,32 @@ class TestPreparedStage:
             assert np.array_equal(prepared.a1, expected)
 
 
+def even_spectrum_operator(n: int, basis: str) -> DensityOperator:
+    """Unit-trace operator with eigenvalues spread evenly over [0.2, 1] before
+    normalization, so kappa = 5 exactly and kappa^2 / eps^3 = 25000 at eps = 0.1."""
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n, n))
+    if basis == "unitary":
+        g = g + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(g)
+    w = np.linspace(1.0, 0.2, n)
+    m = (q * (w / w.sum())) @ q.conj().T
+    return DensityOperator(m.astype(complex) if basis == "complex-copy" else m)
+
+
+class TestCopyCount:
+    @pytest.mark.parametrize("basis", ["real", "complex-copy", "unitary"])
+    @pytest.mark.parametrize("n", [5, 8, 16, 32])
+    def test_integer_ratio_is_not_moved_by_last_bit_of_kappa(self, n, basis):
+        a = even_spectrum_operator(n, basis)
+        assert stage_copies(a, 100.0, 0.1) == 25000
+        assert prepare_stage(a, INVERSE, 8, 100.0, 0.1).copies == 25000
+
+    def test_non_integer_ratio_rounds_up(self):
+        a = spectrum_density([1.0, 0.5, 0.3])
+        assert stage_copies(a, 100.0, 0.1) == math.ceil((1.0 / 0.3) ** 2 / 0.1**3)
+
+
 class TestChainApply:
     def test_empty_chain_returns_input(self):
         rho = DensityOperator(np.diag([0.2, 0.8]))

@@ -109,6 +109,24 @@ class TestClassify:
         assert code == EXIT_OK
         assert report["parameters"]["lda"] is True
 
+    @pytest.mark.parametrize("lda, decompositions", [(True, 3), (False, 9)])
+    def test_each_covariance_operator_diagonalized_once_per_use(
+        self, tmp_path, monkeypatch, lda, decompositions
+    ):
+        # per distinct operator: its pseudo-inverse in fit, its inversion stage and
+        # its copy count; the rank-one inverted means need no eigendecomposition
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        code, report = run_cli(
+            ["classify", "--synthetic", "three-gauss", "--test-count", "5",
+             "--path", "quantum", "--seed", "7"] + (["--lda"] if lda else []),
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        assert len(report["metrics"]["copies_used"]) == 3
+        assert len(calls) == decompositions
+
     def test_missing_test_source_is_usage_error(self, capsys):
         code = main(["classify", "--synthetic", "three-gauss", "--seed", "3"])
         assert code == EXIT_USAGE

@@ -7,9 +7,12 @@ import pytest
 
 from qdasim.errors import DomainRejection, NumericalFailure
 from qdasim.linalg import DensityOperator, trace_distance
+from qdasim.lda import qpe_draws
 from qdasim.qsim import (
+    POSTSELECT_FLOOR,
     RegisteredState,
-    _register_profiles,
+    _fix_vector_sign,
+    _register_weights,
     density_exponentiation_step,
     overlap_test_signed,
     phase_estimation,
@@ -18,7 +21,13 @@ from qdasim.qsim import (
     swap_test,
 )
 
-from conftest import random_density, random_density_spectrum, random_unit_vector, traced_peak
+from conftest import (
+    one_expression_profiles,
+    random_density,
+    random_density_spectrum,
+    random_unit_vector,
+    traced_peak,
+)
 
 
 def exact_conjugation(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
@@ -158,37 +167,82 @@ class TestPhaseEstimation:
             phase_estimation(gen, gen, 4, steps=2, method="simulated")
 
 
-def one_expression_profiles(phases: np.ndarray, t: int) -> np.ndarray:
-    """Reference: the register-profile formula over all rows at once."""
-    big_t = 1 << t
-    m = np.arange(big_t)
-    delta = phases[:, None] - m[None, :] / big_t
-    num = np.sin(np.pi * big_t * delta)
-    den = big_t * np.sin(np.pi * delta)
-    phase = np.exp(1j * np.pi * (big_t - 1) * delta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        amp = np.where(np.abs(den) < 1e-14, 1.0, num / np.where(den == 0.0, 1.0, den))
-    return phase * amp
-
-
-class TestRegisterProfiles:
+class TestRegisterWeights:
     @pytest.mark.parametrize("t", range(2, 13))
-    def test_row_blocks_equal_one_expression(self, t):
+    def test_weights_equal_squared_one_expression(self, t):
         rng = np.random.default_rng(t)
         big_t = 1 << t
+        values = np.arange(big_t)
         for n in (1, 15, 16, 17, 300):
             phases = rng.uniform(0.0, 1.0, n)
             # exact bin centres, where den = 0 at their own bin, the top one included
             centres = [1.0 - 2.0**-t, 0.0, 1.0 / big_t, 0.5]
             phases[: len(centres)] = centres[:n]
-            assert np.array_equal(_register_profiles(phases, t), one_expression_profiles(phases, t))
+            weights = _register_weights(phases, t, values)
+            assert weights.dtype == np.float64
+            reference = np.abs(one_expression_profiles(phases, t)) ** 2
+            assert np.max(np.abs(weights - reference)) <= 1e-15
+            own_bins = np.rint(np.asarray(centres[:n]) * big_t).astype(int)
+            assert np.all(weights[np.arange(own_bins.size), own_bins] == 1.0)
+            subset = rng.choice(big_t, size=min(big_t, 7), replace=False)
+            assert np.array_equal(_register_weights(phases, t, subset), weights[:, subset])
 
-    def test_phase_estimation_peak_memory_is_near_its_result(self):
+    def test_peak_memory_per_call_is_bounded(self):
+        # no call builds an (N, 2^t) array: that alone would be 8 MiB here
         rng = np.random.default_rng(6)
         gen = random_density_spectrum(rng, 256)
         joint, peak = traced_peak(phase_estimation, gen, gen, 12)
-        assert joint.profiles.shape == (256, 4096)
-        assert peak <= 2 * joint.profiles.nbytes
+        assert peak <= 4 << 20
+        _, peak = traced_peak(joint.register_marginal)
+        assert peak <= 4 << 20
+        _, peak = traced_peak(sample_eigenpairs, joint, 4096, seed=1)
+        assert peak <= 4 << 20
+
+
+def clustered_generator(rng, n: int) -> DensityOperator:
+    """Real unit-trace generator shaped like a reduce chain output: two large
+    eigenvalues, two clusters of eigenvalues closer together than one t=12
+    register bin, and a floor of nearly equal small eigenvalues."""
+    w = np.concatenate(
+        [
+            [0.40, 0.25],
+            0.02 + 1e-6 * rng.standard_normal(6),
+            0.01 + 2.0**-14 * rng.uniform(-1.0, 1.0, 8),
+        ]
+    )
+    floor = (1.0 - w.sum()) / (n - w.size)
+    w = np.concatenate([w, floor * (1.0 + 1e-3 * rng.standard_normal(n - w.size))])
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return DensityOperator((q * (w / w.sum())) @ q.T)
+
+
+def dense_table_samples(joint, draws: int, seed):
+    """Reference sampling rule over the materialized (N, 2^t) table |a_l(m)|^2:
+    the marginal, the multinomial draw, and the column argmax_l beta_ll |a_l(m)|^2."""
+    table = np.abs(one_expression_profiles(joint.phases, joint.t)) ** 2
+    populations = np.real(np.diag(joint.beta))
+    weights = np.maximum(populations @ table, 0.0)
+    counts = np.random.default_rng(seed).multinomial(draws, weights / weights.sum())
+    samples = [
+        (int(m), counts[m] / draws, joint.vectors[:, np.argmax(populations * table[:, m])])
+        for m in np.nonzero(counts)[0]
+        if weights[m] > POSTSELECT_FLOOR
+    ]
+    return weights, samples
+
+
+class TestStreamedRegisterAtBenchmarkScale:
+    def test_streamed_marginal_and_samples_match_dense_table(self):
+        gen = clustered_generator(np.random.default_rng(21), 256)
+        joint = phase_estimation(gen, gen, 12)
+        weights, reference = dense_table_samples(joint, qpe_draws(12), seed=3)
+        assert np.max(np.abs(joint.register_marginal() - weights)) <= 1e-15
+        samples = sample_eigenpairs(joint, qpe_draws(12), seed=3)
+        assert len(samples) == len(reference) > 10
+        reference.sort(key=lambda r: -r[0])  # samples come by descending eigenvalue
+        for s, (m, frequency, column) in zip(samples, reference):
+            assert (s.register_value, s.frequency) == (m, frequency)
+            assert np.array_equal(s.vector, _fix_vector_sign(column))
 
 
 class TestSampleEigenpairs:
@@ -385,8 +439,9 @@ class TestRegisteredState:
             for t in range(2, 6):
                 gen = random_density_spectrum(rng, n, low=0.2, high=1.0)
                 joint = phase_estimation(gen, random_density(rng, n), t)
+                profiles = one_expression_profiles(joint.phases, joint.t)
                 k = np.column_stack(
-                    [np.kron(joint.profiles[l], joint.vectors[:, l]) for l in range(n)]
+                    [np.kron(profiles[l], joint.vectors[:, l]) for l in range(n)]
                 )
                 dense = (k @ joint.beta @ k.conj().T).reshape(1 << t, n, 1 << t, n)
                 traces = np.einsum("mimi->m", dense).real

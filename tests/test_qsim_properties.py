@@ -1,5 +1,6 @@
-"""Property tests for eigenpair sampling: each sample's vector is a top
-eigenvector of the dense post-measurement block of its register outcome."""
+"""Property tests for the eigenvalue register: each sample's vector is a top
+eigenvector of the dense post-measurement block of its register outcome, and
+the streamed register marginal is a distribution of total weight tr(beta)."""
 from __future__ import annotations
 
 import numpy as np
@@ -9,7 +10,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from qdasim.linalg import DensityOperator, eig_hermitian  # noqa: E402
-from qdasim.qsim import phase_estimation, sample_eigenpairs  # noqa: E402
+from qdasim.qsim import QpeState, phase_estimation, sample_eigenpairs  # noqa: E402
+
+from conftest import one_expression_profiles  # noqa: E402
 
 
 @st.composite
@@ -40,9 +43,31 @@ def test_sample_vector_attains_top_eigenvalue_of_outcome_block(case):
     joint = phase_estimation(gen, inp, t)
     samples = sample_eigenpairs(joint, 512, seed=seed)
     assert samples
+    profiles = one_expression_profiles(joint.phases, joint.t)
     for s in samples:
-        a = joint.profiles[:, s.register_value]
+        a = profiles[:, s.register_value]
         block = joint.vectors @ (joint.beta * np.outer(a, a.conj())) @ joint.vectors.conj().T
         top = np.linalg.eigvalsh(block)[-1]
         assert abs(np.linalg.norm(s.vector) - 1.0) < 1e-12
         assert abs(np.vdot(s.vector, block @ s.vector).real - top) < 1e-12
+
+
+@st.composite
+def register_states(draw):
+    """Phases in [0, 1), exact bin centres among them, with diagonal populations."""
+    t = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 12))
+    centre = st.integers(0, (1 << t) - 1).map(lambda m: m / (1 << t))
+    phase = st.floats(0.0, 1.0, exclude_max=True) | centre
+    phases = np.array(draw(st.lists(phase, min_size=n, max_size=n)))
+    populations = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    return QpeState(phases=phases, t=t, vectors=np.eye(n), beta=np.diag(populations))
+
+
+@settings(max_examples=60, deadline=None)
+@given(register_states())
+def test_register_marginal_is_nonnegative_with_total_trace_beta(joint):
+    marginal = joint.register_marginal()
+    assert marginal.shape == (1 << joint.t,)
+    assert np.all(marginal >= 0.0)
+    assert abs(marginal.sum() - np.trace(joint.beta)) <= 1e-12

@@ -19,6 +19,8 @@ from qdasim.oracle import (
 from qdasim.qda import fit
 from qdasim.qsim import phase_estimation, sample_eigenpairs
 
+from conftest import one_expression_profiles
+
 FUNCTIONS = [SpectralFunction.from_name(n) for n in ("identity", "inverse", "sqrt", "inverse-sqrt")]
 TOL = 1e-12
 T = 8
@@ -98,7 +100,8 @@ class TestRealMatchesComplexReference:
         gen_r, gen_c = pair((1.0 - gamma) * m + gamma * np.eye(n) / n)
         qpe_r, qpe_c = phase_estimation(gen_r, gen_r, T), phase_estimation(gen_c, gen_c, T)
         assert qpe_r.beta.dtype == qpe_r.vectors.dtype == np.float64
-        assert close(qpe_r.profiles, qpe_c.profiles)
+        profiles_r = one_expression_profiles(qpe_r.phases, qpe_r.t)
+        assert close(profiles_r, one_expression_profiles(qpe_c.phases, qpe_c.t))
         assert close(qpe_r.beta, qpe_c.beta)
         assert close(qpe_r.register_marginal(), qpe_c.register_marginal())
         samples_r = sample_eigenpairs(qpe_r, 4096, seed=5)
