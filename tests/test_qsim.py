@@ -167,9 +167,9 @@ class TestPhaseEstimation:
             phase_estimation(gen, gen, 4, steps=2, method="simulated")
 
 
-class TestRegisterWeights:
+class TestRegisterProfiles:
     @pytest.mark.parametrize("t", range(2, 13))
-    def test_weights_equal_squared_one_expression(self, t):
+    def test_row_blocks_equal_one_expression(self, t):
         rng = np.random.default_rng(t)
         big_t = 1 << t
         values = np.arange(big_t)
@@ -187,7 +187,7 @@ class TestRegisterWeights:
             subset = rng.choice(big_t, size=min(big_t, 7), replace=False)
             assert np.array_equal(_register_weights(phases, t, subset), weights[:, subset])
 
-    def test_peak_memory_per_call_is_bounded(self):
+    def test_phase_estimation_peak_memory_is_near_its_result(self):
         # no call builds an (N, 2^t) array: that alone would be 8 MiB here
         rng = np.random.default_rng(6)
         gen = random_density_spectrum(rng, 256)
