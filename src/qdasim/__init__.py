@@ -1,7 +1,7 @@
 """Desk-scale density-matrix simulation of discriminant-analysis quantum algorithms.
 
 The toolkit pairs every quantum-path operation (spectral-function chains,
-phase estimation, swap tests, discriminant classification) with an exact
+phase estimation, signed overlap tests, discriminant classification) with an exact
 classical oracle so results are verifiable end to end.
 """
 
@@ -15,7 +15,6 @@ from .linalg import (
     SpectralFunction,
     eig_hermitian,
     matrix_function,
-    partial_trace,
     trace_distance,
 )
 from .oracle import (
@@ -24,7 +23,6 @@ from .oracle import (
     between_scatter,
     class_covariance_operator,
     class_statistics,
-    weighted_superposition,
     within_scatter,
 )
 from .qsim import (
@@ -36,7 +34,6 @@ from .qsim import (
     phase_estimation,
     postselect_ancilla,
     sample_eigenpairs,
-    swap_test,
 )
 from .chain import (
     ChainReport,
@@ -72,7 +69,6 @@ from .qda import (
     discriminant,
     fit,
     invert_apply,
-    lda_classify,
 )
 from .data_io import RunReport, SyntheticSpec, generate, load_csv, save_csv, synthetic_preset
 
@@ -86,14 +82,12 @@ __all__ = [
     "SpectralFunction",
     "eig_hermitian",
     "matrix_function",
-    "partial_trace",
     "trace_distance",
     "ClassStatistics",
     "LabeledDataset",
     "between_scatter",
     "class_covariance_operator",
     "class_statistics",
-    "weighted_superposition",
     "within_scatter",
     "QpeState",
     "RegisteredState",
@@ -103,7 +97,6 @@ __all__ = [
     "phase_estimation",
     "postselect_ancilla",
     "sample_eigenpairs",
-    "swap_test",
     "ChainReport",
     "ChainSpec",
     "PreparedStage",
@@ -131,7 +124,6 @@ __all__ = [
     "discriminant",
     "fit",
     "invert_apply",
-    "lda_classify",
     "RunReport",
     "SyntheticSpec",
     "generate",

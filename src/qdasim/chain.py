@@ -31,7 +31,7 @@ from .linalg import (
     eig_hermitian,
     matrix_function,
 )
-from .qsim import PHASE_BITS_MAX, PHASE_BITS_MIN, POSTSELECT_FLOOR
+from .qsim import PHASE_BITS_MIN, POSTSELECT_FLOOR, _check_register_width
 from .rotation import rotation_amplitudes
 
 DEFAULT_EPS = 0.1
@@ -114,10 +114,7 @@ class ChainSpec:
             raise DomainRejection(f"kappa_eff must be >= 1, got {self.kappa_eff}")
         if not 0.0 < self.eps < 1.0:
             raise DomainRejection(f"eps must lie in (0, 1), got {self.eps}")
-        if not PHASE_BITS_MIN <= self.t <= PHASE_BITS_MAX:
-            raise DomainRejection(
-                f"t={self.t} outside [{PHASE_BITS_MIN}, {PHASE_BITS_MAX}]"
-            )
+        _check_register_width(self.t)
 
 
 @dataclass(frozen=True)
@@ -225,6 +222,15 @@ class PreparedStage:
             amplified_floor=min_amp * support_weight,
         )
 
+    def apply_pure(self, v: np.ndarray) -> np.ndarray:
+        """Unit output vector (up to sign) of the stage on |v><v|, v a real unit vector.
+
+        A pure state through one stage stays rank one, so the column at the
+        largest diagonal entry, divided by that entry's square root, is it."""
+        out = self.apply(DensityOperator(np.outer(v, v))).state.matrix
+        pivot = int(np.argmax(np.diag(out)))
+        return out[:, pivot] / np.sqrt(out[pivot, pivot])
+
 
 def prepare_stage(
     a_j: DensityOperator,
@@ -237,8 +243,7 @@ def prepare_stage(
     value rotated once. Filtered or register-unresolved eigenvalues leave the
     ancilla in |0> (a_1 = 0), so postselecting |1> removes them exactly as the
     condition-number window prescribes."""
-    if not PHASE_BITS_MIN <= t <= PHASE_BITS_MAX:
-        raise DomainRejection(f"t={t} outside [{PHASE_BITS_MIN}, {PHASE_BITS_MAX}]")
+    _check_register_width(t)
     spectrum = _analyze_stage(a_j, t, kappa_eff)
     if not spectrum.keep.any():
         raise DomainRejection(

@@ -20,7 +20,7 @@ from .linalg import (
     matrix_function,
 )
 from .oracle import LabeledDataset, between_scatter, class_statistics, within_scatter
-from .qsim import PHASE_BITS_MAX, phase_estimation, sample_eigenpairs
+from .qsim import PHASE_BITS_MAX, _fix_vector_sign, phase_estimation, sample_eigenpairs
 
 _SQRT = SpectralFunction.from_name("sqrt")
 _INV = SpectralFunction.from_name("inverse")
@@ -74,11 +74,6 @@ def _real_cast(v: np.ndarray) -> np.ndarray:
     return np.real(v)
 
 
-def _sign_fix(v: np.ndarray) -> np.ndarray:
-    pivot = int(np.argmax(np.abs(v)))
-    return v if v[pivot] >= 0 else -v
-
-
 def scatter_matrices(data: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
     """Classical (unnormalized) between- and within-class scatter matrices."""
     stats = class_statistics(data)
@@ -125,14 +120,14 @@ def classical_lda_oracle(
     back = matrix_function(sb, _INV_SQRT, kappa_eff).matrix
     vs, ws = [], []
     for r in range(p):
-        v = _sign_fix(_real_cast(sol.eigenvectors[:, r]))
+        v = _fix_vector_sign(_real_cast(sol.eigenvectors[:, r]))
         w = back @ v
         if np.linalg.norm(w) < 1e-12:
             raise DomainRejection(
                 f"direction {r + 1} lies outside the between-class support"
             )
         vs.append(v)
-        ws.append(_sign_fix(_real_cast(w)))
+        ws.append(_fix_vector_sign(_real_cast(w)))
     return ProjectionBasis(
         directions=np.array(ws),
         intermediates=np.array(vs),
@@ -210,13 +205,9 @@ def quantum_lda(
     back_map = prepare_stage(sb, _INV_SQRT, t, kappa_eff, eps)
     vs, ws, estimates = [], [], []
     for vec, estimate in selected:
-        v = _sign_fix(vec)
-        # a pure state through one congruence stays rank one: any column is w
-        back = back_map.apply(DensityOperator(np.outer(v, v))).state.matrix
-        pivot = int(np.argmax(np.diag(back)))
-        w = _sign_fix(back[:, pivot] / np.sqrt(back[pivot, pivot]))
+        v = _fix_vector_sign(vec)
         vs.append(v)
-        ws.append(w)
+        ws.append(_fix_vector_sign(back_map.apply_pure(v)))
         estimates.append(estimate)
     return ProjectionBasis(
         directions=np.array(ws),

@@ -1,7 +1,7 @@
 """Dense Hermitian linear algebra, real or complex.
 
 Eigendecomposition, spectral matrix functions with condition-number
-filtering, partial traces, and operator distance metrics. Everything here
+filtering, and the trace distance. Everything here
 is a pure function of its inputs; matrices are small (N <= 256) and dense.
 An operator keeps the arithmetic of its input: real symmetric input is
 stored as float64 and stays real through every function here, complex input
@@ -189,25 +189,6 @@ def matrix_function(
     vk = sol.eigenvectors[:, keep]
     fw = f(w[keep])
     return HermitianOperator((vk * fw) @ vk.conj().T)
-
-
-def partial_trace(
-    rho: DensityOperator, dims: tuple[int, int], over: str
-) -> DensityOperator:
-    """Trace out one register of a bipartite state; trace is preserved."""
-    d1, d2 = int(dims[0]), int(dims[1])
-    if d1 * d2 != rho.dim:
-        raise DomainRejection(
-            f"subsystem dims {d1}x{d2} do not factor state dimension {rho.dim}"
-        )
-    if over not in ("first", "second"):
-        raise DomainRejection(f"over must be 'first' or 'second', got {over!r}")
-    r = rho.matrix.reshape(d1, d2, d1, d2)
-    if over == "first":
-        reduced = np.einsum("ijik->jk", r)
-    else:
-        reduced = np.einsum("ijkj->ik", r)
-    return DensityOperator(reduced)
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:

@@ -1,9 +1,11 @@
 """Oracle emulation: scatter and covariance density operators from labeled data.
 
-The quantum-RAM oracles are emulated by exact classical state construction:
-norm-weighted superpositions over stored difference vectors, and the reduced
-operators obtained by tracing out the index register. No gate-level QRAM is
-modeled; norms are read directly from the stored data.
+The quantum-RAM oracles are emulated exactly. An oracle prepares the
+norm-weighted superposition sum_i ||d_i|| |i>|d_i / ||d_i||> over stored
+difference vectors; tracing out its index register leaves the mixture
+sum_i d_i d_i^T / sum_i ||d_i||^2. Each operator here is built directly as
+that mixture from one Gram product, never through the joint state. No
+gate-level QRAM is modeled; norms are read directly from the stored data.
 """
 from __future__ import annotations
 
@@ -143,8 +145,8 @@ def class_covariance_operator(
 ) -> DensityOperator:
     """Unit-trace covariance operator of one class.
 
-    Equals the partial trace of the class superposition projector over its
-    index register; constructed directly as the weighted projector mixture.
+    The weighted projector mixture of the class's centered samples: the
+    index-register trace of the class superposition, without building it.
     """
     if not 1 <= c <= data.k:
         raise DomainRejection(f"class index {c} outside 1..{data.k}")
@@ -156,18 +158,3 @@ def class_covariance_operator(
     deviations = data.class_members(c) - stats.class_means[c - 1]
     return _weighted_projector_mixture(deviations, a_c)
 
-
-def weighted_superposition(vectors) -> np.ndarray:
-    """Joint index x component state sum_i ||v_i|| |i>|v_i / ||v_i||>, normalized.
-
-    Tracing the projector of this state over the index register reproduces
-    the corresponding weighted scatter operator. Zero vectors are skipped
-    (they carry zero amplitude); an all-zero input is rejected.
-    """
-    arr = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if arr.ndim != 2:
-        raise DomainRejection("vectors must share a common dimension")
-    total = float(np.sum(arr * arr))
-    if total <= _ZERO_NORM:
-        raise DomainRejection("all vectors are zero; no superposition exists")
-    return (arr / np.sqrt(total)).reshape(-1).astype(complex)

@@ -74,6 +74,11 @@ class DiscriminantResult:
             raise DomainRejection("chosen class must be the lowest-index argmax")
 
 
+def _along(direction: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Orient a unit direction along the class mean."""
+    return -direction if float(direction @ mu) < 0.0 else direction
+
+
 def _invert_mean(inv: np.ndarray, scale: float, mu: np.ndarray) -> tuple[np.ndarray, float]:
     product = np.real(inv @ mu) / scale
     norm = float(np.linalg.norm(product))
@@ -81,10 +86,7 @@ def _invert_mean(inv: np.ndarray, scale: float, mu: np.ndarray) -> tuple[np.ndar
         raise DomainRejection(
             "class mean lies outside the retained covariance support"
         )
-    direction = product / norm
-    if float(direction @ mu) < 0.0:
-        direction = -direction
-    return direction, norm
+    return _along(product / norm, mu), norm
 
 
 def fit(
@@ -160,13 +162,7 @@ def _apply_inversion(model, c: int, stage: PreparedStage) -> tuple[np.ndarray, f
     mu_norm = float(np.linalg.norm(mu))
     if mu_norm < 1e-12:
         raise DomainRejection(f"class {c} mean vanishes; nothing to invert")
-    mu_hat = mu / mu_norm
-    out = np.real(stage.apply(DensityOperator(np.outer(mu_hat, mu_hat))).state.matrix)
-    pivot = int(np.argmax(np.diag(out)))  # the state is rank one: any column is the direction
-    vec = out[:, pivot] / math.sqrt(out[pivot, pivot])
-    if float(vec @ mu) < 0.0:
-        vec = -vec
-    return vec, float(model.inverse_norms[c - 1])
+    return _along(stage.apply_pure(mu / mu_norm), mu), float(model.inverse_norms[c - 1])
 
 
 def _child_seed(seed, c: int):
@@ -270,20 +266,3 @@ def classify(
     x = np.reshape(np.asarray(x, dtype=float), (1, -1))
     return classify_many(model, x, path, shots, seed, t, prior_mode)[0]
 
-
-def lda_classify(
-    model: ClassifierModel,
-    x,
-    path: str = "classical",
-    shots: int = 8192,
-    seed=None,
-    t: int = 8,
-    prior_mode: str = "log",
-) -> DiscriminantResult:
-    """Linear-discriminant classification: identical pipeline over a model
-    fitted with the shared within-class covariance operator."""
-    if not model.shared_covariance:
-        raise DomainRejection(
-            "lda_classify needs a model fitted with shared_covariance=True"
-        )
-    return classify(model, x, path, shots, seed, t, prior_mode)

@@ -1,5 +1,5 @@
 """Simulation primitives: swap-interaction exponentiation, phase estimation,
-shot-sampled overlap tests, and ancilla postselection.
+the shot-sampled signed overlap test, and ancilla postselection.
 
 Phase estimation returns the joint register-system state factored in the
 generator eigenbasis (``QpeState``); outcome probabilities are the real Fejer
@@ -120,6 +120,13 @@ def density_exponentiation_step(
     return DensityOperator(out)
 
 
+def _check_register_width(t: int) -> None:
+    if not PHASE_BITS_MIN <= t <= PHASE_BITS_MAX:
+        raise DomainRejection(
+            f"phase register width t={t} outside [{PHASE_BITS_MIN}, {PHASE_BITS_MAX}]"
+        )
+
+
 def _register_weights(phases: np.ndarray, t: int, values: np.ndarray) -> np.ndarray:
     """QPE outcome probabilities |a_m(phi)|^2 = sin^2(pi T d) / (T sin(pi d))^2,
     d = phi - m/T (the Fejer kernel), for every phase and register value m."""
@@ -152,10 +159,7 @@ def phase_estimation(
     distortion vanishes quadratically in 1/steps. At steps = 64 the register
     shift stays below a twentieth of a bin for t <= 5.
     """
-    if not PHASE_BITS_MIN <= t <= PHASE_BITS_MAX:
-        raise DomainRejection(
-            f"phase register width t={t} outside [{PHASE_BITS_MIN}, {PHASE_BITS_MAX}]"
-        )
+    _check_register_width(t)
     if generator.dim != input_state.dim:
         raise DomainRejection("generator and input dimensions differ")
     sol = eig_hermitian(generator)
@@ -237,12 +241,12 @@ def sample_eigenpairs(joint: QpeState, draws: int, seed=None) -> list[EigenSampl
     return samples
 
 
-def _validate_state_vector(v: np.ndarray, require_real: bool = False) -> np.ndarray:
+def _validate_state_vector(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > 1e-8:
         raise DomainRejection(f"state vector norm {norm!r} is not 1")
-    if require_real and float(np.max(np.abs(v.imag))) > 1e-10:
+    if float(np.max(np.abs(v.imag))) > 1e-10:
         raise DomainRejection("signed overlap test needs real-amplitude states")
     return v
 
@@ -261,21 +265,12 @@ def _acceptance_estimate(x: float, shots: int, seed) -> ShotResult:
     )
 
 
-def swap_test(a, b, shots: int, seed=None) -> ShotResult:
-    """Estimate |<a|b>|^2 from the swap-test acceptance rate (1 + |<a|b>|^2)/2."""
-    va = _validate_state_vector(a)
-    vb = _validate_state_vector(b)
-    if va.size != vb.size:
-        raise DomainRejection(f"dimension mismatch: {va.size} vs {vb.size}")
-    return _acceptance_estimate(float(abs(np.vdot(va, vb)) ** 2), shots, seed)
-
-
 def overlap_test_signed(a, b, shots: int, seed=None) -> ShotResult:
     """Estimate Re<a|b> (sign included) via an ancilla-controlled interference
     measurement with acceptance rate (1 + Re<a|b>)/2; inputs must be
     real-amplitude unit vectors."""
-    va = _validate_state_vector(a, require_real=True)
-    vb = _validate_state_vector(b, require_real=True)
+    va = _validate_state_vector(a)
+    vb = _validate_state_vector(b)
     if va.size != vb.size:
         raise DomainRejection(f"dimension mismatch: {va.size} vs {vb.size}")
     return _acceptance_estimate(float(np.real(np.vdot(va, vb))), shots, seed)

@@ -251,6 +251,21 @@ class TestPreparedStage:
                 assert np.array_equal(result.state.matrix, state.matrix)
                 assert result.probability == prob
 
+    def test_apply_pure_is_the_column_read_of_apply_bitwise(self):
+        rng = np.random.default_rng(12)
+        n = 6
+        a = random_rank_density(rng, n, n, True)
+        v = rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        for f in (INVERSE, SQRT, INV_SQRT):
+            prepared = prepare_stage(a, f, 8, 100.0)
+            out = prepared.apply(DensityOperator(np.outer(v, v))).state.matrix
+            pivot = int(np.argmax(np.diag(out)))
+            w = prepared.apply_pure(v)
+            assert np.array_equal(w, out[:, pivot] / np.sqrt(out[pivot, pivot]))
+            # the output state is rank one, so the read vector reproduces it
+            assert np.max(np.abs(np.outer(w, w) - out)) < 1e-12
+
     def test_apply_rejects_mismatched_dimension(self):
         prepared = prepare_stage(spectrum_density([1.0, 2.0, 3.0]), INVERSE, 8, 100.0)
         with pytest.raises(DomainRejection, match="does not match operator 3"):

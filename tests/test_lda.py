@@ -19,6 +19,7 @@ from qdasim.lda import (
     scatter_matrices,
 )
 from qdasim.oracle import LabeledDataset, between_scatter, class_statistics
+from qdasim.qsim import _fix_vector_sign
 
 
 def two_class_dataset(seed=1, per_class=200, sep=1.5, sigma=0.3, n=4):
@@ -196,9 +197,9 @@ class TestQuantumLda:
             back, _ = chain_stage(DensityOperator(np.outer(v, v)), sb, lda._INV_SQRT, 8, 100.0, 0.1)
             pivot = int(np.argmax(np.diag(back.matrix)))
             column = back.matrix[:, pivot] / np.sqrt(back.matrix[pivot, pivot])
-            assert np.array_equal(lda._sign_fix(column), w)
+            assert np.array_equal(_fix_vector_sign(column), w)
             # the back-mapped state is rank one, so its column is its top eigenvector
-            top = lda._sign_fix(eig_hermitian(back).eigenvectors[:, 0])
+            top = _fix_vector_sign(eig_hermitian(back).eigenvectors[:, 0])
             assert np.max(np.abs(top - w)) < 1e-12
 
 

@@ -1,5 +1,5 @@
 """Core linear-algebra contracts: eigensolver, filtered spectral functions,
-partial trace, trace distance."""
+trace distance."""
 from __future__ import annotations
 
 import numpy as np
@@ -13,7 +13,6 @@ from qdasim.linalg import (
     SpectralFunction,
     eig_hermitian,
     matrix_function,
-    partial_trace,
     trace_distance,
 )
 
@@ -198,55 +197,6 @@ class TestMatrixFunction:
             s = matrix_function(rho, f_sqrt, 100.0).matrix
             plain = matrix_function(rho, f_id, 100.0).matrix
             assert np.max(np.abs(s @ s - plain)) < 1e-8
-
-
-class TestPartialTrace:
-    def test_product_state(self):
-        rng = np.random.default_rng(2)
-        rho = random_density(rng, 2)
-        sigma = random_density(rng, 3)
-        joint = DensityOperator(np.kron(rho.matrix, sigma.matrix))
-        out = partial_trace(joint, (2, 3), "first")
-        assert np.max(np.abs(out.matrix - sigma.matrix)) < 1e-12
-        out2 = partial_trace(joint, (2, 3), "second")
-        assert np.max(np.abs(out2.matrix - rho.matrix)) < 1e-12
-
-    def test_bell_state(self):
-        bell = np.zeros(4, dtype=complex)
-        bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
-        joint = DensityOperator(np.outer(bell, bell.conj()))
-        out = partial_trace(joint, (2, 2), "first")
-        assert np.max(np.abs(out.matrix - np.eye(2) / 2.0)) < 1e-12
-
-    def test_random_bipartite_vs_contraction_oracle_seed3(self):
-        rng = np.random.default_rng(3)
-        d1, d2 = 2, 3
-        psi = rng.standard_normal(d1 * d2) + 1j * rng.standard_normal(d1 * d2)
-        psi /= np.linalg.norm(psi)
-        joint = DensityOperator(np.outer(psi, psi.conj()))
-
-        # independent oracle: explicit index summation
-        expected = np.zeros((d2, d2), dtype=complex)
-        psi_grid = psi.reshape(d1, d2)
-        for j in range(d2):
-            for k in range(d2):
-                expected[j, k] = sum(
-                    psi_grid[i, j] * np.conj(psi_grid[i, k]) for i in range(d1)
-                )
-        out = partial_trace(joint, (d1, d2), "first")
-        assert np.max(np.abs(out.matrix - expected)) < 1e-10
-
-    def test_trace_preserved_100_seeds(self):
-        for seed in range(100):
-            rng = np.random.default_rng(seed)
-            joint = random_density(rng, 6)
-            out = partial_trace(joint, (2, 3), "second")
-            assert abs(out.trace() - 1.0) < 1e-10
-
-    def test_dimension_mismatch(self):
-        rho = DensityOperator(np.eye(4) / 4.0)
-        with pytest.raises(DomainRejection, match="dims"):
-            partial_trace(rho, (3, 2), "first")
 
 
 class TestTraceDistance:

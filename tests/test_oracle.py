@@ -1,24 +1,36 @@
-"""Oracle-emulation contracts: class statistics, scatter operators,
-covariance operators, and weighted superpositions."""
+"""Oracle-emulation contracts: class statistics, scatter operators, and
+covariance operators, checked against the joint index x component state."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
 from qdasim.errors import DomainRejection
-from qdasim.linalg import DensityOperator, partial_trace
+from qdasim.linalg import DensityOperator
 from qdasim.oracle import (
     LabeledDataset,
     _weighted_projector_mixture,
     between_scatter,
     class_covariance_operator,
     class_statistics,
-    weighted_superposition,
     within_scatter,
 )
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
+
+
+def weighted_superposition(vectors) -> np.ndarray:
+    """Reference oracle state sum_i ||v_i|| |i>|v_i / ||v_i||>, normalized."""
+    arr = np.atleast_2d(np.asarray(vectors, dtype=float))
+    return (arr / np.linalg.norm(arr)).reshape(-1)
+
+
+def trace_out_index(projector: DensityOperator, index_dim: int) -> DensityOperator:
+    """Reference trace of a joint index x component state over its index register."""
+    d = projector.dim // index_dim
+    grid = projector.matrix.reshape(index_dim, d, index_dim, d)
+    return DensityOperator(np.einsum("ijik->jk", grid))
 
 
 def random_dataset(rng, n, k, per_class, spread=1.0):
@@ -191,29 +203,6 @@ class TestClassCovarianceOperator:
             class_covariance_operator(data, class_statistics(data), 1)
 
 
-class TestWeightedSuperposition:
-    def test_single_vector(self):
-        v = np.array([3.0, 4.0])
-        psi = weighted_superposition([v])
-        assert np.allclose(psi, v / 5.0)
-
-    def test_equal_vectors_uniform_index(self):
-        psi = weighted_superposition([E1, E1])
-        expected = np.concatenate([E1, E1]) / np.sqrt(2.0)
-        assert np.allclose(psi, expected)
-
-    def test_norm_weighting(self):
-        psi = weighted_superposition([E1, 2 * E2])
-        # index-register amplitudes are the block norms
-        blocks = psi.reshape(2, 2)
-        assert np.linalg.norm(blocks[0]) == pytest.approx(1 / np.sqrt(5))
-        assert np.linalg.norm(blocks[1]) == pytest.approx(2 / np.sqrt(5))
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(DomainRejection, match="zero"):
-            weighted_superposition([np.zeros(3), np.zeros(3)])
-
-
 class TestProperties:
     def test_scatter_outputs_are_valid_density_operators_100_seeds(self):
         for seed in range(100):
@@ -231,7 +220,7 @@ class TestProperties:
         deviations = stats.class_means - stats.global_mean
         psi = weighted_superposition(deviations)
         projector = DensityOperator(np.outer(psi, psi.conj()))
-        reduced = partial_trace(projector, (data.k, data.N), "first")
+        reduced = trace_out_index(projector, data.k)
         direct = between_scatter(stats)
         assert np.max(np.abs(reduced.matrix - direct.matrix)) < 1e-10
 
@@ -243,7 +232,7 @@ class TestProperties:
         deviations = data.class_members(c) - stats.class_means[c - 1]
         psi = weighted_superposition(deviations)
         projector = DensityOperator(np.outer(psi, psi.conj()))
-        reduced = partial_trace(projector, (deviations.shape[0], data.N), "first")
+        reduced = trace_out_index(projector, deviations.shape[0])
         direct = class_covariance_operator(data, stats, c)
         assert np.max(np.abs(reduced.matrix - direct.matrix)) < 1e-10
 

@@ -1,7 +1,9 @@
 """Names that other code looks up by string resolve in the package: the
-functions and methods ``bench/tracer.py`` wraps, and ``qdasim.__all__``."""
+functions and methods ``bench/tracer.py`` wraps, and ``qdasim.__all__``,
+which lists every public name the package imports exactly once."""
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -36,3 +38,16 @@ def test_every_traced_name_resolves():
 
 def test_every_exported_name_resolves():
     assert [name for name in qdasim.__all__ if not hasattr(qdasim, name)] == []
+
+
+def test_every_imported_name_is_exported_once():
+    tree = ast.parse(Path(qdasim.__file__).read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    public = [name for name in imported if not name.startswith("_")]
+    assert [name for name in public if name not in qdasim.__all__] == []
+    assert len(qdasim.__all__) == len(set(qdasim.__all__))

@@ -15,7 +15,6 @@ from qdasim.qda import (
     discriminant,
     fit,
     invert_apply,
-    lda_classify,
 )
 from qdasim.qsim import overlap_test_signed
 from qdasim.qda import _child_seed
@@ -328,11 +327,7 @@ class TestClassifyMany:
 
 
 class TestLdaClassify:
-    def test_requires_shared_model(self):
-        data, _ = gauss3()
-        model = fit(data, 100.0)
-        with pytest.raises(DomainRejection, match="shared"):
-            lda_classify(model, np.zeros(4), "classical")
+    """Linear-discriminant decisions: ``classify`` over a shared-covariance model."""
 
     def test_matches_qda_under_equal_class_covariances(self):
         # identical deviation patterns per class: per-class and pooled
@@ -349,7 +344,7 @@ class TestLdaClassify:
         for i in range(100):
             x = means[i % 2] + 0.9 * np.random.default_rng(i).standard_normal(4)
             a = classify(qda_model, x, "classical").chosen
-            b = lda_classify(lda_model, x, "classical").chosen
+            b = classify(lda_model, x, "classical").chosen
             agree += a == b
         assert agree / 100 >= 0.98
 
@@ -359,14 +354,14 @@ class TestLdaClassify:
         rng = np.random.default_rng(4)
         for _ in range(50):
             x = 3.0 * rng.standard_normal(4)
-            decided = lda_classify(model, x, "classical").chosen
+            decided = classify(model, x, "classical").chosen
             nearest = 1 if np.linalg.norm(x - mu) <= np.linalg.norm(x + mu) else 2
             assert decided == nearest
 
     def test_global_mean_query_has_zero_margin(self):
         data, _ = isotropic_two_class()
         model = fit(data, 100.0, shared_covariance=True)
-        result = lda_classify(model, np.zeros(4), "classical")
+        result = classify(model, np.zeros(4), "classical")
         assert result.margin == pytest.approx(0.0, abs=1e-12)
 
 

@@ -18,7 +18,6 @@ from qdasim.qsim import (
     phase_estimation,
     postselect_ancilla,
     sample_eigenpairs,
-    swap_test,
 )
 
 from conftest import (
@@ -286,59 +285,12 @@ class TestSampleEigenpairs:
             sample_eigenpairs(joint, 4096, seed=2)
 
 
-class TestSwapTest:
-    def test_identical_states(self):
-        v = random_unit_vector(np.random.default_rng(0), 4)
-        out = swap_test(v, v, shots=256, seed=0)
-        assert out.estimate == pytest.approx(1.0)
-        assert out.standard_error == 0.0
-
-    def test_orthogonal_states(self):
-        out = swap_test([1.0, 0.0], [0.0, 1.0], shots=10_000, seed=5)
-        assert abs(out.estimate) <= 0.03
-
-    def test_quarter_fidelity_concentration(self):
-        a = np.array([1.0, 0.0])
-        b = np.array([0.5, np.sqrt(0.75)])  # |<a|b>|^2 = 0.25
-        out = swap_test(a, b, shots=10_000, seed=11)
-        assert out.estimate == pytest.approx(0.25, abs=0.02)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(DomainRejection, match="norm"):
-            swap_test([1.0, 1.0], [1.0, 0.0], shots=8)
-
-    def test_estimator_within_three_standard_errors(self):
-        hits = 0
-        trials = 1000
-        a = np.array([1.0, 0.0])
-        b = np.array([np.sqrt(0.4), np.sqrt(0.6)])
-        truth = 0.4
-        for seed in range(trials):
-            out = swap_test(a, b, shots=1024, seed=seed)
-            if abs(out.estimate - truth) <= 3.0 * out.standard_error:
-                hits += 1
-        assert hits / trials >= 0.99
-
-    def test_standard_error_bound(self):
-        out = swap_test([1.0, 0.0], [0.0, 1.0], shots=400, seed=1)
-        assert out.standard_error <= 1.0 / np.sqrt(400) + 1e-12
-
-    def test_acceptance_probability_stays_in_upper_half(self):
-        # acceptance rate (1 + |<a|b>|^2) / 2 never drops below one half, so the
-        # implied rate (estimate + 1) / 2 concentrates inside [1/2, 1]
-        for seed in range(100):
-            rng = np.random.default_rng(seed)
-            a = random_unit_vector(rng, 3, real=False)
-            b = random_unit_vector(rng, 3, real=False)
-            out = swap_test(a, b, shots=4096, seed=seed)
-            rate = (out.estimate + 1.0) / 2.0
-            assert 0.5 - 4.0 * out.standard_error <= rate <= 1.0
-
-
 class TestOverlapTestSigned:
     def test_identical_and_negated(self):
         v = random_unit_vector(np.random.default_rng(1), 3)
-        assert overlap_test_signed(v, v, shots=64, seed=0).estimate == pytest.approx(1.0)
+        same = overlap_test_signed(v, v, shots=64, seed=0)
+        assert same.estimate == pytest.approx(1.0)
+        assert same.standard_error == 0.0
         assert overlap_test_signed(v, -v, shots=64, seed=0).estimate == pytest.approx(-1.0)
 
     def test_negative_overlap_concentration(self):
@@ -350,6 +302,29 @@ class TestOverlapTestSigned:
     def test_requires_real_amplitudes(self):
         with pytest.raises(DomainRejection, match="real"):
             overlap_test_signed([1j, 0.0], [1.0, 0.0], shots=8)
+
+    def test_rejects_unnormalized(self):
+        with pytest.raises(DomainRejection, match="norm"):
+            overlap_test_signed([1.0, 1.0], [1.0, 0.0], shots=8)
+
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(DomainRejection, match="dimension mismatch"):
+            overlap_test_signed([1.0, 0.0], [1.0, 0.0, 0.0], shots=8)
+
+    def test_estimator_within_three_standard_errors(self):
+        hits = 0
+        trials = 1000
+        a = np.array([1.0, 0.0])
+        b = np.array([-0.6, 0.8])
+        for seed in range(trials):
+            out = overlap_test_signed(a, b, shots=1024, seed=seed)
+            if abs(out.estimate - (-0.6)) <= 3.0 * out.standard_error:
+                hits += 1
+        assert hits / trials >= 0.99
+
+    def test_standard_error_bound(self):
+        out = overlap_test_signed([1.0, 0.0], [0.0, 1.0], shots=400, seed=1)
+        assert out.standard_error <= 1.0 / np.sqrt(400) + 1e-12
 
 
 class TestPostselectAncilla:
