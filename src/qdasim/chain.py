@@ -13,18 +13,23 @@ changes no output state and enters only the cost model. Each stage is
 computed in closed form: the ancilla-|1> branch of the rotated
 system x ancilla state is V diag(a_1) beta diag(a_1) V^dagger, with beta the
 incoming state in the stage eigenbasis, so the 2N x 2N joint state is never
-built.
+built. A stage rotates all of its distinct register values in one
+``rotation_amplitudes`` call.
+
+A ``ChainSpec`` eigendecomposes each stage operator once, when it is built;
+the staged pipeline, the oracle and the cost score all read that spectrum.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainRejection, NumericalFailure
 from .linalg import (
     DensityOperator,
+    EigenSolution,
     HermitianOperator,
     SpectralFunction,
     _filter_mask,
@@ -65,8 +70,11 @@ class _StageSpectrum:
         return round(ratio) if abs(ratio - round(ratio)) <= 1e-12 * ratio else math.ceil(ratio)
 
 
-def _analyze_stage(a: DensityOperator, t: int, kappa_eff: float) -> _StageSpectrum:
-    sol = eig_hermitian(a)
+def _analyze_stage(
+    a: DensityOperator, t: int, kappa_eff: float, solution: EigenSolution | None = None
+) -> _StageSpectrum:
+    """Stage spectrum of a; ``solution`` is a's eigendecomposition when the caller has it."""
+    sol = eig_hermitian(a) if solution is None else solution
     w = np.clip(sol.eigenvalues, 0.0, None)
     lam_max = float(w[0])
     if lam_max <= 0.0:
@@ -96,12 +104,16 @@ class ChainSpec:
     factor of the chain product). Every stage's rotation normalization
     constant is C_j = (1 - eps) / max |f_j| over the register-resolved
     unfiltered spectrum, which maximizes postselection success.
+
+    ``spectra`` holds each stage operator's eigendecomposition, computed
+    once at construction.
     """
 
     stages: tuple[tuple[DensityOperator, SpectralFunction], ...]
     kappa_eff: float = 100.0
     eps: float = DEFAULT_EPS
     t: int = 8
+    spectra: tuple[EigenSolution, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", tuple((a, f) for a, f in self.stages))
@@ -115,6 +127,7 @@ class ChainSpec:
         if not 0.0 < self.eps < 1.0:
             raise DomainRejection(f"eps must lie in (0, 1), got {self.eps}")
         _check_register_width(self.t)
+        object.__setattr__(self, "spectra", tuple(eig_hermitian(a) for a, _ in self.stages))
 
 
 @dataclass(frozen=True)
@@ -161,10 +174,10 @@ def classical_chain_oracle(spec: ChainSpec) -> DensityOperator:
         raise DomainRejection("empty chain has no operator content")
     dim = spec.stages[0][0].dim
     f_total = np.eye(dim)
-    for a, f in spec.stages:
+    for (a, f), solution in zip(spec.stages, spec.spectra):
         if a.dim != dim:
             raise DomainRejection("chain stages have mismatched dimensions")
-        f_total = matrix_function(a, f, spec.kappa_eff).matrix @ f_total
+        f_total = matrix_function(a, f, spec.kappa_eff, solution).matrix @ f_total
     product = f_total @ f_total.conj().T
     trace = float(np.trace(product).real)
     if trace < _TRACE_FLOOR:
@@ -238,13 +251,15 @@ def prepare_stage(
     t: int,
     kappa_eff: float,
     eps: float = DEFAULT_EPS,
+    solution: EigenSolution | None = None,
 ) -> PreparedStage:
     """Phase estimation on a_j and the f_j rotation, each distinct register
-    value rotated once. Filtered or register-unresolved eigenvalues leave the
-    ancilla in |0> (a_1 = 0), so postselecting |1> removes them exactly as the
-    condition-number window prescribes."""
+    value rotated once, all in one call. Filtered or register-unresolved
+    eigenvalues leave the ancilla in |0> (a_1 = 0), so postselecting |1>
+    removes them exactly as the condition-number window prescribes.
+    ``solution`` is a_j's eigendecomposition when the caller has it."""
     _check_register_width(t)
-    spectrum = _analyze_stage(a_j, t, kappa_eff)
+    spectrum = _analyze_stage(a_j, t, kappa_eff, solution)
     if not spectrum.keep.any():
         raise DomainRejection(
             "condition-number filter removed the full spectrum (rank collapse)"
@@ -253,8 +268,8 @@ def prepare_stage(
     resolved = spectrum.resolved
     values, where = np.unique(spectrum.registers[resolved], return_inverse=True)
     a1 = np.zeros(spectrum.eigenvalues.size)
-    amplitudes = [rotation_amplitudes(float(r), f_j, c_const)[1] for r in values]
-    a1[resolved] = np.asarray(amplitudes)[where]
+    # a tuple of floats: callers may hash the arguments
+    a1[resolved] = rotation_amplitudes(tuple(values.tolist()), f_j, c_const)[1][where]
     return PreparedStage(spectrum, a1, spectrum.copies(eps))
 
 
@@ -299,8 +314,8 @@ def chain_apply(spec: ChainSpec, rho0: DensityOperator | None = None) -> ChainRe
     rho = rho0
     probs, bounds, copies = [], [], []
     amplified_stage1 = 1.0
-    for j, (a, f) in enumerate(spec.stages):
-        stage = prepare_stage(a, f, spec.t, spec.kappa_eff, spec.eps)
+    for j, ((a, f), solution) in enumerate(zip(spec.stages, spec.spectra)):
+        stage = prepare_stage(a, f, spec.t, spec.kappa_eff, spec.eps, solution)
         result = stage.apply(rho)
         rho = result.state
         probs.append(result.probability)
@@ -330,8 +345,8 @@ def complexity_estimate(spec: ChainSpec, x_cost: float = 1.0) -> float:
         return 0.0
     kappa_sq_sum = 0.0
     ratio_product = 1.0
-    for j, (a, f) in enumerate(spec.stages):
-        spectrum = _analyze_stage(a, spec.t, spec.kappa_eff)
+    for j, ((a, f), solution) in enumerate(zip(spec.stages, spec.spectra)):
+        spectrum = _analyze_stage(a, spec.t, spec.kappa_eff, solution)
         kappa_sq_sum += spectrum.kappa**2
         fk = np.abs(f(spectrum.eigenvalues[spectrum.keep]))
         ratio = float(fk.max() / fk.min())

@@ -352,17 +352,17 @@ def run_rotate_check(args) -> RunReport:
     c_const = args.c_const
     if c_const is None:
         c_const = (1.0 - args.eps) / float(np.max(np.abs(f(np.array(grid)))))
+    _, exact = rotation_amplitudes(tuple(grid), f, c_const, method="exact")
+    _, fixed = rotation_amplitudes(
+        tuple(grid),
+        f,
+        c_const,
+        fraction_bits=args.bits,
+        order=args.order,
+        arcsin_terms=args.arcsin_terms,
+    )
     rows = []
-    for lam in grid:
-        a0x, a1x = rotation_amplitudes(lam, f, c_const, method="exact")
-        a0f, a1f = rotation_amplitudes(
-            lam,
-            f,
-            c_const,
-            fraction_bits=args.bits,
-            order=args.order,
-            arcsin_terms=args.arcsin_terms,
-        )
+    for lam, a1x, a1f in zip(grid, exact.tolist(), fixed.tolist()):
         theta_exact = math.asin(a1x)
         theta_fixed = math.asin(min(max(a1f, -1.0), 1.0))
         rows.append((lam, theta_fixed, theta_exact, abs(theta_fixed - theta_exact)))

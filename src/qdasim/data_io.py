@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,19 +182,81 @@ def save_csv(data: LabeledDataset, path) -> None:
             writer.writerow([repr(float(v)) for v in row] + [label_names[label - 1]])
 
 
-def plain(obj):
-    """Recursively convert numpy containers into JSON-serializable values."""
-    if isinstance(obj, dict):
-        return {str(k): plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [plain(v) for v in obj]
+_INDENT = "  "
+
+
+def _float_text(x: float) -> str:
+    """A float as the JSON encoder writes it, NaN and infinities included."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _entry_texts(a: np.ndarray) -> np.ndarray:
+    """The JSON text of each entry of a real float, integer or bool array.
+
+    Each distinct float is formatted once, told apart by its bits so that
+    -0.0 stays apart from 0.0: a Hermitian output repeats each off-diagonal
+    entry, and the imaginary part of a real one is all zeros.
+    """
+    if a.dtype.kind == "b":
+        return np.where(a, "true", "false").astype(object)
+    if a.dtype.kind in "iu":
+        return np.array(list(map(str, a.reshape(-1).tolist())), dtype=object).reshape(a.shape)
+    values = np.ascontiguousarray(a, dtype=np.float64)
+    bits, where = np.unique(values.reshape(-1).view(np.uint64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    text = float.__repr__ if np.isfinite(distinct).all() else _float_text
+    return np.array(list(map(text, distinct.tolist())), dtype=object)[where].reshape(a.shape)
+
+
+def _rows_text(rows: list, ndim: int, depth: int) -> str:
+    """Nested lists ``ndim`` deep of entry texts as indented JSON arrays."""
+    if not rows:
+        return "[]"
+    inner = "\n" + _INDENT * (depth + 1)
+    items = rows if ndim == 1 else [_rows_text(row, ndim - 1, depth + 1) for row in rows]
+    return "[" + inner + ("," + inner).join(items) + "\n" + _INDENT * depth + "]"
+
+
+def _write(obj, depth: int, out: list) -> None:
+    """Append the text of ``json.dumps(obj, sort_keys=True, indent=2)`` at the
+    given nesting depth, reading numpy containers directly: a complex array
+    becomes {"imag": ..., "real": ...}, numpy scalars their Python values, and
+    dict keys their str()."""
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
-            return {"real": obj.real.tolist(), "imag": obj.imag.tolist()}
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
+            obj = {"real": obj.real, "imag": obj.imag}
+        elif obj.ndim and obj.dtype.kind in "fiub":
+            out.append(_rows_text(_entry_texts(obj).tolist(), obj.ndim, depth))
+            return
+        else:
+            obj = obj.tolist()
+    elif isinstance(obj, (np.floating, np.integer, np.bool_)):
+        obj = obj.item()
+    if isinstance(obj, dict):
+        opening, closing = "{", "}"
+        items = {str(k): v for k, v in obj.items()}
+        entries = [(json.dumps(k) + ": ", items[k]) for k in sorted(items)]
+    elif isinstance(obj, (list, tuple)):
+        opening, closing = "[", "]"
+        entries = [("", v) for v in obj]
+    else:
+        out.append(json.dumps(obj))
+        return
+    if not entries:
+        out.append(opening + closing)
+        return
+    inner = "\n" + _INDENT * (depth + 1)
+    out.append(opening)
+    for i, (key, value) in enumerate(entries):
+        out.append(("," if i else "") + inner + key)
+        _write(value, depth + 1, out)
+    out.append("\n" + _INDENT * depth + closing)
 
 
 @dataclass(frozen=True)
@@ -213,16 +276,21 @@ class RunReport:
     timestamp: str = ""
 
     def to_json(self) -> str:
+        """The report as indented JSON with sorted keys, byte for byte what
+        ``json.dumps(..., sort_keys=True, indent=2)`` writes for the same
+        values in plain Python containers, plus a final newline."""
         payload = {
             "command": self.command,
-            "parameters": plain(self.parameters),
-            "outputs": plain(self.outputs),
-            "metrics": plain(self.metrics),
+            "parameters": self.parameters,
+            "outputs": self.outputs,
+            "metrics": self.metrics,
             "seed": self.seed,
             "version": self.version,
             "timestamp": self.timestamp,
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        out: list = []
+        _write(payload, 0, out)
+        return "".join(out) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":

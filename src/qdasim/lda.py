@@ -202,7 +202,7 @@ def quantum_lda(
             "the sampling noise floor"
         )
 
-    back_map = prepare_stage(sb, _INV_SQRT, t, kappa_eff, eps)
+    back_map = prepare_stage(sb, _INV_SQRT, t, kappa_eff, eps, spec.spectra[1])
     vs, ws, estimates = [], [], []
     for vec, estimate in selected:
         v = _fix_vector_sign(vec)

@@ -163,17 +163,21 @@ def _filter_mask(eigenvalues: np.ndarray, kappa_eff: float) -> np.ndarray:
 
 
 def matrix_function(
-    h: HermitianOperator, f: SpectralFunction, kappa_eff: float
+    h: HermitianOperator,
+    f: SpectralFunction,
+    kappa_eff: float,
+    solution: EigenSolution | None = None,
 ) -> HermitianOperator:
     """Apply f to the spectrum of a PSD operator with pseudo-inverse semantics.
 
     Eigenvalues with lambda / lambda_max < 1/kappa_eff are projected out
     (they map to 0 under every f, including inverse powers), so inverse
-    functions never blow up on near-null directions.
+    functions never blow up on near-null directions. ``solution`` is h's
+    eigendecomposition when the caller has it.
     """
     if kappa_eff < 1.0:
         raise DomainRejection(f"kappa_eff must be >= 1, got {kappa_eff}")
-    sol = eig_hermitian(h)
+    sol = eig_hermitian(h) if solution is None else solution
     w = sol.eigenvalues
     scale = max(abs(float(w[0])), 1.0)
     if w[-1] < -1e-8 * scale:

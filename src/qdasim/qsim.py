@@ -49,17 +49,23 @@ class QpeState:
     vectors: np.ndarray  # (N, N) generator eigenvector columns u_l
     beta: np.ndarray  # (N, N) input state in the generator eigenbasis
 
-    def _weight_blocks(self, values: np.ndarray):
-        """|a_l(m)|^2 for register values m in blocks of ~``_PROFILE_BLOCK`` elements."""
+    def _register_pass(self) -> tuple[np.ndarray, np.ndarray]:
+        """One pass over the register values m, with |a_l(m)|^2 computed in
+        blocks of ~``_PROFILE_BLOCK`` elements: the register marginal and, per
+        m, the eigenvector index l of largest weight beta_ll |a_l(m)|^2."""
+        populations = np.real(np.diag(self.beta))
+        values = np.arange(1 << self.t)
         width = max(1, _PROFILE_BLOCK // self.phases.size)
+        marginal, tops = [], []
         for lo in range(0, values.size, width):
-            yield _register_weights(self.phases, self.t, values[lo : lo + width])
+            w = _register_weights(self.phases, self.t, values[lo : lo + width])
+            marginal.append(populations @ w)
+            tops.append(np.argmax(populations[:, None] * w, axis=0))
+        return np.maximum(np.concatenate(marginal), 0.0), np.concatenate(tops)
 
     def register_marginal(self) -> np.ndarray:
         """Measurement distribution of the eigenvalue register."""
-        populations = np.real(np.diag(self.beta))
-        blocks = self._weight_blocks(np.arange(1 << self.t))
-        return np.maximum(np.concatenate([populations @ w for w in blocks]), 0.0)
+        return self._register_pass()[0]
 
 
 class RegisteredState:
@@ -210,14 +216,13 @@ def sample_eigenpairs(joint: QpeState, draws: int, seed=None) -> list[EigenSampl
     column u_l of largest weight."""
     if draws < 1:
         raise DomainRejection("draws must be a positive integer")
-    populations = np.real(np.diag(joint.beta))
     off_diagonal = float(np.max(np.abs(joint.beta - np.diag(np.diag(joint.beta)))))
     if off_diagonal > COMMUTE_TOL:
         raise DomainRejection(
             f"input does not commute with the generator (off-diagonal weight "
             f"{off_diagonal:.3e} > {COMMUTE_TOL:g}); sampled vectors would not be eigenvectors"
         )
-    weights = joint.register_marginal()  # unnormalized outcome probabilities
+    weights, tops = joint._register_pass()  # unnormalized outcome probabilities
     total = weights.sum()
     if total <= 0.0:
         raise NumericalFailure("register marginal vanished")
@@ -225,17 +230,15 @@ def sample_eigenpairs(joint: QpeState, draws: int, seed=None) -> list[EigenSampl
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(draws, probs)
     drawn = np.nonzero((counts > 0) & (weights > POSTSELECT_FLOOR))[0]
-    blocks = joint._weight_blocks(drawn)  # weights of the drawn outcomes only
-    tops = [col for w in blocks for col in np.argmax(populations[:, None] * w, axis=0)]
     samples = [
         EigenSample(
             eigenvalue=m / probs.size,
             frequency=counts[m] / draws,
             register_value=int(m),
             probability=float(probs[m]),
-            vector=_fix_vector_sign(joint.vectors[:, col]),
+            vector=_fix_vector_sign(joint.vectors[:, tops[m]]),
         )
-        for m, col in zip(drawn, tops)
+        for m in drawn
     ]
     samples.sort(key=lambda s: (-s.eigenvalue, -s.frequency, s.register_value))
     return samples

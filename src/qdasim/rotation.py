@@ -7,6 +7,11 @@ produces the ancilla amplitudes (cos theta, sin theta). Every arithmetic
 step truncates toward zero at the declared register widths, so the
 fixed-point path has a fully accountable error budget; an exact-arithmetic
 reference path runs alongside it.
+
+``FixedPointValue`` and its operations are the scalar register primitives.
+``rotation_amplitudes`` runs the pipeline over a whole array of eigenvalues
+at once, in integer lanes whose every operation equals the scalar one bit
+for bit; a chain stage rotates all of its register values in one call.
 """
 from __future__ import annotations
 
@@ -15,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 
 from .errors import DomainRejection
 from .linalg import SpectralFunction
@@ -28,6 +34,7 @@ DEFAULT_ARCSIN_TERMS = 6
 DEFAULT_GUARD_BITS = 8
 
 _MAX_ARCSIN_TERMS = 48
+_SQRT = SpectralFunction.from_name("sqrt")
 
 
 @dataclass(frozen=True)
@@ -229,6 +236,9 @@ def arcsin_series_coefficients(terms: int) -> list[Fraction]:
     return [_arcsin_coefficient(j) for j in range(terms)]
 
 
+_ARCSIN_FLOATS = tuple(float(_arcsin_coefficient(j)) for j in range(_MAX_ARCSIN_TERMS))
+
+
 def arcsin_series_reference(x: float, terms: int) -> float:
     """Exact-arithmetic (float) evaluation of the truncated arcsin series."""
     return float(sum(float(c) * x ** (2 * j + 1) for j, c in enumerate(arcsin_series_coefficients(terms))))
@@ -240,10 +250,9 @@ def arcsin_terms_for_budget(x_max: float, fraction_bits: int) -> int:
     if x_max >= 1.0:
         return _MAX_ARCSIN_TERMS
     budget = 2.0 ** -(fraction_bits + 2)
-    coeffs = arcsin_series_coefficients(_MAX_ARCSIN_TERMS)
     ratio = x_max * x_max
     for m in range(1, _MAX_ARCSIN_TERMS):
-        tail = float(coeffs[m]) * x_max ** (2 * m + 1) / (1.0 - ratio)
+        tail = _ARCSIN_FLOATS[m] * x_max ** (2 * m + 1) / (1.0 - ratio)
         if tail <= budget:
             return max(m, 2)
     return _MAX_ARCSIN_TERMS
@@ -274,19 +283,6 @@ def arcsin_angle(cf: FixedPointValue, terms: int) -> FixedPointValue:
     return taylor_eval(spec, cf)
 
 
-def _dyadic_window(lam: float) -> tuple[int, float]:
-    """Window level j with lam in (2^-j-1, 2^-j]; midpoint x0 = 3 * 2^-j-2.
-
-    Dyadic halving keeps the relative deviation |lam - x0| / x0 <= 1/3, so the
-    binomial series of every power function converges geometrically on each
-    window regardless of how small lam is.
-    """
-    j = 0
-    while lam <= 2.0 ** -(j + 1):
-        j += 1
-    return j, 3.0 * 2.0 ** -(j + 2)
-
-
 def _preconditioned_coefficients(
     f: SpectralFunction, c_const: float, x0: float, order: int
 ) -> list[float]:
@@ -299,51 +295,170 @@ def _preconditioned_coefficients(
     return [c_const * raw[i] * x0**i for i in range(order + 1)]
 
 
-def _windowed_series(
-    x: FixedPointValue,
+def _fixed(x: float, integer_bits: int, fraction_bits: int) -> int:
+    """Signed integer sign * magnitude of ``FixedPointValue.from_float``."""
+    v = FixedPointValue.from_float(x, integer_bits, fraction_bits)
+    return v.sign * v.magnitude
+
+
+def _signed(v: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
+    """Lanes with the signs of v and the given magnitudes (zero stays zero)."""
+    return np.where(v < 0, -magnitude, magnitude)
+
+
+def _float_values(v: np.ndarray, fraction_bits: int) -> np.ndarray:
+    """The ``.value`` of each lane with ``fraction_bits`` fraction bits."""
+    return (v / (1 << fraction_bits)).astype(float)
+
+
+@dataclass(frozen=True)
+class _Lanes:
+    """Arrays of signed fixed-point values v = sign * magnitude, all at
+    Q(integer_bits).(fraction_bits). Each operation equals its
+    ``FixedPointValue`` counterpart lane by lane, bit for bit, with the same
+    truncation toward zero and the same masking of lost high bits."""
+
+    integer_bits: int
+    fraction_bits: int
+
+    @property
+    def limit(self) -> int:
+        return 1 << (self.integer_bits + self.fraction_bits)
+
+    @property
+    def dtype(self):
+        # the product of two register values needs 2 * (ib + fb) bits; wider
+        # registers fall back to Python integers
+        return np.int64 if 2 * (self.integer_bits + self.fraction_bits) < 63 else object
+
+    def wrap(self, v: np.ndarray) -> np.ndarray:
+        """The register's view of exact sums: lost high bits are dropped."""
+        return _signed(v, np.abs(v) & (self.limit - 1))
+
+    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``shift_add_multiply`` of operands at this width."""
+        p = a * b
+        return _signed(p, (np.abs(p) >> self.fraction_bits) & (self.limit - 1))
+
+    def taylor(self, coeffs: np.ndarray, aux: np.ndarray) -> np.ndarray:
+        """``taylor_eval`` around 0: lane k sums coeffs[k, i] * aux[k]**i with a
+        running power register and a running total."""
+        power = np.full(aux.shape, 1 << self.fraction_bits, dtype=self.dtype)
+        total = coeffs[:, 0]
+        for i in range(1, coeffs.shape[1]):
+            power = self.multiply(power, aux)
+            total = self.wrap(total + self.multiply(power, coeffs[:, i]))
+        return total
+
+    def series(
+        self, x: np.ndarray, x_bits: int, f: SpectralFunction, c_const: float, order: int
+    ) -> np.ndarray:
+        """C * f(x) for positive lanes x with ``x_bits`` fraction bits.
+
+        Each lane uses the series of u -> C f(x0 (1 + u)) on its dyadic window
+        x in (2^-j-1, 2^-j], x0 = 3 * 2^-j-2, where |u| = |x - x0| / x0 <= 1/3,
+        so every power function converges geometrically however small x is.
+        """
+        ib, wb = self.integer_bits, self.fraction_bits
+        value = _float_values(x, x_bits)
+        level = np.zeros(x.shape, dtype=np.int64)
+        for k in range(1, wb):
+            level += value <= 2.0**-k
+        low = level + 2 > wb
+        if low.any():
+            raise DomainRejection(
+                f"value {value[low][0]:.3g} is below the resolution of {wb} fraction bits"
+            )
+        windows, which = np.unique(level, return_inverse=True)
+        table = []
+        for j in windows.tolist():
+            coeffs = _preconditioned_coefficients(f, c_const, 3.0 * 2.0 ** -(j + 2), order)
+            if any(abs(c) >= float(1 << ib) for c in coeffs):
+                raise DomainRejection(
+                    f"preconditioned Taylor coefficients overflow the {ib}-bit integer field"
+                )
+            table.append([_fixed(c, ib, wb) for c in coeffs])
+        coeffs = np.array(table, dtype=self.dtype).reshape(-1, order + 1)[which]
+        level = level.astype(self.dtype)
+        # u = (x - x0) 2^(j+2) / 3: an exact subtraction and shift, then one
+        # multiply by 1/3 held at 2 wb fraction bits, split into two wb-bit
+        # limbs so that every partial product fits the lane type
+        d = ((x << (wb - x_bits)) - (3 << (wb - 2 - level))) * (1 << (level + 2))
+        third = _fixed(1.0 / 3.0, ib, 2 * wb)
+        m = np.abs(d)
+        low_limb = (m * (third & ((1 << wb) - 1))) >> wb
+        u = _signed(d, ((m * (third >> wb) + low_limb) >> wb) & (self.limit - 1))
+        return self.taylor(coeffs, u)
+
+    def arcsin(self, x: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """``arcsin_angle`` with terms[k] series terms in lane k."""
+        width = int(terms.max(initial=1))
+        a = np.array(
+            [_fixed(float(c), self.integer_bits, self.fraction_bits)
+             for c in arcsin_series_coefficients(width)],
+            dtype=self.dtype,
+        )
+        coeffs = np.zeros((x.size, 2 * width), dtype=self.dtype)
+        coeffs[:, 1::2] = a * (np.arange(width) < terms[:, None])
+        return self.taylor(coeffs, x)
+
+
+def _fixed_point_amplitudes(
+    lam: np.ndarray,
     f: SpectralFunction,
     c_const: float,
+    fraction_bits: int,
     order: int,
-    integer_bits: int,
-    working_bits: int,
-) -> FixedPointValue:
-    """C * f(x) for positive fixed-point x in (0, 1] via the per-window series.
-
-    The deviation u = (x - x0)/x0 is produced by an exact subtraction, an
-    exact shift, and one multiply by a double-precision reciprocal-of-3
-    constant, so |u| <= 1/3 and every power function converges geometrically.
-    """
-    j, x0 = _dyadic_window(x.value)
-    if j + 2 > working_bits:
-        raise DomainRejection(
-            f"value {x.value:.3g} is below the resolution of {working_bits} fraction bits"
+    arcsin_terms: int | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The register pipeline of ``rotation_amplitudes`` over every lane of lam."""
+    wb = fraction_bits + DEFAULT_GUARD_BITS
+    ib = DEFAULT_INTEGER_BITS
+    lanes = _Lanes(ib, wb)
+    one = 1 << wb
+    x = np.array([int(v) for v in (lam * (1 << fraction_bits)).tolist()], dtype=lanes.dtype)
+    g = lanes.series(x, fraction_bits, f, c_const, order)
+    # a lane at |g| >= 1 saturates at a quarter turn
+    saturated = np.abs(g) >= one
+    split = math.sqrt(0.5)
+    direct = ~saturated & (np.abs(_float_values(g, wb)) <= split)
+    # above |g| = 1/sqrt(2) the angle is pi/2 - arcsin(sqrt(1 - g^2)), which
+    # keeps the arcsin argument well inside its convergence radius; where
+    # 1 - g^2 is below 2^-(wb-2), the quarter-turn constant is exact
+    s = one - lanes.multiply(g, g)
+    complement = ~saturated & ~direct & (s >= 4)
+    quarter = ~saturated & ~direct & (s < 4)
+    arg = g.copy()
+    arg[complement] = lanes.series(s[complement], wb, _SQRT, 1.0, order)
+    rotated = direct | complement
+    if arcsin_terms is None:
+        x_max = np.abs(_float_values(arg, wb))
+        x_max[complement] = np.minimum(x_max[complement], split + 2.0**-10)
+        terms = np.array(
+            [arcsin_terms_for_budget(v, fraction_bits) for v in x_max[rotated].tolist()],
+            dtype=np.int64,
         )
-    x0_reg = FixedPointValue.from_float(x0, integer_bits, working_bits)
-    d = x.widen(integer_bits, working_bits) - x0_reg
-    d_shifted = FixedPointValue(
-        d.sign, d.magnitude << (j + 2), integer_bits, working_bits, d.overflow
-    )
-    third = FixedPointValue.from_float(1.0 / 3.0, integer_bits, 2 * working_bits)
-    u = shift_add_multiply(d_shifted, third, integer_bits, working_bits)
-    coeff_vals = _preconditioned_coefficients(f, c_const, x0, order)
-    if any(abs(c) >= float(1 << integer_bits) for c in coeff_vals):
-        raise DomainRejection(
-            f"preconditioned Taylor coefficients overflow the {integer_bits}-bit "
-            "integer field"
-        )
-    coeffs = tuple(
-        FixedPointValue.from_float(c, integer_bits, working_bits) for c in coeff_vals
-    )
-    spec = TaylorSpec(
-        coefficients=coeffs,
-        expansion_point=FixedPointValue(1, 0, integer_bits, working_bits),
-        radius=0.5,
-    )
-    return taylor_eval(spec, u)
+    else:
+        terms = np.full(int(rotated.sum()), arcsin_terms, dtype=np.int64)
+    angle = lanes.arcsin(arg[rotated], terms)
+    half_pi = _fixed(math.pi / 2.0, ib, wb)
+    turned = lanes.wrap(half_pi - angle)
+    theta = np.zeros(g.shape, dtype=lanes.dtype)
+    theta[rotated] = np.where(direct[rotated], angle, np.where(g[rotated] > 0, turned, -turned))
+    theta[quarter] = np.where(g[quarter] > 0, half_pi, -half_pi)
+    # truncate the angle register to the declared fraction width
+    declared = _Lanes(ib, fraction_bits)
+    theta = _signed(theta, (np.abs(theta) >> DEFAULT_GUARD_BITS) & (declared.limit - 1))
+    angles = _float_values(theta, fraction_bits).tolist()
+    a0 = np.array([math.cos(v) for v in angles])
+    a1 = np.array([math.sin(v) for v in angles])
+    a0[saturated] = 0.0
+    a1[saturated] = np.where(g[saturated] > 0, 1.0, -1.0)
+    return a0, a1
 
 
 def rotation_amplitudes(
-    lam: float,
+    lam,
     f: SpectralFunction,
     c_const: float,
     *,
@@ -351,8 +466,12 @@ def rotation_amplitudes(
     order: int = DEFAULT_TAYLOR_ORDER,
     arcsin_terms: int | None = None,
     method: str = "fixed",
-) -> tuple[float, float]:
+):
     """Ancilla amplitudes (sqrt(1 - C^2 f(lam)^2), C f(lam)) for the stage rotation.
+
+    ``lam`` is one eigenvalue or a sequence of them; each amplitude has the
+    shape of ``lam`` (a float for a float), and the whole sequence runs
+    through the register pipeline at once.
 
     method="fixed" runs the full register pipeline: window lookup, scaled
     Taylor evaluation of g = C*f, arcsin series, then sin/cos of the
@@ -362,49 +481,23 @@ def rotation_amplitudes(
     argument well inside its convergence radius all the way to |g| = 1.
     method="exact" is the reference arithmetic path.
     """
-    if not 0.0 < lam <= 1.0:
-        raise DomainRejection(f"lambda must lie in (0, 1], got {lam}")
-    target = c_const * float(f(lam))
-    if abs(target) > 1.0 + 1e-12:
+    values = np.asarray(lam, dtype=float)
+    flat = values.ravel()
+    outside = ~((flat > 0.0) & (flat <= 1.0))
+    if outside.any():
+        raise DomainRejection(f"lambda must lie in (0, 1], got {float(flat[outside][0])}")
+    target = c_const * f(flat)
+    over = np.abs(target) > 1.0 + 1e-12
+    if over.any():
         raise DomainRejection(
-            f"|C f(lambda)| = {abs(target):.6g} exceeds 1; no valid rotation exists"
+            f"|C f(lambda)| = {abs(float(target[over][0])):.6g} exceeds 1; "
+            "no valid rotation exists"
         )
     if method == "exact":
-        a1 = min(max(target, -1.0), 1.0)
-        return math.sqrt(max(0.0, 1.0 - a1 * a1)), a1
-    if method != "fixed":
-        raise DomainRejection(f"unknown rotation method {method!r}")
-
-    wb = fraction_bits + DEFAULT_GUARD_BITS
-    ib = DEFAULT_INTEGER_BITS
-    lam_reg = FixedPointValue.from_float(lam, ib, fraction_bits)
-    g = _windowed_series(lam_reg, f, c_const, order, ib, wb)
-    if abs(g.value) >= 1.0:
-        # the rotation saturates at a quarter turn
-        return 0.0, float(g.sign)
-
-    split = math.sqrt(0.5)
-    half_pi = FixedPointValue.from_float(math.pi / 2.0, ib, wb)
-    if abs(g.value) <= split:
-        terms = arcsin_terms if arcsin_terms is not None else arcsin_terms_for_budget(
-            abs(g.value), fraction_bits
-        )
-        theta_wide = arcsin_angle(g, terms)
+        a1 = np.clip(target, -1.0, 1.0)
+        a0 = np.sqrt(np.maximum(0.0, 1.0 - a1 * a1))
+    elif method == "fixed":
+        a0, a1 = _fixed_point_amplitudes(flat, f, c_const, fraction_bits, order, arcsin_terms)
     else:
-        one = FixedPointValue(1, 1 << wb, ib, wb)
-        s = one - shift_add_multiply(g, g, ib, wb)
-        if s.value < 2.0 ** -(wb - 2):
-            # complement below register resolution: the input sits within one
-            # ulp of |g| = 1, where the quarter-turn constant is exact
-            theta_wide = half_pi if g.sign > 0 else -half_pi
-        else:
-            root = _windowed_series(s, SpectralFunction.from_name("sqrt"), 1.0, order, ib, wb)
-            terms = arcsin_terms if arcsin_terms is not None else arcsin_terms_for_budget(
-                min(abs(root.value), split + 2.0**-10), fraction_bits
-            )
-            complement = half_pi - arcsin_angle(root, terms)
-            theta_wide = complement if g.sign > 0 else -complement
-    theta = theta_wide.truncate(ib, fraction_bits)
-    a1 = math.sin(theta.value)
-    a0 = math.cos(theta.value)
-    return a0, a1
+        raise DomainRejection(f"unknown rotation method {method!r}")
+    return a0.reshape(values.shape)[()], a1.reshape(values.shape)[()]

@@ -289,12 +289,34 @@ class TestPreparedStage:
         ]
         spec = ChainSpec(stages=((ops[0], INVERSE), (ops[1], SQRT)), kappa_eff=50.0, t=10)
         chain_apply(spec)
-        distinct = sum(
-            np.unique(s.registers[s.resolved]).size
+        distinct = [
+            np.unique(s.registers[s.resolved])
             for s in (_analyze_stage(a, 10, 50.0) for a in ops)
-        )
-        assert distinct < 16
-        assert len(calls) == distinct
+        ]
+        assert sum(values.size for values in distinct) < 16
+        # one call per stage, carrying each distinct register value once
+        assert len(calls) == len(distinct)
+        for lam, values in zip(calls, distinct):
+            assert np.array_equal(np.asarray(lam), values)
+
+    def test_one_hashable_rotation_call_per_stage(self, monkeypatch):
+        # bench/tracer.py keys each rotation_amplitudes call by a set entry of
+        # its arguments, so an unhashable argument (an ndarray) breaks tracing
+        keys, calls = set(), []
+        rotate = chain.rotation_amplitudes
+
+        def keyed(*args, **kwargs):
+            keys.add((args, tuple(sorted(kwargs.items()))))
+            calls.append(args)
+            return rotate(*args, **kwargs)
+
+        monkeypatch.setattr(chain, "rotation_amplitudes", keyed)
+        rng = np.random.default_rng(14)
+        ops = [random_rank_density(rng, 6, 6, real) for real in (True, False, True)]
+        prepare_stage(ops[0], INVERSE, 8, 100.0)
+        assert len(calls) == 1
+        chain_apply(ChainSpec(stages=tuple(zip(ops, (INVERSE, SQRT, INV_SQRT))), t=8))
+        assert len(calls) == 4
 
     def test_amplitudes_match_per_eigenvalue_rotation_bitwise(self):
         rng = np.random.default_rng(10)
@@ -450,6 +472,36 @@ class TestComplexityEstimate:
 
     def test_empty_chain_scores_zero(self):
         assert complexity_estimate(ChainSpec(stages=())) == 0.0
+
+
+class TestOneSpectrumPerOperator:
+    def test_oracle_pipeline_and_score_share_one_eigendecomposition(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        ops = [random_rank_density(rng, 8, 8, real) for real in (True, False, True)]
+        stages = tuple(zip(ops, (INVERSE, SQRT, INV_SQRT)))
+        fresh = (
+            classical_chain_oracle(ChainSpec(stages=stages, t=10)).matrix,
+            chain_apply(ChainSpec(stages=stages, t=10)).output.matrix,
+            complexity_estimate(ChainSpec(stages=stages, t=10)),
+        )
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        spec = ChainSpec(stages=stages, t=10)
+        shared = (
+            classical_chain_oracle(spec).matrix,
+            chain_apply(spec).output.matrix,
+            complexity_estimate(spec),
+        )
+        assert shapes == [(8, 8)] * 3
+        assert np.array_equal(shared[0], fresh[0])
+        assert np.array_equal(shared[1], fresh[1])
+        assert shared[2] == fresh[2]
 
 
 class TestChainSpecValidation:

@@ -230,7 +230,40 @@ def dense_table_samples(joint, draws: int, seed):
     return weights, samples
 
 
+def two_pass_samples(joint, draws: int, seed):
+    """Reference sampling rule in two streamed passes: the register marginal,
+    the multinomial draw, then the Fejer weights of the drawn outcomes again,
+    in column blocks, for the column argmax_l beta_ll |a_l(m)|^2."""
+    populations = np.real(np.diag(joint.beta))
+    weights = joint.register_marginal()
+    counts = np.random.default_rng(seed).multinomial(draws, weights / weights.sum())
+    drawn = np.nonzero((counts > 0) & (weights > POSTSELECT_FLOOR))[0]
+    width = max(1, (1 << 16) // populations.size)
+    tops = []
+    for lo in range(0, drawn.size, width):
+        w = _register_weights(joint.phases, joint.t, drawn[lo : lo + width])
+        tops.extend(np.argmax(populations[:, None] * w, axis=0))
+    return [
+        (int(m), counts[m] / draws, _fix_vector_sign(joint.vectors[:, top]))
+        for m, top in zip(drawn, tops)
+    ]
+
+
 class TestStreamedRegisterAtBenchmarkScale:
+    @pytest.mark.parametrize("n, t, seed", [(256, 12, 3), (256, 12, 8), (5, 6, 1), (12, 9, 2)])
+    def test_one_pass_samples_match_two_pass_reference_bitwise(self, n, t, seed):
+        gen = clustered_generator(np.random.default_rng(n + t), n) if n > 16 else (
+            random_density_spectrum(np.random.default_rng(n + t), n, 0.1, 1.0)
+        )
+        joint = phase_estimation(gen, gen, t)
+        draws = qpe_draws(t)
+        reference = two_pass_samples(joint, draws, seed)
+        samples = sample_eigenpairs(joint, draws, seed=seed)
+        assert len(samples) == len(reference) > 1
+        for s, (m, frequency, vector) in zip(samples, sorted(reference, key=lambda r: -r[0])):
+            assert (s.register_value, s.frequency) == (m, frequency)
+            assert np.array_equal(s.vector, vector)
+
     def test_streamed_marginal_and_samples_match_dense_table(self):
         gen = clustered_generator(np.random.default_rng(21), 256)
         joint = phase_estimation(gen, gen, 12)

@@ -11,11 +11,16 @@ import pytest
 from qdasim.errors import DomainRejection
 from qdasim.linalg import SpectralFunction
 from qdasim.rotation import (
+    DEFAULT_GUARD_BITS,
+    DEFAULT_INTEGER_BITS,
     FixedPointValue,
     TaylorSpec,
+    _Lanes,
+    _preconditioned_coefficients,
     arcsin_angle,
     arcsin_series_coefficients,
     arcsin_series_reference,
+    arcsin_terms_for_budget,
     rotation_amplitudes,
     shift_add_multiply,
     taylor_eval,
@@ -44,6 +49,92 @@ def shift_add_reference(a, b, ib, fb):
     if mag >= limit:
         mag &= limit - 1
     return FixedPointValue(a.sign * b.sign if mag else 1, mag, ib, fb, overflow)
+
+
+def _dyadic_window(lam: float) -> tuple[int, float]:
+    """Window level j with lam in (2^-j-1, 2^-j]; midpoint x0 = 3 * 2^-j-2."""
+    j = 0
+    while lam <= 2.0 ** -(j + 1):
+        j += 1
+    return j, 3.0 * 2.0 ** -(j + 2)
+
+
+def scalar_windowed_series(x, f, c_const, order, integer_bits, working_bits):
+    """Reference: C * f(x) for one positive fixed-point x via its window's series."""
+    j, x0 = _dyadic_window(x.value)
+    if j + 2 > working_bits:
+        raise DomainRejection(
+            f"value {x.value:.3g} is below the resolution of {working_bits} fraction bits"
+        )
+    x0_reg = FixedPointValue.from_float(x0, integer_bits, working_bits)
+    d = x.widen(integer_bits, working_bits) - x0_reg
+    d_shifted = FixedPointValue(
+        d.sign, d.magnitude << (j + 2), integer_bits, working_bits, d.overflow
+    )
+    third = FixedPointValue.from_float(1.0 / 3.0, integer_bits, 2 * working_bits)
+    u = shift_add_multiply(d_shifted, third, integer_bits, working_bits)
+    coeff_vals = _preconditioned_coefficients(f, c_const, x0, order)
+    if any(abs(c) >= float(1 << integer_bits) for c in coeff_vals):
+        raise DomainRejection(
+            f"preconditioned Taylor coefficients overflow the {integer_bits}-bit "
+            "integer field"
+        )
+    coeffs = tuple(
+        FixedPointValue.from_float(c, integer_bits, working_bits) for c in coeff_vals
+    )
+    spec = TaylorSpec(
+        coefficients=coeffs,
+        expansion_point=FixedPointValue(1, 0, integer_bits, working_bits),
+        radius=0.5,
+    )
+    return taylor_eval(spec, u)
+
+
+def scalar_rotation_amplitudes(lam, f, c_const, *, fraction_bits=16, order=8, arcsin_terms=None):
+    """Reference: the fixed-point pipeline for one eigenvalue, one register
+    value at a time through the scalar primitives."""
+    if not 0.0 < lam <= 1.0:
+        raise DomainRejection(f"lambda must lie in (0, 1], got {lam}")
+    target = c_const * float(f(lam))
+    if abs(target) > 1.0 + 1e-12:
+        raise DomainRejection(
+            f"|C f(lambda)| = {abs(target):.6g} exceeds 1; no valid rotation exists"
+        )
+    wb = fraction_bits + DEFAULT_GUARD_BITS
+    ib = DEFAULT_INTEGER_BITS
+    lam_reg = FixedPointValue.from_float(lam, ib, fraction_bits)
+    g = scalar_windowed_series(lam_reg, f, c_const, order, ib, wb)
+    if abs(g.value) >= 1.0:
+        return 0.0, float(g.sign)
+    split = math.sqrt(0.5)
+    half_pi = FixedPointValue.from_float(math.pi / 2.0, ib, wb)
+    if abs(g.value) <= split:
+        terms = arcsin_terms if arcsin_terms is not None else arcsin_terms_for_budget(
+            abs(g.value), fraction_bits
+        )
+        theta_wide = arcsin_angle(g, terms)
+    else:
+        one = FixedPointValue(1, 1 << wb, ib, wb)
+        s = one - shift_add_multiply(g, g, ib, wb)
+        if s.value < 2.0 ** -(wb - 2):
+            theta_wide = half_pi if g.sign > 0 else -half_pi
+        else:
+            root = scalar_windowed_series(
+                s, SpectralFunction.from_name("sqrt"), 1.0, order, ib, wb
+            )
+            terms = arcsin_terms if arcsin_terms is not None else arcsin_terms_for_budget(
+                min(abs(root.value), split + 2.0**-10), fraction_bits
+            )
+            complement = half_pi - arcsin_angle(root, terms)
+            theta_wide = complement if g.sign > 0 else -complement
+    theta = theta_wide.truncate(ib, fraction_bits)
+    return math.cos(theta.value), math.sin(theta.value)
+
+
+def rejection(fn, *args, **kwargs) -> str:
+    with pytest.raises(DomainRejection) as err:
+        fn(*args, **kwargs)
+    return str(err.value)
 
 
 class TestFixedPointValue:
@@ -251,3 +342,84 @@ class TestRotationAmplitudes:
             return max(errs)
 
         assert max_err(8) / max_err(16) >= 100.0
+
+
+STAGE_FUNCTIONS = ("identity", "inverse", "sqrt", "inverse-sqrt", "power(0.3)", "power(-1.5)")
+
+
+class TestBatchedRotation:
+    @pytest.mark.parametrize("name", STAGE_FUNCTIONS)
+    def test_every_register_value_matches_scalar_reference_bitwise(self, name):
+        f = SpectralFunction.from_name(name)
+        for t in range(2, 13):
+            values = np.arange(1, 1 << t) / (1 << t)
+            c = (1.0 - 0.1) / float(np.max(np.abs(f(values))))
+            a0, a1 = rotation_amplitudes(tuple(values.tolist()), f, c)
+            expected = np.array([scalar_rotation_amplitudes(v, f, c) for v in values.tolist()])
+            assert np.array_equal(a0, expected[:, 0]), t
+            assert np.array_equal(a1, expected[:, 1]), t
+
+    @pytest.mark.parametrize("bits", [8, 24])
+    def test_other_register_widths_match_scalar_reference_bitwise(self, bits):
+        # at 24 fraction bits the lanes hold Python integers: products need > 63 bits
+        values = np.arange(1, 256) / 256
+        for name in ("inverse", "sqrt"):
+            f = SpectralFunction.from_name(name)
+            c = 0.9 / float(np.max(np.abs(f(values))))
+            for terms in (None, 3):
+                a0, a1 = rotation_amplitudes(
+                    values, f, c, fraction_bits=bits, arcsin_terms=terms
+                )
+                for k, v in enumerate(values.tolist()):
+                    ref = scalar_rotation_amplitudes(
+                        v, f, c, fraction_bits=bits, arcsin_terms=terms
+                    )
+                    assert (a0[k], a1[k]) == ref
+
+    def test_saturation_and_quarter_turn_lanes_match_scalar_reference_bitwise(self):
+        # |C f| within a few working-register steps of 1, with both signs of C:
+        # the inverse series overshoots 1 and saturates (a0 = 0); identity
+        # lanes take the exact quarter turn or the complement branch
+        cases = (
+            ("identity", (1.0, 1.0 - 2.0**-16, 1.0 - 2.0**-15)),
+            ("inverse", (1.0,)),
+        )
+        saturated = set()
+        for name, values in cases:
+            f = SpectralFunction.from_name(name)
+            for k in range(64):
+                for sign in (1.0, -1.0):
+                    c = sign * (1.0 - k * 2.0**-24)
+                    a0, a1 = rotation_amplitudes(values, f, c)
+                    for lam, b0, b1 in zip(values, a0, a1):
+                        assert (b0, b1) == scalar_rotation_amplitudes(lam, f, c)
+                        saturated.add((bool(b0 == 0.0), math.copysign(1.0, b1)))
+        assert saturated == {(True, 1.0), (True, -1.0), (False, 1.0), (False, -1.0)}
+
+    def test_scalar_input_gives_floats_and_shape_follows_input(self):
+        f = SpectralFunction.from_name("inverse")
+        a0, a1 = rotation_amplitudes(0.5, f, 0.4)
+        assert isinstance(a0, float) and isinstance(a1, float)
+        b0, b1 = rotation_amplitudes([[0.5, 0.25]], f, 0.2)
+        assert b0.shape == b1.shape == (1, 2)
+
+    def test_rejection_messages_match_scalar_reference(self):
+        inverse = SpectralFunction.from_name("inverse")
+        steep = SpectralFunction.power(-6.0)
+        # |C f| > 1, and one bad value among good ones still rejects the batch
+        assert rejection(rotation_amplitudes, (1.0, 0.1), inverse, 1.0) == rejection(
+            scalar_rotation_amplitudes, 0.1, inverse, 1.0
+        )
+        assert "exceeds 1" in rejection(rotation_amplitudes, 0.1, inverse, 1.0)
+        # coefficients of C f(x0 (1 + u)) beyond the 4-bit integer field
+        message = rejection(rotation_amplitudes, 1.0, steep, 1.0)
+        assert message == rejection(scalar_rotation_amplitudes, 1.0, steep, 1.0)
+        assert "overflow the 4-bit integer field" in message
+        # below the window resolution of the working register
+        x = FixedPointValue.from_float(2.0**-10, 4, 16)
+        lanes = np.array([x.magnitude], dtype=np.int64)
+        message = rejection(_Lanes(4, 8).series, lanes, 16, inverse, 2.0**-11, 8)
+        assert message == rejection(scalar_windowed_series, x, inverse, 2.0**-11, 8, 4, 8)
+        assert "below the resolution of 8 fraction bits" in message
+        # an eigenvalue under one register step is rejected, not looped on
+        assert "below the resolution" in rejection(rotation_amplitudes, 2.0**-20, inverse, 1e-7)
