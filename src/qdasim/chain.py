@@ -16,27 +16,26 @@ incoming state in the stage eigenbasis, so the 2N x 2N joint state is never
 built. A stage rotates all of its distinct register values in one
 ``rotation_amplitudes`` call.
 
-A ``ChainSpec`` eigendecomposes each stage operator once, when it is built;
-the staged pipeline, the oracle and the cost score all read that spectrum.
+Each stage operator keeps its own eigendecomposition (``eig_hermitian``), so
+the staged pipeline, the oracle and the cost score diagonalize it once.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainRejection, NumericalFailure
 from .linalg import (
     DensityOperator,
-    EigenSolution,
     HermitianOperator,
     SpectralFunction,
     _filter_mask,
     eig_hermitian,
     matrix_function,
 )
-from .qsim import PHASE_BITS_MIN, POSTSELECT_FLOOR, _check_register_width
+from .qsim import POSTSELECT_FLOOR, _check_register_width
 from .rotation import rotation_amplitudes
 
 DEFAULT_EPS = 0.1
@@ -44,18 +43,11 @@ _TRACE_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
-class _StageSpectrum:
-    """Spectral data one stage actually works with."""
+class _Window:
+    """An operator's eigenvalues, clipped at 0 and descending, and their κ filter."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     keep: np.ndarray  # condition-number filter on the true eigenvalues
-    registers: np.ndarray  # t-bit truncated eigenvalues, clamped into [0, 1 - 2^-t]
-
-    @property
-    def resolved(self) -> np.ndarray:
-        """Kept eigenvalues whose register value is nonzero."""
-        return self.keep & (self.registers > 0.0)
 
     @property
     def kappa(self) -> float:
@@ -70,21 +62,35 @@ class _StageSpectrum:
         return round(ratio) if abs(ratio - round(ratio)) <= 1e-12 * ratio else math.ceil(ratio)
 
 
-def _analyze_stage(
-    a: DensityOperator, t: int, kappa_eff: float, solution: EigenSolution | None = None
-) -> _StageSpectrum:
-    """Stage spectrum of a; ``solution`` is a's eigendecomposition when the caller has it."""
-    sol = eig_hermitian(a) if solution is None else solution
-    w = np.clip(sol.eigenvalues, 0.0, None)
-    lam_max = float(w[0])
-    if lam_max <= 0.0:
+@dataclass(frozen=True)
+class _StageSpectrum(_Window):
+    """Spectral data one stage actually works with."""
+
+    eigenvectors: np.ndarray
+    registers: np.ndarray  # t-bit truncated eigenvalues, clamped into [0, 1 - 2^-t]
+
+    @property
+    def resolved(self) -> np.ndarray:
+        """Kept eigenvalues whose register value is nonzero."""
+        return self.keep & (self.registers > 0.0)
+
+
+def _window(eigenvalues: np.ndarray, kappa_eff: float) -> _Window:
+    w = np.clip(eigenvalues, 0.0, None)
+    if float(w[0]) <= 0.0:
         raise DomainRejection("stage operator has no positive spectrum")
-    keep = _filter_mask(w, kappa_eff)
+    return _Window(w, _filter_mask(w, kappa_eff))
+
+
+def _analyze_stage(a: DensityOperator, t: int, kappa_eff: float) -> _StageSpectrum:
+    """Stage spectrum of a at a t-bit register."""
+    sol = eig_hermitian(a)
+    window = _window(sol.eigenvalues, kappa_eff)
     big_t = 1 << t
     # the register saturates at its top value instead of wrapping, so a pure
     # state (eigenvalue exactly 1) reads 1 - 2^-t rather than 0
-    registers = np.minimum(np.floor(w * big_t), big_t - 1) / big_t
-    return _StageSpectrum(w, sol.eigenvectors, keep, registers)
+    registers = np.minimum(np.floor(window.eigenvalues * big_t), big_t - 1) / big_t
+    return _StageSpectrum(window.eigenvalues, window.keep, sol.eigenvectors, registers)
 
 
 def _default_c(spectrum: _StageSpectrum, f: SpectralFunction, eps: float) -> float:
@@ -104,16 +110,12 @@ class ChainSpec:
     factor of the chain product). Every stage's rotation normalization
     constant is C_j = (1 - eps) / max |f_j| over the register-resolved
     unfiltered spectrum, which maximizes postselection success.
-
-    ``spectra`` holds each stage operator's eigendecomposition, computed
-    once at construction.
     """
 
     stages: tuple[tuple[DensityOperator, SpectralFunction], ...]
     kappa_eff: float = 100.0
     eps: float = DEFAULT_EPS
     t: int = 8
-    spectra: tuple[EigenSolution, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", tuple((a, f) for a, f in self.stages))
@@ -127,7 +129,6 @@ class ChainSpec:
         if not 0.0 < self.eps < 1.0:
             raise DomainRejection(f"eps must lie in (0, 1), got {self.eps}")
         _check_register_width(self.t)
-        object.__setattr__(self, "spectra", tuple(eig_hermitian(a) for a, _ in self.stages))
 
 
 @dataclass(frozen=True)
@@ -174,10 +175,10 @@ def classical_chain_oracle(spec: ChainSpec) -> DensityOperator:
         raise DomainRejection("empty chain has no operator content")
     dim = spec.stages[0][0].dim
     f_total = np.eye(dim)
-    for (a, f), solution in zip(spec.stages, spec.spectra):
+    for a, f in spec.stages:
         if a.dim != dim:
             raise DomainRejection("chain stages have mismatched dimensions")
-        f_total = matrix_function(a, f, spec.kappa_eff, solution).matrix @ f_total
+        f_total = matrix_function(a, f, spec.kappa_eff).matrix @ f_total
     product = f_total @ f_total.conj().T
     trace = float(np.trace(product).real)
     if trace < _TRACE_FLOOR:
@@ -251,15 +252,13 @@ def prepare_stage(
     t: int,
     kappa_eff: float,
     eps: float = DEFAULT_EPS,
-    solution: EigenSolution | None = None,
 ) -> PreparedStage:
     """Phase estimation on a_j and the f_j rotation, each distinct register
     value rotated once, all in one call. Filtered or register-unresolved
     eigenvalues leave the ancilla in |0> (a_1 = 0), so postselecting |1>
-    removes them exactly as the condition-number window prescribes.
-    ``solution`` is a_j's eigendecomposition when the caller has it."""
+    removes them exactly as the condition-number window prescribes."""
     _check_register_width(t)
-    spectrum = _analyze_stage(a_j, t, kappa_eff, solution)
+    spectrum = _analyze_stage(a_j, t, kappa_eff)
     if not spectrum.keep.any():
         raise DomainRejection(
             "condition-number filter removed the full spectrum (rank collapse)"
@@ -295,8 +294,7 @@ def chain_stage(
 
 def stage_copies(a: DensityOperator, kappa_eff: float, eps: float) -> int:
     """Copies of ``a`` that one chain stage on it consumes at precision eps."""
-    # the register width does not enter the copy count
-    return _analyze_stage(a, PHASE_BITS_MIN, kappa_eff).copies(eps)
+    return _window(eig_hermitian(a).eigenvalues, kappa_eff).copies(eps)
 
 
 def chain_apply(spec: ChainSpec, rho0: DensityOperator | None = None) -> ChainReport:
@@ -314,8 +312,8 @@ def chain_apply(spec: ChainSpec, rho0: DensityOperator | None = None) -> ChainRe
     rho = rho0
     probs, bounds, copies = [], [], []
     amplified_stage1 = 1.0
-    for j, ((a, f), solution) in enumerate(zip(spec.stages, spec.spectra)):
-        stage = prepare_stage(a, f, spec.t, spec.kappa_eff, spec.eps, solution)
+    for j, (a, f) in enumerate(spec.stages):
+        stage = prepare_stage(a, f, spec.t, spec.kappa_eff, spec.eps)
         result = stage.apply(rho)
         rho = result.state
         probs.append(result.probability)
@@ -345,8 +343,8 @@ def complexity_estimate(spec: ChainSpec, x_cost: float = 1.0) -> float:
         return 0.0
     kappa_sq_sum = 0.0
     ratio_product = 1.0
-    for j, ((a, f), solution) in enumerate(zip(spec.stages, spec.spectra)):
-        spectrum = _analyze_stage(a, spec.t, spec.kappa_eff, solution)
+    for j, (a, f) in enumerate(spec.stages):
+        spectrum = _analyze_stage(a, spec.t, spec.kappa_eff)
         kappa_sq_sum += spectrum.kappa**2
         fk = np.abs(f(spectrum.eigenvalues[spectrum.keep]))
         ratio = float(fk.max() / fk.min())

@@ -30,6 +30,7 @@ from .linalg import (
     DensityOperator,
     HermitianOperator,
     SpectralFunction,
+    _filter_mask,
     trace_distance,
 )
 from .lda import classical_lda_oracle, feature_map, fisher_criterion, qpe_draws, quantum_lda
@@ -201,7 +202,7 @@ def run_reduce(args) -> RunReport:
     return RunReport("reduce", parameters, outputs, metrics, args.seed)
 
 
-def _load_test_data(args, train: LabeledDataset) -> tuple[LabeledDataset, dict]:
+def _load_test_data(args) -> tuple[LabeledDataset, dict]:
     if args.test:
         if not os.path.exists(args.test):
             raise _UsageError(f"test file not found: {args.test}")
@@ -219,7 +220,7 @@ def _load_test_data(args, train: LabeledDataset) -> tuple[LabeledDataset, dict]:
 
 def run_classify(args) -> RunReport:
     train, descriptor = _load_training_data(args)
-    test, test_descriptor = _load_test_data(args, train)
+    test, test_descriptor = _load_test_data(args)
     if test.N != train.N:
         raise DomainRejection(
             f"test dimension {test.N} does not match training dimension {train.N}"
@@ -246,9 +247,9 @@ def run_classify(args) -> RunReport:
         )
     if "quantum" in paths:
         metrics["shots_consumed"] = int(args.shots) * model.k * test.M
-        ops = {id(op): op for op in model.covariance_ops}  # --lda classes share one operator
-        copies = {key: stage_copies(op, args.kappa_eff, args.eps) for key, op in ops.items()}
-        metrics["copies_used"] = np.array([copies[id(op)] for op in model.covariance_ops])
+        metrics["copies_used"] = np.array(
+            [stage_copies(op, args.kappa_eff, args.eps) for op in model.covariance_ops]
+        )
     parameters = {
         "train": descriptor,
         "test": test_descriptor,
@@ -342,11 +343,8 @@ def run_chain(args) -> RunReport:
 def run_rotate_check(args) -> RunReport:
     f = SpectralFunction.from_name(args.function)
     big_t = 1 << args.grid_bits
-    grid = [
-        m / big_t
-        for m in range(1, big_t + 1)
-        if m / big_t >= 1.0 / args.kappa_eff
-    ]
+    descending = np.arange(big_t, 0, -1) / big_t
+    grid = descending[_filter_mask(descending, args.kappa_eff)][::-1].tolist()
     if not grid:
         raise DomainRejection("the dyadic grid is empty below 1/kappa_eff")
     c_const = args.c_const

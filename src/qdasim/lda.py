@@ -162,11 +162,10 @@ def quantum_lda(
         raise DomainRejection("need at least one direction")
     stats = class_statistics(data)
     sb = between_scatter(stats)
-    sw = within_scatter(data, stats)
-    spec = ChainSpec(
-        stages=((sw, _INV_SQRT), (sb, _SQRT)), kappa_eff=kappa_eff, eps=eps, t=t
+    # only the spec holds S_W, so S_W and its spectrum are freed when chain_apply returns
+    chain = chain_apply(
+        ChainSpec(((within_scatter(data, stats), _INV_SQRT), (sb, _SQRT)), kappa_eff, eps, t)
     )
-    chain = chain_apply(spec)
     rho_chain = chain.output
 
     # depolarizing pre-blend compresses the spectrum strictly below 1 (a pure
@@ -202,7 +201,7 @@ def quantum_lda(
             "the sampling noise floor"
         )
 
-    back_map = prepare_stage(sb, _INV_SQRT, t, kappa_eff, eps, spec.spectra[1])
+    back_map = prepare_stage(sb, _INV_SQRT, t, kappa_eff, eps)
     vs, ws, estimates = [], [], []
     for vec, estimate in selected:
         v = _fix_vector_sign(vec)

@@ -26,9 +26,10 @@ class HermitianOperator:
     Asymmetry below ``HERMITICITY_TOL`` is absorbed by symmetrizing
     (H + H†)/2 on ingest; anything larger is rejected with the measured
     asymmetry, so floating-point drift is tolerated without masking bugs.
+    The matrix is read-only; ``eig_hermitian`` stores its result in ``_eig``.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "_eig")
 
     def __init__(self, matrix) -> None:
         m = np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
@@ -44,6 +45,8 @@ class HermitianOperator:
                 f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {HERMITICITY_TOL:.0e}"
             )
         self.matrix = (m + m.conj().T) / 2.0
+        self.matrix.flags.writeable = False
+        self._eig = None
 
     @property
     def dim(self) -> int:
@@ -144,9 +147,15 @@ class SpectralFunction:
 
 
 def eig_hermitian(h: HermitianOperator) -> EigenSolution:
-    """Eigendecompose a Hermitian operator, eigenvalues sorted descending."""
-    w, v = np.linalg.eigh(h.matrix)
-    return EigenSolution(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
+    """Eigendecompose a Hermitian operator, eigenvalues sorted descending.
+
+    The first call stores the read-only result on h; later calls return it."""
+    if h._eig is None:
+        w, v = np.linalg.eigh(h.matrix)
+        w, v = w[::-1].copy(), v[:, ::-1].copy()
+        w.flags.writeable = v.flags.writeable = False
+        h._eig = EigenSolution(eigenvalues=w, eigenvectors=v)
+    return h._eig
 
 
 def _filter_mask(eigenvalues: np.ndarray, kappa_eff: float) -> np.ndarray:
@@ -162,22 +171,16 @@ def _filter_mask(eigenvalues: np.ndarray, kappa_eff: float) -> np.ndarray:
     return eigenvalues >= lam_max / kappa_eff * (1.0 - 1e-12)
 
 
-def matrix_function(
-    h: HermitianOperator,
-    f: SpectralFunction,
-    kappa_eff: float,
-    solution: EigenSolution | None = None,
-) -> HermitianOperator:
+def matrix_function(h: HermitianOperator, f: SpectralFunction, kappa_eff: float) -> HermitianOperator:
     """Apply f to the spectrum of a PSD operator with pseudo-inverse semantics.
 
     Eigenvalues with lambda / lambda_max < 1/kappa_eff are projected out
     (they map to 0 under every f, including inverse powers), so inverse
-    functions never blow up on near-null directions. ``solution`` is h's
-    eigendecomposition when the caller has it.
+    functions never blow up on near-null directions.
     """
     if kappa_eff < 1.0:
         raise DomainRejection(f"kappa_eff must be >= 1, got {kappa_eff}")
-    sol = eig_hermitian(h) if solution is None else solution
+    sol = eig_hermitian(h)
     w = sol.eigenvalues
     scale = max(abs(float(w[0])), 1.0)
     if w[-1] < -1e-8 * scale:

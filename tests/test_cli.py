@@ -109,12 +109,12 @@ class TestClassify:
         assert code == EXIT_OK
         assert report["parameters"]["lda"] is True
 
-    @pytest.mark.parametrize("lda, decompositions", [(True, 3), (False, 9)])
+    @pytest.mark.parametrize("lda, decompositions", [(True, 1), (False, 3)])
     def test_each_covariance_operator_diagonalized_once_per_use(
         self, tmp_path, monkeypatch, lda, decompositions
     ):
-        # per distinct operator: its pseudo-inverse in fit, its inversion stage and
-        # its copy count; the rank-one inverted means need no eigendecomposition
+        # one per distinct operator, shared by its pseudo-inverse in fit, its inversion
+        # stage and its copy count; the rank-one inverted means need no eigendecomposition
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
@@ -220,6 +220,17 @@ class TestRotateCheck:
         exact = report["outputs"]["theta_exact"]
         assert np.allclose(exact, np.arcsin(grid), atol=1e-12)
         assert report["metrics"]["within_budget"] is True
+
+    def test_grid_point_at_the_kappa_threshold_is_kept(self, tmp_path):
+        # 1/4 lies 6.3e-15 below 1/kappa_eff; the shared kappa filter
+        # (linalg._filter_mask) keeps it through its 1e-12 relative slack
+        code, report = run_cli(
+            ["rotate-check", "--function", "inverse", "--grid-bits", "2",
+             "--kappa-eff", "3.9999999999999", "--seed", "0"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        assert np.array_equal(report["outputs"]["lambda_grid"], [0.25, 0.5, 0.75, 1.0])
 
     def test_more_arcsin_terms_reduce_truncation_error(self, tmp_path):
         base = ["rotate-check", "--function", "identity", "--c-const", "0.9",

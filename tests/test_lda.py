@@ -2,6 +2,8 @@
 Fisher criterion, projection, and the polynomial feature map."""
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,26 @@ class TestQuantumLda:
         monkeypatch.setattr(lda, "sample_eigenpairs", sample_and_read_every_vector)
         quantum_lda(three_class_dataset(seed=4), 2, 100.0, 0.1, 8, seed=4)
         assert eigh_shapes == []
+
+    def test_within_scatter_and_its_spectrum_freed_before_sampling(self, monkeypatch):
+        # operators take no weak references, so S_W is tracked through its arrays
+        refs = []
+        within = lda.within_scatter
+        sample = lda.sample_eigenpairs
+
+        def tracked_within(*args):
+            sw = within(*args)
+            refs.extend(weakref.ref(m) for m in (sw.matrix, eig_hermitian(sw).eigenvectors))
+            return sw
+
+        def sample_after_release(*args, **kwargs):
+            assert len(refs) == 2
+            assert [ref() for ref in refs] == [None, None]
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(lda, "within_scatter", tracked_within)
+        monkeypatch.setattr(lda, "sample_eigenpairs", sample_after_release)
+        quantum_lda(three_class_dataset(seed=4), 2, 100.0, 0.1, 8, seed=4)
 
     def test_back_map_stage_prepared_once_for_all_directions(self, monkeypatch):
         analyzed = []

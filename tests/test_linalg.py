@@ -118,6 +118,24 @@ class TestEigHermitian:
         gram = sol.eigenvectors.conj().T @ sol.eigenvectors
         assert np.max(np.abs(gram - np.eye(6))) < 1e-9
 
+    def test_result_stored_on_the_operator(self, monkeypatch):
+        h = random_hermitian(np.random.default_rng(3), 5)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(1) or eigh(*a))
+        assert eig_hermitian(h) is eig_hermitian(h)
+        assert len(calls) == 1
+
+    def test_matrix_and_stored_spectrum_are_read_only(self):
+        m = np.array([[0.7, 0.1], [0.1, 0.3]])
+        rho = DensityOperator(m)
+        sol = eig_hermitian(rho)
+        for array in (rho.matrix, sol.eigenvalues, sol.eigenvectors):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        m[0, 0] = 0.5  # the caller's input stays writable
+        assert rho.matrix[0, 0] == 0.7
+
 
 class TestSpectralFunction:
     def test_named_forms(self):
