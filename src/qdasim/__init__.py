@@ -45,14 +45,7 @@ from .chain import (
     complexity_estimate,
     prepare_stage,
 )
-from .rotation import (
-    FixedPointValue,
-    TaylorSpec,
-    arcsin_angle,
-    rotation_amplitudes,
-    shift_add_multiply,
-    taylor_eval,
-)
+from .rotation import rotation_amplitudes
 from .lda import (
     ProjectionBasis,
     classical_lda_oracle,
@@ -105,12 +98,7 @@ __all__ = [
     "classical_chain_oracle",
     "complexity_estimate",
     "prepare_stage",
-    "FixedPointValue",
-    "TaylorSpec",
-    "arcsin_angle",
     "rotation_amplitudes",
-    "shift_add_multiply",
-    "taylor_eval",
     "ProjectionBasis",
     "classical_lda_oracle",
     "feature_map",

@@ -36,7 +36,7 @@ from .linalg import (
 from .lda import classical_lda_oracle, feature_map, fisher_criterion, qpe_draws, quantum_lda
 from .oracle import LabeledDataset, between_scatter, class_statistics, within_scatter
 from .qda import classify_many, fit
-from .rotation import rotation_amplitudes
+from .rotation import DEFAULT_FRACTION_BITS, DEFAULT_TAYLOR_ORDER, rotation_amplitudes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -116,8 +116,8 @@ def build_parser() -> _Parser:
     rot_p = commands.add_parser("rotate-check", help="fixed-point rotation-angle sweep")
     rot_p.add_argument("--function", default="inverse")
     rot_p.add_argument("--c-const", type=float, default=None, help="rotation normalization (default: (1-eps)/max|f|)")
-    rot_p.add_argument("--bits", type=int, default=16, help="fraction bits")
-    rot_p.add_argument("--order", type=int, default=8, help="series order for f")
+    rot_p.add_argument("--bits", type=int, default=DEFAULT_FRACTION_BITS, help="fraction bits")
+    rot_p.add_argument("--order", type=int, default=DEFAULT_TAYLOR_ORDER, help="series order for f")
     rot_p.add_argument("--arcsin-terms", type=int, default=None, help="arcsin series terms (default: auto)")
     rot_p.add_argument("--grid-bits", type=int, default=8, help="dyadic grid granularity")
     _add_common(rot_p, "--kappa-eff", "--eps")
@@ -342,6 +342,8 @@ def run_chain(args) -> RunReport:
 
 def run_rotate_check(args) -> RunReport:
     f = SpectralFunction.from_name(args.function)
+    if args.grid_bits < 0:
+        raise DomainRejection(f"--grid-bits must be non-negative, got {args.grid_bits}")
     big_t = 1 << args.grid_bits
     descending = np.arange(big_t, 0, -1) / big_t
     grid = descending[_filter_mask(descending, args.kappa_eff)][::-1].tolist()

@@ -8,27 +8,24 @@ step truncates toward zero at the declared register widths, so the
 fixed-point path has a fully accountable error budget; an exact-arithmetic
 reference path runs alongside it.
 
-``FixedPointValue`` and its operations are the scalar register primitives.
 ``rotation_amplitudes`` runs the pipeline over a whole array of eigenvalues
-at once, in integer lanes whose every operation equals the scalar one bit
-for bit; a chain stage rotates all of its register values in one call.
+at once, in the integer lanes of ``_Lanes``; a chain stage rotates all of its
+register values in one call. A value that does not fit its register is never
+dropped silently: a lost high bit raises ``NumericalFailure``.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainRejection
+from .errors import DomainRejection, NumericalFailure
 from .linalg import SpectralFunction
 
 DEFAULT_FRACTION_BITS = 16
 DEFAULT_INTEGER_BITS = 4
 DEFAULT_TAYLOR_ORDER = 8
-DEFAULT_ARCSIN_TERMS = 6
 # working registers carry guard bits below the declared fraction width so the
 # ~2 truncations per series term stay below the final output quantum
 DEFAULT_GUARD_BITS = 8
@@ -37,211 +34,23 @@ _MAX_ARCSIN_TERMS = 48
 _SQRT = SpectralFunction.from_name("sqrt")
 
 
-@dataclass(frozen=True)
-class FixedPointValue:
-    """Signed fixed-point number: value = sign * magnitude * 2**-fraction_bits.
+def _arcsin_coefficients(terms: int) -> list[float]:
+    """Maclaurin coefficients of arcsin: x + x^3/6 + 3x^5/40 + 5x^7/112 + ...
 
-    ``overflow`` records that some operation on the way to this value lost
-    high bits; it propagates through arithmetic and is never raised silently.
+    Entry j multiplies x**(2j + 1); integer true division rounds each exact
+    ratio correctly to the nearest float.
     """
-
-    sign: int
-    magnitude: int
-    integer_bits: int
-    fraction_bits: int
-    overflow: bool = False
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 1):
-            raise DomainRejection("sign must be +1 or -1")
-        if self.magnitude < 0:
-            raise DomainRejection("magnitude must be a non-negative integer")
-        if self.integer_bits < 0 or self.fraction_bits < 0:
-            raise DomainRejection("register widths must be non-negative")
-        if self.magnitude >= 1 << (self.integer_bits + self.fraction_bits):
-            raise DomainRejection(
-                f"magnitude {self.magnitude} does not fit in "
-                f"{self.integer_bits}+{self.fraction_bits} bits"
-            )
-
-    @classmethod
-    def from_float(
-        cls,
-        x: float,
-        integer_bits: int = DEFAULT_INTEGER_BITS,
-        fraction_bits: int = DEFAULT_FRACTION_BITS,
-    ) -> "FixedPointValue":
-        """Quantize a real number by truncation toward zero; overflow is flagged."""
-        if not math.isfinite(x):
-            raise DomainRejection(f"cannot represent non-finite value {x!r}")
-        sign = -1 if x < 0 else 1
-        mag = int(abs(x) * (1 << fraction_bits))  # int() truncates toward zero
-        limit = 1 << (integer_bits + fraction_bits)
-        overflow = mag >= limit
-        if overflow:
-            mag &= limit - 1
-        return cls(sign, mag, integer_bits, fraction_bits, overflow)
-
-    @property
-    def value(self) -> float:
-        return self.sign * self.magnitude / (1 << self.fraction_bits)
-
-    def widen(self, integer_bits: int, fraction_bits: int) -> "FixedPointValue":
-        """Exact width extension (both fields must grow or stay equal)."""
-        if integer_bits < self.integer_bits or fraction_bits < self.fraction_bits:
-            raise DomainRejection("widen cannot shrink a register")
-        return FixedPointValue(
-            self.sign,
-            self.magnitude << (fraction_bits - self.fraction_bits),
-            integer_bits,
-            fraction_bits,
-            self.overflow,
-        )
-
-    def truncate(self, integer_bits: int, fraction_bits: int) -> "FixedPointValue":
-        """Truncate toward zero to narrower widths; lost high bits set the flag."""
-        mag = self.magnitude
-        if fraction_bits < self.fraction_bits:
-            mag >>= self.fraction_bits - fraction_bits
-        else:
-            mag <<= fraction_bits - self.fraction_bits
-        limit = 1 << (integer_bits + fraction_bits)
-        overflow = self.overflow or mag >= limit
-        if mag >= limit:
-            mag &= limit - 1
-        return FixedPointValue(self.sign if mag else 1, mag, integer_bits, fraction_bits, overflow)
-
-    def __neg__(self) -> "FixedPointValue":
-        if self.magnitude == 0:
-            return self
-        return FixedPointValue(
-            -self.sign, self.magnitude, self.integer_bits, self.fraction_bits, self.overflow
-        )
-
-    def __add__(self, other: "FixedPointValue") -> "FixedPointValue":
-        """Exact signed addition at the joint widths; overflow flagged."""
-        fb = max(self.fraction_bits, other.fraction_bits)
-        ib = max(self.integer_bits, other.integer_bits)
-        a = self.sign * (self.magnitude << (fb - self.fraction_bits))
-        b = other.sign * (other.magnitude << (fb - other.fraction_bits))
-        s = a + b
-        sign = -1 if s < 0 else 1
-        mag = abs(s)
-        limit = 1 << (ib + fb)
-        overflow = self.overflow or other.overflow or mag >= limit
-        if mag >= limit:
-            mag &= limit - 1
-        return FixedPointValue(sign if mag else 1, mag, ib, fb, overflow)
-
-    def __sub__(self, other: "FixedPointValue") -> "FixedPointValue":
-        return self + (-other)
-
-    def __repr__(self) -> str:
-        flag = ", overflow" if self.overflow else ""
-        return (
-            f"FixedPointValue({self.value!r}, Q{self.integer_bits}.{self.fraction_bits}{flag})"
-        )
+    return [math.comb(2 * j, j) / (4**j * (2 * j + 1)) for j in range(terms)]
 
 
-def shift_add_multiply(
-    a: FixedPointValue,
-    b: FixedPointValue,
-    integer_bits: int | None = None,
-    fraction_bits: int | None = None,
-) -> FixedPointValue:
-    """Exact integer product of the magnitudes, truncated once to the output width.
-
-    The product is exact; the single truncation to the output width happens
-    at the end, so |result - exact| <= 2**-fraction_bits.
-    Overflow beyond the output integer width is flagged, never silent.
-    """
-    ib = max(a.integer_bits, b.integer_bits) if integer_bits is None else integer_bits
-    fb = max(a.fraction_bits, b.fraction_bits) if fraction_bits is None else fraction_bits
-    acc = a.magnitude * b.magnitude
-    # acc carries a.fraction_bits + b.fraction_bits fractional bits
-    drop = a.fraction_bits + b.fraction_bits - fb
-    mag = acc >> drop if drop >= 0 else acc << -drop
-    sign = a.sign * b.sign
-    limit = 1 << (ib + fb)
-    overflow = a.overflow or b.overflow or mag >= limit
-    if mag >= limit:
-        mag &= limit - 1
-    return FixedPointValue(sign if mag else 1, mag, ib, fb, overflow)
-
-
-@dataclass(frozen=True)
-class TaylorSpec:
-    """Truncated Taylor expansion: coefficients f^(i)(x0)/i! around x0.
-
-    ``radius`` optionally records the convergence radius in the deviation
-    variable; evaluations outside it are rejected.
-    """
-
-    coefficients: tuple[FixedPointValue, ...]
-    expansion_point: FixedPointValue
-    radius: float | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.coefficients) < 2:
-            raise DomainRejection("a Taylor spec needs order n >= 1")
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-
-def taylor_eval(spec: TaylorSpec, lam: FixedPointValue) -> FixedPointValue:
-    """Evaluate the series with a running power register and a running total.
-
-    Structure per series term: one multiply updating the power register, one
-    multiply by the stored coefficient, one exact accumulate. No Horner
-    rewriting, so the register usage matches a reversible-arithmetic layout.
-    """
-    fb = max(
-        lam.fraction_bits,
-        spec.expansion_point.fraction_bits,
-        max(c.fraction_bits for c in spec.coefficients),
-    )
-    ib = max(
-        lam.integer_bits,
-        spec.expansion_point.integer_bits,
-        max(c.integer_bits for c in spec.coefficients),
-    )
-    aux = lam.widen(ib, fb) - spec.expansion_point.widen(ib, fb)
-    if spec.radius is not None and abs(aux.value) >= spec.radius:
-        raise DomainRejection(
-            f"deviation {aux.value:.6g} outside convergence radius {spec.radius:.6g}"
-        )
-    power = FixedPointValue(1, 1 << fb, ib, fb)
-    total = spec.coefficients[0].widen(ib, fb)
-    for coeff in spec.coefficients[1:]:
-        power = shift_add_multiply(power, aux, ib, fb)
-        term = shift_add_multiply(power, coeff.widen(ib, fb), ib, fb)
-        total = total + term
-    return total
-
-
-@functools.lru_cache(maxsize=None)
-def _arcsin_coefficient(j: int) -> Fraction:
-    return Fraction(math.comb(2 * j, j), 4**j * (2 * j + 1))
-
-
-def arcsin_series_coefficients(terms: int) -> list[Fraction]:
-    """Exact Maclaurin coefficients of arcsin: x + x^3/6 + 3x^5/40 + 5x^7/112 + ...
-
-    Entry j multiplies x**(2j + 1).
-    """
-    if terms < 1:
-        raise DomainRejection("need at least one arcsin series term")
-    return [_arcsin_coefficient(j) for j in range(terms)]
-
-
-_ARCSIN_FLOATS = tuple(float(_arcsin_coefficient(j)) for j in range(_MAX_ARCSIN_TERMS))
+_ARCSIN_FLOATS = tuple(_arcsin_coefficients(_MAX_ARCSIN_TERMS))
 
 
 def arcsin_series_reference(x: float, terms: int) -> float:
     """Exact-arithmetic (float) evaluation of the truncated arcsin series."""
-    return float(sum(float(c) * x ** (2 * j + 1) for j, c in enumerate(arcsin_series_coefficients(terms))))
+    if terms < 1:
+        raise DomainRejection("need at least one arcsin series term")
+    return float(sum(c * x ** (2 * j + 1) for j, c in enumerate(_arcsin_coefficients(terms))))
 
 
 def arcsin_terms_for_budget(x_max: float, fraction_bits: int) -> int:
@@ -258,31 +67,6 @@ def arcsin_terms_for_budget(x_max: float, fraction_bits: int) -> int:
     return _MAX_ARCSIN_TERMS
 
 
-def arcsin_angle(cf: FixedPointValue, terms: int) -> FixedPointValue:
-    """theta = arcsin(cf) by the Maclaurin series around 0, in fixed point.
-
-    Only odd powers appear; magnitude arithmetic truncates toward zero, so
-    the result is exactly odd in cf.
-    """
-    if abs(cf.value) >= 1.0:
-        raise DomainRejection(
-            f"|Cf| = {abs(cf.value):.6g} is outside the arcsin convergence radius"
-        )
-    fracs = arcsin_series_coefficients(terms)
-    ib, fb = cf.integer_bits, cf.fraction_bits
-    coeffs = []
-    for j in range(terms):
-        coeffs.append(FixedPointValue(1, 0, ib, fb))  # even power: zero coefficient
-        coeffs.append(FixedPointValue.from_float(float(fracs[j]), ib, fb))
-    # leading zero constant term, then alternating (0, a_j) up to x^(2*terms-1)
-    spec = TaylorSpec(
-        coefficients=tuple(coeffs),
-        expansion_point=FixedPointValue(1, 0, ib, fb),
-        radius=1.0,
-    )
-    return taylor_eval(spec, cf)
-
-
 def _preconditioned_coefficients(
     f: SpectralFunction, c_const: float, x0: float, order: int
 ) -> list[float]:
@@ -293,12 +77,6 @@ def _preconditioned_coefficients(
     """
     raw = f.derivative_coefficients(x0, order)
     return [c_const * raw[i] * x0**i for i in range(order + 1)]
-
-
-def _fixed(x: float, integer_bits: int, fraction_bits: int) -> int:
-    """Signed integer sign * magnitude of ``FixedPointValue.from_float``."""
-    v = FixedPointValue.from_float(x, integer_bits, fraction_bits)
-    return v.sign * v.magnitude
 
 
 def _signed(v: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
@@ -314,9 +92,9 @@ def _float_values(v: np.ndarray, fraction_bits: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _Lanes:
     """Arrays of signed fixed-point values v = sign * magnitude, all at
-    Q(integer_bits).(fraction_bits). Each operation equals its
-    ``FixedPointValue`` counterpart lane by lane, bit for bit, with the same
-    truncation toward zero and the same masking of lost high bits."""
+    Q(integer_bits).(fraction_bits). Every operation truncates toward zero,
+    and a magnitude that reaches the register limit raises
+    ``NumericalFailure`` rather than losing its high bits."""
 
     integer_bits: int
     fraction_bits: int
@@ -331,23 +109,32 @@ class _Lanes:
         # registers fall back to Python integers
         return np.int64 if 2 * (self.integer_bits + self.fraction_bits) < 63 else object
 
-    def wrap(self, v: np.ndarray) -> np.ndarray:
-        """The register's view of exact sums: lost high bits are dropped."""
-        return _signed(v, np.abs(v) & (self.limit - 1))
+    def checked(self, v):
+        """v itself; a lane whose magnitude reaches the register limit raises."""
+        if np.asarray(abs(v) >= self.limit).any():
+            raise NumericalFailure(
+                f"a value overflows the Q{self.integer_bits}.{self.fraction_bits} "
+                "register: high bits would be lost"
+            )
+        return v
+
+    def fixed(self, x: float) -> int:
+        """The register value of a real number, truncated toward zero."""
+        return self.checked(int(x * (1 << self.fraction_bits)))
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``shift_add_multiply`` of operands at this width."""
+        """The exact integer product of the operands, truncated once to this width."""
         p = a * b
-        return _signed(p, (np.abs(p) >> self.fraction_bits) & (self.limit - 1))
+        return self.checked(_signed(p, np.abs(p) >> self.fraction_bits))
 
     def taylor(self, coeffs: np.ndarray, aux: np.ndarray) -> np.ndarray:
-        """``taylor_eval`` around 0: lane k sums coeffs[k, i] * aux[k]**i with a
+        """The series around 0: lane k sums coeffs[k, i] * aux[k]**i with a
         running power register and a running total."""
         power = np.full(aux.shape, 1 << self.fraction_bits, dtype=self.dtype)
         total = coeffs[:, 0]
         for i in range(1, coeffs.shape[1]):
             power = self.multiply(power, aux)
-            total = self.wrap(total + self.multiply(power, coeffs[:, i]))
+            total = self.checked(total + self.multiply(power, coeffs[:, i]))
         return total
 
     def series(
@@ -377,27 +164,25 @@ class _Lanes:
                 raise DomainRejection(
                     f"preconditioned Taylor coefficients overflow the {ib}-bit integer field"
                 )
-            table.append([_fixed(c, ib, wb) for c in coeffs])
+            table.append([self.fixed(c) for c in coeffs])
         coeffs = np.array(table, dtype=self.dtype).reshape(-1, order + 1)[which]
         level = level.astype(self.dtype)
         # u = (x - x0) 2^(j+2) / 3: an exact subtraction and shift, then one
         # multiply by 1/3 held at 2 wb fraction bits, split into two wb-bit
         # limbs so that every partial product fits the lane type
         d = ((x << (wb - x_bits)) - (3 << (wb - 2 - level))) * (1 << (level + 2))
-        third = _fixed(1.0 / 3.0, ib, 2 * wb)
+        third = _Lanes(ib, 2 * wb).fixed(1.0 / 3.0)
         m = np.abs(d)
         low_limb = (m * (third & ((1 << wb) - 1))) >> wb
-        u = _signed(d, ((m * (third >> wb) + low_limb) >> wb) & (self.limit - 1))
+        u = self.checked(_signed(d, (m * (third >> wb) + low_limb) >> wb))
         return self.taylor(coeffs, u)
 
     def arcsin(self, x: np.ndarray, terms: np.ndarray) -> np.ndarray:
-        """``arcsin_angle`` with terms[k] series terms in lane k."""
+        """theta = arcsin(x) by the Maclaurin series around 0, with terms[k]
+        series terms in lane k. Only odd powers appear, and magnitudes
+        truncate toward zero, so the result is exactly odd in x."""
         width = int(terms.max(initial=1))
-        a = np.array(
-            [_fixed(float(c), self.integer_bits, self.fraction_bits)
-             for c in arcsin_series_coefficients(width)],
-            dtype=self.dtype,
-        )
+        a = np.array([self.fixed(c) for c in _arcsin_coefficients(width)], dtype=self.dtype)
         coeffs = np.zeros((x.size, 2 * width), dtype=self.dtype)
         coeffs[:, 1::2] = a * (np.arange(width) < terms[:, None])
         return self.taylor(coeffs, x)
@@ -441,14 +226,15 @@ def _fixed_point_amplitudes(
     else:
         terms = np.full(int(rotated.sum()), arcsin_terms, dtype=np.int64)
     angle = lanes.arcsin(arg[rotated], terms)
-    half_pi = _fixed(math.pi / 2.0, ib, wb)
-    turned = lanes.wrap(half_pi - angle)
+    half_pi = lanes.fixed(math.pi / 2.0)
+    turned = lanes.checked(half_pi - angle)
     theta = np.zeros(g.shape, dtype=lanes.dtype)
     theta[rotated] = np.where(direct[rotated], angle, np.where(g[rotated] > 0, turned, -turned))
     theta[quarter] = np.where(g[quarter] > 0, half_pi, -half_pi)
     # truncate the angle register to the declared fraction width
-    declared = _Lanes(ib, fraction_bits)
-    theta = _signed(theta, (np.abs(theta) >> DEFAULT_GUARD_BITS) & (declared.limit - 1))
+    theta = _Lanes(ib, fraction_bits).checked(
+        _signed(theta, np.abs(theta) >> DEFAULT_GUARD_BITS)
+    )
     angles = _float_values(theta, fraction_bits).tolist()
     a0 = np.array([math.cos(v) for v in angles])
     a1 = np.array([math.sin(v) for v in angles])
@@ -481,6 +267,14 @@ def rotation_amplitudes(
     argument well inside its convergence radius all the way to |g| = 1.
     method="exact" is the reference arithmetic path.
     """
+    if fraction_bits < 0:
+        raise DomainRejection("register widths must be non-negative")
+    if order < 1:
+        raise DomainRejection("a Taylor spec needs order n >= 1")
+    if arcsin_terms is not None and arcsin_terms < 1:
+        raise DomainRejection("need at least one arcsin series term")
+    if not math.isfinite(c_const):
+        raise DomainRejection(f"the rotation constant C must be finite, got {c_const!r}")
     values = np.asarray(lam, dtype=float)
     flat = values.ravel()
     outside = ~((flat > 0.0) & (flat <= 1.0))

@@ -70,6 +70,8 @@ class TestReduce:
             "reduce_csv_three_gauss_p2_t12_seed1.json": [
                 "reduce", "--data", "tests/golden/three_gauss_seed1.csv", "--path", "both",
                 "--p", "2", "--t", "12", "--seed", "1"],
+            "rotate_check_inverse_seed0.json": [
+                "rotate-check", "--function", "inverse", "--seed", "0"],
         }
         for name, args in goldens.items():
             golden = Path(__file__).parent / "golden" / name
@@ -238,6 +240,15 @@ class TestRotateCheck:
         _, few = run_cli(base + ["--arcsin-terms", "4"], tmp_path, "few.json")
         _, many = run_cli(base + ["--arcsin-terms", "8"], tmp_path, "many.json")
         assert many["metrics"]["max_error"] < few["metrics"]["max_error"]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--order", "0"), ("--order", "-1"), ("--arcsin-terms", "0"),
+        ("--bits", "-2"), ("--grid-bits", "-1"), ("--c-const", "nan"),
+    ])
+    def test_invalid_register_setting_exits_with_domain_code(self, flag, value, tmp_path, capsys):
+        code, report = run_cli(["rotate-check", flag, value, "--seed", "0"], tmp_path)
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert "domain rejection" in capsys.readouterr().err
 
 
 class TestGen:

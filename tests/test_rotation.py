@@ -1,30 +1,258 @@
-"""Fixed-point rotation pipeline: shift-add products, Taylor evaluation,
-arcsin series, and the amplitude pair."""
+"""Fixed-point rotation pipeline: the batched integer lanes of
+``qdasim.rotation`` against a scalar register reference kept here.
+
+The reference holds one value per register: ``FixedPointValue`` arithmetic,
+``shift_add_multiply``, ``TaylorSpec``/``taylor_eval`` and ``arcsin_angle``,
+which record lost high bits in an ``overflow`` flag. Every lane of
+``rotation_amplitudes`` must equal it bit for bit."""
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qdasim.errors import DomainRejection
+from qdasim.errors import DomainRejection, NumericalFailure
 from qdasim.linalg import SpectralFunction
 from qdasim.rotation import (
+    DEFAULT_FRACTION_BITS,
     DEFAULT_GUARD_BITS,
     DEFAULT_INTEGER_BITS,
-    FixedPointValue,
-    TaylorSpec,
+    _MAX_ARCSIN_TERMS,
+    _arcsin_coefficients,
     _Lanes,
     _preconditioned_coefficients,
-    arcsin_angle,
-    arcsin_series_coefficients,
     arcsin_series_reference,
     arcsin_terms_for_budget,
     rotation_amplitudes,
-    shift_add_multiply,
-    taylor_eval,
 )
+
+
+@dataclass(frozen=True)
+class FixedPointValue:
+    """Signed fixed-point number: value = sign * magnitude * 2**-fraction_bits.
+
+    ``overflow`` records that some operation on the way to this value lost
+    high bits; it propagates through arithmetic and is never raised silently.
+    """
+
+    sign: int
+    magnitude: int
+    integer_bits: int
+    fraction_bits: int
+    overflow: bool = False
+
+    def __post_init__(self) -> None:
+        if self.sign not in (-1, 1):
+            raise DomainRejection("sign must be +1 or -1")
+        if self.magnitude < 0:
+            raise DomainRejection("magnitude must be a non-negative integer")
+        if self.integer_bits < 0 or self.fraction_bits < 0:
+            raise DomainRejection("register widths must be non-negative")
+        if self.magnitude >= 1 << (self.integer_bits + self.fraction_bits):
+            raise DomainRejection(
+                f"magnitude {self.magnitude} does not fit in "
+                f"{self.integer_bits}+{self.fraction_bits} bits"
+            )
+
+    @classmethod
+    def from_float(
+        cls,
+        x: float,
+        integer_bits: int = DEFAULT_INTEGER_BITS,
+        fraction_bits: int = DEFAULT_FRACTION_BITS,
+    ) -> "FixedPointValue":
+        """Quantize a real number by truncation toward zero; overflow is flagged."""
+        if not math.isfinite(x):
+            raise DomainRejection(f"cannot represent non-finite value {x!r}")
+        sign = -1 if x < 0 else 1
+        mag = int(abs(x) * (1 << fraction_bits))  # int() truncates toward zero
+        limit = 1 << (integer_bits + fraction_bits)
+        overflow = mag >= limit
+        if overflow:
+            mag &= limit - 1
+        return cls(sign, mag, integer_bits, fraction_bits, overflow)
+
+    @property
+    def value(self) -> float:
+        return self.sign * self.magnitude / (1 << self.fraction_bits)
+
+    def widen(self, integer_bits: int, fraction_bits: int) -> "FixedPointValue":
+        """Exact width extension (both fields must grow or stay equal)."""
+        if integer_bits < self.integer_bits or fraction_bits < self.fraction_bits:
+            raise DomainRejection("widen cannot shrink a register")
+        return FixedPointValue(
+            self.sign,
+            self.magnitude << (fraction_bits - self.fraction_bits),
+            integer_bits,
+            fraction_bits,
+            self.overflow,
+        )
+
+    def truncate(self, integer_bits: int, fraction_bits: int) -> "FixedPointValue":
+        """Truncate toward zero to narrower widths; lost high bits set the flag."""
+        mag = self.magnitude
+        if fraction_bits < self.fraction_bits:
+            mag >>= self.fraction_bits - fraction_bits
+        else:
+            mag <<= fraction_bits - self.fraction_bits
+        limit = 1 << (integer_bits + fraction_bits)
+        overflow = self.overflow or mag >= limit
+        if mag >= limit:
+            mag &= limit - 1
+        return FixedPointValue(self.sign if mag else 1, mag, integer_bits, fraction_bits, overflow)
+
+    def __neg__(self) -> "FixedPointValue":
+        if self.magnitude == 0:
+            return self
+        return FixedPointValue(
+            -self.sign, self.magnitude, self.integer_bits, self.fraction_bits, self.overflow
+        )
+
+    def __add__(self, other: "FixedPointValue") -> "FixedPointValue":
+        """Exact signed addition at the joint widths; overflow flagged."""
+        fb = max(self.fraction_bits, other.fraction_bits)
+        ib = max(self.integer_bits, other.integer_bits)
+        a = self.sign * (self.magnitude << (fb - self.fraction_bits))
+        b = other.sign * (other.magnitude << (fb - other.fraction_bits))
+        s = a + b
+        sign = -1 if s < 0 else 1
+        mag = abs(s)
+        limit = 1 << (ib + fb)
+        overflow = self.overflow or other.overflow or mag >= limit
+        if mag >= limit:
+            mag &= limit - 1
+        return FixedPointValue(sign if mag else 1, mag, ib, fb, overflow)
+
+    def __sub__(self, other: "FixedPointValue") -> "FixedPointValue":
+        return self + (-other)
+
+    def __repr__(self) -> str:
+        flag = ", overflow" if self.overflow else ""
+        return (
+            f"FixedPointValue({self.value!r}, Q{self.integer_bits}.{self.fraction_bits}{flag})"
+        )
+
+
+def shift_add_multiply(
+    a: FixedPointValue,
+    b: FixedPointValue,
+    integer_bits: int | None = None,
+    fraction_bits: int | None = None,
+) -> FixedPointValue:
+    """Exact integer product of the magnitudes, truncated once to the output width.
+
+    The product is exact; the single truncation to the output width happens
+    at the end, so |result - exact| <= 2**-fraction_bits.
+    Overflow beyond the output integer width is flagged, never silent.
+    """
+    ib = max(a.integer_bits, b.integer_bits) if integer_bits is None else integer_bits
+    fb = max(a.fraction_bits, b.fraction_bits) if fraction_bits is None else fraction_bits
+    acc = a.magnitude * b.magnitude
+    # acc carries a.fraction_bits + b.fraction_bits fractional bits
+    drop = a.fraction_bits + b.fraction_bits - fb
+    mag = acc >> drop if drop >= 0 else acc << -drop
+    sign = a.sign * b.sign
+    limit = 1 << (ib + fb)
+    overflow = a.overflow or b.overflow or mag >= limit
+    if mag >= limit:
+        mag &= limit - 1
+    return FixedPointValue(sign if mag else 1, mag, ib, fb, overflow)
+
+
+@dataclass(frozen=True)
+class TaylorSpec:
+    """Truncated Taylor expansion: coefficients f^(i)(x0)/i! around x0.
+
+    ``radius`` optionally records the convergence radius in the deviation
+    variable; evaluations outside it are rejected.
+    """
+
+    coefficients: tuple[FixedPointValue, ...]
+    expansion_point: FixedPointValue
+    radius: float | None = None
+
+    def __post_init__(self) -> None:
+        if len(self.coefficients) < 2:
+            raise DomainRejection("a Taylor spec needs order n >= 1")
+
+    @property
+    def order(self) -> int:
+        return len(self.coefficients) - 1
+
+
+def taylor_eval(spec: TaylorSpec, lam: FixedPointValue) -> FixedPointValue:
+    """Evaluate the series with a running power register and a running total.
+
+    Structure per series term: one multiply updating the power register, one
+    multiply by the stored coefficient, one exact accumulate. No Horner
+    rewriting, so the register usage matches a reversible-arithmetic layout.
+    """
+    fb = max(
+        lam.fraction_bits,
+        spec.expansion_point.fraction_bits,
+        max(c.fraction_bits for c in spec.coefficients),
+    )
+    ib = max(
+        lam.integer_bits,
+        spec.expansion_point.integer_bits,
+        max(c.integer_bits for c in spec.coefficients),
+    )
+    aux = lam.widen(ib, fb) - spec.expansion_point.widen(ib, fb)
+    if spec.radius is not None and abs(aux.value) >= spec.radius:
+        raise DomainRejection(
+            f"deviation {aux.value:.6g} outside convergence radius {spec.radius:.6g}"
+        )
+    power = FixedPointValue(1, 1 << fb, ib, fb)
+    total = spec.coefficients[0].widen(ib, fb)
+    for coeff in spec.coefficients[1:]:
+        power = shift_add_multiply(power, aux, ib, fb)
+        term = shift_add_multiply(power, coeff.widen(ib, fb), ib, fb)
+        total = total + term
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _arcsin_coefficient(j: int) -> Fraction:
+    return Fraction(math.comb(2 * j, j), 4**j * (2 * j + 1))
+
+
+def arcsin_series_coefficients(terms: int) -> list[Fraction]:
+    """Exact Maclaurin coefficients of arcsin: x + x^3/6 + 3x^5/40 + 5x^7/112 + ...
+
+    Entry j multiplies x**(2j + 1).
+    """
+    if terms < 1:
+        raise DomainRejection("need at least one arcsin series term")
+    return [_arcsin_coefficient(j) for j in range(terms)]
+
+
+def arcsin_angle(cf: FixedPointValue, terms: int) -> FixedPointValue:
+    """theta = arcsin(cf) by the Maclaurin series around 0, in fixed point.
+
+    Only odd powers appear; magnitude arithmetic truncates toward zero, so
+    the result is exactly odd in cf.
+    """
+    if abs(cf.value) >= 1.0:
+        raise DomainRejection(
+            f"|Cf| = {abs(cf.value):.6g} is outside the arcsin convergence radius"
+        )
+    fracs = arcsin_series_coefficients(terms)
+    ib, fb = cf.integer_bits, cf.fraction_bits
+    coeffs = []
+    for j in range(terms):
+        coeffs.append(FixedPointValue(1, 0, ib, fb))  # even power: zero coefficient
+        coeffs.append(FixedPointValue.from_float(float(fracs[j]), ib, fb))
+    # leading zero constant term, then alternating (0, a_j) up to x^(2*terms-1)
+    spec = TaylorSpec(
+        coefficients=tuple(coeffs),
+        expansion_point=FixedPointValue(1, 0, ib, fb),
+        radius=1.0,
+    )
+    return taylor_eval(spec, cf)
 
 
 def fp(x, ib=4, fb=16):
@@ -263,6 +491,9 @@ class TestArcsinAngle:
             Fraction(3, 40),
             Fraction(5, 112),
         ]
+        # the pipeline's floats are the correctly rounded exact coefficients
+        exact = arcsin_series_coefficients(_MAX_ARCSIN_TERMS)
+        assert _arcsin_coefficients(_MAX_ARCSIN_TERMS) == [float(c) for c in exact]
 
     def test_four_terms_at_half_exact_arithmetic(self):
         val = arcsin_series_reference(0.5, 4)
@@ -423,3 +654,46 @@ class TestBatchedRotation:
         assert "below the resolution of 8 fraction bits" in message
         # an eigenvalue under one register step is rejected, not looped on
         assert "below the resolution" in rejection(rotation_amplitudes, 2.0**-20, inverse, 1e-7)
+        # register widths and series lengths the scalar types refuse
+        for kwargs in ({"order": 0}, {"order": -1}, {"arcsin_terms": 0}):
+            message = rejection(rotation_amplitudes, 0.5, inverse, 0.4, **kwargs)
+            assert message == rejection(scalar_rotation_amplitudes, 0.5, inverse, 0.4, **kwargs)
+        assert rejection(rotation_amplitudes, 0.5, inverse, 0.4, fraction_bits=-2) == rejection(
+            FixedPointValue, 1, 0, DEFAULT_INTEGER_BITS, -2
+        )
+        assert "must be finite" in rejection(rotation_amplitudes, 0.5, inverse, math.nan)
+
+    def test_arcsin_terms_beyond_the_budget_table_match_scalar_reference_bitwise(self):
+        f = SpectralFunction.from_name("identity")
+        values = np.arange(1, 64) / 64
+        a0, a1 = rotation_amplitudes(values, f, 0.9, arcsin_terms=_MAX_ARCSIN_TERMS + 12)
+        for k, v in enumerate(values.tolist()):
+            ref = scalar_rotation_amplitudes(v, f, 0.9, arcsin_terms=_MAX_ARCSIN_TERMS + 12)
+            assert (a0[k], a1[k]) == ref
+
+
+class TestLostBits:
+    """A value that does not fit its lane register raises; nothing is masked."""
+
+    def test_product_beyond_the_register_raises(self):
+        # 31 * 31 at Q1.4 is 60.06, which needs 7 magnitude bits of the 5
+        lanes = _Lanes(1, 4)
+        with pytest.raises(NumericalFailure, match="Q1.4"):
+            lanes.multiply(np.array([31]), np.array([31]))
+        with pytest.raises(NumericalFailure):
+            lanes.multiply(np.array([3, -31]), np.array([3, 31]))
+        assert lanes.multiply(np.array([16, -31]), np.array([16, 16])).tolist() == [16, -31]
+
+    def test_sum_at_the_register_limit_raises(self):
+        lanes = _Lanes(1, 4)
+        for v in (32, -32, 31 + 31):
+            with pytest.raises(NumericalFailure):
+                lanes.checked(np.array([0, v]))
+        assert lanes.checked(np.array([31, -31, 0])).tolist() == [31, -31, 0]
+
+    def test_real_number_beyond_the_register_raises(self):
+        lanes = _Lanes(1, 4)
+        with pytest.raises(NumericalFailure):
+            lanes.fixed(2.0)
+        assert lanes.fixed(-1.99) == -31
+        assert lanes.fixed(0.9999) == 15
