@@ -57,9 +57,7 @@ from .lda import (
 from .qda import (
     ClassifierModel,
     DiscriminantResult,
-    classify,
     classify_many,
-    discriminant,
     fit,
     invert_apply,
 )
@@ -107,9 +105,7 @@ __all__ = [
     "quantum_lda",
     "ClassifierModel",
     "DiscriminantResult",
-    "classify",
     "classify_many",
-    "discriminant",
     "fit",
     "invert_apply",
     "RunReport",

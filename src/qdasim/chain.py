@@ -102,6 +102,11 @@ def _default_c(spectrum: _StageSpectrum, f: SpectralFunction, eps: float) -> flo
     return (1.0 - eps) / float(np.max(np.abs(f(spectrum.registers[resolved]))))
 
 
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < 1.0:
+        raise DomainRejection(f"eps must lie in (0, 1), got {eps}")
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Ordered (operator, spectral function) stages plus the run parameters.
@@ -126,8 +131,7 @@ class ChainSpec:
                 raise DomainRejection(f"stage {j} function is not a SpectralFunction")
         if self.kappa_eff < 1.0:
             raise DomainRejection(f"kappa_eff must be >= 1, got {self.kappa_eff}")
-        if not 0.0 < self.eps < 1.0:
-            raise DomainRejection(f"eps must lie in (0, 1), got {self.eps}")
+        _check_eps(self.eps)
         _check_register_width(self.t)
 
 
@@ -257,6 +261,7 @@ def prepare_stage(
     value rotated once, all in one call. Filtered or register-unresolved
     eigenvalues leave the ancilla in |0> (a_1 = 0), so postselecting |1>
     removes them exactly as the condition-number window prescribes."""
+    _check_eps(eps)
     _check_register_width(t)
     spectrum = _analyze_stage(a_j, t, kappa_eff)
     if not spectrum.keep.any():
@@ -344,9 +349,9 @@ def complexity_estimate(spec: ChainSpec, x_cost: float = 1.0) -> float:
     kappa_sq_sum = 0.0
     ratio_product = 1.0
     for j, (a, f) in enumerate(spec.stages):
-        spectrum = _analyze_stage(a, spec.t, spec.kappa_eff)
-        kappa_sq_sum += spectrum.kappa**2
-        fk = np.abs(f(spectrum.eigenvalues[spectrum.keep]))
+        window = _window(eig_hermitian(a).eigenvalues, spec.kappa_eff)
+        kappa_sq_sum += window.kappa**2
+        fk = np.abs(f(window.eigenvalues[window.keep]))
         ratio = float(fk.max() / fk.min())
         ratio_product *= ratio if j == 0 else ratio**2
     return x_cost / spec.eps**3 * kappa_sq_sum * ratio_product

@@ -229,7 +229,9 @@ def run_classify(args) -> RunReport:
     paths = ("quantum", "classical") if args.path == "both" else (args.path,)
     outputs: dict = {}
     for path in paths:
-        results = classify_many(model, test.samples, path, args.shots, args.seed, args.t, args.prior)
+        results = classify_many(
+            model, test.samples, path, args.shots, args.seed, args.t, args.prior, args.eps
+        )
         outputs[path] = {
             "decisions": np.array([r.chosen for r in results]),
             "discriminants": np.array([r.values for r in results]),

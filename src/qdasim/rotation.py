@@ -16,6 +16,7 @@ dropped silently: a lost high bit raises ``NumericalFailure``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,9 @@ DEFAULT_TAYLOR_ORDER = 8
 # working registers carry guard bits below the declared fraction width so the
 # ~2 truncations per series term stay below the final output quantum
 DEFAULT_GUARD_BITS = 8
+# the 1/3 constant of ``_Lanes.series`` passes through a float at twice the
+# working width, which must stay inside the float exponent range
+_MAX_FRACTION_BITS = (sys.float_info.max_exp - 1) // 2 - DEFAULT_GUARD_BITS
 
 _MAX_ARCSIN_TERMS = 48
 _SQRT = SpectralFunction.from_name("sqrt")
@@ -230,7 +234,8 @@ def _fixed_point_amplitudes(
     turned = lanes.checked(half_pi - angle)
     theta = np.zeros(g.shape, dtype=lanes.dtype)
     theta[rotated] = np.where(direct[rotated], angle, np.where(g[rotated] > 0, turned, -turned))
-    theta[quarter] = np.where(g[quarter] > 0, half_pi, -half_pi)
+    # built in the lane type: a wide register's pi/2 does not fit an int64
+    theta[quarter] = _signed(g[quarter], np.full(int(quarter.sum()), half_pi, lanes.dtype))
     # truncate the angle register to the declared fraction width
     theta = _Lanes(ib, fraction_bits).checked(
         _signed(theta, np.abs(theta) >> DEFAULT_GUARD_BITS)
@@ -269,6 +274,8 @@ def rotation_amplitudes(
     """
     if fraction_bits < 0:
         raise DomainRejection("register widths must be non-negative")
+    if fraction_bits > _MAX_FRACTION_BITS:
+        raise DomainRejection(f"fraction_bits above {_MAX_FRACTION_BITS} overflow the float range")
     if order < 1:
         raise DomainRejection("a Taylor spec needs order n >= 1")
     if arcsin_terms is not None and arcsin_terms < 1:

@@ -18,7 +18,7 @@ from qdasim.cli import EXIT_OK, main
 from qdasim.linalg import DensityOperator, SpectralFunction, trace_distance
 from qdasim.lda import classical_lda_oracle, fisher_criterion, project, quantum_lda
 from qdasim.oracle import LabeledDataset
-from qdasim.qda import classify, fit
+from qdasim.qda import classify_many, fit
 from qdasim.qsim import density_exponentiation_step, phase_estimation
 from qdasim.rotation import arcsin_series_reference, rotation_amplitudes
 
@@ -199,15 +199,16 @@ class TestAcceptance:
                 labels.extend([c + 1] * 40)
             train = LabeledDataset(np.vstack(samples), np.array(labels))
             model = fit(train, 100.0)
-            q_hits = c_hits = 0
+            queries = []
             for i in range(200):
                 c_true = int(rng.integers(1, 4))
-                x = means[c_true - 1] + 0.8 * rng.standard_normal(4)
-                truth = oracle_decision(train, x)
-                q = classify(model, x, "quantum", shots=8192, seed=seed * 1000 + i, t=8)
-                c = classify(model, x, "classical")
-                q_hits += q.chosen == truth
-                c_hits += c.chosen == truth
+                queries.append(means[c_true - 1] + 0.8 * rng.standard_normal(4))
+            truths = [oracle_decision(train, x) for x in queries]
+            # row i is seeded seed * 1000 + i
+            quantum = classify_many(model, queries, "quantum", shots=8192, seed=seed * 1000, t=8)
+            classical = classify_many(model, queries, "classical")
+            q_hits = sum(q.chosen == truth for q, truth in zip(quantum, truths))
+            c_hits = sum(c.chosen == truth for c, truth in zip(classical, truths))
             quantum_rates.append(q_hits / 200)
             classical_rates.append(c_hits / 200)
         assert min(quantum_rates) >= 0.95

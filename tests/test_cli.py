@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qdasim import chain, qda
 from qdasim.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, build_parser, main
 
 
@@ -129,6 +131,34 @@ class TestClassify:
         assert len(report["metrics"]["copies_used"]) == 3
         assert len(calls) == decompositions
 
+    def test_eps_reaches_every_inversion_stage(self, tmp_path, monkeypatch):
+        prepare = qda.prepare_stage
+        signature = inspect.signature(prepare)
+        eps = []
+        monkeypatch.setattr(
+            qda,
+            "prepare_stage",
+            lambda *a, **k: eps.append(signature.bind(*a, **k).arguments.get("eps"))
+            or prepare(*a, **k),
+        )
+        code, _ = run_cli(
+            ["classify", "--synthetic", "three-gauss", "--test-count", "5",
+             "--path", "quantum", "--eps", "0.3", "--seed", "7"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        assert eps == [0.3] * 3
+
+    @pytest.mark.parametrize("eps", ["0", "1", "1.5"])
+    def test_eps_outside_unit_interval_exits_with_domain_code(self, eps, tmp_path, capsys):
+        code, report = run_cli(
+            ["classify", "--synthetic", "three-gauss", "--test-count", "5",
+             "--path", "quantum", "--eps", eps, "--seed", "7"],
+            tmp_path,
+        )
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert "eps must lie in (0, 1)" in capsys.readouterr().err
+
     def test_missing_test_source_is_usage_error(self, capsys):
         code = main(["classify", "--synthetic", "three-gauss", "--seed", "3"])
         assert code == EXIT_USAGE
@@ -194,6 +224,20 @@ class TestChain:
             assert np.shape(matrix["real"]) == np.shape(matrix["imag"]) == (2, 2)
             assert all(x == 0.0 for row in matrix["imag"] for x in row)
 
+    def test_one_stage_analysis_per_stage(self, tmp_path, monkeypatch):
+        # the cost score reads each operator's kappa window, not a register analysis
+        analyses = []
+        analyze = chain._analyze_stage
+        monkeypatch.setattr(
+            chain, "_analyze_stage", lambda *a: analyses.append(a) or analyze(*a)
+        )
+        code, report = run_cli(
+            ["chain", "--synthetic", "two-gauss", "--t", "8", "--seed", "2"], tmp_path
+        )
+        assert code == EXIT_OK
+        assert len(report["parameters"]["functions"]) == 2
+        assert len(analyses) == 2
+
     def test_function_count_mismatch_is_usage_error(self, tmp_path, capsys):
         ops = tmp_path / "ops.json"
         ops.write_text(json.dumps({"operators": [[[1.0, 0.0], [0.0, 1.0]]]}))
@@ -244,11 +288,23 @@ class TestRotateCheck:
     @pytest.mark.parametrize("flag, value", [
         ("--order", "0"), ("--order", "-1"), ("--arcsin-terms", "0"),
         ("--bits", "-2"), ("--grid-bits", "-1"), ("--c-const", "nan"),
+        # the 1/3 register of the windowed series would pass 2^1024 as a float
+        ("--bits", "504"),
     ])
     def test_invalid_register_setting_exits_with_domain_code(self, flag, value, tmp_path, capsys):
         code, report = run_cli(["rotate-check", flag, value, "--seed", "0"], tmp_path)
         assert (code, report) == (EXIT_DOMAIN, None)
         assert "domain rejection" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("bits", ["55", "503"])
+    def test_wide_register_sweep_runs(self, bits, tmp_path):
+        # from 55 bits on, pi/2 in the working register no longer fits an int64
+        code, report = run_cli(
+            ["rotate-check", "--bits", bits, "--grid-bits", "4", "--seed", "0"], tmp_path
+        )
+        assert code == EXIT_OK
+        assert np.all(np.isfinite(report["outputs"]["theta_fixed"]))
 
 
 class TestGen:

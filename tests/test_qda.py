@@ -8,14 +8,7 @@ import pytest
 from qdasim import chain, qda
 from qdasim.errors import DomainRejection
 from qdasim.oracle import LabeledDataset
-from qdasim.qda import (
-    DiscriminantResult,
-    classify,
-    classify_many,
-    discriminant,
-    fit,
-    invert_apply,
-)
+from qdasim.qda import DiscriminantResult, classify_many, fit, invert_apply
 from qdasim.qsim import overlap_test_signed
 from qdasim.qda import _child_seed
 
@@ -122,7 +115,7 @@ class TestInvertApply:
     def test_isotropic_covariance_keeps_mean_direction(self):
         data, mu = isotropic_two_class()
         model = fit(data, 100.0)
-        direction, _ = invert_apply(model, 1, "classical")
+        direction, _ = invert_apply(model, "classical")[0]
         assert abs(np.dot(direction, mu / np.linalg.norm(mu))) == pytest.approx(1.0)
 
     def test_diagonal_covariance_reweights_mean(self):
@@ -142,7 +135,7 @@ class TestInvertApply:
             np.diag([1.0, 0.5]),
             atol=1e-12,
         )
-        direction, norm = invert_apply(model, 1, "classical")
+        direction, norm = invert_apply(model, "classical")[0]
         expected = np.array([1.0, 2.0]) / np.sqrt(5.0)
         assert np.allclose(direction, expected)
         assert norm == pytest.approx(np.linalg.norm([1.0, 2.0]) / np.sqrt(2.0))
@@ -151,9 +144,8 @@ class TestInvertApply:
         for seed in range(20):
             data, _ = gauss3(seed=seed, per_class=15)
             model = fit(data, 100.0)
-            for c in range(1, 4):
-                vc, nc = invert_apply(model, c, "classical")
-                vq, nq = invert_apply(model, c, "quantum", t=8)
+            inverted = zip(invert_apply(model, "classical"), invert_apply(model, "quantum", t=8))
+            for (vc, nc), (vq, nq) in inverted:
                 assert abs(np.dot(vc, vq)) >= 0.99
                 assert nq == nc  # quantum path reuses the recorded norm
 
@@ -163,26 +155,27 @@ class TestDiscriminant:
         data, mu = isotropic_two_class()
         model = fit(data, 100.0)
         x = np.array([1.0, 0.5, 0.0, 0.0])
-        value = discriminant(model, x, 1, "classical")
+        value = classify_many(model, [x], "classical")[0].values[0]
         expected = float(x @ mu - 0.5 * mu @ mu) + np.log(0.5)
         assert value == pytest.approx(expected)
 
     def test_query_at_class_mean(self):
         data, mu = isotropic_two_class()
         model = fit(data, 100.0)
-        value = discriminant(model, mu, 1, "classical")
+        value = classify_many(model, [mu], "classical")[0].values[0]
         assert value == pytest.approx(0.5 * float(mu @ mu) + np.log(0.5))
 
     def test_query_at_half_mean_leaves_only_prior(self):
         data, mu = isotropic_two_class()
         model = fit(data, 100.0)
-        assert discriminant(model, 0.5 * mu, 1, "classical") == pytest.approx(np.log(0.5))
+        value = classify_many(model, [0.5 * mu], "classical")[0].values[0]
+        assert value == pytest.approx(np.log(0.5))
 
     def test_linear_prior_variant(self):
         data, mu = isotropic_two_class()
         model = fit(data, 100.0)
-        log_v = discriminant(model, mu, 1, "classical", prior_mode="log")
-        lin_v = discriminant(model, mu, 1, "classical", prior_mode="linear")
+        log_v = classify_many(model, [mu], "classical", prior_mode="log")[0].values[0]
+        lin_v = classify_many(model, [mu], "classical", prior_mode="linear")[0].values[0]
         assert lin_v - log_v == pytest.approx(0.5 - np.log(0.5))
 
     def test_shot_estimates_within_three_standard_errors(self):
@@ -191,13 +184,15 @@ class TestDiscriminant:
         x = np.array([1.0, 0.4, -0.2, 0.1])
         hits = 0
         trials = 1000
-        for seed in range(trials):
-            c = 1
-            classical = discriminant(model, x, c, "classical")
-            quantum = discriminant(model, x, c, "quantum", shots=512, seed=seed)
-            direction, inv_norm = invert_apply(model, c, "classical")
-            shifted = x - 0.5 * model.class_means[c - 1]
-            shifted_norm = np.linalg.norm(shifted)
+        c = 1
+        classical = classify_many(model, [x], "classical")[0].values[c - 1]
+        # row i is seeded 0 + i, so the batch replays trials 0..999
+        batch = classify_many(model, np.tile(x, (trials, 1)), "quantum", shots=512, seed=0)
+        direction, inv_norm = invert_apply(model, "classical")[c - 1]
+        shifted = x - 0.5 * model.class_means[c - 1]
+        shifted_norm = np.linalg.norm(shifted)
+        for seed, result in enumerate(batch):
+            quantum = result.values[c - 1]
             probe = overlap_test_signed(
                 direction, shifted / shifted_norm, 512, _child_seed(seed, c)
             )
@@ -212,11 +207,8 @@ class TestDiscriminant:
         x = np.array([1.0, 0.4, -0.2, 0.1])
         stds = {}
         for shots in (512, 1024):
-            values = [
-                discriminant(model, x, 1, "quantum", shots=shots, seed=2000 + i)
-                for i in range(50)
-            ]
-            stds[shots] = np.std(values)
+            batch = classify_many(model, np.tile(x, (50, 1)), "quantum", shots=shots, seed=2000)
+            stds[shots] = np.std([result.values[0] for result in batch])
         assert 1.25 <= stds[512] / stds[1024] <= 1.6
 
 
@@ -224,13 +216,13 @@ class TestClassify:
     def test_query_at_class_mean_chooses_that_class(self):
         data, mu = isotropic_two_class()
         model = fit(data, 100.0)
-        assert classify(model, mu, "classical").chosen == 1
-        assert classify(model, -mu, "classical").chosen == 2
+        results = classify_many(model, [mu, -mu], "classical")
+        assert [result.chosen for result in results] == [1, 2]
 
     def test_equidistant_query_ties_to_class_one(self):
         data, _ = isotropic_two_class()
         model = fit(data, 100.0)
-        result = classify(model, np.zeros(4), "classical")
+        (result,) = classify_many(model, np.zeros((1, 4)), "classical")
         assert result.chosen == 1
         assert result.margin == pytest.approx(0.0, abs=1e-12)
 
@@ -238,10 +230,11 @@ class TestClassify:
         data, means = gauss3()
         model = fit(data, 100.0)
         rng = np.random.default_rng(99)
+        queries = []
         for _ in range(200):
             c_true = int(rng.integers(1, 4))
-            x = means[c_true - 1] + 0.8 * rng.standard_normal(4)
-            result = classify(model, x, "classical")
+            queries.append(means[c_true - 1] + 0.8 * rng.standard_normal(4))
+        for x, result in zip(queries, classify_many(model, queries, "classical")):
             oracle = oracle_discriminants(data, x)
             assert result.chosen == int(np.argmax(oracle)) + 1
             assert np.allclose(result.values, oracle, atol=1e-9)
@@ -249,19 +242,22 @@ class TestClassify:
     def test_quantum_path_agreement(self):
         data, means = gauss3()
         model = fit(data, 100.0)
-        agree = 0
+        queries = []
         for i in range(100):
             rng = np.random.default_rng(5000 + i)
             c_true = int(rng.integers(1, 4))
-            x = means[c_true - 1] + 0.8 * rng.standard_normal(4)
-            result = classify(model, x, "quantum", shots=8192, seed=5000 + i)
-            agree += result.chosen == int(np.argmax(oracle_discriminants(data, x))) + 1
+            queries.append(means[c_true - 1] + 0.8 * rng.standard_normal(4))
+        results = classify_many(model, queries, "quantum", shots=8192, seed=5000)
+        agree = sum(
+            result.chosen == int(np.argmax(oracle_discriminants(data, x))) + 1
+            for x, result in zip(queries, results)
+        )
         assert agree / 100 >= 0.95
 
     def test_argmax_invariant_under_constant_shift(self):
         data, means = gauss3()
         model = fit(data, 100.0)
-        result = classify(model, means[2] * 0.9, "classical")
+        (result,) = classify_many(model, [means[2] * 0.9], "classical")
         shifted = result.values + 123.456
         assert int(np.argmax(shifted)) + 1 == result.chosen
 
@@ -275,11 +271,7 @@ class TestClassifyMany:
         rng = np.random.default_rng(3)
         queries = means[rng.integers(0, 3, size=12)] + 0.8 * rng.standard_normal((12, 4))
         expected = [
-            classify(model, x, path, shots=256, seed=40 + i, t=8)
-            for i, x in enumerate(queries)
-        ]
-        per_class = [
-            [discriminant(model, x, c, path, 256, 40 + i, 8) for c in range(1, 4)]
+            classify_many(model, [x], path, shots=256, seed=40 + i, t=8)[0]
             for i, x in enumerate(queries)
         ]
         calls = []
@@ -288,11 +280,10 @@ class TestClassifyMany:
             qda, "invert_apply", lambda *args: calls.append(args) or invert(*args)
         )
         results = classify_many(model, queries, path, shots=256, seed=40, t=8)
-        assert len(calls) <= model.k
+        assert len(calls) == 1
         assert len(results) == len(queries)
-        for got, want, values in zip(results, expected, per_class):
+        for got, want in zip(results, expected):
             assert np.array_equal(got.values, want.values)
-            assert np.array_equal(got.values, values)
             assert (got.chosen, got.margin) == (want.chosen, want.margin)
 
     @pytest.mark.parametrize("shared, stages", [(True, 1), (False, 3)])
@@ -324,10 +315,16 @@ class TestClassifyMany:
             classify_many(model, np.vstack([means[0], [np.nan] * 4]))
         with pytest.raises(DomainRejection, match="query dimension 3"):
             classify_many(model, np.zeros((2, 3)))
+        with pytest.raises(DomainRejection, match=r"shape \(4,\)"):
+            classify_many(model, means[0])
+        with pytest.raises(DomainRejection, match="prior mode"):
+            classify_many(model, means, prior_mode="uniform")
+        with pytest.raises(DomainRejection, match="unknown path"):
+            classify_many(model, means, "hybrid")
 
 
 class TestLdaClassify:
-    """Linear-discriminant decisions: ``classify`` over a shared-covariance model."""
+    """Linear-discriminant decisions: ``classify_many`` over a shared-covariance model."""
 
     def test_matches_qda_under_equal_class_covariances(self):
         # identical deviation patterns per class: per-class and pooled
@@ -340,28 +337,28 @@ class TestLdaClassify:
         data = LabeledDataset(samples, np.repeat([1, 2], 30))
         qda_model = fit(data, 100.0)
         lda_model = fit(data, 100.0, shared_covariance=True)
-        agree = 0
-        for i in range(100):
-            x = means[i % 2] + 0.9 * np.random.default_rng(i).standard_normal(4)
-            a = classify(qda_model, x, "classical").chosen
-            b = classify(lda_model, x, "classical").chosen
-            agree += a == b
+        queries = [
+            means[i % 2] + 0.9 * np.random.default_rng(i).standard_normal(4) for i in range(100)
+        ]
+        a = classify_many(qda_model, queries, "classical")
+        b = classify_many(lda_model, queries, "classical")
+        agree = sum(x.chosen == y.chosen for x, y in zip(a, b))
         assert agree / 100 >= 0.98
 
     def test_isotropic_shared_covariance_is_nearest_mean(self):
         data, mu = isotropic_two_class()
         model = fit(data, 100.0, shared_covariance=True)
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            x = 3.0 * rng.standard_normal(4)
-            decided = classify(model, x, "classical").chosen
+        queries = [3.0 * rng.standard_normal(4) for _ in range(50)]
+        for x, result in zip(queries, classify_many(model, queries, "classical")):
+            decided = result.chosen
             nearest = 1 if np.linalg.norm(x - mu) <= np.linalg.norm(x + mu) else 2
             assert decided == nearest
 
     def test_global_mean_query_has_zero_margin(self):
         data, _ = isotropic_two_class()
         model = fit(data, 100.0, shared_covariance=True)
-        result = classify(model, np.zeros(4), "classical")
+        (result,) = classify_many(model, np.zeros((1, 4)), "classical")
         assert result.margin == pytest.approx(0.0, abs=1e-12)
 
 
