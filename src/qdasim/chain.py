@@ -31,6 +31,7 @@ from .linalg import (
     DensityOperator,
     HermitianOperator,
     SpectralFunction,
+    _check_kappa_eff,
     _filter_mask,
     eig_hermitian,
     matrix_function,
@@ -129,8 +130,7 @@ class ChainSpec:
                 raise DomainRejection(f"stage {j} operator is not a DensityOperator")
             if not isinstance(f, SpectralFunction):
                 raise DomainRejection(f"stage {j} function is not a SpectralFunction")
-        if self.kappa_eff < 1.0:
-            raise DomainRejection(f"kappa_eff must be >= 1, got {self.kappa_eff}")
+        _check_kappa_eff(self.kappa_eff)
         _check_eps(self.eps)
         _check_register_width(self.t)
 
@@ -344,6 +344,8 @@ def complexity_estimate(spec: ChainSpec, x_cost: float = 1.0) -> float:
     The first-stage ratio enters at a single power, the improvement amplitude
     amplification buys on that stage alone. No wall-clock claim is made.
     """
+    if not 0.0 < x_cost < math.inf:
+        raise DomainRejection(f"x_cost must be finite and positive, got {x_cost}")
     if not spec.stages:
         return 0.0
     kappa_sq_sum = 0.0

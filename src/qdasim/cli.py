@@ -2,6 +2,10 @@
 evaluation, rotation-pipeline sweeps, and synthetic data generation, each
 emitting a JSON run report.
 
+A report's ``parameters`` echo every parsed flag of the subcommand except
+``UNECHOED``, plus what the handler works out itself: data-source
+descriptors, normalized function names and the resolved rotation constant.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 domain rejection
 (rank or degeneracy), 3 numerical failure.
 """
@@ -19,6 +23,7 @@ import numpy as np
 from . import __version__
 from .chain import (
     ChainSpec,
+    _check_eps,
     chain_apply,
     classical_chain_oracle,
     complexity_estimate,
@@ -42,6 +47,14 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_NUMERIC = 3
+
+# parsed flags a report does not echo under ``parameters``: the subcommand and
+# seed are report fields of their own, the output path is delivery, and each
+# handler records its data source as a descriptor
+UNECHOED = frozenset(
+    {"command", "seed", "output", "data", "synthetic", "per_class", "test", "test_count",
+     "operators"}
+)
 
 
 class _UsageError(Exception):
@@ -142,64 +155,41 @@ def _load_training_data(args) -> tuple[LabeledDataset, dict]:
         if not os.path.exists(args.data):
             raise _UsageError(f"dataset file not found: {args.data}")
         return load_csv(args.data), {"source": "file", "path": args.data}
-    spec = _preset(args.synthetic, args.per_class, args.seed)
-    descriptor = {
-        "source": "synthetic",
-        "preset": args.synthetic,
-        "per_class": args.per_class,
-    }
-    return generate(spec), descriptor
+    descriptor = {"source": "synthetic", "preset": args.synthetic, "per_class": args.per_class}
+    return generate(_preset(args.synthetic, args.per_class, args.seed)), descriptor
 
 
 def _overlap(a: np.ndarray, b: np.ndarray) -> float:
-    return float(
-        abs(np.dot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
-    )
+    return float(abs(np.dot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
-def run_reduce(args) -> RunReport:
+def run_reduce(args) -> tuple[dict, dict, dict]:
     data, descriptor = _load_training_data(args)
-    if args.degree > 1:
+    if args.degree != 1:
         data = feature_map(data, args.degree)
+    # the exact oracle goes first, so a rank excess is reported as such
+    paths = ("classical", "quantum") if args.path == "both" else (args.path,)
     outputs: dict = {}
     metrics: dict = {}
-    if args.path in ("classical", "both"):
-        oracle = classical_lda_oracle(data, args.p, args.kappa_eff)
-        outputs["classical"] = {
-            "directions": oracle.directions,
-            "intermediates": oracle.intermediates,
-            "eigenvalue_estimates": oracle.eigenvalue_estimates,
-        }
-        metrics["fisher_classical"] = fisher_criterion(data, oracle)
-    if args.path in ("quantum", "both"):
-        basis = quantum_lda(data, args.p, args.kappa_eff, args.eps, args.t, args.seed)
-        outputs["quantum"] = {
+    for path in paths:
+        if path == "quantum":
+            basis = quantum_lda(data, args.p, args.kappa_eff, args.eps, args.t, args.seed)
+            metrics["chain_stage_success"] = basis.chain.stage_success_probabilities
+            metrics["chain_stage_bounds"] = basis.chain.stage_bounds
+            metrics["copies_used"] = basis.chain.copies_used
+            metrics["draws_consumed"] = qpe_draws(args.t)
+        else:
+            basis = classical_lda_oracle(data, args.p, args.kappa_eff)
+        outputs[path] = {
             "directions": basis.directions,
             "intermediates": basis.intermediates,
             "eigenvalue_estimates": basis.eigenvalue_estimates,
         }
-        metrics["fisher_quantum"] = fisher_criterion(data, basis)
-        metrics["chain_stage_success"] = basis.chain.stage_success_probabilities
-        metrics["chain_stage_bounds"] = basis.chain.stage_bounds
-        metrics["copies_used"] = basis.chain.copies_used
-        metrics["draws_consumed"] = qpe_draws(args.t)
+        metrics[f"fisher_{path}"] = fisher_criterion(data, basis)
     if args.path == "both":
-        metrics["per_direction_overlap"] = np.array(
-            [
-                _overlap(outputs["quantum"]["directions"][r], outputs["classical"]["directions"][r])
-                for r in range(args.p)
-            ]
-        )
-    parameters = {
-        "dataset": descriptor,
-        "p": args.p,
-        "degree": args.degree,
-        "kappa_eff": args.kappa_eff,
-        "eps": args.eps,
-        "t": args.t,
-        "path": args.path,
-    }
-    return RunReport("reduce", parameters, outputs, metrics, args.seed)
+        quantum, classical = outputs["quantum"]["directions"], outputs["classical"]["directions"]
+        metrics["per_direction_overlap"] = np.array([_overlap(q, c) for q, c in zip(quantum, classical)])
+    return {"dataset": descriptor}, outputs, metrics
 
 
 def _load_test_data(args) -> tuple[LabeledDataset, dict]:
@@ -207,7 +197,7 @@ def _load_test_data(args) -> tuple[LabeledDataset, dict]:
         if not os.path.exists(args.test):
             raise _UsageError(f"test file not found: {args.test}")
         return load_csv(args.test), {"source": "file", "path": args.test}
-    if args.synthetic and args.test_count:
+    if args.synthetic and args.test_count is not None:
         spec = _preset(args.synthetic, args.test_count, args.seed + 1)
         return generate(spec), {
             "source": "synthetic",
@@ -218,7 +208,7 @@ def _load_test_data(args) -> tuple[LabeledDataset, dict]:
     raise _UsageError("classify needs --test FILE, or --synthetic with --test-count")
 
 
-def run_classify(args) -> RunReport:
+def run_classify(args) -> tuple[dict, dict, dict]:
     train, descriptor = _load_training_data(args)
     test, test_descriptor = _load_test_data(args)
     if test.N != train.N:
@@ -252,18 +242,7 @@ def run_classify(args) -> RunReport:
         metrics["copies_used"] = np.array(
             [stage_copies(op, args.kappa_eff, args.eps) for op in model.covariance_ops]
         )
-    parameters = {
-        "train": descriptor,
-        "test": test_descriptor,
-        "lda": bool(args.lda),
-        "prior": args.prior,
-        "kappa_eff": args.kappa_eff,
-        "eps": args.eps,
-        "t": args.t,
-        "shots": args.shots,
-        "path": args.path,
-    }
-    return RunReport("classify", parameters, outputs, metrics, args.seed)
+    return {"train": descriptor, "test": test_descriptor}, outputs, metrics
 
 
 def _load_chain_stages(args) -> tuple[ChainSpec, dict]:
@@ -296,9 +275,7 @@ def _load_chain_stages(args) -> tuple[ChainSpec, dict]:
         if not functions:
             raise _UsageError("--functions is required with --operators")
         if len(functions) != len(ops):
-            raise _UsageError(
-                f"{len(functions)} functions for {len(ops)} operators"
-            )
+            raise _UsageError(f"{len(functions)} functions for {len(ops)} operators")
         descriptor = {"source": "file", "path": args.operators, "trace_scales": scales}
         stages = tuple(zip(ops, functions))
     else:
@@ -313,7 +290,7 @@ def _load_chain_stages(args) -> tuple[ChainSpec, dict]:
     return spec, descriptor
 
 
-def run_chain(args) -> RunReport:
+def run_chain(args) -> tuple[dict, dict, dict]:
     spec, descriptor = _load_chain_stages(args)
     oracle = classical_chain_oracle(spec)
     report = chain_apply(spec)
@@ -331,44 +308,30 @@ def run_chain(args) -> RunReport:
         "copies_used": report.copies_used,
         "complexity_score": complexity_estimate(spec, args.x_cost),
     }
-    parameters = {
-        "stages": descriptor,
-        "functions": [f.name for _, f in spec.stages],
-        "kappa_eff": args.kappa_eff,
-        "eps": args.eps,
-        "t": args.t,
-        "x_cost": args.x_cost,
-    }
-    return RunReport("chain", parameters, outputs, metrics, args.seed)
+    recorded = {"stages": descriptor, "functions": [f.name for _, f in spec.stages]}
+    return recorded, outputs, metrics
 
 
-def run_rotate_check(args) -> RunReport:
+def run_rotate_check(args) -> tuple[dict, dict, dict]:
     f = SpectralFunction.from_name(args.function)
+    _check_eps(args.eps)
     if args.grid_bits < 0:
         raise DomainRejection(f"--grid-bits must be non-negative, got {args.grid_bits}")
     big_t = 1 << args.grid_bits
     descending = np.arange(big_t, 0, -1) / big_t
-    grid = descending[_filter_mask(descending, args.kappa_eff)][::-1].tolist()
-    if not grid:
-        raise DomainRejection("the dyadic grid is empty below 1/kappa_eff")
+    # kappa_eff >= 1 keeps the top grid point 1, so the grid is never empty
+    grid = descending[_filter_mask(descending, args.kappa_eff)][::-1]
     c_const = args.c_const
     if c_const is None:
-        c_const = (1.0 - args.eps) / float(np.max(np.abs(f(np.array(grid)))))
-    _, exact = rotation_amplitudes(tuple(grid), f, c_const, method="exact")
+        c_const = (1.0 - args.eps) / float(np.max(np.abs(f(grid))))
+    lams = tuple(grid.tolist())
+    _, exact = rotation_amplitudes(lams, f, c_const, method="exact")
     _, fixed = rotation_amplitudes(
-        tuple(grid),
-        f,
-        c_const,
-        fraction_bits=args.bits,
-        order=args.order,
-        arcsin_terms=args.arcsin_terms,
+        lams, f, c_const, fraction_bits=args.bits, order=args.order, arcsin_terms=args.arcsin_terms
     )
-    rows = []
-    for lam, a1x, a1f in zip(grid, exact.tolist(), fixed.tolist()):
-        theta_exact = math.asin(a1x)
-        theta_fixed = math.asin(min(max(a1f, -1.0), 1.0))
-        rows.append((lam, theta_fixed, theta_exact, abs(theta_fixed - theta_exact)))
-    errors = np.array([r[3] for r in rows])
+    theta_exact = np.array([math.asin(a) for a in exact.tolist()])
+    theta_fixed = np.array([math.asin(min(max(a, -1.0), 1.0)) for a in fixed.tolist()])
+    errors = np.abs(theta_fixed - theta_exact)
     budget = 2.0 ** (-args.bits + 3)
     metrics = {
         "max_error": float(errors.max()),
@@ -377,40 +340,25 @@ def run_rotate_check(args) -> RunReport:
         "within_budget": bool(errors.max() <= budget),
     }
     outputs = {
-        "lambda_grid": np.array([r[0] for r in rows]),
-        "theta_fixed": np.array([r[1] for r in rows]),
-        "theta_exact": np.array([r[2] for r in rows]),
+        "lambda_grid": grid,
+        "theta_fixed": theta_fixed,
+        "theta_exact": theta_exact,
         "abs_error": errors,
     }
-    parameters = {
-        "function": f.name,
-        "c_const": c_const,
-        "bits": args.bits,
-        "order": args.order,
-        "arcsin_terms": args.arcsin_terms,
-        "grid_bits": args.grid_bits,
-        "kappa_eff": args.kappa_eff,
-        "eps": args.eps,
-    }
-    return RunReport("rotate-check", parameters, outputs, metrics, args.seed)
+    return {"function": f.name, "c_const": c_const}, outputs, metrics
 
 
-def run_gen(args) -> RunReport:
+def run_gen(args) -> tuple[dict, dict, dict]:
     spec = _preset(args.synthetic, args.per_class, args.seed)
     data = generate(spec)
     save_csv(data, args.out)
-    parameters = {
-        "preset": args.synthetic,
-        "per_class": args.per_class,
-        "out": args.out,
-    }
     outputs = {
         "rows": data.M,
         "features": data.N,
         "classes": data.k,
         "label_names": list(data.label_names or ()),
     }
-    return RunReport("gen", parameters, outputs, {}, args.seed)
+    return {"preset": args.synthetic, "per_class": args.per_class}, outputs, {}
 
 
 _HANDLERS = {
@@ -429,7 +377,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "seed", None) is None:
             args.seed = _default_seed()
-        report = _HANDLERS[args.command](args)
+        recorded, outputs, metrics = _HANDLERS[args.command](args)
     except _UsageError as err:
         parser.print_usage(sys.stderr)
         print(f"qdasim: error: {err}", file=sys.stderr)
@@ -443,16 +391,16 @@ def main(argv=None) -> int:
     except (NumericalFailure, np.linalg.LinAlgError) as err:
         print(f"qdasim: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    stamped = RunReport(
+    echoed = {name: value for name, value in vars(args).items() if name not in UNECHOED}
+    report = RunReport(
         command=f"qdasim {' '.join(argv)}",
-        parameters=report.parameters,
-        outputs=report.outputs,
-        metrics=report.metrics,
-        seed=report.seed,
-        version=report.version,
+        parameters={**echoed, **recorded},
+        outputs=outputs,
+        metrics=metrics,
+        seed=args.seed,
         timestamp=datetime.now(timezone.utc).isoformat(),
     )
-    text = stamped.to_json()
+    text = report.to_json()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -158,13 +158,20 @@ def eig_hermitian(h: HermitianOperator) -> EigenSolution:
     return h._eig
 
 
+def _check_kappa_eff(kappa_eff: float) -> None:
+    if not kappa_eff >= 1.0:
+        raise DomainRejection(f"kappa_eff must be >= 1, got {kappa_eff}")
+
+
 def _filter_mask(eigenvalues: np.ndarray, kappa_eff: float) -> np.ndarray:
     """Relative condition-number filter: keep lambda / lambda_max >= 1/kappa_eff.
 
     A tiny multiplicative slack makes exact-threshold eigenvalues robust to
     rounding. Eigenvalues below the cutoff (including any slightly negative
-    ones) are treated as zero under every spectral function.
+    ones) are treated as zero under every spectral function. A kappa_eff
+    below 1, or NaN, is rejected.
     """
+    _check_kappa_eff(kappa_eff)
     lam_max = float(eigenvalues[0])
     if lam_max <= PSD_TOL:
         return np.zeros_like(eigenvalues, dtype=bool)
@@ -178,8 +185,6 @@ def matrix_function(h: HermitianOperator, f: SpectralFunction, kappa_eff: float)
     (they map to 0 under every f, including inverse powers), so inverse
     functions never blow up on near-null directions.
     """
-    if kappa_eff < 1.0:
-        raise DomainRejection(f"kappa_eff must be >= 1, got {kappa_eff}")
     sol = eig_hermitian(h)
     w = sol.eigenvalues
     scale = max(abs(float(w[0])), 1.0)

@@ -359,6 +359,16 @@ class TestCopyCount:
         assert stage_copies(a, 100.0, 0.1) == math.ceil((1.0 / 0.3) ** 2 / 0.1**3)
 
 
+class TestKappaRule:
+    @pytest.mark.parametrize("kappa_eff", [0.0, 0.5, -1.0, math.nan])
+    def test_stage_and_copy_count_reject_kappa_below_one(self, kappa_eff):
+        a = spectrum_density([0.6, 0.3, 0.1])
+        with pytest.raises(DomainRejection, match="kappa_eff must be >= 1"):
+            prepare_stage(a, INVERSE, 8, kappa_eff)
+        with pytest.raises(DomainRejection, match="kappa_eff must be >= 1"):
+            stage_copies(a, kappa_eff, 0.1)
+
+
 class TestChainApply:
     def test_empty_chain_returns_input(self):
         rho = DensityOperator(np.diag([0.2, 0.8]))
@@ -515,6 +525,11 @@ class TestChainSpecValidation:
         a = DensityOperator(np.eye(2) / 2.0)
         with pytest.raises(DomainRejection, match="eps"):
             ChainSpec(stages=((a, IDENTITY),), eps=1.5)
+
+    def test_nan_kappa_rejected(self):
+        a = DensityOperator(np.eye(2) / 2.0)
+        with pytest.raises(DomainRejection, match="kappa_eff must be >= 1"):
+            ChainSpec(stages=((a, IDENTITY),), kappa_eff=math.nan)
 
     def test_non_density_stage_rejected(self):
         with pytest.raises(DomainRejection, match="DensityOperator"):

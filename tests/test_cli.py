@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qdasim import chain, qda
-from qdasim.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, build_parser, main
+from qdasim.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, UNECHOED, build_parser, main
 
 
 def run_cli(args, tmp_path, name="report.json"):
@@ -90,6 +90,17 @@ class TestReduce:
         assert code == EXIT_OK
         # 2-d input maps to 5 monomial features
         assert len(report["outputs"]["classical"]["directions"][0]) == 5
+
+    @pytest.mark.parametrize("degree", ["0", "-3"])
+    def test_degree_outside_feature_map_range_exits_with_domain_code(self, degree, tmp_path, capsys):
+        # a degree below 1 must not run degree 1 and echo the flag it ignored
+        code, report = run_cli(
+            ["reduce", "--synthetic", "two-gauss", "--degree", degree,
+             "--path", "classical", "--seed", "0"],
+            tmp_path,
+        )
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert "degree must be 1, 2, or 3" in capsys.readouterr().err
 
 
 class TestClassify:
@@ -170,6 +181,11 @@ class TestClassify:
         )
         assert code == EXIT_USAGE
 
+    def test_zero_test_count_names_the_sample_floor(self, capsys):
+        code = main(["classify", "--synthetic", "three-gauss", "--test-count", "0"])
+        assert code == EXIT_USAGE
+        assert "every class needs at least 2 samples" in capsys.readouterr().err
+
 
 class TestChain:
     def test_identity_single_stage_has_zero_distance(self, tmp_path):
@@ -244,6 +260,14 @@ class TestChain:
         code = main(["chain", "--operators", str(ops), "--functions", "sqrt,sqrt"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("x_cost", ["nan", "inf", "-2", "0"])
+    def test_x_cost_outside_positive_reals_exits_with_domain_code(self, x_cost, tmp_path, capsys):
+        code, report = run_cli(
+            ["chain", "--synthetic", "two-gauss", "--x-cost", x_cost, "--seed", "0"], tmp_path
+        )
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert "x_cost must be finite and positive" in capsys.readouterr().err
+
 
 class TestRotateCheck:
     def test_sixteen_bit_sweep_within_budget(self, tmp_path):
@@ -305,6 +329,22 @@ class TestRotateCheck:
         )
         assert code == EXIT_OK
         assert np.all(np.isfinite(report["outputs"]["theta_fixed"]))
+
+    @pytest.mark.parametrize("kappa_eff", ["0", "-1", "nan"])
+    def test_kappa_below_one_exits_with_domain_code(self, kappa_eff, tmp_path, capsys):
+        code, report = run_cli(
+            ["rotate-check", "--kappa-eff", kappa_eff, "--seed", "0"], tmp_path
+        )
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert "kappa_eff must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["0", "1", "1.5"])
+    def test_eps_outside_unit_interval_exits_with_domain_code(self, eps, tmp_path, capsys):
+        code, report = run_cli(
+            ["rotate-check", "--eps", eps, "--grid-bits", "3", "--seed", "0"], tmp_path
+        )
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert "eps must lie in (0, 1)" in capsys.readouterr().err
 
 
 class TestGen:
@@ -386,3 +426,46 @@ class TestFlagSurface:
                 code = main(valid[command] + [flag, values.get(flag, "8"), "--seed", "1"])
                 assert code == EXIT_USAGE, (command, flag)
                 assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_report_parameters_echo_every_registered_flag(self, tmp_path):
+        (commands,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        runs = {
+            "reduce": ["--synthetic", "two-gauss", "--p", "1", "--degree", "2",
+                       "--path", "classical", "--kappa-eff", "50"],
+            "classify": ["--synthetic", "two-gauss", "--test-count", "2", "--lda",
+                         "--prior", "linear", "--path", "classical", "--shots", "64"],
+            "chain": ["--synthetic", "two-gauss", "--t", "6", "--x-cost", "2.5",
+                      "--eps", "0.2"],
+            "rotate-check": ["--function", "sqrt", "--grid-bits", "3", "--bits", "12",
+                             "--arcsin-terms", "5"],
+            "gen": ["--synthetic", "two-gauss", "--per-class", "3",
+                    "--out", str(tmp_path / "d.csv")],
+        }
+        # what each handler works out itself rather than echoes
+        recorded = {
+            "reduce": {"dataset"},
+            "classify": {"train", "test"},
+            "chain": {"stages", "functions"},
+            "rotate-check": {"function", "c_const"},
+            "gen": {"preset", "per_class"},
+        }
+        assert set(runs) == set(commands.choices)
+        # report fields, delivery, and the data-source flags the descriptors replace
+        assert UNECHOED == {"command", "seed", "output", "data", "synthetic", "per_class",
+                            "test", "test_count", "operators"}
+        for command, flags in runs.items():
+            argv = [command] + flags + ["--seed", "2"]
+            code, report = run_cli(argv, tmp_path, f"{command}.json")
+            assert code == EXIT_OK, command
+            dests = {
+                action.dest for action in commands.choices[command]._actions
+                if action.dest != "help"
+            }
+            echoed = dests - UNECHOED - recorded[command]
+            assert set(report["parameters"]) == echoed | recorded[command], command
+            parsed = vars(build_parser().parse_args(argv))
+            assert {k: report["parameters"][k] for k in echoed} == {
+                k: parsed[k] for k in echoed
+            }, command
