@@ -63,19 +63,6 @@ class _Window:
         return round(ratio) if abs(ratio - round(ratio)) <= 1e-12 * ratio else math.ceil(ratio)
 
 
-@dataclass(frozen=True)
-class _StageSpectrum(_Window):
-    """Spectral data one stage actually works with."""
-
-    eigenvectors: np.ndarray
-    registers: np.ndarray  # t-bit truncated eigenvalues, clamped into [0, 1 - 2^-t]
-
-    @property
-    def resolved(self) -> np.ndarray:
-        """Kept eigenvalues whose register value is nonzero."""
-        return self.keep & (self.registers > 0.0)
-
-
 def _window(eigenvalues: np.ndarray, kappa_eff: float) -> _Window:
     w = np.clip(eigenvalues, 0.0, None)
     if float(w[0]) <= 0.0:
@@ -83,24 +70,10 @@ def _window(eigenvalues: np.ndarray, kappa_eff: float) -> _Window:
     return _Window(w, _filter_mask(w, kappa_eff))
 
 
-def _analyze_stage(a: DensityOperator, t: int, kappa_eff: float) -> _StageSpectrum:
-    """Stage spectrum of a at a t-bit register."""
-    sol = eig_hermitian(a)
-    window = _window(sol.eigenvalues, kappa_eff)
-    big_t = 1 << t
-    # the register saturates at its top value instead of wrapping, so a pure
-    # state (eigenvalue exactly 1) reads 1 - 2^-t rather than 0
-    registers = np.minimum(np.floor(window.eigenvalues * big_t), big_t - 1) / big_t
-    return _StageSpectrum(window.eigenvalues, window.keep, sol.eigenvectors, registers)
-
-
-def _default_c(spectrum: _StageSpectrum, f: SpectralFunction, eps: float) -> float:
-    resolved = spectrum.resolved
-    if not resolved.any():
-        raise DomainRejection(
-            "no kept eigenvalue is resolvable in the phase register; increase t"
-        )
-    return (1.0 - eps) / float(np.max(np.abs(f(spectrum.registers[resolved]))))
+def _rotation_constant(f: SpectralFunction, values: np.ndarray, eps: float) -> float:
+    """C = (1 - eps) / max |f(values)|: the largest rotation constant whose
+    amplitudes stay at most 1 - eps on the given eigenvalues."""
+    return (1.0 - eps) / float(np.max(np.abs(f(values))))
 
 
 def _check_eps(eps: float) -> None:
@@ -115,7 +88,7 @@ class ChainSpec:
     Stage j applies f_j to A_j; stage 1 acts first (it is the rightmost
     factor of the chain product). Every stage's rotation normalization
     constant is C_j = (1 - eps) / max |f_j| over the register-resolved
-    unfiltered spectrum, which maximizes postselection success.
+    kept spectrum, which maximizes postselection success.
     """
 
     stages: tuple[tuple[DensityOperator, SpectralFunction], ...]
@@ -202,16 +175,19 @@ class _StageResult:
 
 @dataclass(frozen=True)
 class PreparedStage:
-    """The state-independent part of one chain stage on (a_j, f_j, t): its
-    spectrum, ancilla |1> amplitudes a_1 and copy count."""
+    """The state-independent part of one chain stage on (a_j, f_j, t): what
+    ``prepare_stage`` computed, in the stage eigenbasis."""
 
-    spectrum: _StageSpectrum
-    a1: np.ndarray
+    eigenvectors: np.ndarray
+    registers: np.ndarray  # t-bit truncated eigenvalues, clamped into [0, 1 - 2^-t]
+    resolved: np.ndarray  # kept eigenvalues whose register value is nonzero
+    c_const: float
+    a1: np.ndarray  # ancilla |1> amplitudes, 0 off the resolved spectrum
     copies: int
 
     def apply(self, rho_prev: DensityOperator) -> _StageResult:
         """Rotate rho_prev and postselect the ancilla on |1>."""
-        v = self.spectrum.eigenvectors
+        v = self.eigenvectors
         if rho_prev.dim != v.shape[0]:
             raise DomainRejection(
                 f"state dimension {rho_prev.dim} does not match operator {v.shape[0]}"
@@ -230,9 +206,8 @@ class PreparedStage:
             )
         # universal success floor: squared minimum rotation amplitude times the
         # incoming weight inside the resolved support
-        resolved = self.spectrum.resolved
-        support_weight = float(np.sum(np.diag(beta).real[resolved]))
-        min_amp = float(np.min(np.abs(self.a1[resolved])))
+        support_weight = float(np.sum(np.diag(beta).real[self.resolved]))
+        min_amp = float(np.min(np.abs(self.a1[self.resolved])))
         return _StageResult(
             state=DensityOperator(block / prob),
             probability=prob,
@@ -263,18 +238,27 @@ def prepare_stage(
     removes them exactly as the condition-number window prescribes."""
     _check_eps(eps)
     _check_register_width(t)
-    spectrum = _analyze_stage(a_j, t, kappa_eff)
-    if not spectrum.keep.any():
+    sol = eig_hermitian(a_j)
+    window = _window(sol.eigenvalues, kappa_eff)
+    if not window.keep.any():
         raise DomainRejection(
             "condition-number filter removed the full spectrum (rank collapse)"
         )
-    c_const = _default_c(spectrum, f_j, eps)
-    resolved = spectrum.resolved
-    values, where = np.unique(spectrum.registers[resolved], return_inverse=True)
-    a1 = np.zeros(spectrum.eigenvalues.size)
+    big_t = 1 << t
+    # the register saturates at its top value instead of wrapping, so a pure
+    # state (eigenvalue exactly 1) reads 1 - 2^-t rather than 0
+    registers = np.minimum(np.floor(window.eigenvalues * big_t), big_t - 1) / big_t
+    resolved = window.keep & (registers > 0.0)
+    if not resolved.any():
+        raise DomainRejection(
+            "no kept eigenvalue is resolvable in the phase register; increase t"
+        )
+    values, where = np.unique(registers[resolved], return_inverse=True)
+    c_const = _rotation_constant(f_j, values, eps)
+    a1 = np.zeros(registers.size)
     # a tuple of floats: callers may hash the arguments
     a1[resolved] = rotation_amplitudes(tuple(values.tolist()), f_j, c_const)[1][where]
-    return PreparedStage(spectrum, a1, spectrum.copies(eps))
+    return PreparedStage(sol.eigenvectors, registers, resolved, c_const, a1, window.copies(eps))
 
 
 def chain_stage(
@@ -314,26 +298,22 @@ def chain_apply(spec: ChainSpec, rho0: DensityOperator | None = None) -> ChainRe
             raise DomainRejection("empty chain needs an explicit rho0")
         n = spec.stages[0][0].dim
         rho0 = DensityOperator(np.eye(n) / n)
-    rho = rho0
-    probs, bounds, copies = [], [], []
-    amplified_stage1 = 1.0
-    for j, (a, f) in enumerate(spec.stages):
+    rho, outcomes = rho0, []
+    for a, f in spec.stages:
         stage = prepare_stage(a, f, spec.t, spec.kappa_eff, spec.eps)
-        result = stage.apply(rho)
-        rho = result.state
-        probs.append(result.probability)
-        bounds.append(result.floor)
-        copies.append(stage.copies)
-        if j == 0:
-            amplified_stage1 = result.amplified_floor
+        outcomes.append((stage.copies, stage.apply(rho)))
+        rho = outcomes[-1][1].state
+    probs = np.array([r.probability for _, r in outcomes])
+    bounds = np.array([r.floor for _, r in outcomes])
+    # the product of no factors is 1: an empty chain succeeds with certainty
     return ChainReport(
         output=rho,
-        stage_success_probabilities=np.asarray(probs),
-        total_success_probability=float(np.prod(probs)) if probs else 1.0,
-        copies_used=np.asarray(copies, dtype=int),
-        stage_bounds=np.asarray(bounds),
-        theoretical_bound=float(np.prod(bounds)) if bounds else 1.0,
-        amplified_bound_stage1=amplified_stage1,
+        stage_success_probabilities=probs,
+        total_success_probability=float(np.prod(probs)),
+        copies_used=np.array([c for c, _ in outcomes], dtype=int),
+        stage_bounds=bounds,
+        theoretical_bound=float(np.prod(bounds)),
+        amplified_bound_stage1=float(np.prod([r.amplified_floor for _, r in outcomes[:1]])),
     )
 
 

@@ -24,6 +24,7 @@ from . import __version__
 from .chain import (
     ChainSpec,
     _check_eps,
+    _rotation_constant,
     chain_apply,
     classical_chain_oracle,
     complexity_estimate,
@@ -35,12 +36,14 @@ from .linalg import (
     DensityOperator,
     HermitianOperator,
     SpectralFunction,
+    _check_kappa_eff,
     _filter_mask,
     trace_distance,
 )
 from .lda import classical_lda_oracle, feature_map, fisher_criterion, qpe_draws, quantum_lda
 from .oracle import LabeledDataset, between_scatter, class_statistics, within_scatter
 from .qda import classify_many, fit
+from .qsim import PHASE_BITS_MAX, _check_register_width, _check_shots
 from .rotation import DEFAULT_FRACTION_BITS, DEFAULT_TAYLOR_ORDER, rotation_amplitudes
 
 EXIT_OK = 0
@@ -72,6 +75,8 @@ def _default_seed() -> int:
     return int(os.environ.get("QDASIM_SEED", "0"))
 
 
+_SYNTHETIC_PER_CLASS = 50
+
 _COMMON_FLAGS = {
     "--kappa-eff": {"type": float, "default": 100.0},
     "--eps": {"type": float, "default": 0.1},
@@ -79,6 +84,9 @@ _COMMON_FLAGS = {
     "--shots": {"type": int, "default": 8192},
     "--path": {"choices": ("quantum", "classical", "both"), "default": "both"},
 }
+# the library's own rule for each shared flag, checked on every path
+_FLAG_CHECKS = {"kappa_eff": _check_kappa_eff, "eps": _check_eps, "t": _check_register_width,
+                "shots": _check_shots}
 
 
 def _add_common(sub: argparse.ArgumentParser, *flags: str) -> None:
@@ -94,7 +102,7 @@ def _add_dataset_source(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--data", default=None, help="training dataset CSV")
     group.add_argument("--synthetic", default=None, help="preset: two-gauss, three-gauss, adversarial")
-    sub.add_argument("--per-class", type=int, default=50, help="samples per class for synthetic data")
+    sub.add_argument("--per-class", type=int, default=None, help="samples per class for synthetic data")
 
 
 def build_parser() -> _Parser:
@@ -121,7 +129,7 @@ def build_parser() -> _Parser:
     src.add_argument("--operators", default=None, help="JSON file with PSD matrices")
     src.add_argument("--data", default=None, help="dataset CSV for the discriminant-shaped chain")
     src.add_argument("--synthetic", default=None)
-    chain_p.add_argument("--per-class", type=int, default=50)
+    chain_p.add_argument("--per-class", type=int, default=None)
     chain_p.add_argument("--functions", default=None, help="comma-separated spectral functions, stage order")
     chain_p.add_argument("--x-cost", type=float, default=1.0, help="per-copy construction cost unit")
     _add_common(chain_p, "--kappa-eff", "--eps", "--t")
@@ -137,7 +145,7 @@ def build_parser() -> _Parser:
 
     gen_p = commands.add_parser("gen", help="generate a synthetic dataset CSV")
     gen_p.add_argument("--synthetic", required=True)
-    gen_p.add_argument("--per-class", type=int, default=50)
+    gen_p.add_argument("--per-class", type=int, default=_SYNTHETIC_PER_CLASS)
     gen_p.add_argument("--out", required=True, help="destination CSV")
     _add_common(gen_p)
     return parser
@@ -155,8 +163,9 @@ def _load_training_data(args) -> tuple[LabeledDataset, dict]:
         if not os.path.exists(args.data):
             raise _UsageError(f"dataset file not found: {args.data}")
         return load_csv(args.data), {"source": "file", "path": args.data}
-    descriptor = {"source": "synthetic", "preset": args.synthetic, "per_class": args.per_class}
-    return generate(_preset(args.synthetic, args.per_class, args.seed)), descriptor
+    per_class = _SYNTHETIC_PER_CLASS if args.per_class is None else args.per_class
+    descriptor = {"source": "synthetic", "preset": args.synthetic, "per_class": per_class}
+    return generate(_preset(args.synthetic, per_class, args.seed)), descriptor
 
 
 def _overlap(a: np.ndarray, b: np.ndarray) -> float:
@@ -194,6 +203,8 @@ def run_reduce(args) -> tuple[dict, dict, dict]:
 
 def _load_test_data(args) -> tuple[LabeledDataset, dict]:
     if args.test:
+        if args.test_count is not None:
+            raise _UsageError("--test-count sizes synthetic test data; it does not apply with --test")
         if not os.path.exists(args.test):
             raise _UsageError(f"test file not found: {args.test}")
         return load_csv(args.test), {"source": "file", "path": args.test}
@@ -279,6 +290,8 @@ def _load_chain_stages(args) -> tuple[ChainSpec, dict]:
         descriptor = {"source": "file", "path": args.operators, "trace_scales": scales}
         stages = tuple(zip(ops, functions))
     else:
+        if args.functions is not None:
+            raise _UsageError("--functions applies only with --operators")
         data, descriptor = _load_training_data(args)
         stats = class_statistics(data)
         stages = (
@@ -314,16 +327,14 @@ def run_chain(args) -> tuple[dict, dict, dict]:
 
 def run_rotate_check(args) -> tuple[dict, dict, dict]:
     f = SpectralFunction.from_name(args.function)
-    _check_eps(args.eps)
-    if args.grid_bits < 0:
-        raise DomainRejection(f"--grid-bits must be non-negative, got {args.grid_bits}")
+    # a stage only ever rotates values of a register at most PHASE_BITS_MAX wide
+    if not 0 <= args.grid_bits <= PHASE_BITS_MAX:
+        raise DomainRejection(f"--grid-bits must lie in [0, {PHASE_BITS_MAX}], got {args.grid_bits}")
     big_t = 1 << args.grid_bits
     descending = np.arange(big_t, 0, -1) / big_t
     # kappa_eff >= 1 keeps the top grid point 1, so the grid is never empty
     grid = descending[_filter_mask(descending, args.kappa_eff)][::-1]
-    c_const = args.c_const
-    if c_const is None:
-        c_const = (1.0 - args.eps) / float(np.max(np.abs(f(grid))))
+    c_const = _rotation_constant(f, grid, args.eps) if args.c_const is None else args.c_const
     lams = tuple(grid.tolist())
     _, exact = rotation_amplitudes(lams, f, c_const, method="exact")
     _, fixed = rotation_amplitudes(
@@ -377,6 +388,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "seed", None) is None:
             args.seed = _default_seed()
+        if getattr(args, "per_class", None) is not None and not args.synthetic:
+            raise _UsageError("--per-class sizes synthetic data; it needs --synthetic")
+        for name, check in _FLAG_CHECKS.items():
+            if name in vars(args):
+                check(getattr(args, name))
         recorded, outputs, metrics = _HANDLERS[args.command](args)
     except _UsageError as err:
         parser.print_usage(sys.stderr)

@@ -35,8 +35,7 @@ class ShotResult:
     standard_error: float
 
     def __post_init__(self) -> None:
-        if self.shots < 1:
-            raise DomainRejection("shots must be a positive integer")
+        _check_shots(self.shots)
 
 
 @dataclass(frozen=True)
@@ -124,6 +123,11 @@ def density_exponentiation_step(
     a, b = generator.matrix, target.matrix
     out = c * c * b - 1j * c * s * (a @ b - b @ a) + s * s * a
     return DensityOperator(out)
+
+
+def _check_shots(shots: int) -> None:
+    if shots < 1:
+        raise DomainRejection("shots must be a positive integer")
 
 
 def _check_register_width(t: int) -> None:
@@ -256,8 +260,7 @@ def _validate_state_vector(v: np.ndarray) -> np.ndarray:
 
 def _acceptance_estimate(x: float, shots: int, seed) -> ShotResult:
     """Estimate x from ``shots`` draws of an outcome accepted with rate (1 + x)/2."""
-    if shots < 1:
-        raise DomainRejection("shots must be a positive integer")
+    _check_shots(shots)
     rng = np.random.default_rng(seed)
     accepted = int(rng.binomial(shots, min(max(0.5 + 0.5 * x, 0.0), 1.0)))
     p_hat = accepted / shots

@@ -11,8 +11,6 @@ from qdasim import chain
 from qdasim.chain import (
     DEFAULT_EPS,
     ChainSpec,
-    _analyze_stage,
-    _default_c,
     chain_apply,
     chain_stage,
     classical_chain_oracle,
@@ -47,14 +45,13 @@ def spectrum_density(values) -> DensityOperator:
 def joint_route_stage(rho, a, f, t, kappa_eff, eps=DEFAULT_EPS):
     """Reference stage: build the 2N x 2N system x ancilla state after the
     eigenvalue-controlled rotation, then postselect the ancilla on |1>."""
-    spectrum = _analyze_stage(a, t, kappa_eff)
-    c_const = _default_c(spectrum, f, eps)
+    stage = prepare_stage(a, f, t, kappa_eff, eps)
     n = a.dim
     pairs = np.zeros((n, 2))
     pairs[:, 0] = 1.0
-    for l in np.nonzero(spectrum.resolved)[0]:
-        pairs[l] = rotation_amplitudes(float(spectrum.registers[l]), f, c_const)
-    v = spectrum.eigenvectors
+    for l in np.nonzero(stage.resolved)[0]:
+        pairs[l] = rotation_amplitudes(float(stage.registers[l]), f, stage.c_const)
+    v = stage.eigenvectors
     beta = v.conj().T @ rho.matrix @ v
     columns = np.empty((2 * n, n), dtype=complex)
     for l in range(n):
@@ -272,14 +269,6 @@ class TestPreparedStage:
             prepared.apply(DensityOperator(np.eye(2) / 2.0))
 
     def test_one_rotation_per_distinct_register_value(self, monkeypatch):
-        calls = []
-        rotate = chain.rotation_amplitudes
-
-        def counted(lam, *args, **kwargs):
-            calls.append(lam)
-            return rotate(lam, *args, **kwargs)
-
-        monkeypatch.setattr(chain, "rotation_amplitudes", counted)
         rng = np.random.default_rng(9)
         q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
         # repeated eigenvalues: 8 eigenvalues over 3 and 4 distinct values
@@ -288,11 +277,19 @@ class TestPreparedStage:
             for w in (np.repeat([1.0, 2.0, 4.0], [3, 3, 2]), np.repeat([3.0, 1.0, 2.0, 5.0], 2))
         ]
         spec = ChainSpec(stages=((ops[0], INVERSE), (ops[1], SQRT)), kappa_eff=50.0, t=10)
-        chain_apply(spec)
         distinct = [
             np.unique(s.registers[s.resolved])
-            for s in (_analyze_stage(a, 10, 50.0) for a in ops)
+            for s in (prepare_stage(a, f, 10, 50.0) for a, f in spec.stages)
         ]
+        calls = []
+        rotate = chain.rotation_amplitudes
+
+        def counted(lam, *args, **kwargs):
+            calls.append(lam)
+            return rotate(lam, *args, **kwargs)
+
+        monkeypatch.setattr(chain, "rotation_amplitudes", counted)
+        chain_apply(spec)
         assert sum(values.size for values in distinct) < 16
         # one call per stage, carrying each distinct register value once
         assert len(calls) == len(distinct)
@@ -325,11 +322,12 @@ class TestPreparedStage:
         a = DensityOperator((q * w) @ q.T / w.sum())
         for f in (INVERSE, SQRT, INV_SQRT):
             prepared = prepare_stage(a, f, 8, 100.0)
-            spectrum = prepared.spectrum
-            c_const = _default_c(spectrum, f, DEFAULT_EPS)
+            resolved = prepared.registers[prepared.resolved]
+            c_const = (1.0 - DEFAULT_EPS) / float(np.max(np.abs(f(resolved))))
+            assert prepared.c_const == c_const
             expected = np.zeros(12)
-            for l in np.nonzero(spectrum.resolved)[0]:
-                expected[l] = rotation_amplitudes(float(spectrum.registers[l]), f, c_const)[1]
+            for l in np.nonzero(prepared.resolved)[0]:
+                expected[l] = rotation_amplitudes(float(prepared.registers[l]), f, c_const)[1]
             assert np.array_equal(prepared.a1, expected)
 
 

@@ -13,6 +13,8 @@ import pytest
 from qdasim import chain, qda
 from qdasim.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, UNECHOED, build_parser, main
 
+GOLDEN_CSV = str(Path(__file__).parent / "golden" / "three_gauss_seed1.csv")
+
 
 def run_cli(args, tmp_path, name="report.json"):
     out = tmp_path / name
@@ -241,11 +243,12 @@ class TestChain:
             assert all(x == 0.0 for row in matrix["imag"] for x in row)
 
     def test_one_stage_analysis_per_stage(self, tmp_path, monkeypatch):
-        # the cost score reads each operator's kappa window, not a register analysis
+        # the cost score and the copy count read each operator's kappa window
+        # and never rotate; each prepared stage rotates once
         analyses = []
-        analyze = chain._analyze_stage
+        rotate = chain.rotation_amplitudes
         monkeypatch.setattr(
-            chain, "_analyze_stage", lambda *a: analyses.append(a) or analyze(*a)
+            chain, "rotation_amplitudes", lambda *a, **k: analyses.append(a) or rotate(*a, **k)
         )
         code, report = run_cli(
             ["chain", "--synthetic", "two-gauss", "--t", "8", "--seed", "2"], tmp_path
@@ -267,6 +270,13 @@ class TestChain:
         )
         assert (code, report) == (EXIT_DOMAIN, None)
         assert "x_cost must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", [["--data", GOLDEN_CSV], ["--synthetic", "two-gauss"]])
+    def test_functions_with_dataset_source_is_usage_error(self, source, tmp_path, capsys):
+        # a chain built from a dataset is always the whitening pair
+        code, report = run_cli(["chain", *source, "--functions", "sqrt", "--seed", "0"], tmp_path)
+        assert (code, report) == (EXIT_USAGE, None)
+        assert "--functions applies only with --operators" in capsys.readouterr().err
 
 
 class TestRotateCheck:
@@ -312,6 +322,8 @@ class TestRotateCheck:
     @pytest.mark.parametrize("flag, value", [
         ("--order", "0"), ("--order", "-1"), ("--arcsin-terms", "0"),
         ("--bits", "-2"), ("--grid-bits", "-1"), ("--c-const", "nan"),
+        # a stage only rotates values of a t-bit register, t <= qsim.PHASE_BITS_MAX = 12
+        ("--grid-bits", "13"), ("--grid-bits", "40"),
         # the 1/3 register of the windowed series would pass 2^1024 as a float
         ("--bits", "504"),
     ])
@@ -345,6 +357,88 @@ class TestRotateCheck:
         )
         assert (code, report) == (EXIT_DOMAIN, None)
         assert "eps must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_widest_register_grid_runs(self, tmp_path):
+        code, report = run_cli(["rotate-check", "--grid-bits", "12", "--seed", "0"], tmp_path)
+        assert code == EXIT_OK
+        assert len(report["outputs"]["lambda_grid"]) == 4096 - 40  # kappa_eff 100 keeps >= 41/4096
+
+
+class TestDataSourceFlags:
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--data", GOLDEN_CSV, "--per-class", "9"],
+        ["classify", "--data", GOLDEN_CSV, "--test", GOLDEN_CSV, "--per-class", "3",
+         "--path", "classical"],
+        ["chain", "--data", GOLDEN_CSV, "--per-class", "9"],
+    ])
+    def test_per_class_without_synthetic_is_usage_error(self, argv, tmp_path, capsys):
+        code, report = run_cli(argv + ["--seed", "0"], tmp_path)
+        assert (code, report) == (EXIT_USAGE, None)
+        assert "--per-class sizes synthetic data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("train", [["--data", GOLDEN_CSV], ["--synthetic", "three-gauss"]])
+    def test_test_count_with_test_file_is_usage_error(self, train, tmp_path, capsys):
+        code, report = run_cli(
+            ["classify", *train, "--test", GOLDEN_CSV, "--test-count", "5", "--path", "classical",
+             "--seed", "0"],
+            tmp_path,
+        )
+        assert (code, report) == (EXIT_USAGE, None)
+        assert "--test-count sizes synthetic test data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("per_class, recorded", [([], 50), (["--per-class", "7"], 7)])
+    def test_synthetic_per_class_recorded(self, per_class, recorded, tmp_path):
+        code, report = run_cli(
+            ["reduce", "--synthetic", "two-gauss", "--path", "classical", *per_class,
+             "--seed", "1"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        assert report["parameters"]["dataset"]["per_class"] == recorded
+
+
+SHARED_FLAG_REJECTIONS = [
+    ("--eps", "7", "eps must lie in (0, 1), got 7.0"),
+    ("--t", "1", "phase register width t=1 outside [2, 12]"),
+    ("--shots", "-3", "shots must be a positive integer"),
+    ("--kappa-eff", "0.5", "kappa_eff must be >= 1, got 0.5"),
+]
+
+
+class TestSharedFlagChecks:
+    @pytest.mark.parametrize("flag, value, message", SHARED_FLAG_REJECTIONS)
+    def test_classical_classify_checks_each_shared_flag(
+        self, flag, value, message, tmp_path, capsys
+    ):
+        code, report = run_cli(
+            ["classify", "--synthetic", "three-gauss", "--test-count", "5", "--path", "classical",
+             flag, value, "--seed", "0"],
+            tmp_path,
+        )
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", SHARED_FLAG_REJECTIONS[:2])
+    def test_classical_reduce_checks_each_shared_flag(self, flag, value, message, tmp_path, capsys):
+        code, report = run_cli(
+            ["reduce", "--synthetic", "two-gauss", "--path", "classical", flag, value,
+             "--seed", "0"],
+            tmp_path,
+        )
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", SHARED_FLAG_REJECTIONS)
+    def test_shared_flag_checked_before_the_data_source_is_read(
+        self, flag, value, message, tmp_path, capsys
+    ):
+        code, report = run_cli(
+            ["classify", "--data", str(tmp_path / "missing.csv"), "--test-count", "5",
+             flag, value, "--seed", "0"],
+            tmp_path,
+        )
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert message in capsys.readouterr().err
 
 
 class TestGen:

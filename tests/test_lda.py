@@ -202,13 +202,13 @@ class TestQuantumLda:
 
     def test_back_map_stage_prepared_once_for_all_directions(self, monkeypatch):
         analyzed = []
-        analyze = chain._analyze_stage
+        decompose = chain.eig_hermitian
 
-        def counted(a, *args):
+        def counted(a):
             analyzed.append(a)
-            return analyze(a, *args)
+            return decompose(a)
 
-        monkeypatch.setattr(chain, "_analyze_stage", counted)
+        monkeypatch.setattr(chain, "eig_hermitian", counted)
         data = three_class_dataset(seed=4)
         basis = quantum_lda(data, 2, 100.0, 0.1, 8, seed=4)
         sb = between_scatter(class_statistics(data))

@@ -291,9 +291,10 @@ class TestClassifyMany:
         data, means = gauss3(seed=2, per_class=20)
         model = fit(data, 100.0, shared_covariance=shared)
         analyses = []
-        analyze = chain._analyze_stage
+        rotate = chain.rotation_amplitudes
         monkeypatch.setattr(
-            chain, "_analyze_stage", lambda *args: analyses.append(args) or analyze(*args)
+            chain, "rotation_amplitudes",
+            lambda *args, **kwargs: analyses.append(args) or rotate(*args, **kwargs),
         )
         classify_many(model, means, "quantum", shots=64, seed=5, t=8)
         assert len(analyses) == stages
