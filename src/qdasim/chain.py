@@ -81,6 +81,11 @@ def _check_eps(eps: float) -> None:
         raise DomainRejection(f"eps must lie in (0, 1), got {eps}")
 
 
+def _check_x_cost(x_cost: float) -> None:
+    if not 0.0 < x_cost < math.inf:
+        raise DomainRejection(f"x_cost must be finite and positive, got {x_cost}")
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Ordered (operator, spectral function) stages plus the run parameters.
@@ -324,8 +329,7 @@ def complexity_estimate(spec: ChainSpec, x_cost: float = 1.0) -> float:
     The first-stage ratio enters at a single power, the improvement amplitude
     amplification buys on that stage alone. No wall-clock claim is made.
     """
-    if not 0.0 < x_cost < math.inf:
-        raise DomainRejection(f"x_cost must be finite and positive, got {x_cost}")
+    _check_x_cost(x_cost)
     if not spec.stages:
         return 0.0
     kappa_sq_sum = 0.0

@@ -24,6 +24,7 @@ from . import __version__
 from .chain import (
     ChainSpec,
     _check_eps,
+    _check_x_cost,
     _rotation_constant,
     chain_apply,
     classical_chain_oracle,
@@ -40,8 +41,9 @@ from .linalg import (
     _filter_mask,
     trace_distance,
 )
-from .lda import classical_lda_oracle, feature_map, fisher_criterion, qpe_draws, quantum_lda
-from .oracle import LabeledDataset, between_scatter, class_statistics, within_scatter
+from .lda import (classical_lda_oracle, feature_map, fisher_criterion, qpe_draws, quantum_lda,
+                  whitening_chain)
+from .oracle import LabeledDataset
 from .qda import classify_many, fit
 from .qsim import PHASE_BITS_MAX, _check_register_width, _check_shots
 from .rotation import DEFAULT_FRACTION_BITS, DEFAULT_TAYLOR_ORDER, rotation_amplitudes
@@ -72,7 +74,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("QDASIM_SEED", "0"))
+    value = os.environ.get("QDASIM_SEED", "0")
+    try:
+        return int(value)
+    except ValueError as err:
+        raise _UsageError(f"QDASIM_SEED must be an integer, got {value!r}") from err
 
 
 _SYNTHETIC_PER_CLASS = 50
@@ -84,9 +90,9 @@ _COMMON_FLAGS = {
     "--shots": {"type": int, "default": 8192},
     "--path": {"choices": ("quantum", "classical", "both"), "default": "both"},
 }
-# the library's own rule for each shared flag, checked on every path
+# the library's own rule for each numeric flag, checked right after parsing on every path
 _FLAG_CHECKS = {"kappa_eff": _check_kappa_eff, "eps": _check_eps, "t": _check_register_width,
-                "shots": _check_shots}
+                "shots": _check_shots, "x_cost": _check_x_cost}
 
 
 def _add_common(sub: argparse.ArgumentParser, *flags: str) -> None:
@@ -257,50 +263,43 @@ def run_classify(args) -> tuple[dict, dict, dict]:
 
 
 def _load_chain_stages(args) -> tuple[ChainSpec, dict]:
+    if not args.operators:
+        if args.functions is not None:
+            raise _UsageError("--functions applies only with --operators")
+        data, descriptor = _load_training_data(args)
+        spec = whitening_chain(data, args.kappa_eff, args.eps, args.t)
+        return spec, {"shape": "discriminant-whitening", **descriptor}
     functions = [
         SpectralFunction.from_name(name)
         for name in (args.functions.split(",") if args.functions else [])
         if name.strip()
     ]
-    if args.operators:
-        if not os.path.exists(args.operators):
-            raise _UsageError(f"operator file not found: {args.operators}")
-        with open(args.operators, encoding="utf-8") as handle:
-            try:
-                payload = json.load(handle)
-            except json.JSONDecodeError as err:
-                raise _UsageError(f"{args.operators}: invalid JSON ({err})") from err
-        raw = payload.get("operators") if isinstance(payload, dict) else payload
-        if not isinstance(raw, list) or not raw:
-            raise _UsageError(f"{args.operators}: expected a non-empty operator list")
-        scales = []
-        ops = []
-        for i, entry in enumerate(raw, start=1):
-            matrix = np.asarray(entry, dtype=float)
-            herm = HermitianOperator(matrix)
-            tr = herm.trace()
-            if tr <= 0:
-                raise DomainRejection(f"operator {i} has non-positive trace {tr!r}")
-            scales.append(tr)
-            ops.append(DensityOperator(herm.matrix / tr))
-        if not functions:
-            raise _UsageError("--functions is required with --operators")
-        if len(functions) != len(ops):
-            raise _UsageError(f"{len(functions)} functions for {len(ops)} operators")
-        descriptor = {"source": "file", "path": args.operators, "trace_scales": scales}
-        stages = tuple(zip(ops, functions))
-    else:
-        if args.functions is not None:
-            raise _UsageError("--functions applies only with --operators")
-        data, descriptor = _load_training_data(args)
-        stats = class_statistics(data)
-        stages = (
-            (within_scatter(data, stats), SpectralFunction.from_name("inverse-sqrt")),
-            (between_scatter(stats), SpectralFunction.from_name("sqrt")),
-        )
-        descriptor = {"shape": "discriminant-whitening", **descriptor}
-    spec = ChainSpec(stages=stages, kappa_eff=args.kappa_eff, eps=args.eps, t=args.t)
-    return spec, descriptor
+    if not os.path.exists(args.operators):
+        raise _UsageError(f"operator file not found: {args.operators}")
+    with open(args.operators, encoding="utf-8") as handle:
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as err:
+            raise _UsageError(f"{args.operators}: invalid JSON ({err})") from err
+    raw = payload.get("operators") if isinstance(payload, dict) else payload
+    if not isinstance(raw, list) or not raw:
+        raise _UsageError(f"{args.operators}: expected a non-empty operator list")
+    scales = []
+    ops = []
+    for i, entry in enumerate(raw, start=1):
+        matrix = np.asarray(entry, dtype=float)
+        herm = HermitianOperator(matrix)
+        tr = herm.trace()
+        if tr <= 0:
+            raise DomainRejection(f"operator {i} has non-positive trace {tr!r}")
+        scales.append(tr)
+        ops.append(DensityOperator(herm.matrix / tr))
+    if not functions:
+        raise _UsageError("--functions is required with --operators")
+    if len(functions) != len(ops):
+        raise _UsageError(f"{len(functions)} functions for {len(ops)} operators")
+    spec = ChainSpec(tuple(zip(ops, functions)), args.kappa_eff, args.eps, args.t)
+    return spec, {"source": "file", "path": args.operators, "trace_scales": scales}
 
 
 def run_chain(args) -> tuple[dict, dict, dict]:

@@ -1,5 +1,6 @@
-"""Discriminant-direction extraction: the staged quantum pipeline and its
-exact classical oracle, the Fisher criterion, data projection, and the
+"""Discriminant-direction extraction from the one whitening chain
+(``whitening_chain``), run by the staged quantum pipeline and evaluated exactly
+by its classical oracle; the Fisher criterion, data projection, and the
 explicit polynomial feature map for nonlinear discrimination.
 """
 from __future__ import annotations
@@ -10,20 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainReport, ChainSpec, chain_apply, prepare_stage
+from .chain import (DEFAULT_EPS, ChainReport, ChainSpec, chain_apply, classical_chain_oracle,
+                    prepare_stage)
 from .errors import DomainRejection, NumericalFailure
-from .linalg import (
-    DensityOperator,
-    HermitianOperator,
-    SpectralFunction,
-    eig_hermitian,
-    matrix_function,
-)
+from .linalg import DensityOperator, SpectralFunction, eig_hermitian, matrix_function
 from .oracle import LabeledDataset, between_scatter, class_statistics, within_scatter
 from .qsim import PHASE_BITS_MAX, _fix_vector_sign, phase_estimation, sample_eigenpairs
 
 _SQRT = SpectralFunction.from_name("sqrt")
-_INV = SpectralFunction.from_name("inverse")
 _INV_SQRT = SpectralFunction.from_name("inverse-sqrt")
 _RANK_TOL = 1e-10
 _DEDUPE_OVERLAP = 0.9
@@ -86,12 +81,27 @@ def scatter_matrices(data: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
     return s_b, s_w
 
 
-def _whitened_product(
-    sb: DensityOperator, sw: DensityOperator, kappa_eff: float
-) -> HermitianOperator:
-    sb_half = matrix_function(sb, _SQRT, kappa_eff).matrix
-    sw_inv = matrix_function(sw, _INV, kappa_eff).matrix
-    return HermitianOperator(sb_half @ sw_inv @ sb_half)
+def whitening_chain(
+    data: LabeledDataset, kappa_eff: float, eps: float = DEFAULT_EPS, t: int = 8
+) -> ChainSpec:
+    """The discriminant whitening chain on the unit-trace scatter operators:
+    S_W^(-1/2) first, then S_B^(1/2). Both LDA paths and ``qdasim chain
+    --data`` run this chain."""
+    stats = class_statistics(data)
+    stages = ((within_scatter(data, stats), _INV_SQRT), (between_scatter(stats), _SQRT))
+    return ChainSpec(stages, kappa_eff, eps, t)
+
+
+def _basis(vectors, back_map, estimates, chain: ChainReport | None = None) -> ProjectionBasis:
+    """Sign-fixed intermediates v_r and their back-mapped directions w_r = back_map(v_r)."""
+    vs = [_fix_vector_sign(_real_cast(v)) for v in vectors]
+    ws = []
+    for r, v in enumerate(vs, start=1):
+        w = back_map(v)
+        if np.linalg.norm(w) < 1e-12:
+            raise DomainRejection(f"direction {r} lies outside the between-class support")
+        ws.append(_fix_vector_sign(_real_cast(w)))
+    return ProjectionBasis(np.array(ws), np.array(vs), np.asarray(estimates), chain)
 
 
 def classical_lda_oracle(
@@ -99,40 +109,24 @@ def classical_lda_oracle(
 ) -> ProjectionBasis:
     """Exact spectral-calculus reference for the discriminant directions.
 
-    Builds the unit-trace scatter operators, whitens the within-class
-    operator through the between-class square root, takes the top-p
-    eigenvectors, and maps them back through the pseudo-inverse square root
-    of the between-class operator.
+    Takes the top-p eigenvectors of ``classical_chain_oracle`` of the
+    whitening chain, S_B^(1/2) S_W^(-1) S_B^(1/2) at unit trace, and maps them
+    back through the pseudo-inverse square root of the between-class
+    operator. The estimates are the top eigenvalues over the sum of the
+    eigenvalues above the rank tolerance.
     """
     if p < 1:
         raise DomainRejection("need at least one direction")
-    stats = class_statistics(data)
-    sb = between_scatter(stats)
-    sw = within_scatter(data, stats)
-    core = _whitened_product(sb, sw, kappa_eff)
-    sol = eig_hermitian(core)
+    spec = whitening_chain(data, kappa_eff)
+    sol = eig_hermitian(classical_chain_oracle(spec))
     rank = int(np.sum(sol.eigenvalues > _RANK_TOL * max(sol.eigenvalues[0], 1e-300)))
     if p > rank:
         raise DomainRejection(
             f"requested {p} directions but the whitened operator has rank {rank}"
         )
     trace = float(np.sum(sol.eigenvalues[:rank]))
-    back = matrix_function(sb, _INV_SQRT, kappa_eff).matrix
-    vs, ws = [], []
-    for r in range(p):
-        v = _fix_vector_sign(_real_cast(sol.eigenvectors[:, r]))
-        w = back @ v
-        if np.linalg.norm(w) < 1e-12:
-            raise DomainRejection(
-                f"direction {r + 1} lies outside the between-class support"
-            )
-        vs.append(v)
-        ws.append(_fix_vector_sign(_real_cast(w)))
-    return ProjectionBasis(
-        directions=np.array(ws),
-        intermediates=np.array(vs),
-        eigenvalue_estimates=sol.eigenvalues[:p] / trace,
-    )
+    back = matrix_function(spec.stages[1][0], _INV_SQRT, kappa_eff).matrix
+    return _basis(sol.eigenvectors[:, :p].T, lambda v: back @ v, sol.eigenvalues[:p] / trace)
 
 
 def qpe_draws(t: int) -> int:
@@ -150,22 +144,18 @@ def quantum_lda(
 ) -> ProjectionBasis:
     """Staged-pipeline discriminant directions.
 
-    Builds the scatter operators from the oracle emulation, runs the
-    two-stage chain for the whitened product, phase-estimates the chain
-    output against itself and samples the top-p eigenpairs, then applies the
-    inverse square root of the between-class operator to each sampled vector
-    through one prepared chain stage.
+    Runs ``whitening_chain`` through the staged pipeline, phase-estimates the
+    chain output against itself and samples the top-p eigenpairs, then
+    applies the inverse square root of the between-class operator to each
+    sampled vector through one prepared chain stage.
     """
     if not 4 <= t <= PHASE_BITS_MAX:
         raise DomainRejection(f"t={t} outside [4, {PHASE_BITS_MAX}]")
     if p < 1:
         raise DomainRejection("need at least one direction")
-    stats = class_statistics(data)
-    sb = between_scatter(stats)
-    # only the spec holds S_W, so S_W and its spectrum are freed when chain_apply returns
-    chain = chain_apply(
-        ChainSpec(((within_scatter(data, stats), _INV_SQRT), (sb, _SQRT)), kappa_eff, eps, t)
-    )
+    spec = whitening_chain(data, kappa_eff, eps, t)
+    sb, chain = spec.stages[1][0], chain_apply(spec)
+    del spec  # it alone holds S_W, so S_W and its spectrum are freed before sampling
     rho_chain = chain.output
 
     # depolarizing pre-blend compresses the spectrum strictly below 1 (a pure
@@ -202,18 +192,8 @@ def quantum_lda(
         )
 
     back_map = prepare_stage(sb, _INV_SQRT, t, kappa_eff, eps)
-    vs, ws, estimates = [], [], []
-    for vec, estimate in selected:
-        v = _fix_vector_sign(vec)
-        vs.append(v)
-        ws.append(_fix_vector_sign(back_map.apply_pure(v)))
-        estimates.append(estimate)
-    return ProjectionBasis(
-        directions=np.array(ws),
-        intermediates=np.array(vs),
-        eigenvalue_estimates=np.array(estimates),
-        chain=chain,
-    )
+    vectors, estimates = zip(*selected)
+    return _basis(vectors, back_map.apply_pure, estimates, chain)
 
 
 def fisher_criterion(source, directions) -> float:
