@@ -73,12 +73,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_seed() -> int:
-    value = os.environ.get("QDASIM_SEED", "0")
-    try:
-        return int(value)
-    except ValueError as err:
-        raise _UsageError(f"QDASIM_SEED must be an integer, got {value!r}") from err
+def _resolve_seed(seed: int | None) -> int:
+    """The --seed flag, else QDASIM_SEED, else 0; numpy seeds only with
+    non-negative integers."""
+    source = "--seed"
+    if seed is None:
+        source, value = "QDASIM_SEED", os.environ.get("QDASIM_SEED", "0")
+        try:
+            seed = int(value)
+        except ValueError as err:
+            raise _UsageError(f"QDASIM_SEED must be an integer, got {value!r}") from err
+    if seed < 0:
+        raise _UsageError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 _SYNTHETIC_PER_CLASS = 50
@@ -385,8 +392,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "seed", None) is None:
-            args.seed = _default_seed()
+        args.seed = _resolve_seed(args.seed)
         if getattr(args, "per_class", None) is not None and not args.synthetic:
             raise _UsageError("--per-class sizes synthetic data; it needs --synthetic")
         for name, check in _FLAG_CHECKS.items():

@@ -3,7 +3,10 @@ serialization.
 
 CSV files carry a header of feature names plus a final ``label`` column;
 labels are arbitrary strings mapped to class indices in first-appearance
-order. Reports serialize as JSON with stable key order so identical seeds
+order, and each feature cell is read by the grammar of Python ``float()``.
+``load_csv`` parses with numpy's C text reader and falls back to a
+row-by-row loop for any input that reader does not take as a plain table.
+Reports serialize as JSON with stable key order so identical seeds
 reproduce byte-identical files (modulo the timestamp field).
 """
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,49 +127,99 @@ def synthetic_preset(name: str, per_class: int = 50, seed: int = 0) -> Synthetic
     return SyntheticSpec(means, covs, counts, seed=seed)
 
 
-def load_csv(path) -> LabeledDataset:
-    """Read a dataset row by row; every rejection names the offending line."""
+def _read_header(reader, path) -> list[str]:
+    """The stripped header cells: feature names plus a final ``label``."""
+    first = next(reader, None)
+    if first is None:
+        raise DomainRejection(f"{path}: file is empty")
+    header = [cell.strip() for cell in first]
+    if len(header) < 2 or header[-1].lower() != "label":
+        raise DomainRejection(
+            f"{path}: line 1: header must name feature columns plus a final 'label' column"
+        )
+    return header
+
+
+def _load_rows(handle, path) -> LabeledDataset:
+    """Read a dataset row by row; every rejection names the offending line.
+
+    This loop defines the accepted grammar: ``csv`` quoting, and Python
+    ``float()`` for each feature cell.
+    """
+    reader = csv.reader(handle)
+    header = _read_header(reader, path)
+    n = len(header) - 1
     samples, labels, order = [], [], {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        first = next(reader, None)
-        if first is None:
-            raise DomainRejection(f"{path}: file is empty")
-        header = [cell.strip() for cell in first]
-        if len(header) < 2 or header[-1].lower() != "label":
+    for i, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != n + 1:
             raise DomainRejection(
-                f"{path}: line 1: header must name feature columns plus a final 'label' column"
+                f"{path}: line {i}: expected {n + 1} cells, found {len(row)}"
             )
-        n = len(header) - 1
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n + 1:
-                raise DomainRejection(
-                    f"{path}: line {i}: expected {n + 1} cells, found {len(row)}"
-                )
-            try:
-                # numpy parses each str cell with Python float(): same grammar, same bits
-                values = np.array(row[:-1], dtype=float)
-            except ValueError:
-                for j, cell in enumerate(row[:-1]):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise DomainRejection(
-                            f"{path}: line {i}: non-numeric feature value {cell!r} "
-                            f"in column {header[j]!r}"
-                        ) from None
-            label = row[-1].strip()
-            if label not in order:
-                order[label] = len(order) + 1
-            samples.append(values)
-            labels.append(order[label])
+        try:
+            # numpy parses each str cell with Python float(): same grammar, same bits
+            values = np.array(row[:-1], dtype=float)
+        except ValueError:
+            for j, cell in enumerate(row[:-1]):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DomainRejection(
+                        f"{path}: line {i}: non-numeric feature value {cell!r} "
+                        f"in column {header[j]!r}"
+                    ) from None
+        label = row[-1].strip()
+        if label not in order:
+            order[label] = len(order) + 1
+        samples.append(values)
+        labels.append(order[label])
     if not samples:
         raise DomainRejection(f"{path}: no data rows")
     return LabeledDataset(
         samples=np.array(samples),
         labels=np.array(labels),
+        label_names=tuple(order),
+        feature_names=tuple(header[:-1]),
+    )
+
+
+def load_csv(path) -> LabeledDataset:
+    """Read a dataset with numpy's C text reader, falling back to the row loop.
+
+    The fast reader converts each ASCII feature cell with the correctly
+    rounded routine behind Python ``float()``, so it gives the same bits. Any
+    input it does not take as a plain table (a quoted cell, ``1_000``,
+    non-ASCII digits, a ragged or malformed row, no data rows) is read again
+    by ``_load_rows``, which defines the grammar and cites the line of every
+    rejection.
+    """
+    order: dict[str, int] = {}
+
+    def class_index(cell: str) -> int:
+        if '"' in cell:
+            raise ValueError("quoted label")  # csv's quoting rules apply
+        return order.setdefault(cell.strip(), len(order) + 1)
+
+    with open(path, newline="", encoding="utf-8") as handle:
+        header = _read_header(csv.reader(handle), path)
+        n = len(header) - 1
+        try:
+            with warnings.catch_warnings():
+                # no data rows: loadtxt warns and returns an empty table
+                warnings.simplefilter("error", UserWarning)
+                table = np.loadtxt(
+                    handle, delimiter=",", comments=None, quotechar=None, ndmin=2,
+                    converters={n: class_index},
+                )
+        except (ValueError, UserWarning):
+            table = None
+        if table is None or table.shape[1] != n + 1:
+            handle.seek(0)
+            return _load_rows(handle, path)
+    return LabeledDataset(
+        samples=np.ascontiguousarray(table[:, :-1]),
+        labels=table[:, -1].astype(int),
         label_names=tuple(order),
         feature_names=tuple(header[:-1]),
     )

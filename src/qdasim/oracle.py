@@ -47,11 +47,9 @@ class LabeledDataset:
             )
         if self.labels.size == 0:
             raise DomainRejection("dataset is empty")
-        k = int(self.labels.max())
         if self.labels.min() < 1:
             raise DomainRejection("class labels must be integers in 1..k")
-        present = np.unique(self.labels)
-        missing = sorted(set(range(1, k + 1)) - set(present.tolist()))
+        missing = (np.flatnonzero(np.bincount(self.labels)[1:] == 0) + 1).tolist()
         if missing:
             raise DomainRejection(f"classes {missing} have no samples")
 
@@ -121,7 +119,13 @@ def _weighted_projector_mixture(deviations: np.ndarray, total: float) -> Density
 
 
 def between_scatter(stats: ClassStatistics) -> DensityOperator:
-    """Norm-weighted mixture of class-mean deviation projectors, unit trace."""
+    """Norm-weighted mixture of class-mean deviation projectors, unit trace.
+
+    S_B = sum_c (mu_c - xbar)(mu_c - xbar)^T / sum_c ||mu_c - xbar||^2 counts
+    each class mean once, not weighted by its sample count M_c as in the
+    textbook S_B; the two agree on balanced classes. ``xbar`` is the global
+    sample mean.
+    """
     if stats.norm_between <= _ZERO_NORM:
         raise DomainRejection(
             "all class means coincide with the global mean; "

@@ -518,6 +518,26 @@ class TestSeedFallback:
         assert "QDASIM_SEED must be an integer, got 'abc'" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_negative_flag_seed_is_usage_error(self, tmp_path, capsys):
+        code, report = run_cli(
+            ["reduce", "--synthetic", "two-gauss", "--path", "quantum", "--seed", "-3"], tmp_path
+        )
+        assert (code, report) == (EXIT_USAGE, None)
+        err = capsys.readouterr().err
+        assert "--seed must be a non-negative integer, got -3" in err
+        assert "Traceback" not in err
+
+    def test_negative_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QDASIM_SEED", "-1")
+        code, report = run_cli(
+            ["gen", "--synthetic", "two-gauss", "--out", str(tmp_path / "x.csv")], tmp_path
+        )
+        assert (code, report) == (EXIT_USAGE, None)
+        err = capsys.readouterr().err
+        assert "QDASIM_SEED must be a non-negative integer, got -1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestFlagSurface:
     def test_each_subcommand_accepts_only_the_flags_it_reads(self, tmp_path, capsys):

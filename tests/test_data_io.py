@@ -2,13 +2,19 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qdasim import data_io
 from qdasim.data_io import (
     RunReport,
     SyntheticSpec,
+    _load_rows,
     generate,
     load_csv,
     save_csv,
@@ -105,6 +111,144 @@ class TestLoadCsv:
         back, peak = traced_peak(load_csv, path)
         assert np.array_equal(back.samples, data.samples)
         assert peak <= 4 * back.samples.nbytes
+
+
+def row_loop(path) -> LabeledDataset:
+    with open(path, newline="", encoding="utf-8") as handle:
+        return _load_rows(handle, path)
+
+
+def outcome(load, path):
+    """The dataset a loader returns, or the message of its rejection."""
+    try:
+        return load(path)
+    except DomainRejection as err:
+        return str(err)
+
+
+def assert_same_outcome(path) -> None:
+    fast, rows = outcome(load_csv, path), outcome(row_loop, path)
+    if isinstance(rows, str) or isinstance(fast, str):
+        assert fast == rows
+        return
+    assert fast.samples.dtype == rows.samples.dtype == np.float64
+    assert fast.samples.shape == rows.samples.shape
+    assert np.array_equal(fast.samples.view(np.uint64), rows.samples.view(np.uint64))
+    assert np.array_equal(np.signbit(fast.samples), np.signbit(rows.samples))
+    assert np.array_equal(fast.labels, rows.labels)
+    assert fast.label_names == rows.label_names
+    assert fast.feature_names == rows.feature_names
+
+
+CORPUS = {
+    "crlf": b"u,v,label\r\n1,2,a\r\n3,4,b\r\n",
+    "cr-only": b"u,v,label\r1,2,a\r3,4,b\r",
+    "blank-lines": b"u,v,label\n\n1,2,a\n\n\n3,4,b\n\n",
+    "blank-crlf-lines": b"u,v,label\r\n\r\n1,2,a\r\n\r\n",
+    "whitespace-line": b"u,v,label\n1,2,a\n   \n3,4,b\n",
+    "tab-line": b"u,v,label\n1,2,a\n\t\n",
+    "hash-line": b"u,v,label\n# note\n1,2,a\n",
+    "hash-cell": b"u,v,label\n1,#2,a\n",
+    "hash-label": b"u,v,label\n1,2,#a\n3,4,b\n",
+    "quoted-number": b'u,v,label\n"1.5",2,a\n',
+    "quoted-label": b'u,v,label\n1,2,"a"\n3,4,a\n',
+    "quoted-label-comma": b'u,v,label\n1,2,"lo, mid"\n3,4,hi\n5,6,"lo, mid"\n',
+    "spaced-quote-label": b'u,v,label\n1,2, "a"\n3,4,"a"\n',
+    "quoted-newline-label": b'u,v,label\n1,2,"a\nb"\n3,4,c\n',
+    "quote-splits-numbers": b'u,v,label\n1,2,a\n1,"2,3",a\n',
+    "tabs-and-spaces": b"u,v,label\n\t1 , 2\t,\ta \n 3,4 , b\n",
+    "nan": b"u,v,label\n1,2,a\nnan,2,a\n",
+    "minus-infinity": b"u,v,label\n-Infinity,2,a\n",
+    "overflow": b"u,v,label\n1e400,2,a\n",
+    "signed-zero-subnormal-plus": b"u,v,label\n-0.0,1e-320,a\n+.5,-0,b\n",
+    "exponents": b"u,v,label\n1E5,-7E+2,a\n2e-3,.25e1,b\n",
+    "hex": b"u,v,label\n1,2,a\n0x1,2,a\n",
+    "underscore": b"u,v,label\n1_0,2,a\n3,4_000.5,b\n",
+    "full-width-digits": "u,v,label\n\uff11\uff12,2,a\n3,4,b\n".encode(),
+    "nbsp-padding": "u,v,label\n\xa01.5\xa0,2,a\n3,\xa04,b\n".encode(),
+    "non-ascii-label": "u,v,label\n1,2,\u00fcn\u00ef\n3,4,\u2003a\u2003\n5,6,a\n".encode(),
+    "trailing-comma": b"u,v,label\n1,2,a,\n",
+    "trailing-comma-later": b"u,v,label\n1,2,a\n3,4,b,\n",
+    "extra-column": b"u,v,label\n1,2,a,5\n3,4,b,6\n",
+    "empty-label": b"u,v,label\n1,2,\n3,4,a\n5,6,\n",
+    "empty-feature": b"u,v,label\n1,,a\n",
+    "short-row": b"u,v,label\n1,a\n",
+    "short-row-later": b"u,v,label\n1,2,a\n1,a\n",
+    "bad-cell-later": b"u,v,label\n1,2,a\n3,x,b\n",
+    "numeric-labels": b"u,v,label\n1,2,1.5\n3,4,2\n5,6,1.5\n",
+    "bom-header": "\ufeffu,v,label\n1,2,a\n".encode(),
+    "nul-in-label": b"u,v,label\n1,2,a\x00b\n3,4,a\n",
+    "nul-in-number": b"u,v,label\n1\x00,2,a\n",
+    "form-feed-in-label": b"u,v,label\n1,2,\x0ca\n3,4,a\x0c\n5,6,a\x0cb\n",
+    "separator-in-label": b"u,v,label\n1,2,a\x1cb\n3,4,a\x0bb\n",
+    "header-only": b"u,v,label\n",
+    "header-only-blank-lines": b"u,v,label\n\n\r\n",
+    "header-no-newline": b"u,v,label",
+    "empty-file": b"",
+    "bad-header": b"u,v,w\n1,2,3\n",
+    "one-row": b"u,v,label\n1,2,a\n",
+    "one-row-no-newline": b"u,v,label\n1,2,a",
+    "one-column": b"u,label\n1,a\n2,b\n",
+}
+
+
+class TestFastReader:
+    """``load_csv`` reads through numpy's C reader and falls back to the row
+    loop; the two must agree on every input, bit for bit or message for
+    message."""
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_matches_row_loop(self, tmp_path, name):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(CORPUS[name])
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("fmt", ["%r", "%.17g", "%.6e", "%.3f", "%g"])
+    def test_random_values_match_row_loop(self, tmp_path, fmt):
+        rng = np.random.default_rng(21)
+        values = rng.standard_normal((40, 5)) * 10.0 ** rng.integers(-310, 300, (40, 5))
+        values[0, :3] = [-0.0, 5e-324, 1.7976931348623157e308]
+        lines = ["a,b,c,d,e,label"] + [
+            ",".join(fmt % v for v in row) + f",c{i % 3}" for i, row in enumerate(values.tolist())
+        ]
+        path = tmp_path / "random.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert_same_outcome(path)
+        assert load_csv(path).label_names == ("c0", "c1", "c2")
+
+    def test_no_data_rows_is_a_rejection_without_a_warning(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("u,v,label\n\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainRejection, match="no data rows"):
+                load_csv(path)
+        assert caught == []
+
+    def test_plain_table_takes_the_fast_path(self, tmp_path, monkeypatch):
+        def no_fallback(handle, path):
+            raise AssertionError("row loop ran on a plain numeric table")
+
+        monkeypatch.setattr(data_io, "_load_rows", no_fallback)
+        path = tmp_path / "plain.csv"
+        path.write_text("u,v,label\n1.5,-2,b\n3e1,4,a\n5,6,b\n")
+        data = load_csv(path)
+        assert np.array_equal(data.samples, [[1.5, -2.0], [30.0, 4.0], [5.0, 6.0]])
+        assert list(data.labels) == [1, 2, 1]
+        assert data.label_names == ("b", "a")
+
+    def test_loading_does_not_import_numpy_ma(self, tmp_path):
+        path = tmp_path / "small.csv"
+        path.write_text("u,v,label\n1,2,a\n3,4,b\n")
+        src = str(Path(data_io.__file__).parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r})\n"
+            "from qdasim.data_io import load_csv\n"
+            f"load_csv({str(path)!r})\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestGenerate:

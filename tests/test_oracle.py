@@ -47,6 +47,11 @@ class TestLabeledDataset:
         with pytest.raises(DomainRejection, match="classes"):
             LabeledDataset(np.zeros((2, 2)), np.array([1, 3]))
 
+    def test_missing_classes_are_named(self):
+        with pytest.raises(DomainRejection) as err:
+            LabeledDataset(np.zeros((2, 2)), np.array([1, 3]))
+        assert str(err.value) == "classes [2] have no samples"
+
     def test_non_finite_rejected(self):
         with pytest.raises(DomainRejection, match="finite"):
             LabeledDataset(np.array([[np.inf, 0.0]]), np.array([1]))
