@@ -189,16 +189,17 @@ def load_csv(path) -> LabeledDataset:
 
     The fast reader converts each ASCII feature cell with the correctly
     rounded routine behind Python ``float()``, so it gives the same bits. Any
-    input it does not take as a plain table (a quoted cell, ``1_000``,
-    non-ASCII digits, a ragged or malformed row, no data rows) is read again
-    by ``_load_rows``, which defines the grammar and cites the line of every
-    rejection.
+    input it does not take as a plain table (a quoted cell, a NUL character,
+    ``1_000``, non-ASCII digits, a ragged or malformed row, no data rows) is
+    read again by ``_load_rows``, which defines the grammar and cites the
+    line of every rejection.
     """
     order: dict[str, int] = {}
 
     def class_index(cell: str) -> int:
-        if '"' in cell:
-            raise ValueError("quoted label")  # csv's quoting rules apply
+        if '"' in cell or "\x00" in cell:
+            # csv's quoting rules apply, and csv before Python 3.11 rejects NUL
+            raise ValueError("label for the row loop")
         return order.setdefault(cell.strip(), len(order) + 1)
 
     with open(path, newline="", encoding="utf-8") as handle:
@@ -208,9 +209,10 @@ def load_csv(path) -> LabeledDataset:
             with warnings.catch_warnings():
                 # no data rows: loadtxt warns and returns an empty table
                 warnings.simplefilter("error", UserWarning)
+                # an explicit text encoding: numpy 1.x otherwise hands converters bytes
                 table = np.loadtxt(
                     handle, delimiter=",", comments=None, quotechar=None, ndmin=2,
-                    converters={n: class_index},
+                    converters={n: class_index}, encoding="utf-8",
                 )
         except (ValueError, UserWarning):
             table = None

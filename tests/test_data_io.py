@@ -1,6 +1,7 @@
 """Dataset ingestion, synthetic generation, and report serialization."""
 from __future__ import annotations
 
+import csv
 import json
 import subprocess
 import sys
@@ -119,11 +120,15 @@ def row_loop(path) -> LabeledDataset:
 
 
 def outcome(load, path):
-    """The dataset a loader returns, or the message of its rejection."""
+    """The dataset a loader returns, or the message of its rejection.
+
+    ``csv.Error`` counts as a rejection: before Python 3.11 ``csv`` refuses
+    a NUL anywhere in a row, on either path.
+    """
     try:
         return load(path)
-    except DomainRejection as err:
-        return str(err)
+    except (DomainRejection, csv.Error) as err:
+        return f"{type(err).__name__}: {err}"
 
 
 def assert_same_outcome(path) -> None:
@@ -235,6 +240,25 @@ class TestFastReader:
         data = load_csv(path)
         assert np.array_equal(data.samples, [[1.5, -2.0], [30.0, 4.0], [5.0, 6.0]])
         assert list(data.labels) == [1, 2, 1]
+        assert data.label_names == ("b", "a")
+
+    def test_fast_path_runs_under_numpy_1x_default_encoding(self, tmp_path, monkeypatch):
+        # numpy 1.x defaults loadtxt to encoding="bytes", which hands
+        # converters latin-1 bytes; load_csv must not depend on the default
+        def no_fallback(handle, path):
+            raise AssertionError("row loop ran on a plain numeric table")
+
+        loadtxt = np.loadtxt
+
+        def bytes_by_default(*args, **kwargs):
+            return loadtxt(*args, **{"encoding": "bytes", **kwargs})
+
+        monkeypatch.setattr(data_io, "_load_rows", no_fallback)
+        monkeypatch.setattr(data_io.np, "loadtxt", bytes_by_default)
+        path = tmp_path / "plain.csv"
+        path.write_text("u,v,label\n1.5,-2,b\n3e1,4,a\n")
+        data = load_csv(path)
+        assert np.array_equal(data.samples, [[1.5, -2.0], [30.0, 4.0]])
         assert data.label_names == ("b", "a")
 
     def test_loading_does_not_import_numpy_ma(self, tmp_path):
