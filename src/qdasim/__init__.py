@@ -42,7 +42,6 @@ from .chain import (
     chain_apply,
     chain_stage,
     classical_chain_oracle,
-    complexity_estimate,
     prepare_stage,
 )
 from .rotation import rotation_amplitudes
@@ -94,7 +93,6 @@ __all__ = [
     "chain_apply",
     "chain_stage",
     "classical_chain_oracle",
-    "complexity_estimate",
     "prepare_stage",
     "rotation_amplitudes",
     "ProjectionBasis",

@@ -9,15 +9,15 @@ counts).
 The stage simulation resolves each eigenvalue at the idealized t-bit
 register (truncated, not rounded) and carries all eigenbasis cross terms
 exactly; postselection is exact renormalization, so amplitude amplification
-changes no output state and enters only the cost model. Each stage is
-computed in closed form: the ancilla-|1> branch of the rotated
+changes no output state and enters only the reported amplified floor. Each
+stage is computed in closed form: the ancilla-|1> branch of the rotated
 system x ancilla state is V diag(a_1) beta diag(a_1) V^dagger, with beta the
 incoming state in the stage eigenbasis, so the 2N x 2N joint state is never
 built. A stage rotates all of its distinct register values in one
 ``rotation_amplitudes`` call.
 
 Each stage operator keeps its own eigendecomposition (``eig_hermitian``), so
-the staged pipeline, the oracle and the cost score diagonalize it once.
+the staged pipeline and the oracle diagonalize it once.
 """
 from __future__ import annotations
 
@@ -43,31 +43,26 @@ DEFAULT_EPS = 0.1
 _TRACE_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
-class _Window:
-    """An operator's eigenvalues, clipped at 0 and descending, and their κ filter."""
-
-    eigenvalues: np.ndarray
-    keep: np.ndarray  # condition-number filter on the true eigenvalues
-
-    @property
-    def kappa(self) -> float:
-        """Condition number of the kept spectrum."""
-        kept = self.eigenvalues[self.keep]
-        return float(kept.max() / kept.min())
-
-    def copies(self, eps: float) -> int:
-        """Copies of the stage operator one stage consumes: ceil(kappa^2 / eps^3), where a
-        ratio within 1e-12 relative of an integer is that integer (kappa's last bit aside)."""
-        ratio = self.kappa**2 / eps**3
-        return round(ratio) if abs(ratio - round(ratio)) <= 1e-12 * ratio else math.ceil(ratio)
-
-
-def _window(eigenvalues: np.ndarray, kappa_eff: float) -> _Window:
+def _kappa_window(eigenvalues: np.ndarray, kappa_eff: float) -> tuple[np.ndarray, np.ndarray]:
+    """An operator's eigenvalues (descending) clipped at 0, and their condition-number filter."""
     w = np.clip(eigenvalues, 0.0, None)
     if float(w[0]) <= 0.0:
         raise DomainRejection("stage operator has no positive spectrum")
-    return _Window(w, _filter_mask(w, kappa_eff))
+    keep = _filter_mask(w, kappa_eff)
+    if not keep.any():
+        raise DomainRejection(
+            "condition-number filter removed the full spectrum (rank collapse)"
+        )
+    return w, keep
+
+
+def _copies(kept: np.ndarray, eps: float) -> int:
+    """Copies of the stage operator one stage consumes: ceil(kappa^2 / eps^3), kappa the
+    condition number of the kept spectrum, where a ratio within 1e-12 relative of an
+    integer is that integer (kappa's last bit aside)."""
+    kappa = float(kept.max() / kept.min())
+    ratio = kappa**2 / eps**3
+    return round(ratio) if abs(ratio - round(ratio)) <= 1e-12 * ratio else math.ceil(ratio)
 
 
 def _rotation_constant(f: SpectralFunction, values: np.ndarray, eps: float) -> float:
@@ -79,11 +74,6 @@ def _rotation_constant(f: SpectralFunction, values: np.ndarray, eps: float) -> f
 def _check_eps(eps: float) -> None:
     if not 0.0 < eps < 1.0:
         raise DomainRejection(f"eps must lie in (0, 1), got {eps}")
-
-
-def _check_x_cost(x_cost: float) -> None:
-    if not 0.0 < x_cost < math.inf:
-        raise DomainRejection(f"x_cost must be finite and positive, got {x_cost}")
 
 
 @dataclass(frozen=True)
@@ -244,16 +234,12 @@ def prepare_stage(
     _check_eps(eps)
     _check_register_width(t)
     sol = eig_hermitian(a_j)
-    window = _window(sol.eigenvalues, kappa_eff)
-    if not window.keep.any():
-        raise DomainRejection(
-            "condition-number filter removed the full spectrum (rank collapse)"
-        )
+    w, keep = _kappa_window(sol.eigenvalues, kappa_eff)
     big_t = 1 << t
     # the register saturates at its top value instead of wrapping, so a pure
     # state (eigenvalue exactly 1) reads 1 - 2^-t rather than 0
-    registers = np.minimum(np.floor(window.eigenvalues * big_t), big_t - 1) / big_t
-    resolved = window.keep & (registers > 0.0)
+    registers = np.minimum(np.floor(w * big_t), big_t - 1) / big_t
+    resolved = keep & (registers > 0.0)
     if not resolved.any():
         raise DomainRejection(
             "no kept eigenvalue is resolvable in the phase register; increase t"
@@ -263,7 +249,7 @@ def prepare_stage(
     a1 = np.zeros(registers.size)
     # a tuple of floats: callers may hash the arguments
     a1[resolved] = rotation_amplitudes(tuple(values.tolist()), f_j, c_const)[1][where]
-    return PreparedStage(sol.eigenvectors, registers, resolved, c_const, a1, window.copies(eps))
+    return PreparedStage(sol.eigenvectors, registers, resolved, c_const, a1, _copies(w[keep], eps))
 
 
 def chain_stage(
@@ -288,7 +274,8 @@ def chain_stage(
 
 def stage_copies(a: DensityOperator, kappa_eff: float, eps: float) -> int:
     """Copies of ``a`` that one chain stage on it consumes at precision eps."""
-    return _window(eig_hermitian(a).eigenvalues, kappa_eff).copies(eps)
+    w, keep = _kappa_window(eig_hermitian(a).eigenvalues, kappa_eff)
+    return _copies(w[keep], eps)
 
 
 def chain_apply(spec: ChainSpec, rho0: DensityOperator | None = None) -> ChainReport:
@@ -321,23 +308,3 @@ def chain_apply(spec: ChainSpec, rho0: DensityOperator | None = None) -> ChainRe
         amplified_bound_stage1=float(np.prod([r.amplified_floor for _, r in outcomes[:1]])),
     )
 
-
-def complexity_estimate(spec: ChainSpec, x_cost: float = 1.0) -> float:
-    """Dimensionless cost score: (X / eps^3) * sum_j kappa_j^2 * r_1 *
-    prod_{j>=2} r_j^2, with r_j = max|f_j| / min|f_j| over the kept spectrum.
-
-    The first-stage ratio enters at a single power, the improvement amplitude
-    amplification buys on that stage alone. No wall-clock claim is made.
-    """
-    _check_x_cost(x_cost)
-    if not spec.stages:
-        return 0.0
-    kappa_sq_sum = 0.0
-    ratio_product = 1.0
-    for j, (a, f) in enumerate(spec.stages):
-        window = _window(eig_hermitian(a).eigenvalues, spec.kappa_eff)
-        kappa_sq_sum += window.kappa**2
-        fk = np.abs(f(window.eigenvalues[window.keep]))
-        ratio = float(fk.max() / fk.min())
-        ratio_product *= ratio if j == 0 else ratio**2
-    return x_cost / spec.eps**3 * kappa_sq_sum * ratio_product

@@ -24,11 +24,9 @@ from . import __version__
 from .chain import (
     ChainSpec,
     _check_eps,
-    _check_x_cost,
     _rotation_constant,
     chain_apply,
     classical_chain_oracle,
-    complexity_estimate,
     stage_copies,
 )
 from .data_io import RunReport, generate, load_csv, save_csv, synthetic_preset
@@ -41,8 +39,8 @@ from .linalg import (
     _filter_mask,
     trace_distance,
 )
-from .lda import (classical_lda_oracle, feature_map, fisher_criterion, qpe_draws, quantum_lda,
-                  whitening_chain)
+from .lda import (_check_lda_register_width, classical_lda_oracle, feature_map, fisher_criterion,
+                  qpe_draws, quantum_lda, whitening_chain)
 from .oracle import LabeledDataset
 from .qda import classify_many, fit
 from .qsim import PHASE_BITS_MAX, _check_register_width, _check_shots
@@ -99,7 +97,7 @@ _COMMON_FLAGS = {
 }
 # the library's own rule for each numeric flag, checked right after parsing on every path
 _FLAG_CHECKS = {"kappa_eff": _check_kappa_eff, "eps": _check_eps, "t": _check_register_width,
-                "shots": _check_shots, "x_cost": _check_x_cost}
+                "shots": _check_shots}
 
 
 def _add_common(sub: argparse.ArgumentParser, *flags: str) -> None:
@@ -144,7 +142,6 @@ def build_parser() -> _Parser:
     src.add_argument("--synthetic", default=None)
     chain_p.add_argument("--per-class", type=int, default=None)
     chain_p.add_argument("--functions", default=None, help="comma-separated spectral functions, stage order")
-    chain_p.add_argument("--x-cost", type=float, default=1.0, help="per-copy construction cost unit")
     _add_common(chain_p, "--kappa-eff", "--eps", "--t")
 
     rot_p = commands.add_parser("rotate-check", help="fixed-point rotation-angle sweep")
@@ -186,11 +183,14 @@ def _overlap(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def run_reduce(args) -> tuple[dict, dict, dict]:
+    # the exact oracle goes first, so a rank excess is reported as such
+    paths = ("classical", "quantum") if args.path == "both" else (args.path,)
+    if "quantum" in paths:
+        # the quantum path's narrower t rule, checked before any path runs
+        _check_lda_register_width(args.t)
     data, descriptor = _load_training_data(args)
     if args.degree != 1:
         data = feature_map(data, args.degree)
-    # the exact oracle goes first, so a rank excess is reported as such
-    paths = ("classical", "quantum") if args.path == "both" else (args.path,)
     outputs: dict = {}
     metrics: dict = {}
     for path in paths:
@@ -286,7 +286,8 @@ def _load_chain_stages(args) -> tuple[ChainSpec, dict]:
     with open(args.operators, encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            # JSON text is UTF-8, so undecodable bytes are invalid JSON
             raise _UsageError(f"{args.operators}: invalid JSON ({err})") from err
     raw = payload.get("operators") if isinstance(payload, dict) else payload
     if not isinstance(raw, list) or not raw:
@@ -294,7 +295,10 @@ def _load_chain_stages(args) -> tuple[ChainSpec, dict]:
     scales = []
     ops = []
     for i, entry in enumerate(raw, start=1):
-        matrix = np.asarray(entry, dtype=float)
+        try:
+            matrix = np.asarray(entry, dtype=float)
+        except (ValueError, TypeError):
+            raise DomainRejection(f"operator {i} is not a numeric matrix") from None
         herm = HermitianOperator(matrix)
         tr = herm.trace()
         if tr <= 0:
@@ -325,7 +329,6 @@ def run_chain(args) -> tuple[dict, dict, dict]:
         "theoretical_bound": report.theoretical_bound,
         "amplified_bound_stage1": report.amplified_bound_stage1,
         "copies_used": report.copies_used,
-        "complexity_score": complexity_estimate(spec, args.x_cost),
     }
     recorded = {"stages": descriptor, "functions": [f.name for _, f in spec.stages]}
     return recorded, outputs, metrics

@@ -192,7 +192,7 @@ def load_csv(path) -> LabeledDataset:
     input it does not take as a plain table (a quoted cell, a NUL character,
     ``1_000``, non-ASCII digits, a ragged or malformed row, no data rows) is
     read again by ``_load_rows``, which defines the grammar and cites the
-    line of every rejection.
+    line of every rejection. A file that is not UTF-8 text is rejected whole.
     """
     order: dict[str, int] = {}
 
@@ -202,23 +202,27 @@ def load_csv(path) -> LabeledDataset:
             raise ValueError("label for the row loop")
         return order.setdefault(cell.strip(), len(order) + 1)
 
-    with open(path, newline="", encoding="utf-8") as handle:
-        header = _read_header(csv.reader(handle), path)
-        n = len(header) - 1
-        try:
-            with warnings.catch_warnings():
-                # no data rows: loadtxt warns and returns an empty table
-                warnings.simplefilter("error", UserWarning)
-                # an explicit text encoding: numpy 1.x otherwise hands converters bytes
-                table = np.loadtxt(
-                    handle, delimiter=",", comments=None, quotechar=None, ndmin=2,
-                    converters={n: class_index}, encoding="utf-8",
-                )
-        except (ValueError, UserWarning):
-            table = None
-        if table is None or table.shape[1] != n + 1:
-            handle.seek(0)
-            return _load_rows(handle, path)
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            header = _read_header(csv.reader(handle), path)
+            n = len(header) - 1
+            try:
+                with warnings.catch_warnings():
+                    # no data rows: loadtxt warns and returns an empty table
+                    warnings.simplefilter("error", UserWarning)
+                    # an explicit text encoding: numpy 1.x otherwise hands converters bytes
+                    table = np.loadtxt(
+                        handle, delimiter=",", comments=None, quotechar=None, ndmin=2,
+                        converters={n: class_index}, encoding="utf-8",
+                    )
+            except (ValueError, UserWarning):
+                table = None
+            if table is None or table.shape[1] != n + 1:
+                handle.seek(0)
+                return _load_rows(handle, path)
+    except UnicodeDecodeError:
+        # raised by whichever read meets the byte first: header, C reader or row loop
+        raise DomainRejection(f"{path}: file is not UTF-8 text") from None
     return LabeledDataset(
         samples=np.ascontiguousarray(table[:, :-1]),
         labels=table[:, -1].astype(int),

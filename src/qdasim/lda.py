@@ -129,6 +129,13 @@ def classical_lda_oracle(
     return _basis(sol.eigenvectors[:, :p].T, lambda v: back @ v, sol.eigenvalues[:p] / trace)
 
 
+def _check_lda_register_width(t: int) -> None:
+    """The register widths ``quantum_lda`` accepts: [4, PHASE_BITS_MAX], narrower
+    than the [2, PHASE_BITS_MAX] a single chain stage takes."""
+    if not 4 <= t <= PHASE_BITS_MAX:
+        raise DomainRejection(f"t={t} outside [4, {PHASE_BITS_MAX}]")
+
+
 def qpe_draws(t: int) -> int:
     """Register draws ``quantum_lda`` spends sampling a t-bit eigenvalue register."""
     return max(4096, 64 * (1 << t))
@@ -149,8 +156,7 @@ def quantum_lda(
     applies the inverse square root of the between-class operator to each
     sampled vector through one prepared chain stage.
     """
-    if not 4 <= t <= PHASE_BITS_MAX:
-        raise DomainRejection(f"t={t} outside [4, {PHASE_BITS_MAX}]")
+    _check_lda_register_width(t)
     if p < 1:
         raise DomainRejection("need at least one direction")
     spec = whitening_chain(data, kappa_eff, eps, t)

@@ -1,5 +1,5 @@
-"""Chain engine: exact spectral oracle, staged pipeline, success accounting,
-and the cost-score formula."""
+"""Chain engine: exact spectral oracle, staged pipeline, success accounting
+and copy counts."""
 from __future__ import annotations
 
 import math
@@ -14,7 +14,6 @@ from qdasim.chain import (
     chain_apply,
     chain_stage,
     classical_chain_oracle,
-    complexity_estimate,
     prepare_stage,
     stage_copies,
 )
@@ -452,36 +451,6 @@ class TestChainApply:
         assert distances[-1] <= 0.01
 
 
-class TestComplexityEstimate:
-    def test_single_stage_constant_function_collapses(self):
-        a = DensityOperator(np.diag([0.6, 0.4]))
-        spec = ChainSpec(stages=((a, ONE),), kappa_eff=100.0, eps=0.1)
-        score = complexity_estimate(spec, x_cost=2.0)
-        assert score == pytest.approx(2.0 * (0.6 / 0.4) ** 2 / 0.1**3)
-
-    def test_half_power_ratio_is_sqrt_condition_number(self):
-        kappa = 9.0
-        a = spectrum_density([1.0, 1.0 / kappa])
-        spec = ChainSpec(stages=((a, SQRT), (a, INV_SQRT)), kappa_eff=100.0, eps=0.1)
-        score = complexity_estimate(spec, x_cost=1.0)
-        # sum kappa^2 twice, first-stage ratio sqrt(kappa), second squared = kappa
-        expected = (2 * kappa**2) * math.sqrt(kappa) * kappa / 0.1**3
-        assert score == pytest.approx(expected)
-
-    def test_lda_shape_scales_as_kappa_3_5(self):
-        def score(kappa):
-            a = spectrum_density([1.0, 1.0 / kappa])
-            spec = ChainSpec(
-                stages=((a, INV_SQRT), (a, SQRT)), kappa_eff=1e6, eps=0.1
-            )
-            return complexity_estimate(spec)
-
-        assert score(16.0) / score(4.0) == pytest.approx(4.0**3.5)
-
-    def test_empty_chain_scores_zero(self):
-        assert complexity_estimate(ChainSpec(stages=())) == 0.0
-
-
 class TestOneSpectrumPerOperator:
     def test_oracle_pipeline_and_score_share_one_eigendecomposition(self, monkeypatch):
         rng = np.random.default_rng(15)
@@ -496,7 +465,6 @@ class TestOneSpectrumPerOperator:
         fresh = (
             classical_chain_oracle(ChainSpec(stages=copies(), t=10)).matrix,
             chain_apply(ChainSpec(stages=copies(), t=10)).output.matrix,
-            complexity_estimate(ChainSpec(stages=copies(), t=10)),
         )
         shapes = []
         eigh = np.linalg.eigh
@@ -510,12 +478,10 @@ class TestOneSpectrumPerOperator:
         shared = (
             classical_chain_oracle(spec).matrix,
             chain_apply(spec).output.matrix,
-            complexity_estimate(spec),
         )
         assert shapes == [(8, 8)] * 3
         assert np.array_equal(shared[0], fresh[0])
         assert np.array_equal(shared[1], fresh[1])
-        assert shared[2] == fresh[2]
 
 
 class TestChainSpecValidation:

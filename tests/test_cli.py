@@ -31,6 +31,19 @@ def strip_timestamp(report: dict) -> dict:
     return trimmed
 
 
+def first_difference(name: str, expected: str, actual: str) -> str:
+    """``name``, the first line number where the two texts differ, and both lines there."""
+    old, new = expected.splitlines(keepends=True), actual.splitlines(keepends=True)
+    line = next(
+        (i for i, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new))
+    )
+
+    def at(lines):
+        return repr(lines[line]) if line < len(lines) else "<end of text>"
+
+    return f"{name}: line {line + 1}: golden {at(old)}, run {at(new)}"
+
+
 class TestReduce:
     def test_both_paths_overlap(self, tmp_path):
         code, report = run_cli(
@@ -85,9 +98,32 @@ class TestReduce:
             assert main(args) == EXIT_OK, name
             out = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', capsys.readouterr().out)
             if out.encode("utf-8") != golden.read_bytes():
-                differing.append(name)
-        # every golden is compared, so one run names all that moved
+                differing.append(first_difference(name, golden.read_text("utf-8"), out))
+        # every golden is compared, so one run names all that moved and where
         assert differing == []
+
+    def test_first_difference_names_line_and_both_lines(self):
+        golden = '{\n  "a": 1,\n  "b": 2\n}\n'
+        assert first_difference("g.json", golden, golden.replace('"b": 2', '"b": 3')) == (
+            "g.json: line 3: golden '  \"b\": 2\\n', run '  \"b\": 3\\n'"
+        )
+        assert first_difference("g.json", golden, golden + "extra\n") == (
+            "g.json: line 5: golden <end of text>, run 'extra\\n'"
+        )
+
+    @pytest.mark.parametrize("t", ["2", "3"])
+    def test_quantum_register_rule_checked_before_any_path_runs(self, t, tmp_path, monkeypatch,
+                                                                 capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the classical path ran before --t was checked")
+
+        monkeypatch.setattr(cli, "classical_lda_oracle", never)
+        code, report = run_cli(
+            ["reduce", "--synthetic", "three-gauss", "--path", "both", "--t", t, "--seed", "0"],
+            tmp_path,
+        )
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert f"t={t} outside [4, 12]" in capsys.readouterr().err
 
     def test_feature_map_degree(self, tmp_path):
         code, report = run_cli(
@@ -260,8 +296,8 @@ class TestChain:
             assert all(x == 0.0 for row in matrix["imag"] for x in row)
 
     def test_one_stage_analysis_per_stage(self, tmp_path, monkeypatch):
-        # the cost score and the copy count read each operator's kappa window
-        # and never rotate; each prepared stage rotates once
+        # the copy count reads each operator's kappa window and never rotates;
+        # each prepared stage rotates once
         analyses = []
         rotate = chain.rotation_amplitudes
         monkeypatch.setattr(
@@ -280,26 +316,6 @@ class TestChain:
         code = main(["chain", "--operators", str(ops), "--functions", "sqrt,sqrt"])
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("x_cost", ["nan", "inf", "-2", "0"])
-    def test_x_cost_outside_positive_reals_exits_with_domain_code(self, x_cost, tmp_path, capsys):
-        code, report = run_cli(
-            ["chain", "--synthetic", "two-gauss", "--x-cost", x_cost, "--seed", "0"], tmp_path
-        )
-        assert (code, report) == (EXIT_DOMAIN, None)
-        assert "x_cost must be finite and positive" in capsys.readouterr().err
-
-    def test_x_cost_rejected_before_any_stage_runs(self, tmp_path, monkeypatch, capsys):
-        def never(*args, **kwargs):
-            raise AssertionError("the chain ran before --x-cost was checked")
-
-        monkeypatch.setattr(cli, "chain_apply", never)
-        monkeypatch.setattr(cli, "classical_chain_oracle", never)
-        code, report = run_cli(
-            ["chain", "--synthetic", "three-gauss", "--t", "12", "--x-cost", "nan"], tmp_path
-        )
-        assert (code, report) == (EXIT_DOMAIN, None)
-        assert "x_cost must be finite and positive" in capsys.readouterr().err
-
     @pytest.mark.parametrize("functions", ["sqrt", "bogus"])
     @pytest.mark.parametrize("source", [["--data", GOLDEN_CSV], ["--synthetic", "two-gauss"]])
     def test_functions_with_dataset_source_is_usage_error(self, source, functions, tmp_path, capsys):
@@ -308,6 +324,60 @@ class TestChain:
         code, report = run_cli(["chain", *source, "--functions", functions, "--seed", "0"], tmp_path)
         assert (code, report) == (EXIT_USAGE, None)
         assert "--functions applies only with --operators" in capsys.readouterr().err
+
+
+    def test_report_carries_no_cost_score(self, tmp_path):
+        ops = tmp_path / "ops.json"
+        ops.write_text(json.dumps({"operators": [[[0.6, 0.1], [0.1, 0.4]]]}))
+        for source in (["--synthetic", "two-gauss"],
+                       ["--operators", str(ops), "--functions", "inverse"]):
+            code, report = run_cli(["chain", *source, "--seed", "0"], tmp_path)
+            assert code == EXIT_OK
+            assert "complexity_score" not in report["metrics"]
+            assert "x_cost" not in report["parameters"]
+
+    @pytest.mark.parametrize("entry", [[[1, 0], [0]], [["a", "b"], ["c", "d"]], {}],
+                             ids=["ragged-row", "strings", "object"])
+    def test_malformed_operator_entry_exits_with_domain_code(self, entry, tmp_path, capsys):
+        ops = tmp_path / "ops.json"
+        ops.write_text(json.dumps({"operators": [[[1.0, 0.0], [0.0, 1.0]], entry]}))
+        code, report = run_cli(
+            ["chain", "--operators", str(ops), "--functions", "sqrt,sqrt", "--seed", "0"],
+            tmp_path,
+        )
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert "operator 2 is not a numeric matrix" in capsys.readouterr().err
+
+
+class TestUndecodableInput:
+    """A Latin-1 byte in an input file is a rejection naming the file, not a traceback."""
+
+    def test_dataset_file_exits_with_domain_code(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"u,v,label\n1,2,a\n3,4,caf\xe9\n")
+        code, report = run_cli(["reduce", "--data", str(data), "--seed", "0"], tmp_path)
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert f"{data}: file is not UTF-8 text" in capsys.readouterr().err
+
+    def test_test_file_exits_with_domain_code(self, tmp_path, capsys):
+        test = tmp_path / "latin1.csv"
+        test.write_bytes(Path(GOLDEN_CSV).read_bytes().replace(b"\n", b",\xe9\n", 1))
+        code, report = run_cli(
+            ["classify", "--data", GOLDEN_CSV, "--test", str(test), "--path", "classical",
+             "--seed", "0"],
+            tmp_path,
+        )
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert f"{test}: file is not UTF-8 text" in capsys.readouterr().err
+
+    def test_operator_file_is_usage_error(self, tmp_path, capsys):
+        ops = tmp_path / "latin1.json"
+        ops.write_bytes(b'{"operators": [[[1, 0], [0, 1]]], "note": "caf\xe9"}')
+        code, report = run_cli(
+            ["chain", "--operators", str(ops), "--functions", "sqrt", "--seed", "0"], tmp_path
+        )
+        assert (code, report) == (EXIT_USAGE, None)
+        assert f"{ops}: invalid JSON" in capsys.readouterr().err
 
 
 class TestRotateCheck:
@@ -556,7 +626,7 @@ class TestFlagSurface:
                                   "--test-count", "--lda", "--prior", "--kappa-eff",
                                   "--eps", "--t", "--shots", "--path"},
             "chain": shared | {"--operators", "--data", "--synthetic", "--per-class",
-                               "--functions", "--x-cost", "--kappa-eff", "--eps", "--t"},
+                               "--functions", "--kappa-eff", "--eps", "--t"},
             "rotate-check": shared | {"--function", "--c-const", "--bits", "--order",
                                       "--arcsin-terms", "--grid-bits", "--kappa-eff",
                                       "--eps"},
@@ -564,7 +634,7 @@ class TestFlagSurface:
         }
         removed = {
             "reduce": ["--shots"],
-            "chain": ["--shots", "--path"],
+            "chain": ["--shots", "--path", "--x-cost"],
             "rotate-check": ["--t", "--shots", "--path"],
             "gen": ["--kappa-eff", "--eps", "--t", "--shots", "--path"],
         }
@@ -590,8 +660,7 @@ class TestFlagSurface:
                        "--path", "classical", "--kappa-eff", "50"],
             "classify": ["--synthetic", "two-gauss", "--test-count", "2", "--lda",
                          "--prior", "linear", "--path", "classical", "--shots", "64"],
-            "chain": ["--synthetic", "two-gauss", "--t", "6", "--x-cost", "2.5",
-                      "--eps", "0.2"],
+            "chain": ["--synthetic", "two-gauss", "--t", "6", "--eps", "0.2"],
             "rotate-check": ["--function", "sqrt", "--grid-bits", "3", "--bits", "12",
                              "--arcsin-terms", "5"],
             "gen": ["--synthetic", "two-gauss", "--per-class", "3",

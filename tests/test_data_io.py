@@ -55,6 +55,19 @@ class TestLoadCsv:
         with pytest.raises(DomainRejection, match="label"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text", [
+        b"u,v\xe9,label\n1,2,a\n",
+        b"u,v,label\n1,2,caf\xe9\n3,4,a\n",
+        # past the first read buffer, so the header reads cleanly and the C reader meets it
+        b"u,v,label\n" + b"1,2,a\n" * 4000 + b"3,4,caf\xe9\n",
+    ], ids=["header", "first-row", "past-first-buffer"])
+    def test_non_utf8_file_is_one_rejection_naming_the_file(self, tmp_path, text):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(text)
+        with pytest.raises(DomainRejection) as caught:
+            load_csv(path)
+        assert str(caught.value) == f"{path}: file is not UTF-8 text"
+
     def test_round_trip_is_identity(self, tmp_path):
         rng = np.random.default_rng(8)
         data = LabeledDataset(
