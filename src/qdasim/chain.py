@@ -160,6 +160,14 @@ def classical_chain_oracle(spec: ChainSpec) -> DensityOperator:
     return DensityOperator(product / trace)
 
 
+def _postselected(prob: float) -> float:
+    if prob < POSTSELECT_FLOOR:
+        raise NumericalFailure(
+            "stage postselection vanished (state orthogonal to the resolved spectrum of the "
+            f"stage operator): vanishing postselection branch: P(ancilla=1) = {prob:.3e}")
+    return prob
+
+
 @dataclass(frozen=True)
 class _StageResult:
     state: DensityOperator
@@ -192,13 +200,7 @@ class PreparedStage:
         # symmetrized before it is renormalized
         k = v * self.a1
         block = HermitianOperator(k @ beta @ k.conj().T).matrix
-        prob = float(np.trace(block).real)
-        if prob < POSTSELECT_FLOOR:
-            raise NumericalFailure(
-                "stage postselection vanished (state orthogonal to the resolved "
-                "spectrum of the stage operator): vanishing postselection branch: "
-                f"P(ancilla=1) = {prob:.3e}"
-            )
+        prob = _postselected(float(np.trace(block).real))
         # universal success floor: squared minimum rotation amplitude times the
         # incoming weight inside the resolved support
         support_weight = float(np.sum(np.diag(beta).real[self.resolved]))
@@ -211,13 +213,10 @@ class PreparedStage:
         )
 
     def apply_pure(self, v: np.ndarray) -> np.ndarray:
-        """Unit output vector (up to sign) of the stage on |v><v|, v a real unit vector.
-
-        A pure state through one stage stays rank one, so the column at the
-        largest diagonal entry, divided by that entry's square root, is it."""
-        out = self.apply(DensityOperator(np.outer(v, v))).state.matrix
-        pivot = int(np.argmax(np.diag(out)))
-        return out[:, pivot] / np.sqrt(out[pivot, pivot])
+        """Unit output vector of the stage on a pure state |v><v|, which stays pure:
+        u = V (a_1 * V^dagger v) over |u|, with success probability |u|^2."""
+        u = self.eigenvectors @ (self.a1 * (self.eigenvectors.conj().T @ v))
+        return u / np.sqrt(_postselected(float(np.vdot(u, u).real)))
 
 
 def prepare_stage(

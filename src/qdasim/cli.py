@@ -191,17 +191,18 @@ def run_reduce(args) -> tuple[dict, dict, dict]:
     data, descriptor = _load_training_data(args)
     if args.degree != 1:
         data = feature_map(data, args.degree)
+    spec = whitening_chain(data, args.kappa_eff, args.eps, args.t)
     outputs: dict = {}
     metrics: dict = {}
     for path in paths:
         if path == "quantum":
-            basis = quantum_lda(data, args.p, args.kappa_eff, args.eps, args.t, args.seed)
+            basis = quantum_lda(spec, args.p, args.seed)
             metrics["chain_stage_success"] = basis.chain.stage_success_probabilities
             metrics["chain_stage_bounds"] = basis.chain.stage_bounds
             metrics["copies_used"] = basis.chain.copies_used
             metrics["draws_consumed"] = qpe_draws(args.t)
         else:
-            basis = classical_lda_oracle(data, args.p, args.kappa_eff)
+            basis = classical_lda_oracle(spec, args.p)
         outputs[path] = {
             "directions": basis.directions,
             "intermediates": basis.intermediates,
@@ -299,7 +300,10 @@ def _load_chain_stages(args) -> tuple[ChainSpec, dict]:
             matrix = np.asarray(entry, dtype=float)
         except (ValueError, TypeError):
             raise DomainRejection(f"operator {i} is not a numeric matrix") from None
-        herm = HermitianOperator(matrix)
+        try:
+            herm = HermitianOperator(matrix)
+        except DomainRejection as err:
+            raise DomainRejection(f"operator {i}: {err}") from None
         tr = herm.trace()
         if tr <= 0:
             raise DomainRejection(f"operator {i} has non-positive trace {tr!r}")

@@ -1,7 +1,7 @@
-"""Discriminant-direction extraction from the one whitening chain
-(``whitening_chain``), run by the staged quantum pipeline and evaluated exactly
-by its classical oracle; the Fisher criterion, data projection, and the
-explicit polynomial feature map for nonlinear discrimination.
+"""Discriminant directions from the one whitening chain (``whitening_chain``),
+built once by the caller, run by the staged quantum pipeline and evaluated
+exactly by its classical oracle, each whitened v mapped back to S_W^-1 S_B^1/2 v;
+the Fisher criterion, data projection, and the polynomial feature map.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from .oracle import LabeledDataset, between_scatter, class_statistics, within_sc
 from .qsim import PHASE_BITS_MAX, _fix_vector_sign, phase_estimation, sample_eigenpairs
 
 _SQRT = SpectralFunction.from_name("sqrt")
+_INV = SpectralFunction.from_name("inverse")
 _INV_SQRT = SpectralFunction.from_name("inverse-sqrt")
 _RANK_TOL = 1e-10
 _DEDUPE_OVERLAP = 0.9
@@ -69,18 +70,6 @@ def _real_cast(v: np.ndarray) -> np.ndarray:
     return np.real(v)
 
 
-def scatter_matrices(data: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Classical (unnormalized) between- and within-class scatter matrices."""
-    stats = class_statistics(data)
-    d = stats.class_means - stats.global_mean
-    s_b = d.T @ d
-    s_w = np.zeros((data.N, data.N))
-    for c in range(1, data.k + 1):
-        dev = data.class_members(c) - stats.class_means[c - 1]
-        s_w += dev.T @ dev
-    return s_b, s_w
-
-
 def whitening_chain(
     data: LabeledDataset, kappa_eff: float, eps: float = DEFAULT_EPS, t: int = 8
 ) -> ChainSpec:
@@ -104,20 +93,18 @@ def _basis(vectors, back_map, estimates, chain: ChainReport | None = None) -> Pr
     return ProjectionBasis(np.array(ws), np.array(vs), np.asarray(estimates), chain)
 
 
-def classical_lda_oracle(
-    data: LabeledDataset, p: int, kappa_eff: float
-) -> ProjectionBasis:
+def classical_lda_oracle(spec: ChainSpec, p: int) -> ProjectionBasis:
     """Exact spectral-calculus reference for the discriminant directions.
 
-    Takes the top-p eigenvectors of ``classical_chain_oracle`` of the
-    whitening chain, S_B^(1/2) S_W^(-1) S_B^(1/2) at unit trace, and maps them
-    back through the pseudo-inverse square root of the between-class
-    operator. The estimates are the top eigenvalues over the sum of the
-    eigenvalues above the rank tolerance.
+    Takes the top-p eigenvectors v_r of ``classical_chain_oracle`` of the
+    whitening chain ``spec``, S_B^(1/2) S_W^(-1) S_B^(1/2) at unit trace, and
+    maps each back to the Fisher direction w_r = S_W^(-1) S_B^(1/2) v_r, a
+    generalized eigenvector of (S_B, S_W) with the same eigenvalue. Every
+    function is applied at the spec's kappa_eff. The estimates are the top
+    eigenvalues over the sum of the eigenvalues above the rank tolerance.
     """
     if p < 1:
         raise DomainRejection("need at least one direction")
-    spec = whitening_chain(data, kappa_eff)
     sol = eig_hermitian(classical_chain_oracle(spec))
     rank = int(np.sum(sol.eigenvalues > _RANK_TOL * max(sol.eigenvalues[0], 1e-300)))
     if p > rank:
@@ -125,7 +112,9 @@ def classical_lda_oracle(
             f"requested {p} directions but the whitened operator has rank {rank}"
         )
     trace = float(np.sum(sol.eigenvalues[:rank]))
-    back = matrix_function(spec.stages[1][0], _INV_SQRT, kappa_eff).matrix
+    (sw, _), (sb, _) = spec.stages
+    back = (matrix_function(sw, _INV, spec.kappa_eff).matrix
+            @ matrix_function(sb, _SQRT, spec.kappa_eff).matrix)
     return _basis(sol.eigenvectors[:, :p].T, lambda v: back @ v, sol.eigenvalues[:p] / trace)
 
 
@@ -141,27 +130,22 @@ def qpe_draws(t: int) -> int:
     return max(4096, 64 * (1 << t))
 
 
-def quantum_lda(
-    data: LabeledDataset,
-    p: int,
-    kappa_eff: float = 100.0,
-    eps: float = 0.1,
-    t: int = 8,
-    seed=None,
-) -> ProjectionBasis:
+def quantum_lda(spec: ChainSpec, p: int, seed=None) -> ProjectionBasis:
     """Staged-pipeline discriminant directions.
 
-    Runs ``whitening_chain`` through the staged pipeline, phase-estimates the
-    chain output against itself and samples the top-p eigenpairs, then
-    applies the inverse square root of the between-class operator to each
-    sampled vector through one prepared chain stage.
+    Runs the whitening chain ``spec`` through the staged pipeline at its
+    kappa_eff, eps and t, phase-estimates the chain output against itself and
+    samples the top-p eigenpairs, then maps each sampled vector v_r back to
+    the Fisher direction S_W^(-1) S_B^(1/2) v_r through two prepared chain
+    stages, (S_B, sqrt) and then (S_W, inverse), each read in closed form.
     """
+    if tuple(f for _, f in spec.stages) != (_INV_SQRT, _SQRT):
+        raise DomainRejection("quantum_lda needs the whitening chain: inverse-sqrt, then sqrt")
+    t = spec.t
     _check_lda_register_width(t)
     if p < 1:
         raise DomainRejection("need at least one direction")
-    spec = whitening_chain(data, kappa_eff, eps, t)
-    sb, chain = spec.stages[1][0], chain_apply(spec)
-    del spec  # it alone holds S_W, so S_W and its spectrum are freed before sampling
+    chain = chain_apply(spec)
     rho_chain = chain.output
 
     # depolarizing pre-blend compresses the spectrum strictly below 1 (a pure
@@ -197,9 +181,11 @@ def quantum_lda(
             "the sampling noise floor"
         )
 
-    back_map = prepare_stage(sb, _INV_SQRT, t, kappa_eff, eps)
+    (sw, _), (sb, _) = spec.stages
+    sqrt_b = prepare_stage(sb, _SQRT, t, spec.kappa_eff, spec.eps)
+    inv_w = prepare_stage(sw, _INV, t, spec.kappa_eff, spec.eps)
     vectors, estimates = zip(*selected)
-    return _basis(vectors, back_map.apply_pure, estimates, chain)
+    return _basis(vectors, lambda v: inv_w.apply_pure(sqrt_b.apply_pure(v)), estimates, chain)
 
 
 def fisher_criterion(source, directions) -> float:
@@ -211,7 +197,9 @@ def fisher_criterion(source, directions) -> float:
     give the trace-ratio surrogate tr(W^T S_B W) / tr(W^T S_W W).
     """
     if isinstance(source, LabeledDataset):
-        s_b, s_w = scatter_matrices(source)
+        stats = class_statistics(source)
+        s_b = stats.norm_between * between_scatter(stats).matrix
+        s_w = stats.norm_within * within_scatter(source, stats).matrix
     else:
         s_b, s_w = (np.asarray(m, dtype=float) for m in source)
     if isinstance(directions, ProjectionBasis):

@@ -141,9 +141,9 @@ def invert_apply(
     """Unit direction and norm of every class's inverted-covariance mean, in class order.
 
     The quantum path prepares one inversion stage per distinct covariance
-    operator (one for all classes under ``shared_covariance``) and reads the
-    output vector of each mean-state projector; the norm is always the
-    classically recorded scalar, as the oracles present it.
+    operator (one for all classes under ``shared_covariance``) and reads each
+    unit mean's output vector in closed form (``apply_pure``); the norm is
+    always the classically recorded scalar, as the oracles present it.
     """
     norms = model.inverse_norms.tolist()
     if path == "classical":

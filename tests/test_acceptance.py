@@ -16,7 +16,8 @@ import pytest
 from qdasim.chain import ChainSpec, chain_apply, classical_chain_oracle
 from qdasim.cli import EXIT_OK, main
 from qdasim.linalg import DensityOperator, SpectralFunction, trace_distance
-from qdasim.lda import classical_lda_oracle, fisher_criterion, project, quantum_lda
+from qdasim.lda import (classical_lda_oracle, fisher_criterion, project, quantum_lda,
+                        whitening_chain)
 from qdasim.oracle import LabeledDataset
 from qdasim.qda import classify_many, fit
 from qdasim.qsim import density_exponentiation_step, phase_estimation
@@ -133,9 +134,9 @@ class TestAcceptance:
         for n, k, seed in cases:
             data = benchmark_dataset(seed, n, k)
             p = k - 1
-            oracle = classical_lda_oracle(data, p, 100.0)
+            oracle = classical_lda_oracle(whitening_chain(data, 100.0), p)
             for t in overlaps_by_t:
-                basis = quantum_lda(data, p, 100.0, 0.1, t, seed=seed)
+                basis = quantum_lda(whitening_chain(data, 100.0, 0.1, t), p, seed=seed)
                 for r in range(p):
                     num = abs(float(np.dot(basis.directions[r], oracle.directions[r])))
                     den = float(
@@ -155,7 +156,7 @@ class TestAcceptance:
 
     def test_04_lda_beats_pca(self):
         data = adversarial_dataset()
-        basis = classical_lda_oracle(data, 1, 100.0)
+        basis = classical_lda_oracle(whitening_chain(data, 100.0), 1)
         centered = data.samples - data.samples.mean(axis=0)
         pca = np.linalg.eigh(centered.T @ centered)[1][:, -1]
         ratio = fisher_criterion(data, basis.directions[0]) / fisher_criterion(data, pca)

@@ -247,7 +247,7 @@ class TestPreparedStage:
                 assert np.array_equal(result.state.matrix, state.matrix)
                 assert result.probability == prob
 
-    def test_apply_pure_is_the_column_read_of_apply_bitwise(self):
+    def test_apply_pure_is_the_column_read_of_apply(self):
         rng = np.random.default_rng(12)
         n = 6
         a = random_rank_density(rng, n, n, True)
@@ -257,10 +257,19 @@ class TestPreparedStage:
             prepared = prepare_stage(a, f, 8, 100.0)
             out = prepared.apply(DensityOperator(np.outer(v, v))).state.matrix
             pivot = int(np.argmax(np.diag(out)))
+            column = out[:, pivot] / np.sqrt(out[pivot, pivot])
             w = prepared.apply_pure(v)
-            assert np.array_equal(w, out[:, pivot] / np.sqrt(out[pivot, pivot]))
-            # the output state is rank one, so the read vector reproduces it
+            # the closed-form read is that column up to its sign, and it
+            # reproduces the rank-one output state
+            assert np.max(np.abs(np.sign(w @ column) * w - column)) < 1e-12
             assert np.max(np.abs(np.outer(w, w) - out)) < 1e-12
+
+    def test_apply_pure_rejects_a_vanishing_postselection_like_apply(self):
+        prepared = prepare_stage(DensityOperator(np.diag([1.0, 0.0])), SQRT, 8, 2.0)
+        for run in (lambda: prepared.apply(DensityOperator(np.diag([0.0, 1.0]))),
+                    lambda: prepared.apply_pure(np.array([0.0, 1.0]))):
+            with pytest.raises(NumericalFailure, match="vanishing postselection branch"):
+                run()
 
     def test_apply_rejects_mismatched_dimension(self):
         prepared = prepare_stage(spectrum_density([1.0, 2.0, 3.0]), INVERSE, 8, 100.0)

@@ -13,7 +13,7 @@ import pytest
 from qdasim import chain, cli, qda
 from qdasim.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, UNECHOED, build_parser, main
 from qdasim.data_io import load_csv
-from qdasim.lda import quantum_lda
+from qdasim.lda import quantum_lda, whitening_chain
 
 GOLDEN_CSV = str(Path(__file__).parent / "golden" / "three_gauss_seed1.csv")
 
@@ -42,6 +42,23 @@ def first_difference(name: str, expected: str, actual: str) -> str:
         return repr(lines[line]) if line < len(lines) else "<end of text>"
 
     return f"{name}: line {line + 1}: golden {at(old)}, run {at(new)}"
+
+
+_ABSENT = object()
+
+
+def differing_paths(expected, actual, keys: tuple = ()) -> list[str]:
+    """Dotted key paths at which two parsed JSON values differ; objects are
+    compared key by key, any other value (a list included) as a whole."""
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        return [
+            path
+            for key in sorted(expected.keys() | actual.keys())
+            for path in differing_paths(
+                expected.get(key, _ABSENT), actual.get(key, _ABSENT), (*keys, key)
+            )
+        ]
+    return [] if expected == actual else [".".join(keys) or "<root>"]
 
 
 class TestReduce:
@@ -98,9 +115,11 @@ class TestReduce:
             assert main(args) == EXIT_OK, name
             out = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', capsys.readouterr().out)
             if out.encode("utf-8") != golden.read_bytes():
-                differing.append(first_difference(name, golden.read_text("utf-8"), out))
-        # every golden is compared, so one run names all that moved and where
-        assert differing == []
+                stored = golden.read_text("utf-8")
+                paths = differing_paths(json.loads(stored), json.loads(out))
+                differing.append(f"{first_difference(name, stored, out)}; fields {paths}")
+        # every golden is compared, so one run names all that moved, where and which fields
+        assert differing == [], "\n".join(differing)
 
     def test_first_difference_names_line_and_both_lines(self):
         golden = '{\n  "a": 1,\n  "b": 2\n}\n'
@@ -110,6 +129,20 @@ class TestReduce:
         assert first_difference("g.json", golden, golden + "extra\n") == (
             "g.json: line 5: golden <end of text>, run 'extra\\n'"
         )
+
+    def test_differing_paths_name_every_changed_field(self):
+        golden = {"outputs": {"quantum": {"directions": [[1.0, 0.0]], "intermediates": [[1.0]]}},
+                  "metrics": {"fisher_quantum": 2.0, "copies_used": [4]}, "seed": 1}
+        run = json.loads(json.dumps(golden))
+        assert differing_paths(golden, run) == []
+        run["outputs"]["quantum"]["directions"][0][1] = 1e-17
+        run["metrics"]["fisher_quantum"] = 2.5
+        del run["seed"]
+        run["metrics"]["extra"] = None
+        assert differing_paths(golden, run) == [
+            "metrics.extra", "metrics.fisher_quantum", "outputs.quantum.directions", "seed"
+        ]
+        assert differing_paths([1], [2]) == ["<root>"]
 
     @pytest.mark.parametrize("t", ["2", "3"])
     def test_quantum_register_rule_checked_before_any_path_runs(self, t, tmp_path, monkeypatch,
@@ -124,6 +157,21 @@ class TestReduce:
         )
         assert (code, report) == (EXIT_DOMAIN, None)
         assert f"t={t} outside [4, 12]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, decompositions", [("both", 4), ("quantum", 3)])
+    def test_one_whitening_chain_per_run(self, path, decompositions, tmp_path, monkeypatch):
+        # S_W and S_B once each, shared by every path and back-map, plus the chain
+        # output (classical) and the phase-estimation generator (quantum)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        code, _ = run_cli(
+            ["reduce", "--data", GOLDEN_CSV, "--path", path, "--p", "2", "--t", "8",
+             "--seed", "1"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        assert len(calls) == decompositions
 
     def test_feature_map_degree(self, tmp_path):
         code, report = run_cli(
@@ -257,7 +305,8 @@ class TestChain:
             tmp_path,
         )
         assert code == EXIT_OK
-        output = quantum_lda(load_csv(GOLDEN_CSV), 2, 50.0, 0.2, 8, seed=1).chain.output
+        spec = whitening_chain(load_csv(GOLDEN_CSV), 50.0, 0.2, 8)
+        output = quantum_lda(spec, 2, seed=1).chain.output
         quantum = report["outputs"]["quantum"]
         assert np.array_equal(np.array(quantum["real"]), output.matrix)
         assert not np.any(quantum["imag"])
@@ -347,6 +396,23 @@ class TestChain:
         )
         assert (code, report) == (EXIT_DOMAIN, None)
         assert "operator 2 is not a numeric matrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry, reason",
+        [(None, "operator must be a square matrix, got shape ()"),
+         ([[1, 0, 0], [0, 1, 0]], "operator must be a square matrix, got shape (2, 3)"),
+         ([[1, 0], [0, float("nan")]], "operator has non-finite entries")],
+        ids=["null", "2x3", "nan"],
+    )
+    def test_operator_rejection_names_the_operator(self, entry, reason, tmp_path, capsys):
+        ops = tmp_path / "ops.json"
+        ops.write_text(json.dumps({"operators": [[[1.0, 0.0], [0.0, 1.0]], entry]}))
+        code, report = run_cli(
+            ["chain", "--operators", str(ops), "--functions", "sqrt,sqrt", "--seed", "0"],
+            tmp_path,
+        )
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert f"domain rejection: operator 2: {reason}" in capsys.readouterr().err
 
 
 class TestUndecodableInput:

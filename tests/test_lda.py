@@ -2,15 +2,17 @@
 Fisher criterion, projection, and the polynomial feature map."""
 from __future__ import annotations
 
-import weakref
+import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qdasim import chain, lda
-from qdasim.chain import ChainSpec, chain_apply, chain_stage
+from qdasim.chain import ChainSpec, chain_apply, prepare_stage
+from qdasim.data_io import load_csv
 from qdasim.errors import DomainRejection
-from qdasim.linalg import DensityOperator, SpectralFunction, eig_hermitian, trace_distance
+from qdasim.linalg import DensityOperator, SpectralFunction, trace_distance
 from qdasim.lda import (
     ProjectionBasis,
     classical_lda_oracle,
@@ -18,10 +20,12 @@ from qdasim.lda import (
     fisher_criterion,
     project,
     quantum_lda,
-    scatter_matrices,
+    whitening_chain,
 )
-from qdasim.oracle import LabeledDataset, between_scatter, class_statistics
+from qdasim.oracle import LabeledDataset, between_scatter, class_statistics, within_scatter
 from qdasim.qsim import _fix_vector_sign
+
+GOLDEN_CSV = Path(__file__).parent / "golden" / "three_gauss_seed1.csv"
 
 
 def two_class_dataset(seed=1, per_class=200, sep=1.5, sigma=0.3, n=4):
@@ -69,6 +73,43 @@ def adversarial_dataset(seed=7, per_class=100, separation=1.0):
     return LabeledDataset(np.vstack(cols), np.repeat([1, 2], per_class))
 
 
+def anisotropic_dataset(seed=3, per_class=100):
+    """Two classes with means 0 and (1, 1, 1, 1) and per-axis variances 0.1/0.5/1.5/3."""
+    rng = np.random.default_rng(seed)
+    std = np.sqrt([0.1, 0.5, 1.5, 3.0])
+    samples = np.vstack([mean + std * rng.standard_normal((per_class, 4)) for mean in (0.0, 1.0)])
+    return LabeledDataset(samples, np.repeat([1, 2], per_class))
+
+
+def textbook_scatters(data):
+    """Equal-weight between-class and per-class-summed within-class scatter."""
+    means = np.array([data.class_members(c).mean(axis=0) for c in range(1, data.k + 1)])
+    d = means - data.samples.mean(axis=0)
+    s_w = sum(
+        (data.class_members(c) - means[c - 1]).T @ (data.class_members(c) - means[c - 1])
+        for c in range(1, data.k + 1)
+    )
+    return d.T @ d, s_w
+
+
+def fisher_ratio(s_b, s_w, w):
+    return float(w @ s_b @ w) / float(w @ s_w @ w)
+
+
+def fisher_over_eigenvalue(data, basis):
+    """J(w_r) / lambda_r per direction, lambda_r the r-th largest eigenvalue of
+    S_W^(-1/2) S_B S_W^(-1/2): 1 for a Fisher-optimal direction."""
+    s_b, s_w = textbook_scatters(data)
+    w, v = np.linalg.eigh(s_w)
+    root = (v / np.sqrt(w)) @ v.T
+    lams = np.linalg.eigvalsh(root @ s_b @ root)[::-1]
+    return np.array([fisher_ratio(s_b, s_w, d) / lam for d, lam in zip(basis.directions, lams)])
+
+
+# the golden CSV and a case whose S_B span is far from the Fisher direction
+FISHER_CASES = {"golden-csv": lambda: load_csv(GOLDEN_CSV), "anisotropic": anisotropic_dataset}
+
+
 def unit(v):
     return v / np.linalg.norm(v)
 
@@ -85,10 +126,19 @@ def pca_direction(data: LabeledDataset) -> np.ndarray:
 
 class TestClassicalOracle:
     def test_separated_classes_recover_axis(self):
+        # the two-class Fisher direction is S_W^-1 (mu_1 - mu_2), not the mean axis itself
         data = two_class_dataset()
-        basis = classical_lda_oracle(data, 1, 100.0)
-        angle = np.degrees(np.arccos(min(1.0, overlap(basis.directions[0], np.eye(4)[0]))))
-        assert angle <= 2.0
+        basis = classical_lda_oracle(whitening_chain(data, 100.0), 1)
+        _, s_w = textbook_scatters(data)
+        fisher = np.linalg.solve(s_w, data.class_members(1).mean(0) - data.class_members(2).mean(0))
+        angle = np.degrees(np.arccos(min(1.0, overlap(basis.directions[0], fisher))))
+        assert angle <= 1e-6
+
+    @pytest.mark.parametrize("source", FISHER_CASES)
+    def test_directions_reach_the_generalized_eigenvalues(self, source):
+        data = FISHER_CASES[source]()
+        basis = classical_lda_oracle(whitening_chain(data, 100.0), data.k - 1)
+        assert np.max(np.abs(fisher_over_eigenvalue(data, basis) - 1.0)) <= 1e-9
 
     def test_isotropic_within_scatter_reduces_to_between_directions(self):
         # deviations +-0.3 e_i around each mean make the within operator exactly
@@ -98,35 +148,67 @@ class TestClassicalOracle:
         mu1 = np.array([1.0, 0.0, 0.0, 0.0])
         samples = np.vstack([mu1 + devs, -mu1 + devs])
         data = LabeledDataset(samples, np.repeat([1, 2], 2 * n))
-        basis = classical_lda_oracle(data, 1, 100.0)
+        basis = classical_lda_oracle(whitening_chain(data, 100.0), 1)
         assert overlap(basis.directions[0], mu1) >= 1.0 - 1e-9
 
     def test_adversarial_set_beats_pca(self):
         data = adversarial_dataset()
-        basis = classical_lda_oracle(data, 1, 100.0)
+        basis = classical_lda_oracle(whitening_chain(data, 100.0), 1)
         w_pca = pca_direction(data)
         assert overlap(basis.directions[0], np.array([1.0, 0.0])) >= 0.99
         # the principal component is dominated by the noisy axis instead
         assert overlap(w_pca, np.array([0.0, 1.0])) > overlap(w_pca, np.array([1.0, 0.0]))
         assert overlap(w_pca, np.array([0.0, 1.0])) >= 0.9
 
+    def test_takes_the_chain_and_a_direction_count(self):
+        assert list(inspect.signature(classical_lda_oracle).parameters) == ["spec", "p"]
+
     def test_rank_rejection_reports_achievable_rank(self):
         data = two_class_dataset()
         with pytest.raises(DomainRejection, match="rank 1"):
-            classical_lda_oracle(data, 2, 100.0)
+            classical_lda_oracle(whitening_chain(data, 100.0), 2)
 
 
 class TestQuantumLda:
     def test_matches_oracle_on_two_classes(self):
         data = two_class_dataset()
-        oracle = classical_lda_oracle(data, 1, 100.0)
-        quantum = quantum_lda(data, 1, 100.0, 0.1, 8, seed=1)
+        oracle = classical_lda_oracle(whitening_chain(data, 100.0), 1)
+        quantum = quantum_lda(whitening_chain(data, 100.0, 0.1, 8), 1, seed=1)
         assert overlap(quantum.directions[0], oracle.directions[0]) >= 0.98
+
+    @pytest.mark.parametrize("source", FISHER_CASES)
+    def test_directions_reach_the_generalized_eigenvalues_at_t12(self, source):
+        data = FISHER_CASES[source]()
+        basis = quantum_lda(whitening_chain(data, 100.0, 0.1, 12), data.k - 1, seed=1)
+        assert np.min(fisher_over_eigenvalue(data, basis)) >= 0.9999
+
+    def test_takes_the_chain_a_direction_count_and_a_seed(self):
+        assert list(inspect.signature(quantum_lda).parameters) == ["spec", "p", "seed"]
+
+    @pytest.mark.parametrize(
+        "stages",
+        [("inverse-sqrt",), ("sqrt", "inverse-sqrt"), ("inverse", "sqrt"),
+         ("inverse-sqrt", "sqrt", "sqrt")],
+        ids=["one-stage", "swapped", "inverse-first", "three-stages"],
+    )
+    def test_rejects_a_chain_that_is_not_the_whitening_chain(self, stages):
+        (sw, _), (sb, _) = whitening_chain(two_class_dataset(), 100.0).stages
+        ops = (sw, sb, sb)
+        spec = ChainSpec(tuple((a, SpectralFunction.from_name(f)) for a, f in zip(ops, stages)))
+        with pytest.raises(DomainRejection, match="needs the whitening chain"):
+            quantum_lda(spec, 1, seed=1)
+
+    def test_rejects_whitening_stages_of_two_dimensions(self):
+        # the chain itself rejects a stage whose dimension differs from its input's
+        (sw, f_w), _ = whitening_chain(two_class_dataset(), 100.0).stages
+        spec = ChainSpec(((sw, f_w), (DensityOperator(np.eye(2) / 2.0), lda._SQRT)))
+        with pytest.raises(DomainRejection, match="state dimension 4 does not match operator 2"):
+            quantum_lda(spec, 1, seed=1)
 
     def test_rank_shortfall_rejected_with_count(self):
         data = two_class_dataset()
         with pytest.raises(DomainRejection, match="only 1 of 2"):
-            quantum_lda(data, 2, 100.0, 0.1, 8, seed=1)
+            quantum_lda(whitening_chain(data, 100.0, 0.1, 8), 2, seed=1)
 
     def test_identical_scatter_operators_fix_the_top_eigenvector(self):
         # both stages fed the same rank-one operator: the chain output is that
@@ -148,12 +230,12 @@ class TestQuantumLda:
     def test_register_width_validated(self):
         data = two_class_dataset()
         with pytest.raises(DomainRejection, match="t="):
-            quantum_lda(data, 1, 100.0, 0.1, 3, seed=0)
+            quantum_lda(whitening_chain(data, 100.0, 0.1, 3), 1, seed=0)
 
     def test_multiclass_directions_match_oracle(self):
         data = three_class_dataset(seed=4)
-        oracle = classical_lda_oracle(data, 2, 100.0)
-        quantum = quantum_lda(data, 2, 100.0, 0.1, 8, seed=4)
+        oracle = classical_lda_oracle(whitening_chain(data, 100.0), 2)
+        quantum = quantum_lda(whitening_chain(data, 100.0, 0.1, 8), 2, seed=4)
         for r in range(2):
             assert overlap(quantum.directions[r], oracle.directions[r]) >= 0.95
         gram = quantum.intermediates @ quantum.intermediates.T
@@ -177,28 +259,26 @@ class TestQuantumLda:
             return samples
 
         monkeypatch.setattr(lda, "sample_eigenpairs", sample_and_read_every_vector)
-        quantum_lda(three_class_dataset(seed=4), 2, 100.0, 0.1, 8, seed=4)
+        quantum_lda(whitening_chain(three_class_dataset(seed=4), 100.0, 0.1, 8), 2, seed=4)
         assert eigh_shapes == []
 
-    def test_within_scatter_and_its_spectrum_freed_before_sampling(self, monkeypatch):
-        # operators take no weak references, so S_W is tracked through its arrays
-        refs = []
-        within = lda.within_scatter
+    def test_back_map_reuses_the_chain_spectra_after_sampling(self, monkeypatch):
+        # the caller's spec keeps S_W and S_B with their spectra, so nothing is
+        # diagonalized once the eigenpairs are sampled
+        after_sampling = []
+        eigh = np.linalg.eigh
         sample = lda.sample_eigenpairs
 
-        def tracked_within(*args):
-            sw = within(*args)
-            refs.extend(weakref.ref(m) for m in (sw.matrix, eig_hermitian(sw).eigenvectors))
-            return sw
+        def sample_then_count(*args, **kwargs):
+            samples = sample(*args, **kwargs)
+            monkeypatch.setattr(
+                np.linalg, "eigh", lambda *a, **k: after_sampling.append(1) or eigh(*a, **k)
+            )
+            return samples
 
-        def sample_after_release(*args, **kwargs):
-            assert len(refs) == 2
-            assert [ref() for ref in refs] == [None, None]
-            return sample(*args, **kwargs)
-
-        monkeypatch.setattr(lda, "within_scatter", tracked_within)
-        monkeypatch.setattr(lda, "sample_eigenpairs", sample_after_release)
-        quantum_lda(three_class_dataset(seed=4), 2, 100.0, 0.1, 8, seed=4)
+        monkeypatch.setattr(lda, "sample_eigenpairs", sample_then_count)
+        quantum_lda(whitening_chain(three_class_dataset(seed=4), 100.0, 0.1, 8), 2, seed=4)
+        assert after_sampling == []
 
     def test_back_map_stage_prepared_once_for_all_directions(self, monkeypatch):
         analyzed = []
@@ -210,19 +290,21 @@ class TestQuantumLda:
 
         monkeypatch.setattr(chain, "eig_hermitian", counted)
         data = three_class_dataset(seed=4)
-        basis = quantum_lda(data, 2, 100.0, 0.1, 8, seed=4)
-        sb = between_scatter(class_statistics(data))
-        # two whitening stages, then one S_B stage for both directions
-        assert len(analyzed) == 3
+        basis = quantum_lda(whitening_chain(data, 100.0, 0.1, 8), 2, seed=4)
+        stats = class_statistics(data)
+        sb, sw = between_scatter(stats), within_scatter(data, stats)
+        # two whitening stages, then one (S_B, sqrt) and one (S_W, inverse) stage
+        # for both directions
+        assert len(analyzed) == 4
         assert np.array_equal(analyzed[2].matrix, sb.matrix)
+        assert np.array_equal(analyzed[3].matrix, sw.matrix)
+        inverse = SpectralFunction.from_name("inverse")
         for v, w in zip(basis.intermediates, basis.directions):
-            back, _ = chain_stage(DensityOperator(np.outer(v, v)), sb, lda._INV_SQRT, 8, 100.0, 0.1)
-            pivot = int(np.argmax(np.diag(back.matrix)))
-            column = back.matrix[:, pivot] / np.sqrt(back.matrix[pivot, pivot])
-            assert np.array_equal(_fix_vector_sign(column), w)
-            # the back-mapped state is rank one, so its column is its top eigenvector
-            top = _fix_vector_sign(eig_hermitian(back).eigenvectors[:, 0])
-            assert np.max(np.abs(top - w)) < 1e-12
+            # the same two stages on the density matrix |v><v|: a rank-one output
+            rho = DensityOperator(np.outer(v, v))
+            for a, f in ((sb, lda._SQRT), (sw, inverse)):
+                rho = prepare_stage(a, f, 8, 100.0, 0.1).apply(rho).state
+            assert np.max(np.abs(np.outer(w, w) - rho.matrix)) < 1e-12
 
 
 class TestFisherCriterion:
@@ -238,14 +320,14 @@ class TestFisherCriterion:
 
     def test_lda_beats_pca_on_adversarial_data(self):
         data = adversarial_dataset()
-        basis = classical_lda_oracle(data, 1, 100.0)
+        basis = classical_lda_oracle(whitening_chain(data, 100.0), 1)
         assert fisher_criterion(data, basis.directions[0]) >= 5.0 * fisher_criterion(
             data, pca_direction(data)
         )
 
     def test_top_direction_is_the_argmax(self):
         data = three_class_dataset(seed=2)
-        basis = classical_lda_oracle(data, 1, 100.0)
+        basis = classical_lda_oracle(whitening_chain(data, 100.0), 1)
         best = fisher_criterion(data, basis.directions[0])
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -284,7 +366,7 @@ class TestProject:
 
     def test_projected_class_gap_on_adversarial_data(self):
         data = adversarial_dataset()
-        basis = classical_lda_oracle(data, 1, 100.0)
+        basis = classical_lda_oracle(whitening_chain(data, 100.0), 1)
         out = project(data, basis)
         one = out.samples[out.labels == 1, 0]
         two = out.samples[out.labels == 2, 0]
@@ -294,7 +376,7 @@ class TestProject:
 
     def test_scalar_consistency_of_projected_criterion(self):
         data = two_class_dataset()
-        basis = classical_lda_oracle(data, 1, 100.0)
+        basis = classical_lda_oracle(whitening_chain(data, 100.0), 1)
         j_original = fisher_criterion(data, basis.directions[0])
         reduced = project(data, basis)
         j_reduced = fisher_criterion(reduced, np.array([1.0]))
@@ -324,11 +406,11 @@ class TestFeatureMap:
         ]
         circles = LabeledDataset(np.vstack(rows), np.repeat([1, 2], 120))
         j_flat = fisher_criterion(
-            circles, classical_lda_oracle(circles, 1, 100.0).directions[0]
+            circles, classical_lda_oracle(whitening_chain(circles, 100.0), 1).directions[0]
         )
         mapped = feature_map(circles, 2)
         j_mapped = fisher_criterion(
-            mapped, classical_lda_oracle(mapped, 1, 100.0).directions[0]
+            mapped, classical_lda_oracle(whitening_chain(mapped, 100.0), 1).directions[0]
         )
         assert j_mapped >= 10.0 * j_flat
 
@@ -347,10 +429,15 @@ class TestFeatureMap:
 
 class TestScatterBridge:
     def test_classical_scatters_match_weighted_operators(self):
-        from qdasim.oracle import between_scatter, class_statistics, within_scatter
-
         data = three_class_dataset(seed=6)
         stats = class_statistics(data)
-        s_b, s_w = scatter_matrices(data)
+        s_b, s_w = textbook_scatters(data)
         assert np.max(np.abs(stats.norm_between * between_scatter(stats).matrix - s_b)) < 1e-9
         assert np.max(np.abs(stats.norm_within * within_scatter(data, stats).matrix - s_w)) < 1e-9
+
+    def test_dataset_criterion_is_the_textbook_ratio(self):
+        data = three_class_dataset(seed=6)
+        w = np.array([0.3, -1.0, 0.4, 0.2])
+        assert fisher_criterion(data, w) == pytest.approx(
+            fisher_ratio(*textbook_scatters(data), w), rel=1e-12
+        )

@@ -8,7 +8,7 @@ import pytest
 
 from qdasim.chain import ChainSpec, chain_apply, classical_chain_oracle, prepare_stage
 from qdasim.linalg import DensityOperator, SpectralFunction, matrix_function
-from qdasim.lda import quantum_lda
+from qdasim.lda import quantum_lda, whitening_chain
 from qdasim.oracle import (
     LabeledDataset,
     between_scatter,
@@ -140,5 +140,6 @@ class TestRealDataStaysReal:
         assert all(op.matrix.dtype == np.float64 for op in model.covariance_ops)
 
     def test_quantum_lda_chain_output(self):
-        basis = quantum_lda(labeled(np.random.default_rng(2)), 2, KAPPA, 0.1, T, seed=2)
+        spec = whitening_chain(labeled(np.random.default_rng(2)), KAPPA, 0.1, T)
+        basis = quantum_lda(spec, 2, seed=2)
         assert basis.chain.output.matrix.dtype == np.float64
