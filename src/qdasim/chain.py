@@ -32,28 +32,19 @@ from .linalg import (
     HermitianOperator,
     SpectralFunction,
     _check_kappa_eff,
-    _filter_mask,
+    _kappa_window,
     eig_hermitian,
     matrix_function,
 )
 from .qsim import POSTSELECT_FLOOR, _check_register_width
 from .rotation import rotation_amplitudes
 
+# run defaults the library signatures and the CLI flags share
+DEFAULT_KAPPA_EFF = 100.0
 DEFAULT_EPS = 0.1
+DEFAULT_T = 8
+DEFAULT_SHOTS = 8192
 _TRACE_FLOOR = 1e-14
-
-
-def _kappa_window(eigenvalues: np.ndarray, kappa_eff: float) -> tuple[np.ndarray, np.ndarray]:
-    """An operator's eigenvalues (descending) clipped at 0, and their condition-number filter."""
-    w = np.clip(eigenvalues, 0.0, None)
-    if float(w[0]) <= 0.0:
-        raise DomainRejection("stage operator has no positive spectrum")
-    keep = _filter_mask(w, kappa_eff)
-    if not keep.any():
-        raise DomainRejection(
-            "condition-number filter removed the full spectrum (rank collapse)"
-        )
-    return w, keep
 
 
 def _copies(kept: np.ndarray, eps: float) -> int:
@@ -87,9 +78,9 @@ class ChainSpec:
     """
 
     stages: tuple[tuple[DensityOperator, SpectralFunction], ...]
-    kappa_eff: float = 100.0
+    kappa_eff: float = DEFAULT_KAPPA_EFF
     eps: float = DEFAULT_EPS
-    t: int = 8
+    t: int = DEFAULT_T
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", tuple((a, f) for a, f in self.stages))

@@ -22,6 +22,10 @@ import numpy as np
 
 from . import __version__
 from .chain import (
+    DEFAULT_EPS,
+    DEFAULT_KAPPA_EFF,
+    DEFAULT_SHOTS,
+    DEFAULT_T,
     ChainSpec,
     _check_eps,
     _rotation_constant,
@@ -89,10 +93,10 @@ def _resolve_seed(seed: int | None) -> int:
 _SYNTHETIC_PER_CLASS = 50
 
 _COMMON_FLAGS = {
-    "--kappa-eff": {"type": float, "default": 100.0},
-    "--eps": {"type": float, "default": 0.1},
-    "--t": {"type": int, "default": 8, "help": "phase-register bits"},
-    "--shots": {"type": int, "default": 8192},
+    "--kappa-eff": {"type": float, "default": DEFAULT_KAPPA_EFF},
+    "--eps": {"type": float, "default": DEFAULT_EPS},
+    "--t": {"type": int, "default": DEFAULT_T, "help": "phase-register bits"},
+    "--shots": {"type": int, "default": DEFAULT_SHOTS},
     "--path": {"choices": ("quantum", "classical", "both"), "default": "both"},
 }
 # the library's own rule for each numeric flag, checked right after parsing on every path
@@ -178,10 +182,6 @@ def _load_training_data(args) -> tuple[LabeledDataset, dict]:
     return generate(_preset(args.synthetic, per_class, args.seed)), descriptor
 
 
-def _overlap(a: np.ndarray, b: np.ndarray) -> float:
-    return float(abs(np.dot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b)))
-
-
 def run_reduce(args) -> tuple[dict, dict, dict]:
     # the exact oracle goes first, so a rank excess is reported as such
     paths = ("classical", "quantum") if args.path == "both" else (args.path,)
@@ -208,10 +208,11 @@ def run_reduce(args) -> tuple[dict, dict, dict]:
             "intermediates": basis.intermediates,
             "eigenvalue_estimates": basis.eigenvalue_estimates,
         }
-        metrics[f"fisher_{path}"] = fisher_criterion(data, basis)
+        metrics[f"fisher_{path}"] = fisher_criterion(data, basis.directions)
     if args.path == "both":
         quantum, classical = outputs["quantum"]["directions"], outputs["classical"]["directions"]
-        metrics["per_direction_overlap"] = np.array([_overlap(q, c) for q, c in zip(quantum, classical)])
+        # both paths return unit rows, so |q . c| is the cosine
+        metrics["per_direction_overlap"] = np.abs(np.sum(quantum * classical, axis=1))
     return {"dataset": descriptor}, outputs, metrics
 
 

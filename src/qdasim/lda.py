@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import (DEFAULT_EPS, ChainReport, ChainSpec, chain_apply, classical_chain_oracle,
-                    prepare_stage)
+from .chain import (DEFAULT_EPS, DEFAULT_T, ChainReport, ChainSpec, chain_apply,
+                    classical_chain_oracle, prepare_stage)
 from .errors import DomainRejection, NumericalFailure
 from .linalg import DensityOperator, SpectralFunction, eig_hermitian, matrix_function
 from .oracle import LabeledDataset, between_scatter, class_statistics, within_scatter
@@ -22,7 +22,6 @@ _SQRT = SpectralFunction.from_name("sqrt")
 _INV = SpectralFunction.from_name("inverse")
 _INV_SQRT = SpectralFunction.from_name("inverse-sqrt")
 _RANK_TOL = 1e-10
-_DEDUPE_OVERLAP = 0.9
 FEATURE_DIM_CAP = 256
 
 
@@ -30,9 +29,10 @@ FEATURE_DIM_CAP = 256
 class ProjectionBasis:
     """Discriminant directions w_r with the whitened intermediates v_r.
 
-    The v_r are pairwise orthonormal; the w_r are generally not orthogonal
-    (they are eigenvectors of a non-symmetric product) and carry no norm
-    convention beyond being nonzero. ``eigenvalue_estimates`` refer to the
+    The v_r are pairwise orthonormal; the w_r are unit but generally not
+    orthogonal (they are eigenvectors of a non-symmetric product). Both are
+    oriented where they are built, largest-magnitude entry positive, so no
+    consumer rescales or flips them. ``eigenvalue_estimates`` refer to the
     unit-trace chain operator, so both construction paths report on the same
     scale. ``chain`` is the whitening chain run of the quantum path (None for
     the classical oracle).
@@ -56,8 +56,8 @@ class ProjectionBasis:
         gram = v @ v.T
         if np.max(np.abs(gram - np.eye(v.shape[0]))) > 1e-6:
             raise DomainRejection("intermediate vectors are not orthonormal")
-        if np.any(np.linalg.norm(w, axis=1) < 1e-12):
-            raise DomainRejection("a discriminant direction collapsed to zero")
+        if np.max(np.abs(np.linalg.norm(w, axis=1) - 1.0)) > 1e-6:
+            raise DomainRejection("discriminant directions are not unit vectors")
 
     @property
     def p(self) -> int:
@@ -71,7 +71,7 @@ def _real_cast(v: np.ndarray) -> np.ndarray:
 
 
 def whitening_chain(
-    data: LabeledDataset, kappa_eff: float, eps: float = DEFAULT_EPS, t: int = 8
+    data: LabeledDataset, kappa_eff: float, eps: float = DEFAULT_EPS, t: int = DEFAULT_T
 ) -> ChainSpec:
     """The discriminant whitening chain on the unit-trace scatter operators:
     S_W^(-1/2) first, then S_B^(1/2). Both LDA paths and ``qdasim chain
@@ -82,14 +82,16 @@ def whitening_chain(
 
 
 def _basis(vectors, back_map, estimates, chain: ChainReport | None = None) -> ProjectionBasis:
-    """Sign-fixed intermediates v_r and their back-mapped directions w_r = back_map(v_r)."""
+    """Sign-fixed intermediates v_r and their back-mapped unit directions
+    w_r = back_map(v_r) / |back_map(v_r)|, sign-fixed the same way."""
     vs = [_fix_vector_sign(_real_cast(v)) for v in vectors]
     ws = []
     for r, v in enumerate(vs, start=1):
         w = back_map(v)
-        if np.linalg.norm(w) < 1e-12:
+        norm = np.linalg.norm(w)
+        if norm < 1e-12:
             raise DomainRejection(f"direction {r} lies outside the between-class support")
-        ws.append(_fix_vector_sign(_real_cast(w)))
+        ws.append(_fix_vector_sign(_real_cast(w / norm)))
     return ProjectionBasis(np.array(ws), np.array(vs), np.asarray(estimates), chain)
 
 
@@ -159,22 +161,14 @@ def quantum_lda(spec: ChainSpec, p: int, seed=None) -> ProjectionBasis:
     joint = phase_estimation(generator, generator, t)
     samples = sample_eigenpairs(joint, qpe_draws(t), seed=seed)
 
-    big_t = 1 << t
-    floor = 1.0 / big_t
-    candidates = [
-        s
-        for s in samples
-        if s.probability >= floor and s.frequency >= 0.5 * s.probability
-    ]
-    selected = []
-    for s in candidates:
-        vec = _real_cast(s.vector)
-        if any(abs(np.dot(vec, q)) > _DEDUPE_OVERLAP for q, _ in selected):
-            continue  # adjacent register bins of one eigenvalue repeat the vector
-        estimate = (s.eigenvalue - gamma / n) / (1.0 - gamma)
-        selected.append((vec, estimate))
-        if len(selected) == p:
-            break
+    # adjacent register bins of one eigenvalue repeat its eigenvector; the
+    # first (highest) bin above the sampling noise floor stands for it
+    floor = 1.0 / (1 << t)
+    distinct: dict = {}
+    for s in samples:
+        if s.probability >= floor and s.frequency >= 0.5 * s.probability:
+            distinct.setdefault(s.eigenvector_index, s)
+    selected = list(distinct.values())[:p]
     if len(selected) < p:
         raise DomainRejection(
             f"recovered only {len(selected)} of {p} requested directions above "
@@ -184,17 +178,20 @@ def quantum_lda(spec: ChainSpec, p: int, seed=None) -> ProjectionBasis:
     (sw, _), (sb, _) = spec.stages
     sqrt_b = prepare_stage(sb, _SQRT, t, spec.kappa_eff, spec.eps)
     inv_w = prepare_stage(sw, _INV, t, spec.kappa_eff, spec.eps)
-    vectors, estimates = zip(*selected)
-    return _basis(vectors, lambda v: inv_w.apply_pure(sqrt_b.apply_pure(v)), estimates, chain)
+    estimates = [(s.eigenvalue - gamma / n) / (1.0 - gamma) for s in selected]
+    return _basis([s.vector for s in selected], lambda v: inv_w.apply_pure(sqrt_b.apply_pure(v)),
+                  estimates, chain)
 
 
 def fisher_criterion(source, directions) -> float:
     """Between- over within-class variance of a projection.
 
     ``source`` is a labeled dataset or a precomputed (S_B, S_W) matrix pair;
-    ``directions`` is a single vector, a stack of row vectors, or a
-    ProjectionBasis. A single direction gives the classical ratio; several
-    give the trace-ratio surrogate tr(W^T S_B W) / tr(W^T S_W W).
+    ``directions`` is a single vector or a stack of row vectors, such as a
+    ProjectionBasis's unit ``directions``. A single direction gives the
+    classical ratio, whatever its norm; several give the trace-ratio
+    surrogate tr(W S_B W^T) / tr(W S_W W^T), which weights each row by its
+    squared norm, so rows from different sources compare only at one norm.
     """
     if isinstance(source, LabeledDataset):
         stats = class_statistics(source)
@@ -202,10 +199,7 @@ def fisher_criterion(source, directions) -> float:
         s_w = stats.norm_within * within_scatter(source, stats).matrix
     else:
         s_b, s_w = (np.asarray(m, dtype=float) for m in source)
-    if isinstance(directions, ProjectionBasis):
-        w = directions.directions
-    else:
-        w = np.atleast_2d(np.asarray(directions, dtype=float))
+    w = np.atleast_2d(np.asarray(directions, dtype=float))
     if w.shape[1] != s_b.shape[0]:
         raise DomainRejection(
             f"direction dimension {w.shape[1]} does not match scatter dimension "
@@ -220,15 +214,14 @@ def fisher_criterion(source, directions) -> float:
 
 
 def project(data: LabeledDataset, basis: ProjectionBasis) -> LabeledDataset:
-    """Coordinates of every sample along the unit-normalized directions."""
+    """Coordinates of every sample along the basis's unit directions."""
     w = basis.directions
     if w.shape[1] != data.N:
         raise DomainRejection(
             f"direction dimension {w.shape[1]} does not match data dimension {data.N}"
         )
-    unit = w / np.linalg.norm(w, axis=1, keepdims=True)
     return LabeledDataset(
-        samples=data.samples @ unit.T,
+        samples=data.samples @ w.T,
         labels=data.labels.copy(),
         label_names=data.label_names,
     )

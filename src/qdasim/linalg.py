@@ -178,6 +178,19 @@ def _filter_mask(eigenvalues: np.ndarray, kappa_eff: float) -> np.ndarray:
     return eigenvalues >= lam_max / kappa_eff * (1.0 - 1e-12)
 
 
+def _kappa_window(eigenvalues: np.ndarray, kappa_eff: float) -> tuple[np.ndarray, np.ndarray]:
+    """An operator's eigenvalues (descending) clipped at 0, and their
+    condition-number filter; a filter that keeps nothing is a rank collapse."""
+    w = np.clip(eigenvalues, 0.0, None)
+    keep = _filter_mask(w, kappa_eff)
+    if not keep.any():
+        raise DomainRejection(
+            "condition-number filter removed the full spectrum (rank collapse); "
+            f"lambda_max = {float(eigenvalues[0]):.3e}"
+        )
+    return w, keep
+
+
 def matrix_function(h: HermitianOperator, f: SpectralFunction, kappa_eff: float) -> HermitianOperator:
     """Apply f to the spectrum of a PSD operator with pseudo-inverse semantics.
 
@@ -192,12 +205,7 @@ def matrix_function(h: HermitianOperator, f: SpectralFunction, kappa_eff: float)
         raise DomainRejection(
             f"operator is not PSD within tolerance: min eigenvalue {w[-1]:.3e}"
         )
-    keep = _filter_mask(w, kappa_eff)
-    if not keep.any():
-        raise DomainRejection(
-            "condition-number filter removed the full spectrum (rank collapse); "
-            f"lambda_max = {float(w[0]):.3e}"
-        )
+    w, keep = _kappa_window(w, kappa_eff)
     vk = sol.eigenvectors[:, keep]
     fw = f(w[keep])
     return HermitianOperator((vk * fw) @ vk.conj().T)

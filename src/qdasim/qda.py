@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import DEFAULT_EPS, prepare_stage
+from .chain import DEFAULT_EPS, DEFAULT_KAPPA_EFF, DEFAULT_SHOTS, DEFAULT_T, prepare_stage
 from .errors import DomainRejection
 from .linalg import DensityOperator, SpectralFunction, matrix_function
 from .oracle import LabeledDataset, class_covariance_operator, class_statistics, within_scatter
@@ -75,11 +75,6 @@ class DiscriminantResult:
             raise DomainRejection("chosen class must be the lowest-index argmax")
 
 
-def _along(direction: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Orient a unit direction along the class mean."""
-    return -direction if float(direction @ mu) < 0.0 else direction
-
-
 def _invert_mean(inv: np.ndarray, scale: float, mu: np.ndarray) -> tuple[np.ndarray, float]:
     product = np.real(inv @ mu) / scale
     norm = float(np.linalg.norm(product))
@@ -87,11 +82,11 @@ def _invert_mean(inv: np.ndarray, scale: float, mu: np.ndarray) -> tuple[np.ndar
         raise DomainRejection(
             "class mean lies outside the retained covariance support"
         )
-    return _along(product / norm, mu), norm
+    return product / norm, norm
 
 
 def fit(
-    data: LabeledDataset, kappa_eff: float = 100.0, shared_covariance: bool = False
+    data: LabeledDataset, kappa_eff: float = DEFAULT_KAPPA_EFF, shared_covariance: bool = False
 ) -> ClassifierModel:
     """Estimate per-class covariance operators, priors, and inversion products.
 
@@ -136,14 +131,17 @@ def fit(
 
 
 def invert_apply(
-    model: ClassifierModel, path: str = "classical", t: int = 8, eps: float = DEFAULT_EPS
+    model: ClassifierModel, path: str = "classical", t: int = DEFAULT_T, eps: float = DEFAULT_EPS
 ) -> list[tuple[np.ndarray, float]]:
     """Unit direction and norm of every class's inverted-covariance mean, in class order.
 
-    The quantum path prepares one inversion stage per distinct covariance
-    operator (one for all classes under ``shared_covariance``) and reads each
-    unit mean's output vector in closed form (``apply_pure``); the norm is
-    always the classically recorded scalar, as the oracles present it.
+    Each direction d already points along its class mean, d . mu > 0: the
+    classical inverse is a PSD pseudo-inverse, and every quantum stage
+    amplitude a_1 = C f(lambda) is >= 0. The quantum path prepares one
+    inversion stage per distinct covariance operator (one for all classes
+    under ``shared_covariance``) and reads each unit mean's output vector in
+    closed form (``apply_pure``); the norm is always the classically
+    recorded scalar, as the oracles present it.
     """
     norms = model.inverse_norms.tolist()
     if path == "classical":
@@ -156,7 +154,7 @@ def invert_apply(
         for op in dict.fromkeys(model.covariance_ops)
     }
     return [
-        (_along(stages[op].apply_pure(mu / np.linalg.norm(mu)), mu), n)
+        (stages[op].apply_pure(mu / np.linalg.norm(mu)), n)
         for op, mu, n in zip(model.covariance_ops, model.class_means, norms)
     ]
 
@@ -182,9 +180,9 @@ def classify_many(
     model: ClassifierModel,
     X,
     path: str = "classical",
-    shots: int = 8192,
+    shots: int = DEFAULT_SHOTS,
     seed=None,
-    t: int = 8,
+    t: int = DEFAULT_T,
     prior_mode: str = "log",
     eps: float = DEFAULT_EPS,
 ) -> list[DiscriminantResult]:

@@ -194,12 +194,14 @@ def phase_estimation(
 
 @dataclass(frozen=True)
 class EigenSample:
-    """One distinct register outcome with its post-measurement system vector."""
+    """One distinct register outcome with its post-measurement system vector,
+    the generator eigenvector column ``eigenvector_index``."""
 
     eigenvalue: float
     frequency: float
     register_value: int
     probability: float  # exact-path marginal of this outcome
+    eigenvector_index: int
     vector: np.ndarray = field(repr=False, compare=False)  # top post-measurement vector
 
 
@@ -240,6 +242,7 @@ def sample_eigenpairs(joint: QpeState, draws: int, seed=None) -> list[EigenSampl
             frequency=counts[m] / draws,
             register_value=int(m),
             probability=float(probs[m]),
+            eigenvector_index=int(tops[m]),
             vector=_fix_vector_sign(joint.vectors[:, tops[m]]),
         )
         for m in drawn

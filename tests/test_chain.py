@@ -20,6 +20,7 @@ from qdasim.chain import (
 from qdasim.errors import DomainRejection, NumericalFailure
 from qdasim.linalg import (
     DensityOperator,
+    HermitianOperator,
     SpectralFunction,
     matrix_function,
     trace_distance,
@@ -373,6 +374,21 @@ class TestKappaRule:
             prepare_stage(a, INVERSE, 8, kappa_eff)
         with pytest.raises(DomainRejection, match="kappa_eff must be >= 1"):
             stage_copies(a, kappa_eff, 0.1)
+
+    def test_fully_filtered_operator_rejected_alike_everywhere(self):
+        # lambda_max at or below PSD_TOL leaves nothing for the window to keep
+        a = HermitianOperator(np.diag([1e-11, 0.0]))
+        messages = set()
+        for reject in (lambda: matrix_function(a, INVERSE, 100.0),
+                       lambda: prepare_stage(a, INVERSE, 8, 100.0),
+                       lambda: stage_copies(a, 100.0, 0.1)):
+            with pytest.raises(DomainRejection, match="rank collapse") as err:
+                reject()
+            messages.add(str(err.value))
+        assert messages == {
+            "condition-number filter removed the full spectrum (rank collapse); "
+            "lambda_max = 1.000e-11"
+        }
 
 
 class TestChainApply:

@@ -72,6 +72,22 @@ class TestReduce:
         assert report["metrics"]["per_direction_overlap"][0] >= 0.98
         assert report["metrics"]["chain_stage_success"]
 
+    @pytest.mark.parametrize("t", ["8", "12"])
+    def test_both_paths_report_unit_directions_and_one_fisher_value(self, t, tmp_path):
+        # the trace-ratio criterion weights each row by its squared norm, so the two
+        # paths agree on it only when both return unit rows
+        code, report = run_cli(
+            ["reduce", "--data", GOLDEN_CSV, "--path", "both", "--p", "2", "--t", t,
+             "--seed", "1"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        for path in ("classical", "quantum"):
+            rows = np.array(report["outputs"][path]["directions"])
+            np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-12)
+        metrics = report["metrics"]
+        assert metrics["fisher_classical"] == pytest.approx(metrics["fisher_quantum"], rel=1e-3)
+
     def test_rank_excess_exits_with_domain_code(self, tmp_path, capsys):
         code = main(["reduce", "--synthetic", "two-gauss", "--p", "3", "--seed", "1"])
         assert code == EXIT_DOMAIN
@@ -716,6 +732,32 @@ class TestFlagSurface:
                 code = main(valid[command] + [flag, values.get(flag, "8"), "--seed", "1"])
                 assert code == EXIT_USAGE, (command, flag)
                 assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_each_run_default_is_its_library_constant(self):
+        (commands,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        constants = {"kappa_eff": chain.DEFAULT_KAPPA_EFF, "eps": chain.DEFAULT_EPS,
+                     "t": chain.DEFAULT_T, "shots": chain.DEFAULT_SHOTS}
+        parsed = {
+            (command, action.dest): action.default
+            for command, sub in commands.choices.items()
+            for action in sub._actions
+            if action.dest in constants
+        }
+        # classify registers every shared flag, so each constant is checked at least once
+        assert {dest for _, dest in parsed} == set(constants)
+        assert parsed == {key: constants[key[1]] for key in parsed}
+        signatures = [chain.ChainSpec, whitening_chain, qda.fit, qda.invert_apply,
+                      qda.classify_many]
+        library = {
+            (fn.__name__, name): param.default
+            for fn in signatures
+            for name, param in inspect.signature(fn).parameters.items()
+            if name in constants and param.default is not param.empty
+        }
+        assert library == {key: constants[key[1]] for key in library}
+        assert len(library) == 11
 
     def test_report_parameters_echo_every_registered_flag(self, tmp_path):
         (commands,) = [
