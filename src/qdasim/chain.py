@@ -52,7 +52,14 @@ def _copies(kept: np.ndarray, eps: float) -> int:
     condition number of the kept spectrum, where a ratio within 1e-12 relative of an
     integer is that integer (kappa's last bit aside)."""
     kappa = float(kept.max() / kept.min())
-    ratio = kappa**2 / eps**3
+    try:
+        ratio = kappa**2 / eps**3
+    except (OverflowError, ZeroDivisionError):  # kappa^2 overflows or eps^3 underflows
+        ratio = math.inf
+    if not ratio < 2.0**63:
+        raise DomainRejection(
+            f"copy count ceil(kappa^2 / eps^3) does not fit in int64 at kappa = {kappa:.6g}, "
+            f"eps = {eps:g}")
     return round(ratio) if abs(ratio - round(ratio)) <= 1e-12 * ratio else math.ceil(ratio)
 
 
@@ -105,13 +112,14 @@ class ChainReport:
     leaked weight at postselection). ``theoretical_bound`` is their product;
     ``amplified_bound_stage1`` is the first-stage floor at a single power of
     the amplitude ratio, the improvement amplitude amplification would buy
-    (reported only; never executed as a circuit).
+    (reported only; never executed as a circuit). ``stages`` are the prepared
+    stages the run applied, in order, for callers that apply them again.
     """
 
     output: DensityOperator
     stage_success_probabilities: np.ndarray
     total_success_probability: float
-    copies_used: np.ndarray
+    stages: tuple[PreparedStage, ...]
     stage_bounds: np.ndarray
     theoretical_bound: float
     amplified_bound_stage1: float
@@ -121,10 +129,15 @@ class ChainReport:
         b = np.asarray(self.stage_bounds, dtype=float)
         if p.size and (np.any(p <= 0.0) or np.any(p > 1.0 + 1e-12)):
             raise DomainRejection("stage success probabilities must lie in (0, 1]")
-        if p.size != np.asarray(self.copies_used).size or p.size != b.size:
+        if p.size != len(self.stages) or p.size != b.size:
             raise DomainRejection("per-stage arrays disagree in length")
         if p.size and np.any(p < b * (1.0 - 1e-9)):
             raise DomainRejection("a stage undershot its success-probability floor")
+
+    @property
+    def copies_used(self) -> np.ndarray:
+        """Copies of each stage operator the run consumed, in stage order."""
+        return np.array([s.copies for s in self.stages], dtype=int)
 
 
 def classical_chain_oracle(spec: ChainSpec) -> DensityOperator:
@@ -271,30 +284,30 @@ def stage_copies(a: DensityOperator, kappa_eff: float, eps: float) -> int:
 def chain_apply(spec: ChainSpec, rho0: DensityOperator | None = None) -> ChainReport:
     """Fold the stages in order over rho0 (default: the maximally mixed state).
 
-    The report carries per-stage success probabilities, their guaranteed
-    floors, the per-stage copy counts, and their products; the output state's
-    trace distance to ``classical_chain_oracle`` shrinks as t grows.
+    The report carries the prepared stages, per-stage success probabilities,
+    their guaranteed floors, the per-stage copy counts, and their products;
+    the output state's trace distance to ``classical_chain_oracle`` shrinks as t grows.
     """
     if rho0 is None:
         if not spec.stages:
             raise DomainRejection("empty chain needs an explicit rho0")
         n = spec.stages[0][0].dim
         rho0 = DensityOperator(np.eye(n) / n)
-    rho, outcomes = rho0, []
+    rho, stages, outcomes = rho0, [], []
     for a, f in spec.stages:
-        stage = prepare_stage(a, f, spec.t, spec.kappa_eff, spec.eps)
-        outcomes.append((stage.copies, stage.apply(rho)))
-        rho = outcomes[-1][1].state
-    probs = np.array([r.probability for _, r in outcomes])
-    bounds = np.array([r.floor for _, r in outcomes])
+        stages.append(prepare_stage(a, f, spec.t, spec.kappa_eff, spec.eps))
+        outcomes.append(stages[-1].apply(rho))
+        rho = outcomes[-1].state
+    probs = np.array([r.probability for r in outcomes])
+    bounds = np.array([r.floor for r in outcomes])
     # the product of no factors is 1: an empty chain succeeds with certainty
     return ChainReport(
         output=rho,
         stage_success_probabilities=probs,
         total_success_probability=float(np.prod(probs)),
-        copies_used=np.array([c for c, _ in outcomes], dtype=int),
+        stages=tuple(stages),
         stage_bounds=bounds,
         theoretical_bound=float(np.prod(bounds)),
-        amplified_bound_stage1=float(np.prod([r.amplified_floor for _, r in outcomes[:1]])),
+        amplified_bound_stage1=float(np.prod([r.amplified_floor for r in outcomes[:1]])),
     )
 

@@ -45,7 +45,7 @@ from .linalg import (
 )
 from .lda import (_check_lda_register_width, classical_lda_oracle, feature_map, fisher_criterion,
                   qpe_draws, quantum_lda, whitening_chain)
-from .oracle import LabeledDataset
+from .oracle import LabeledDataset, class_statistics
 from .qda import classify_many, fit
 from .qsim import PHASE_BITS_MAX, _check_register_width, _check_shots
 from .rotation import DEFAULT_FRACTION_BITS, DEFAULT_TAYLOR_ORDER, rotation_amplitudes
@@ -192,6 +192,10 @@ def run_reduce(args) -> tuple[dict, dict, dict]:
     if args.degree != 1:
         data = feature_map(data, args.degree)
     spec = whitening_chain(data, args.kappa_eff, args.eps, args.t)
+    # the Fisher metric's statistical (S_B, S_W): the chain's unit-trace pair rescaled
+    stats = class_statistics(data)
+    (sw, _), (sb, _) = spec.stages
+    scatter = (stats.norm_between * sb.matrix, stats.norm_within * sw.matrix)
     outputs: dict = {}
     metrics: dict = {}
     for path in paths:
@@ -208,7 +212,7 @@ def run_reduce(args) -> tuple[dict, dict, dict]:
             "intermediates": basis.intermediates,
             "eigenvalue_estimates": basis.eigenvalue_estimates,
         }
-        metrics[f"fisher_{path}"] = fisher_criterion(data, basis.directions)
+        metrics[f"fisher_{path}"] = fisher_criterion(scatter, basis.directions)
     if args.path == "both":
         quantum, classical = outputs["quantum"]["directions"], outputs["classical"]["directions"]
         # both paths return unit rows, so |q . c| is the cosine
@@ -234,6 +238,16 @@ def _load_test_data(args) -> tuple[LabeledDataset, dict]:
     raise _UsageError("classify needs --test FILE, or --synthetic with --test-count")
 
 
+def _training_classes(test: LabeledDataset, train: LabeledDataset) -> np.ndarray:
+    """Each test sample's training class index, matched by label name: every
+    dataset numbers its classes in first-appearance order."""
+    index = {name: c for c, name in enumerate(train.label_names, start=1)}
+    for name in test.label_names:
+        if name not in index:
+            raise DomainRejection(f"test label {name!r} is not a class of the training set")
+    return np.array([index[name] for name in test.label_names])[test.labels - 1]
+
+
 def run_classify(args) -> tuple[dict, dict, dict]:
     train, descriptor = _load_training_data(args)
     test, test_descriptor = _load_test_data(args)
@@ -241,6 +255,7 @@ def run_classify(args) -> tuple[dict, dict, dict]:
         raise DomainRejection(
             f"test dimension {test.N} does not match training dimension {train.N}"
         )
+    truth = _training_classes(test, train)
     model = fit(train, args.kappa_eff, shared_covariance=args.lda)
     paths = ("quantum", "classical") if args.path == "both" else (args.path,)
     outputs: dict = {}
@@ -255,7 +270,7 @@ def run_classify(args) -> tuple[dict, dict, dict]:
         }
     metrics: dict = {
         "test_truth_agreement": {
-            path: float(np.mean(outputs[path]["decisions"] == test.labels))
+            path: float(np.mean(outputs[path]["decisions"] == truth))
             for path in paths
         },
     }

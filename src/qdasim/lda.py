@@ -139,7 +139,8 @@ def quantum_lda(spec: ChainSpec, p: int, seed=None) -> ProjectionBasis:
     kappa_eff, eps and t, phase-estimates the chain output against itself and
     samples the top-p eigenpairs, then maps each sampled vector v_r back to
     the Fisher direction S_W^(-1) S_B^(1/2) v_r through two prepared chain
-    stages, (S_B, sqrt) and then (S_W, inverse), each read in closed form.
+    stages, each read in closed form: the chain's own (S_B, sqrt) stage, then
+    one (S_W, inverse) stage.
     """
     if tuple(f for _, f in spec.stages) != (_INV_SQRT, _SQRT):
         raise DomainRejection("quantum_lda needs the whitening chain: inverse-sqrt, then sqrt")
@@ -175,9 +176,8 @@ def quantum_lda(spec: ChainSpec, p: int, seed=None) -> ProjectionBasis:
             "the sampling noise floor"
         )
 
-    (sw, _), (sb, _) = spec.stages
-    sqrt_b = prepare_stage(sb, _SQRT, t, spec.kappa_eff, spec.eps)
-    inv_w = prepare_stage(sw, _INV, t, spec.kappa_eff, spec.eps)
+    sqrt_b = chain.stages[1]
+    inv_w = prepare_stage(spec.stages[0][0], _INV, t, spec.kappa_eff, spec.eps)
     estimates = [(s.eigenvalue - gamma / n) / (1.0 - gamma) for s in selected]
     return _basis([s.vector for s in selected], lambda v: inv_w.apply_pure(sqrt_b.apply_pure(v)),
                   estimates, chain)

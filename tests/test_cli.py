@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdasim import chain, cli, qda
+from qdasim import chain, cli, lda, qda
 from qdasim.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, UNECHOED, build_parser, main
 from qdasim.data_io import load_csv
 from qdasim.lda import quantum_lda, whitening_chain
@@ -189,6 +189,34 @@ class TestReduce:
         assert code == EXIT_OK
         assert len(calls) == decompositions
 
+    @pytest.mark.parametrize("path, stages", [("classical", 0), ("quantum", 3), ("both", 3)])
+    def test_each_scatter_operator_and_stage_built_once_per_run(
+        self, path, stages, tmp_path, monkeypatch
+    ):
+        # the Fisher metric rescales the chain's own pair; the back-map reuses the
+        # chain's (S_B, sqrt) stage and prepares only (S_W, inverse)
+        calls = dict.fromkeys(("within_scatter", "between_scatter", "prepare_stage"), 0)
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in ((lda, "within_scatter"), (lda, "between_scatter"),
+                             (chain, "prepare_stage"), (lda, "prepare_stage")):
+            count(module, name)
+        code, _ = run_cli(
+            ["reduce", "--data", GOLDEN_CSV, "--path", path, "--p", "2", "--t", "8",
+             "--seed", "1"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        assert calls == {"within_scatter": 1, "between_scatter": 1, "prepare_stage": stages}
+
     def test_feature_map_degree(self, tmp_path):
         code, report = run_cli(
             ["reduce", "--synthetic", "adversarial", "--degree", "2",
@@ -277,6 +305,34 @@ class TestClassify:
         )
         assert (code, report) == (EXIT_DOMAIN, None)
         assert "eps must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_test_labels_matched_to_training_classes_by_name(self, tmp_path):
+        # the same rows with class "3" listed first: the file numbers "3" as its class 1
+        header, *rows = Path(GOLDEN_CSV).read_text().splitlines(keepends=True)
+        reordered = tmp_path / "reordered.csv"
+        reordered.write_text(header + "".join(reversed(rows)))
+        agreement = []
+        for test in (GOLDEN_CSV, str(reordered)):
+            code, report = run_cli(
+                ["classify", "--data", GOLDEN_CSV, "--test", test, "--path", "classical",
+                 "--seed", "0"],
+                tmp_path,
+            )
+            assert code == EXIT_OK
+            agreement.append(report["metrics"]["test_truth_agreement"]["classical"])
+        assert agreement[0] > 0.8
+        assert agreement[1] == agreement[0]
+
+    def test_test_label_missing_from_training_exits_with_domain_code(self, tmp_path, capsys):
+        test = tmp_path / "unknown.csv"
+        test.write_text("f1,f2,f3,f4,label\n1,2,3,4,1\n1,2,3,5,d\n")
+        code, report = run_cli(
+            ["classify", "--data", GOLDEN_CSV, "--test", str(test), "--path", "classical",
+             "--seed", "0"],
+            tmp_path,
+        )
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert "test label 'd' is not a class of the training set" in capsys.readouterr().err
 
     def test_missing_test_source_is_usage_error(self, capsys):
         code = main(["classify", "--synthetic", "three-gauss", "--seed", "3"])
@@ -545,6 +601,25 @@ class TestRotateCheck:
         code, report = run_cli(["rotate-check", "--grid-bits", "12", "--seed", "0"], tmp_path)
         assert code == EXIT_OK
         assert len(report["outputs"]["lambda_grid"]) == 4096 - 40  # kappa_eff 100 keeps >= 41/4096
+
+
+class TestCopyCountRange:
+    """A copy count ceil(kappa^2 / eps^3) beyond int64 is a rejection, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["chain", "--synthetic", "three-gauss", "--eps", "1e-7"],
+        ["chain", "--synthetic", "three-gauss", "--eps", "1e-120"],
+        ["classify", "--synthetic", "three-gauss", "--test-count", "3", "--path", "quantum",
+         "--shots", "64", "--eps", "1e-120"],
+        ["reduce", "--synthetic", "three-gauss", "--p", "2", "--path", "quantum",
+         "--kappa-eff", "1e300"],
+    ])
+    def test_exits_with_domain_code_naming_kappa_and_eps(self, argv, tmp_path, capsys):
+        code, report = run_cli(argv + ["--seed", "0"], tmp_path)
+        assert (code, report) == (EXIT_DOMAIN, None)
+        err = capsys.readouterr().err
+        assert "copy count ceil(kappa^2 / eps^3) does not fit in int64 at kappa = " in err
+        assert re.search(r"eps = (1e-07|1e-120|0\.1)$", err.strip())
 
 
 class TestDataSourceFlags:

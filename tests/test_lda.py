@@ -293,11 +293,11 @@ class TestQuantumLda:
         basis = quantum_lda(whitening_chain(data, 100.0, 0.1, 8), 2, seed=4)
         stats = class_statistics(data)
         sb, sw = between_scatter(stats), within_scatter(data, stats)
-        # two whitening stages, then one (S_B, sqrt) and one (S_W, inverse) stage
-        # for both directions
-        assert len(analyzed) == 4
-        assert np.array_equal(analyzed[2].matrix, sb.matrix)
-        assert np.array_equal(analyzed[3].matrix, sw.matrix)
+        # two whitening stages, then one (S_W, inverse) stage for both directions;
+        # the back-map reuses the chain's (S_B, sqrt) stage
+        assert len(analyzed) == 3
+        assert np.array_equal(analyzed[1].matrix, sb.matrix)
+        assert np.array_equal(analyzed[2].matrix, sw.matrix)
         inverse = SpectralFunction.from_name("inverse")
         for v, w in zip(basis.intermediates, basis.directions):
             # the same two stages on the density matrix |v><v|: a rank-one output
