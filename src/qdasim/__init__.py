@@ -54,8 +54,8 @@ from .lda import (
     quantum_lda,
 )
 from .qda import (
+    Classification,
     ClassifierModel,
-    DiscriminantResult,
     classify_many,
     fit,
     invert_apply,
@@ -101,8 +101,8 @@ __all__ = [
     "fisher_criterion",
     "project",
     "quantum_lda",
+    "Classification",
     "ClassifierModel",
-    "DiscriminantResult",
     "classify_many",
     "fit",
     "invert_apply",

@@ -140,6 +140,28 @@ class ChainReport:
         return np.array([s.copies for s in self.stages], dtype=int)
 
 
+def _oracle_with_factors(spec: ChainSpec) -> tuple[DensityOperator, list[np.ndarray]]:
+    """``classical_chain_oracle`` of spec together with its stage factors
+    f_j(A_j), in stage order, for callers that reuse a factor."""
+    if not spec.stages:
+        raise DomainRejection("empty chain has no operator content")
+    dim = spec.stages[0][0].dim
+    f_total = np.eye(dim)
+    factors = []
+    for a, f in spec.stages:
+        if a.dim != dim:
+            raise DomainRejection("chain stages have mismatched dimensions")
+        factors.append(matrix_function(a, f, spec.kappa_eff).matrix)
+        f_total = factors[-1] @ f_total
+    product = f_total @ f_total.conj().T
+    trace = float(np.trace(product).real)
+    if trace < _TRACE_FLOOR:
+        raise DomainRejection(
+            f"chain annihilates the space: tr(F F^dagger) = {trace:.3e}"
+        )
+    return DensityOperator(product / trace), factors
+
+
 def classical_chain_oracle(spec: ChainSpec) -> DensityOperator:
     """Exact spectral-calculus chain: F F^dagger / tr(F F^dagger).
 
@@ -147,21 +169,7 @@ def classical_chain_oracle(spec: ChainSpec) -> DensityOperator:
     condition-number filter the staged pipeline uses (pseudo-inverse
     semantics on the filtered spectrum), but at full eigenvalue precision.
     """
-    if not spec.stages:
-        raise DomainRejection("empty chain has no operator content")
-    dim = spec.stages[0][0].dim
-    f_total = np.eye(dim)
-    for a, f in spec.stages:
-        if a.dim != dim:
-            raise DomainRejection("chain stages have mismatched dimensions")
-        f_total = matrix_function(a, f, spec.kappa_eff).matrix @ f_total
-    product = f_total @ f_total.conj().T
-    trace = float(np.trace(product).real)
-    if trace < _TRACE_FLOOR:
-        raise DomainRejection(
-            f"chain annihilates the space: tr(F F^dagger) = {trace:.3e}"
-        )
-    return DensityOperator(product / trace)
+    return _oracle_with_factors(spec)[0]
 
 
 def _postselected(prob: float) -> float:

@@ -260,14 +260,9 @@ def run_classify(args) -> tuple[dict, dict, dict]:
     paths = ("quantum", "classical") if args.path == "both" else (args.path,)
     outputs: dict = {}
     for path in paths:
-        results = classify_many(
+        outputs[path] = vars(classify_many(
             model, test.samples, path, args.shots, args.seed, args.t, args.prior, args.eps
-        )
-        outputs[path] = {
-            "decisions": np.array([r.chosen for r in results]),
-            "discriminants": np.array([r.values for r in results]),
-            "margins": np.array([r.margin for r in results]),
-        }
+        ))
     metrics: dict = {
         "test_truth_agreement": {
             path: float(np.mean(outputs[path]["decisions"] == truth))

@@ -11,12 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import (DEFAULT_EPS, DEFAULT_T, ChainReport, ChainSpec, chain_apply,
-                    classical_chain_oracle, prepare_stage)
+from .chain import (DEFAULT_EPS, DEFAULT_T, ChainReport, ChainSpec, _oracle_with_factors,
+                    chain_apply, prepare_stage)
 from .errors import DomainRejection, NumericalFailure
 from .linalg import DensityOperator, SpectralFunction, eig_hermitian, matrix_function
 from .oracle import LabeledDataset, between_scatter, class_statistics, within_scatter
-from .qsim import PHASE_BITS_MAX, _fix_vector_sign, phase_estimation, sample_eigenpairs
+from .qsim import PHASE_BITS_MAX, phase_estimation, sample_eigenpairs
 
 _SQRT = SpectralFunction.from_name("sqrt")
 _INV = SpectralFunction.from_name("inverse")
@@ -81,10 +81,17 @@ def whitening_chain(
     return ChainSpec(stages, kappa_eff, eps, t)
 
 
+def _fix_vector_sign(v: np.ndarray) -> np.ndarray:
+    """v divided by the phase of its largest-magnitude entry (exactly +-1 on real input)."""
+    pivot = int(np.argmax(np.abs(v)))
+    phase = v[pivot] / abs(v[pivot]) if abs(v[pivot]) > 0 else 1.0
+    return v / phase
+
+
 def _basis(vectors, back_map, estimates, chain: ChainReport | None = None) -> ProjectionBasis:
     """Sign-fixed intermediates v_r and their back-mapped unit directions
     w_r = back_map(v_r) / |back_map(v_r)|, sign-fixed the same way."""
-    vs = [_fix_vector_sign(_real_cast(v)) for v in vectors]
+    vs = [_real_cast(_fix_vector_sign(v)) for v in vectors]
     ws = []
     for r, v in enumerate(vs, start=1):
         w = back_map(v)
@@ -107,16 +114,15 @@ def classical_lda_oracle(spec: ChainSpec, p: int) -> ProjectionBasis:
     """
     if p < 1:
         raise DomainRejection("need at least one direction")
-    sol = eig_hermitian(classical_chain_oracle(spec))
+    oracle, (_, sqrt_b) = _oracle_with_factors(spec)
+    sol = eig_hermitian(oracle)
     rank = int(np.sum(sol.eigenvalues > _RANK_TOL * max(sol.eigenvalues[0], 1e-300)))
     if p > rank:
         raise DomainRejection(
             f"requested {p} directions but the whitened operator has rank {rank}"
         )
     trace = float(np.sum(sol.eigenvalues[:rank]))
-    (sw, _), (sb, _) = spec.stages
-    back = (matrix_function(sw, _INV, spec.kappa_eff).matrix
-            @ matrix_function(sb, _SQRT, spec.kappa_eff).matrix)
+    back = matrix_function(spec.stages[0][0], _INV, spec.kappa_eff).matrix @ sqrt_b
     return _basis(sol.eigenvectors[:, :p].T, lambda v: back @ v, sol.eigenvalues[:p] / trace)
 
 
@@ -179,8 +185,8 @@ def quantum_lda(spec: ChainSpec, p: int, seed=None) -> ProjectionBasis:
     sqrt_b = chain.stages[1]
     inv_w = prepare_stage(spec.stages[0][0], _INV, t, spec.kappa_eff, spec.eps)
     estimates = [(s.eigenvalue - gamma / n) / (1.0 - gamma) for s in selected]
-    return _basis([s.vector for s in selected], lambda v: inv_w.apply_pure(sqrt_b.apply_pure(v)),
-                  estimates, chain)
+    return _basis([joint.vectors[:, s.eigenvector_index] for s in selected],
+                  lambda v: inv_w.apply_pure(sqrt_b.apply_pure(v)), estimates, chain)
 
 
 def fisher_criterion(source, directions) -> float:

@@ -3,8 +3,9 @@
 The model stores unit-trace covariance operators with their statistical
 scale factors, class means and priors, and the classically recorded
 inversion products. ``classify_many`` is the one scorer: it inverts every
-class mean once per batch (``invert_apply``) and scores each query against
-those inversions. Discriminant values combine a signed overlap estimate
+class mean once per batch (``invert_apply``) and scores the whole batch
+against those inversions one class at a time, returning a ``Classification``
+of arrays. Discriminant values combine a signed overlap estimate
 between the inverted-mean state and the shifted query state with the
 recorded norms, so shot-based and exact evaluations share one code path.
 """
@@ -61,18 +62,14 @@ class ClassifierModel:
 
 
 @dataclass(frozen=True)
-class DiscriminantResult:
-    """Per-class discriminant values with the argmax decision and its margin."""
+class Classification:
+    """A scored query batch: ``discriminants[i, c-1]`` is row i's value for
+    class c, ``decisions[i]`` its class (lowest index among equal maxima) and
+    ``margins[i]`` the gap to the runner-up (``inf`` when k = 1)."""
 
-    values: np.ndarray
-    chosen: int
-    margin: float
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if self.chosen != int(np.argmax(values)) + 1:
-            raise DomainRejection("chosen class must be the lowest-index argmax")
+    discriminants: np.ndarray
+    decisions: np.ndarray
+    margins: np.ndarray
 
 
 def _invert_mean(inv: np.ndarray, scale: float, mu: np.ndarray) -> tuple[np.ndarray, float]:
@@ -159,23 +156,6 @@ def invert_apply(
     ]
 
 
-def _child_seed(seed, c: int):
-    return None if seed is None else np.random.SeedSequence([int(seed), c])
-
-
-def _score(model, x, c, inverted, path, shots, seed) -> float:
-    """Class c's estimate of its inverted mean dotted with x - mean/2."""
-    direction, inv_norm = inverted
-    shifted = x - 0.5 * model.class_means[c - 1]
-    shifted_norm = float(np.linalg.norm(shifted))
-    if shifted_norm < 1e-14:
-        return 0.0  # zero vector has zero overlap contribution by convention
-    if path == "classical":
-        return inv_norm * float(direction @ shifted)
-    result = overlap_test_signed(direction, shifted / shifted_norm, shots, _child_seed(seed, c))
-    return inv_norm * shifted_norm * result.estimate
-
-
 def classify_many(
     model: ClassifierModel,
     X,
@@ -185,15 +165,19 @@ def classify_many(
     t: int = DEFAULT_T,
     prior_mode: str = "log",
     eps: float = DEFAULT_EPS,
-) -> list[DiscriminantResult]:
-    """Classify each row of X against class inversions computed once per batch.
+) -> Classification:
+    """Score every row of X against class inversions computed once per batch.
 
     Class c's discriminant is the combined inner product of its inverted mean
     with (x - mean/2), rescaled by the recorded norms, plus the prior term:
     log-prior scoring (default) or, with ``prior_mode="linear"``, the literal
-    linear prior; both orders coincide for balanced classes. Row i is scored
-    with seed ``seed + i`` (``None`` when seed is ``None``). Ties break to the
-    lowest class index; the margin is the gap to the runner-up.
+    linear prior; both orders coincide for balanced classes. The batch is
+    scored one class at a time: on the quantum path one
+    ``overlap_test_signed`` call per class takes all rows, row i drawing from
+    ``SeedSequence([seed + i, c])`` (unseeded when seed is ``None``). A row
+    whose shifted vector vanishes (norm < 1e-14) scores 0 for that class and
+    takes no draw. Every product stays one dot per row, so a one-row call
+    with seed ``seed + i`` reproduces row i bit for bit.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -206,16 +190,20 @@ def classify_many(
         raise DomainRejection(f"unknown prior mode {prior_mode!r}")
     priors = model.priors.tolist()
     prior_terms = [math.log(p) for p in priors] if prior_mode == "log" else priors
-    inverted = invert_apply(model, path, t, eps)
-    results = []
-    for i, x in enumerate(X):
-        row_seed = None if seed is None else seed + i
-        values = [
-            _score(model, x, c, inverted[c - 1], path, shots, row_seed) + prior_terms[c - 1]
-            for c in range(1, model.k + 1)
-        ]
-        chosen = int(np.argmax(values)) + 1
-        rest = np.delete(values, chosen - 1)
-        margin = float(values[chosen - 1] - rest.max()) if rest.size else float("inf")
-        results.append(DiscriminantResult(values=values, chosen=chosen, margin=margin))
-    return results
+    scores = np.zeros((X.shape[0], model.k))
+    for c, (direction, inv_norm) in enumerate(invert_apply(model, path, t, eps), start=1):
+        shifted = X - 0.5 * model.class_means[c - 1]
+        norms = np.sqrt([s @ s for s in shifted])
+        live = np.flatnonzero(norms >= 1e-14)  # a zero vector contributes zero overlap
+        if path == "classical":
+            scores[live, c - 1] = inv_norm * np.array([direction @ shifted[i] for i in live])
+            continue
+        seeds = [None if seed is None else np.random.SeedSequence([int(seed) + int(i), c])
+                 for i in live]
+        unit_rows = shifted[live] / norms[live, None]
+        estimates = overlap_test_signed(direction, unit_rows, shots, seeds).estimate
+        scores[live, c - 1] = inv_norm * norms[live] * estimates
+    values = scores + prior_terms
+    ranked = np.sort(values, axis=1)
+    margins = ranked[:, -1] - ranked[:, -2] if model.k > 1 else np.full(X.shape[0], np.inf)
+    return Classification(values, np.argmax(values, axis=1) + 1, margins)

@@ -10,7 +10,7 @@ when the input commutes with the generator; any other input is rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,11 +28,11 @@ _PROFILE_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class ShotResult:
-    """Estimate from repeated single-shot measurements with its standard error."""
+    """Estimates from repeated single-shot measurements, one per row, with standard errors."""
 
-    estimate: float
+    estimate: np.ndarray
     shots: int
-    standard_error: float
+    standard_error: np.ndarray
 
     def __post_init__(self) -> None:
         _check_shots(self.shots)
@@ -194,21 +194,14 @@ def phase_estimation(
 
 @dataclass(frozen=True)
 class EigenSample:
-    """One distinct register outcome with its post-measurement system vector,
-    the generator eigenvector column ``eigenvector_index``."""
+    """One distinct register outcome; its post-measurement system vector is the
+    generator eigenvector column ``QpeState.vectors[:, eigenvector_index]``."""
 
     eigenvalue: float
     frequency: float
     register_value: int
     probability: float  # exact-path marginal of this outcome
     eigenvector_index: int
-    vector: np.ndarray = field(repr=False, compare=False)  # top post-measurement vector
-
-
-def _fix_vector_sign(v: np.ndarray) -> np.ndarray:
-    pivot = int(np.argmax(np.abs(v)))
-    phase = v[pivot] / abs(v[pivot]) if abs(v[pivot]) > 0 else 1.0
-    return v / phase
 
 
 def sample_eigenpairs(joint: QpeState, draws: int, seed=None) -> list[EigenSample]:
@@ -219,7 +212,7 @@ def sample_eigenpairs(joint: QpeState, draws: int, seed=None) -> list[EigenSampl
     dropped. The input must commute with the generator (beta diagonal to
     ``COMMUTE_TOL``): the post-measurement state of outcome m is then
     sum_l beta_ll |a_l(m)|^2 |u_l><u_l|, whose top vector is the eigenvector
-    column u_l of largest weight."""
+    column u_l of largest weight; the sample records its index l."""
     if draws < 1:
         raise DomainRejection("draws must be a positive integer")
     off_diagonal = float(np.max(np.abs(joint.beta - np.diag(np.diag(joint.beta)))))
@@ -243,7 +236,6 @@ def sample_eigenpairs(joint: QpeState, draws: int, seed=None) -> list[EigenSampl
             register_value=int(m),
             probability=float(probs[m]),
             eigenvector_index=int(tops[m]),
-            vector=_fix_vector_sign(joint.vectors[:, tops[m]]),
         )
         for m in drawn
     ]
@@ -251,38 +243,41 @@ def sample_eigenpairs(joint: QpeState, draws: int, seed=None) -> list[EigenSampl
     return samples
 
 
-def _validate_state_vector(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-8:
-        raise DomainRejection(f"state vector norm {norm!r} is not 1")
-    if float(np.max(np.abs(v.imag))) > 1e-10:
-        raise DomainRejection("signed overlap test needs real-amplitude states")
-    return v
-
-
-def _acceptance_estimate(x: float, shots: int, seed) -> ShotResult:
-    """Estimate x from ``shots`` draws of an outcome accepted with rate (1 + x)/2."""
+def _acceptance_estimate(x: np.ndarray, shots: int, seeds) -> ShotResult:
+    """Estimate each x[i] from ``shots`` draws, seeded by ``seeds[i]``, of an
+    outcome accepted with rate (1 + x[i])/2."""
     _check_shots(shots)
-    rng = np.random.default_rng(seed)
-    accepted = int(rng.binomial(shots, min(max(0.5 + 0.5 * x, 0.0), 1.0)))
-    p_hat = accepted / shots
+    rates = np.clip(0.5 + 0.5 * x, 0.0, 1.0)
+    p_hat = np.array([np.random.default_rng(seed).binomial(shots, rate)
+                      for seed, rate in zip(seeds, rates)], dtype=np.int64) / shots
     return ShotResult(
         estimate=2.0 * p_hat - 1.0,
         shots=shots,
-        standard_error=2.0 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / shots),
+        standard_error=2.0 * np.sqrt(np.maximum(p_hat * (1.0 - p_hat), 0.0) / shots),
     )
 
 
-def overlap_test_signed(a, b, shots: int, seed=None) -> ShotResult:
-    """Estimate Re<a|b> (sign included) via an ancilla-controlled interference
-    measurement with acceptance rate (1 + Re<a|b>)/2; inputs must be
-    real-amplitude unit vectors."""
-    va = _validate_state_vector(a)
-    vb = _validate_state_vector(b)
-    if va.size != vb.size:
-        raise DomainRejection(f"dimension mismatch: {va.size} vs {vb.size}")
-    return _acceptance_estimate(float(np.real(np.vdot(va, vb))), shots, seed)
+def overlap_test_signed(a, rows, shots: int, seeds) -> ShotResult:
+    """Estimate Re<a|b> (sign included) for every row b of ``rows`` via an
+    ancilla-controlled interference measurement with acceptance rate
+    (1 + Re<a|b>)/2, row i drawn from ``seeds[i]`` (one seed per row, each
+    possibly None). ``a`` and every row must be real-amplitude unit vectors,
+    checked together in one pass. The estimates and standard errors come
+    back as arrays in row order."""
+    va, vb = np.asarray(a, dtype=complex), np.asarray(rows, dtype=complex)
+    if va.ndim != 1 or vb.ndim != 2 or vb.shape[1] != va.size:
+        raise DomainRejection(f"dimension mismatch: {va.shape} vs rows of shape {vb.shape}")
+    if len(seeds) != len(vb):
+        raise DomainRejection(f"{len(seeds)} seeds for {len(vb)} rows; need one per row")
+    states = np.vstack([va, vb])
+    norms = np.linalg.norm(states, axis=1)
+    off = np.abs(norms - 1.0) > 1e-8
+    if np.any(off):
+        raise DomainRejection(f"state vector norm {float(norms[off][0])!r} is not 1")
+    if float(np.max(np.abs(states.imag))) > 1e-10:
+        raise DomainRejection("signed overlap test needs real-amplitude states")
+    overlaps = np.array([np.vdot(va, b).real for b in vb])
+    return _acceptance_estimate(overlaps, shots, seeds)
 
 
 def postselect_ancilla(

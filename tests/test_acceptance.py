@@ -208,8 +208,8 @@ class TestAcceptance:
             # row i is seeded seed * 1000 + i
             quantum = classify_many(model, queries, "quantum", shots=8192, seed=seed * 1000, t=8)
             classical = classify_many(model, queries, "classical")
-            q_hits = sum(q.chosen == truth for q, truth in zip(quantum, truths))
-            c_hits = sum(c.chosen == truth for c, truth in zip(classical, truths))
+            q_hits = int(np.sum(quantum.decisions == truths))
+            c_hits = int(np.sum(classical.decisions == truths))
             quantum_rates.append(q_hits / 200)
             classical_rates.append(c_hits / 200)
         assert min(quantum_rates) >= 0.95

@@ -23,7 +23,6 @@ from qdasim.lda import (
     whitening_chain,
 )
 from qdasim.oracle import LabeledDataset, between_scatter, class_statistics, within_scatter
-from qdasim.qsim import _fix_vector_sign
 
 GOLDEN_CSV = Path(__file__).parent / "golden" / "three_gauss_seed1.csv"
 
@@ -163,6 +162,20 @@ class TestClassicalOracle:
     def test_takes_the_chain_and_a_direction_count(self):
         assert list(inspect.signature(classical_lda_oracle).parameters) == ["spec", "p"]
 
+    def test_each_stage_function_evaluated_once(self, monkeypatch):
+        evaluated = []
+        for module in (chain, lda):
+            evaluate = module.matrix_function
+            monkeypatch.setattr(
+                module, "matrix_function",
+                lambda a, f, *rest, evaluate=evaluate: evaluated.append(f.name)
+                or evaluate(a, f, *rest),
+            )
+        spec = whitening_chain(load_csv(GOLDEN_CSV), 100.0, 0.1, 8)
+        classical_lda_oracle(spec, 2)
+        # the oracle's S_B^(1/2) factor serves the back-map too
+        assert evaluated == ["inverse-sqrt", "sqrt", "inverse"]
+
     def test_rank_rejection_reports_achievable_rank(self):
         data = two_class_dataset()
         with pytest.raises(DomainRejection, match="rank 1"):
@@ -253,7 +266,8 @@ class TestQuantumLda:
         def sample_and_read_every_vector(*args, **kwargs):
             monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
             samples = sample(*args, **kwargs)
-            vectors = [s.vector for s in samples]
+            joint = args[0]
+            vectors = [joint.vectors[:, s.eigenvector_index] for s in samples]
             monkeypatch.setattr(np.linalg, "eigh", eigh)
             assert len(vectors) > 2
             return samples

@@ -2,15 +2,16 @@
 discriminant values, and argmax decisions against a from-scratch oracle."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from qdasim import chain, qda
 from qdasim.errors import DomainRejection
 from qdasim.oracle import LabeledDataset
-from qdasim.qda import DiscriminantResult, classify_many, fit, invert_apply
+from qdasim.qda import classify_many, fit, invert_apply
 from qdasim.qsim import overlap_test_signed
-from qdasim.qda import _child_seed
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -155,27 +156,27 @@ class TestDiscriminant:
         data, mu = isotropic_two_class()
         model = fit(data, 100.0)
         x = np.array([1.0, 0.5, 0.0, 0.0])
-        value = classify_many(model, [x], "classical")[0].values[0]
+        value = classify_many(model, [x], "classical").discriminants[0, 0]
         expected = float(x @ mu - 0.5 * mu @ mu) + np.log(0.5)
         assert value == pytest.approx(expected)
 
     def test_query_at_class_mean(self):
         data, mu = isotropic_two_class()
         model = fit(data, 100.0)
-        value = classify_many(model, [mu], "classical")[0].values[0]
+        value = classify_many(model, [mu], "classical").discriminants[0, 0]
         assert value == pytest.approx(0.5 * float(mu @ mu) + np.log(0.5))
 
     def test_query_at_half_mean_leaves_only_prior(self):
         data, mu = isotropic_two_class()
         model = fit(data, 100.0)
-        value = classify_many(model, [0.5 * mu], "classical")[0].values[0]
+        value = classify_many(model, [0.5 * mu], "classical").discriminants[0, 0]
         assert value == pytest.approx(np.log(0.5))
 
     def test_linear_prior_variant(self):
         data, mu = isotropic_two_class()
         model = fit(data, 100.0)
-        log_v = classify_many(model, [mu], "classical", prior_mode="log")[0].values[0]
-        lin_v = classify_many(model, [mu], "classical", prior_mode="linear")[0].values[0]
+        log_v = classify_many(model, [mu], "classical", prior_mode="log").discriminants[0, 0]
+        lin_v = classify_many(model, [mu], "classical", prior_mode="linear").discriminants[0, 0]
         assert lin_v - log_v == pytest.approx(0.5 - np.log(0.5))
 
     def test_shot_estimates_within_three_standard_errors(self):
@@ -185,19 +186,19 @@ class TestDiscriminant:
         hits = 0
         trials = 1000
         c = 1
-        classical = classify_many(model, [x], "classical")[0].values[c - 1]
+        classical = classify_many(model, [x], "classical").discriminants[0, c - 1]
         # row i is seeded 0 + i, so the batch replays trials 0..999
         batch = classify_many(model, np.tile(x, (trials, 1)), "quantum", shots=512, seed=0)
         direction, inv_norm = invert_apply(model, "classical")[c - 1]
         shifted = x - 0.5 * model.class_means[c - 1]
         shifted_norm = np.linalg.norm(shifted)
-        for seed, result in enumerate(batch):
-            quantum = result.values[c - 1]
-            probe = overlap_test_signed(
-                direction, shifted / shifted_norm, 512, _child_seed(seed, c)
-            )
+        seeds = [np.random.SeedSequence([seed, c]) for seed in range(trials)]
+        probe = overlap_test_signed(
+            direction, np.tile(shifted / shifted_norm, (trials, 1)), 512, seeds
+        )
+        for quantum, standard_error in zip(batch.discriminants[:, c - 1], probe.standard_error):
             scale = inv_norm * shifted_norm
-            if abs(quantum - classical) <= 3.0 * scale * probe.standard_error:
+            if abs(quantum - classical) <= 3.0 * scale * standard_error:
                 hits += 1
         assert hits / trials >= 0.99
 
@@ -208,7 +209,7 @@ class TestDiscriminant:
         stds = {}
         for shots in (512, 1024):
             batch = classify_many(model, np.tile(x, (50, 1)), "quantum", shots=shots, seed=2000)
-            stds[shots] = np.std([result.values[0] for result in batch])
+            stds[shots] = np.std(batch.discriminants[:, 0])
         assert 1.25 <= stds[512] / stds[1024] <= 1.6
 
 
@@ -217,14 +218,14 @@ class TestClassify:
         data, mu = isotropic_two_class()
         model = fit(data, 100.0)
         results = classify_many(model, [mu, -mu], "classical")
-        assert [result.chosen for result in results] == [1, 2]
+        assert results.decisions.tolist() == [1, 2]
 
     def test_equidistant_query_ties_to_class_one(self):
         data, _ = isotropic_two_class()
         model = fit(data, 100.0)
-        (result,) = classify_many(model, np.zeros((1, 4)), "classical")
-        assert result.chosen == 1
-        assert result.margin == pytest.approx(0.0, abs=1e-12)
+        result = classify_many(model, np.zeros((1, 4)), "classical")
+        assert result.decisions[0] == 1
+        assert result.margins[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_classical_path_reproduces_oracle_decisions(self):
         data, means = gauss3()
@@ -234,10 +235,11 @@ class TestClassify:
         for _ in range(200):
             c_true = int(rng.integers(1, 4))
             queries.append(means[c_true - 1] + 0.8 * rng.standard_normal(4))
-        for x, result in zip(queries, classify_many(model, queries, "classical")):
+        result = classify_many(model, queries, "classical")
+        for x, chosen, values in zip(queries, result.decisions, result.discriminants):
             oracle = oracle_discriminants(data, x)
-            assert result.chosen == int(np.argmax(oracle)) + 1
-            assert np.allclose(result.values, oracle, atol=1e-9)
+            assert chosen == int(np.argmax(oracle)) + 1
+            assert np.allclose(values, oracle, atol=1e-9)
 
     def test_quantum_path_agreement(self):
         data, means = gauss3()
@@ -249,17 +251,17 @@ class TestClassify:
             queries.append(means[c_true - 1] + 0.8 * rng.standard_normal(4))
         results = classify_many(model, queries, "quantum", shots=8192, seed=5000)
         agree = sum(
-            result.chosen == int(np.argmax(oracle_discriminants(data, x))) + 1
-            for x, result in zip(queries, results)
+            chosen == int(np.argmax(oracle_discriminants(data, x))) + 1
+            for x, chosen in zip(queries, results.decisions)
         )
         assert agree / 100 >= 0.95
 
     def test_argmax_invariant_under_constant_shift(self):
         data, means = gauss3()
         model = fit(data, 100.0)
-        (result,) = classify_many(model, [means[2] * 0.9], "classical")
-        shifted = result.values + 123.456
-        assert int(np.argmax(shifted)) + 1 == result.chosen
+        result = classify_many(model, [means[2] * 0.9], "classical")
+        shifted = result.discriminants[0] + 123.456
+        assert int(np.argmax(shifted)) + 1 == result.decisions[0]
 
 
 class TestClassifyMany:
@@ -271,7 +273,7 @@ class TestClassifyMany:
         rng = np.random.default_rng(3)
         queries = means[rng.integers(0, 3, size=12)] + 0.8 * rng.standard_normal((12, 4))
         expected = [
-            classify_many(model, [x], path, shots=256, seed=40 + i, t=8)[0]
+            classify_many(model, [x], path, shots=256, seed=40 + i, t=8)
             for i, x in enumerate(queries)
         ]
         calls = []
@@ -281,10 +283,12 @@ class TestClassifyMany:
         )
         results = classify_many(model, queries, path, shots=256, seed=40, t=8)
         assert len(calls) == 1
-        assert len(results) == len(queries)
-        for got, want in zip(results, expected):
-            assert np.array_equal(got.values, want.values)
-            assert (got.chosen, got.margin) == (want.chosen, want.margin)
+        assert len(results.decisions) == len(queries)
+        for i, want in enumerate(expected):
+            assert np.array_equal(results.discriminants[i], want.discriminants[0])
+            assert (results.decisions[i], results.margins[i]) == (
+                want.decisions[0], want.margins[0]
+            )
 
     @pytest.mark.parametrize("shared, stages", [(True, 1), (False, 3)])
     def test_one_stage_prepared_per_distinct_operator(self, monkeypatch, shared, stages):
@@ -303,11 +307,71 @@ class TestClassifyMany:
         data, means = gauss3(seed=2, per_class=20)
         model = fit(data, 100.0)
         seeds = []
+        overlap = qda.overlap_test_signed
         monkeypatch.setattr(
-            qda, "_child_seed", lambda seed, c: seeds.append(seed) or None
+            qda, "overlap_test_signed",
+            lambda a, rows, shots, row_seeds: seeds.extend(row_seeds) or overlap(
+                a, rows, shots, row_seeds
+            ),
         )
         classify_many(model, means, "quantum", shots=64, seed=None)
         assert seeds == [None] * 9
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_one_overlap_test_per_class_over_all_rows(self, monkeypatch, shared):
+        data, means = gauss3(seed=2, per_class=20)
+        model = fit(data, 100.0, shared_covariance=shared)
+        rows = []
+        overlap = qda.overlap_test_signed
+        monkeypatch.setattr(
+            qda, "overlap_test_signed",
+            lambda a, batch, shots, seeds: rows.append(len(batch)) or overlap(
+                a, batch, shots, seeds
+            ),
+        )
+        classify_many(model, np.tile(means, (4, 1)), "quantum", shots=64, seed=5, t=8)
+        assert rows == [12] * model.k
+
+    def test_zero_shifted_row_scores_zero_without_a_draw(self, monkeypatch):
+        data, means = gauss3(seed=2, per_class=20)
+        model = fit(data, 100.0)
+        queries = means + 0.8 * np.random.default_rng(7).standard_normal((3, 4))
+        queries[1] = 0.5 * model.class_means[2]  # class 3's shifted vector is zero
+        rows = []
+        overlap = qda.overlap_test_signed
+        monkeypatch.setattr(
+            qda, "overlap_test_signed",
+            lambda a, batch, shots, seeds: rows.append(len(batch)) or overlap(
+                a, batch, shots, seeds
+            ),
+        )
+        result = classify_many(model, queries, "quantum", shots=256, seed=40, t=8)
+        assert rows == [3, 3, 2]
+        assert result.discriminants[1, 2] == math.log(model.priors[2])  # the prior alone
+        for i, x in enumerate(queries):
+            alone = classify_many(model, [x], "quantum", shots=256, seed=40 + i, t=8)
+            assert np.array_equal(result.discriminants[i], alone.discriminants[0])
+
+    def test_ties_decide_for_lowest_class_index(self):
+        data, means = gauss3(seed=2, per_class=20)
+        twin = data.samples[data.labels == 2]
+        # classes 2 and 3 hold the same samples, so they score alike bit for bit
+        tied = LabeledDataset(
+            np.vstack([data.samples[data.labels == 1], twin, twin]), np.repeat([1, 2, 3], 20)
+        )
+        result = classify_many(fit(tied, 100.0), [means[1], means[0]], "classical")
+        assert result.discriminants[0, 1] == result.discriminants[0, 2]
+        assert result.decisions.tolist() == [2, 1]
+        assert result.margins[0] == 0.0 < result.margins[1]
+
+    @pytest.mark.parametrize("path", ["classical", "quantum"])
+    def test_single_class_margin_is_infinite(self, path):
+        data, means = gauss3(seed=2, per_class=20)
+        one = LabeledDataset(data.samples[data.labels == 1], np.ones(20, dtype=int))
+        result = classify_many(fit(one, 100.0), means, path, shots=64, seed=3, t=8)
+        assert result.discriminants.shape == (3, 1)
+        assert result.decisions.tolist() == [1, 1, 1]
+        assert np.all(result.margins == np.inf)
 
     def test_bad_query_rejected(self):
         data, means = gauss3(seed=2, per_class=20)
@@ -343,7 +407,7 @@ class TestLdaClassify:
         ]
         a = classify_many(qda_model, queries, "classical")
         b = classify_many(lda_model, queries, "classical")
-        agree = sum(x.chosen == y.chosen for x, y in zip(a, b))
+        agree = int(np.sum(a.decisions == b.decisions))
         assert agree / 100 >= 0.98
 
     def test_isotropic_shared_covariance_is_nearest_mean(self):
@@ -351,23 +415,18 @@ class TestLdaClassify:
         model = fit(data, 100.0, shared_covariance=True)
         rng = np.random.default_rng(4)
         queries = [3.0 * rng.standard_normal(4) for _ in range(50)]
-        for x, result in zip(queries, classify_many(model, queries, "classical")):
-            decided = result.chosen
+        for x, decided in zip(queries, classify_many(model, queries, "classical").decisions):
             nearest = 1 if np.linalg.norm(x - mu) <= np.linalg.norm(x + mu) else 2
             assert decided == nearest
 
     def test_global_mean_query_has_zero_margin(self):
         data, _ = isotropic_two_class()
         model = fit(data, 100.0, shared_covariance=True)
-        (result,) = classify_many(model, np.zeros((1, 4)), "classical")
-        assert result.margin == pytest.approx(0.0, abs=1e-12)
+        result = classify_many(model, np.zeros((1, 4)), "classical")
+        assert result.margins[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestResultInvariants:
-    def test_chosen_must_be_lowest_index_argmax(self):
-        with pytest.raises(DomainRejection, match="argmax"):
-            DiscriminantResult(values=np.array([1.0, 2.0]), chosen=1, margin=0.0)
-
     def test_priors_logs_finite(self):
         data, _ = gauss3(per_class=3)
         model = fit(data, 100.0)

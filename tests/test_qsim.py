@@ -11,7 +11,6 @@ from qdasim.lda import qpe_draws
 from qdasim.qsim import (
     POSTSELECT_FLOOR,
     RegisteredState,
-    _fix_vector_sign,
     _register_weights,
     density_exponentiation_step,
     overlap_test_signed,
@@ -244,7 +243,7 @@ def two_pass_samples(joint, draws: int, seed):
         w = _register_weights(joint.phases, joint.t, drawn[lo : lo + width])
         tops.extend(np.argmax(populations[:, None] * w, axis=0))
     return [
-        (int(m), counts[m] / draws, _fix_vector_sign(joint.vectors[:, top]))
+        (int(m), counts[m] / draws, joint.vectors[:, top])
         for m, top in zip(drawn, tops)
     ]
 
@@ -262,7 +261,7 @@ class TestStreamedRegisterAtBenchmarkScale:
         assert len(samples) == len(reference) > 1
         for s, (m, frequency, vector) in zip(samples, sorted(reference, key=lambda r: -r[0])):
             assert (s.register_value, s.frequency) == (m, frequency)
-            assert np.array_equal(s.vector, vector)
+            assert np.array_equal(joint.vectors[:, s.eigenvector_index], vector)
 
     def test_streamed_marginal_and_samples_match_dense_table(self):
         gen = clustered_generator(np.random.default_rng(21), 256)
@@ -274,7 +273,7 @@ class TestStreamedRegisterAtBenchmarkScale:
         reference.sort(key=lambda r: -r[0])  # samples come by descending eigenvalue
         for s, (m, frequency, column) in zip(samples, reference):
             assert (s.register_value, s.frequency) == (m, frequency)
-            assert np.array_equal(s.vector, _fix_vector_sign(column))
+            assert np.array_equal(joint.vectors[:, s.eigenvector_index], column)
 
 
 class TestSampleEigenpairs:
@@ -300,9 +299,10 @@ class TestSampleEigenpairs:
         w, v = np.linalg.eigh(gen.matrix)
         target = v[:, -1]
         inp = DensityOperator(np.outer(target, target.conj()))
-        samples = sample_eigenpairs(phase_estimation(gen, inp, 8), 4096, seed=3)
+        joint = phase_estimation(gen, inp, 8)
+        samples = sample_eigenpairs(joint, 4096, seed=3)
         top = max(samples, key=lambda s: s.frequency)
-        assert abs(np.vdot(top.vector, target)) >= 0.99
+        assert abs(np.vdot(joint.vectors[:, top.eigenvector_index], target)) >= 0.99
 
     def test_zero_draws_rejected(self):
         gen = DensityOperator(np.diag([0.25, 0.75]))
@@ -321,28 +321,28 @@ class TestSampleEigenpairs:
 class TestOverlapTestSigned:
     def test_identical_and_negated(self):
         v = random_unit_vector(np.random.default_rng(1), 3)
-        same = overlap_test_signed(v, v, shots=64, seed=0)
-        assert same.estimate == pytest.approx(1.0)
-        assert same.standard_error == 0.0
-        assert overlap_test_signed(v, -v, shots=64, seed=0).estimate == pytest.approx(-1.0)
+        same = overlap_test_signed(v, [v], shots=64, seeds=[0])
+        assert same.estimate[0] == pytest.approx(1.0)
+        assert same.standard_error[0] == 0.0
+        assert overlap_test_signed(v, [-v], shots=64, seeds=[0]).estimate[0] == pytest.approx(-1.0)
 
     def test_negative_overlap_concentration(self):
         a = np.array([1.0, 0.0])
         b = np.array([-0.6, 0.8])
-        out = overlap_test_signed(a, b, shots=10_000, seed=7)
-        assert out.estimate == pytest.approx(-0.6, abs=0.02)
+        out = overlap_test_signed(a, [b], shots=10_000, seeds=[7])
+        assert out.estimate[0] == pytest.approx(-0.6, abs=0.02)
 
     def test_requires_real_amplitudes(self):
         with pytest.raises(DomainRejection, match="real"):
-            overlap_test_signed([1j, 0.0], [1.0, 0.0], shots=8)
+            overlap_test_signed([1j, 0.0], [[1.0, 0.0]], shots=8, seeds=[None])
 
     def test_rejects_unnormalized(self):
         with pytest.raises(DomainRejection, match="norm"):
-            overlap_test_signed([1.0, 1.0], [1.0, 0.0], shots=8)
+            overlap_test_signed([1.0, 1.0], [[1.0, 0.0]], shots=8, seeds=[None])
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DomainRejection, match="dimension mismatch"):
-            overlap_test_signed([1.0, 0.0], [1.0, 0.0, 0.0], shots=8)
+            overlap_test_signed([1.0, 0.0], [[1.0, 0.0, 0.0]], shots=8, seeds=[None])
 
     def test_estimator_within_three_standard_errors(self):
         hits = 0
@@ -350,14 +350,14 @@ class TestOverlapTestSigned:
         a = np.array([1.0, 0.0])
         b = np.array([-0.6, 0.8])
         for seed in range(trials):
-            out = overlap_test_signed(a, b, shots=1024, seed=seed)
-            if abs(out.estimate - (-0.6)) <= 3.0 * out.standard_error:
+            out = overlap_test_signed(a, [b], shots=1024, seeds=[seed])
+            if abs(out.estimate[0] - (-0.6)) <= 3.0 * out.standard_error[0]:
                 hits += 1
         assert hits / trials >= 0.99
 
     def test_standard_error_bound(self):
-        out = overlap_test_signed([1.0, 0.0], [0.0, 1.0], shots=400, seed=1)
-        assert out.standard_error <= 1.0 / np.sqrt(400) + 1e-12
+        out = overlap_test_signed([1.0, 0.0], [[0.0, 1.0]], shots=400, seeds=[1])
+        assert out.standard_error[0] <= 1.0 / np.sqrt(400) + 1e-12
 
 
 class TestPostselectAncilla:
