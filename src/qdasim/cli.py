@@ -258,11 +258,10 @@ def run_classify(args) -> tuple[dict, dict, dict]:
     truth = _training_classes(test, train)
     model = fit(train, args.kappa_eff, shared_covariance=args.lda)
     paths = ("quantum", "classical") if args.path == "both" else (args.path,)
-    outputs: dict = {}
-    for path in paths:
-        outputs[path] = vars(classify_many(
-            model, test.samples, path, args.shots, args.seed, args.t, args.prior, args.eps
-        ))
+    records = {path: classify_many(model, test.samples, path, args.shots, args.seed, args.t,
+                                   args.prior, args.eps) for path in paths}
+    outputs = {path: {"discriminants": r.discriminants, "decisions": r.decisions,
+                      "margins": r.margins} for path, r in records.items()}
     metrics: dict = {
         "test_truth_agreement": {
             path: float(np.mean(outputs[path]["decisions"] == truth))
@@ -274,7 +273,7 @@ def run_classify(args) -> tuple[dict, dict, dict]:
             np.mean(outputs["quantum"]["decisions"] == outputs["classical"]["decisions"])
         )
     if "quantum" in paths:
-        metrics["shots_consumed"] = int(args.shots) * model.k * test.M
+        metrics["shots_consumed"] = int(args.shots) * records["quantum"].draws
         metrics["copies_used"] = np.array(
             [stage_copies(op, args.kappa_eff, args.eps) for op in model.covariance_ops]
         )

@@ -143,10 +143,11 @@ def quantum_lda(spec: ChainSpec, p: int, seed=None) -> ProjectionBasis:
 
     Runs the whitening chain ``spec`` through the staged pipeline at its
     kappa_eff, eps and t, phase-estimates the chain output against itself and
-    samples the top-p eigenpairs, then maps each sampled vector v_r back to
-    the Fisher direction S_W^(-1) S_B^(1/2) v_r through two prepared chain
-    stages, each read in closed form: the chain's own (S_B, sqrt) stage, then
-    one (S_W, inverse) stage.
+    samples its register. The highest drawn bin of each eigenvector index with
+    probability >= 2^-t and frequency >= half that gives one v_r, the first p
+    by descending eigenvalue. Each v_r maps back to the Fisher direction
+    S_W^(-1) S_B^(1/2) v_r through two prepared chain stages, each read in
+    closed form: the chain's own (S_B, sqrt) stage, then one (S_W, inverse) stage.
     """
     if tuple(f for _, f in spec.stages) != (_INV_SQRT, _SQRT):
         raise DomainRejection("quantum_lda needs the whitening chain: inverse-sqrt, then sqrt")
@@ -170,22 +171,20 @@ def quantum_lda(spec: ChainSpec, p: int, seed=None) -> ProjectionBasis:
 
     # adjacent register bins of one eigenvalue repeat its eigenvector; the
     # first (highest) bin above the sampling noise floor stands for it
-    floor = 1.0 / (1 << t)
-    distinct: dict = {}
-    for s in samples:
-        if s.probability >= floor and s.frequency >= 0.5 * s.probability:
-            distinct.setdefault(s.eigenvector_index, s)
-    selected = list(distinct.values())[:p]
-    if len(selected) < p:
+    above = np.flatnonzero((samples.probabilities >= 1.0 / (1 << t))
+                           & (samples.frequencies >= 0.5 * samples.probabilities))
+    _, first = np.unique(samples.eigenvector_indices[above], return_index=True)
+    keep = above[np.sort(first)][:p]
+    if keep.size < p:
         raise DomainRejection(
-            f"recovered only {len(selected)} of {p} requested directions above "
+            f"recovered only {keep.size} of {p} requested directions above "
             "the sampling noise floor"
         )
 
     sqrt_b = chain.stages[1]
     inv_w = prepare_stage(spec.stages[0][0], _INV, t, spec.kappa_eff, spec.eps)
-    estimates = [(s.eigenvalue - gamma / n) / (1.0 - gamma) for s in selected]
-    return _basis([joint.vectors[:, s.eigenvector_index] for s in selected],
+    estimates = (samples.eigenvalues[keep] - gamma / n) / (1.0 - gamma)
+    return _basis(joint.vectors[:, samples.eigenvector_indices[keep]].T,
                   lambda v: inv_w.apply_pure(sqrt_b.apply_pure(v)), estimates, chain)
 
 

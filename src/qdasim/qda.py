@@ -64,12 +64,14 @@ class ClassifierModel:
 @dataclass(frozen=True)
 class Classification:
     """A scored query batch: ``discriminants[i, c-1]`` is row i's value for
-    class c, ``decisions[i]`` its class (lowest index among equal maxima) and
-    ``margins[i]`` the gap to the runner-up (``inf`` when k = 1)."""
+    class c, ``decisions[i]`` its class (lowest index among equal maxima),
+    ``margins[i]`` the gap to the runner-up (``inf`` when k = 1) and ``draws``
+    the (row, class) estimates that spent shots (0 on the classical path)."""
 
     discriminants: np.ndarray
     decisions: np.ndarray
     margins: np.ndarray
+    draws: int
 
 
 def _invert_mean(inv: np.ndarray, scale: float, mu: np.ndarray) -> tuple[np.ndarray, float]:
@@ -191,6 +193,7 @@ def classify_many(
     priors = model.priors.tolist()
     prior_terms = [math.log(p) for p in priors] if prior_mode == "log" else priors
     scores = np.zeros((X.shape[0], model.k))
+    draws = 0
     for c, (direction, inv_norm) in enumerate(invert_apply(model, path, t, eps), start=1):
         shifted = X - 0.5 * model.class_means[c - 1]
         norms = np.sqrt([s @ s for s in shifted])
@@ -198,6 +201,7 @@ def classify_many(
         if path == "classical":
             scores[live, c - 1] = inv_norm * np.array([direction @ shifted[i] for i in live])
             continue
+        draws += live.size
         seeds = [None if seed is None else np.random.SeedSequence([int(seed) + int(i), c])
                  for i in live]
         unit_rows = shifted[live] / norms[live, None]
@@ -206,4 +210,4 @@ def classify_many(
     values = scores + prior_terms
     ranked = np.sort(values, axis=1)
     margins = ranked[:, -1] - ranked[:, -2] if model.k > 1 else np.full(X.shape[0], np.inf)
-    return Classification(values, np.argmax(values, axis=1) + 1, margins)
+    return Classification(values, np.argmax(values, axis=1) + 1, margins, draws)

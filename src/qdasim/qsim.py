@@ -193,26 +193,27 @@ def phase_estimation(
 
 
 @dataclass(frozen=True)
-class EigenSample:
-    """One distinct register outcome; its post-measurement system vector is the
-    generator eigenvector column ``QpeState.vectors[:, eigenvector_index]``."""
+class EigenpairSamples:
+    """The distinct drawn outcomes m of one register sampling, by descending m:
+    eigenvalue m / 2^t, share of draws, exact-path marginal, and the index l of
+    the post-measurement vector, the generator eigenvector ``QpeState.vectors[:, l]``."""
 
-    eigenvalue: float
-    frequency: float
-    register_value: int
-    probability: float  # exact-path marginal of this outcome
-    eigenvector_index: int
+    register_values: np.ndarray
+    eigenvalues: np.ndarray
+    frequencies: np.ndarray
+    probabilities: np.ndarray
+    eigenvector_indices: np.ndarray
 
 
-def sample_eigenpairs(joint: QpeState, draws: int, seed=None) -> list[EigenSample]:
-    """Sample the eigenvalue register and return one sample per distinct
-    outcome with its empirical frequency, sorted by descending eigenvalue.
+def sample_eigenpairs(joint: QpeState, draws: int, seed=None) -> EigenpairSamples:
+    """Sample the eigenvalue register and return every distinct outcome with
+    its empirical frequency, by descending eigenvalue, as one record of arrays.
 
     Outcomes whose marginal weight is at most ``POSTSELECT_FLOOR`` are
     dropped. The input must commute with the generator (beta diagonal to
     ``COMMUTE_TOL``): the post-measurement state of outcome m is then
     sum_l beta_ll |a_l(m)|^2 |u_l><u_l|, whose top vector is the eigenvector
-    column u_l of largest weight; the sample records its index l."""
+    column u_l of largest weight; the record holds its index l."""
     if draws < 1:
         raise DomainRejection("draws must be a positive integer")
     off_diagonal = float(np.max(np.abs(joint.beta - np.diag(np.diag(joint.beta)))))
@@ -228,19 +229,10 @@ def sample_eigenpairs(joint: QpeState, draws: int, seed=None) -> list[EigenSampl
     probs = weights / total
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(draws, probs)
-    drawn = np.nonzero((counts > 0) & (weights > POSTSELECT_FLOOR))[0]
-    samples = [
-        EigenSample(
-            eigenvalue=m / probs.size,
-            frequency=counts[m] / draws,
-            register_value=int(m),
-            probability=float(probs[m]),
-            eigenvector_index=int(tops[m]),
-        )
-        for m in drawn
-    ]
-    samples.sort(key=lambda s: (-s.eigenvalue, -s.frequency, s.register_value))
-    return samples
+    drawn = np.flatnonzero((counts > 0) & (weights > POSTSELECT_FLOOR))[::-1]
+    return EigenpairSamples(register_values=drawn, eigenvalues=drawn / probs.size,
+                            frequencies=counts[drawn] / draws, probabilities=probs[drawn],
+                            eigenvector_indices=tops[drawn])
 
 
 def _acceptance_estimate(x: np.ndarray, shots: int, seeds) -> ShotResult:

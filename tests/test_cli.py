@@ -323,6 +323,21 @@ class TestClassify:
         assert agreement[0] > 0.8
         assert agreement[1] == agreement[0]
 
+    def test_shots_consumed_counts_only_the_draws_taken(self, tmp_path):
+        # a test row at mu_3 / 2 has a vanishing shifted vector for class 3: no draw
+        header, *rows = Path(GOLDEN_CSV).read_text().splitlines(keepends=True)
+        half_mean = 0.5 * qda.fit(load_csv(GOLDEN_CSV)).class_means[2]
+        test = tmp_path / "half_mean.csv"
+        test.write_text(header + "".join(rows[:5])
+                        + ",".join(repr(float(x)) for x in half_mean) + ",3\n")
+        code, report = run_cli(
+            ["classify", "--data", GOLDEN_CSV, "--test", str(test), "--path", "quantum",
+             "--shots", "64", "--seed", "0"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        assert report["metrics"]["shots_consumed"] == 64 * (3 * 6 - 1)
+
     def test_test_label_missing_from_training_exits_with_domain_code(self, tmp_path, capsys):
         test = tmp_path / "unknown.csv"
         test.write_text("f1,f2,f3,f4,label\n1,2,3,4,1\n1,2,3,5,d\n")

@@ -23,6 +23,7 @@ from qdasim.lda import (
     whitening_chain,
 )
 from qdasim.oracle import LabeledDataset, between_scatter, class_statistics, within_scatter
+from qdasim.qsim import EigenpairSamples
 
 GOLDEN_CSV = Path(__file__).parent / "golden" / "three_gauss_seed1.csv"
 
@@ -267,7 +268,7 @@ class TestQuantumLda:
             monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
             samples = sample(*args, **kwargs)
             joint = args[0]
-            vectors = [joint.vectors[:, s.eigenvector_index] for s in samples]
+            vectors = [joint.vectors[:, i] for i in samples.eigenvector_indices]
             monkeypatch.setattr(np.linalg, "eigh", eigh)
             assert len(vectors) > 2
             return samples
@@ -293,6 +294,32 @@ class TestQuantumLda:
         monkeypatch.setattr(lda, "sample_eigenpairs", sample_then_count)
         quantum_lda(whitening_chain(three_class_dataset(seed=4), 100.0, 0.1, 8), 2, seed=4)
         assert after_sampling == []
+
+    def test_highest_qualifying_bin_of_each_eigenvector_kept(self, monkeypatch):
+        # t = 8: a bin qualifies with probability >= 2^-8 and frequency >= half of it
+        outcomes = [  # (m, eigenvector index, probability, frequency)
+            (200, 2, 0.002, 0.002),  # below the 2^-t probability floor
+            (180, 0, 0.3, 0.1),  # drawn less than half as often as expected
+            (170, 1, 0.3, 0.3),
+            (169, 1, 0.1, 0.1),  # index 1 already owns a higher bin
+            (150, 0, 0.2, 0.2),
+            (100, 3, 0.1, 0.1),
+        ]
+        m, index, probability, frequency = (np.array(col) for col in zip(*outcomes))
+        record = EigenpairSamples(m, m / 256, frequency, probability, index)
+        joints = []
+        monkeypatch.setattr(
+            lda, "sample_eigenpairs", lambda joint, *a, **k: joints.append(joint) or record
+        )
+        spec = whitening_chain(three_class_dataset(seed=4), 100.0, 0.1, 8)
+        basis = quantum_lda(spec, 2, seed=4)
+        gamma, n = 2.0**-8, spec.stages[0][0].dim
+        assert np.array_equal(basis.eigenvalue_estimates,
+                              [(m / 256 - gamma / n) / (1 - gamma) for m in (170, 150)])
+        overlaps = basis.intermediates @ joints[0].vectors[:, [1, 0]]
+        assert np.max(np.abs(np.abs(overlaps) - np.eye(2))) < 1e-12
+        with pytest.raises(DomainRejection, match="recovered only 3 of 4"):
+            quantum_lda(spec, 4, seed=4)
 
     def test_back_map_stage_prepared_once_for_all_directions(self, monkeypatch):
         analyzed = []

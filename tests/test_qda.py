@@ -347,6 +347,7 @@ class TestClassifyMany:
         )
         result = classify_many(model, queries, "quantum", shots=256, seed=40, t=8)
         assert rows == [3, 3, 2]
+        assert result.draws == 8
         assert result.discriminants[1, 2] == math.log(model.priors[2])  # the prior alone
         for i, x in enumerate(queries):
             alone = classify_many(model, [x], "quantum", shots=256, seed=40 + i, t=8)

@@ -258,10 +258,13 @@ class TestStreamedRegisterAtBenchmarkScale:
         draws = qpe_draws(t)
         reference = two_pass_samples(joint, draws, seed)
         samples = sample_eigenpairs(joint, draws, seed=seed)
-        assert len(samples) == len(reference) > 1
-        for s, (m, frequency, vector) in zip(samples, sorted(reference, key=lambda r: -r[0])):
-            assert (s.register_value, s.frequency) == (m, frequency)
-            assert np.array_equal(joint.vectors[:, s.eigenvector_index], vector)
+        assert samples.register_values.size == len(reference) > 1
+        outcomes = zip(samples.register_values, samples.frequencies, samples.eigenvector_indices)
+        for (m_s, f_s, l_s), (m, frequency, vector) in zip(
+            outcomes, sorted(reference, key=lambda r: -r[0])
+        ):
+            assert (m_s, f_s) == (m, frequency)
+            assert np.array_equal(joint.vectors[:, l_s], vector)
 
     def test_streamed_marginal_and_samples_match_dense_table(self):
         gen = clustered_generator(np.random.default_rng(21), 256)
@@ -269,11 +272,12 @@ class TestStreamedRegisterAtBenchmarkScale:
         weights, reference = dense_table_samples(joint, qpe_draws(12), seed=3)
         assert np.max(np.abs(joint.register_marginal() - weights)) <= 1e-15
         samples = sample_eigenpairs(joint, qpe_draws(12), seed=3)
-        assert len(samples) == len(reference) > 10
+        assert samples.register_values.size == len(reference) > 10
         reference.sort(key=lambda r: -r[0])  # samples come by descending eigenvalue
-        for s, (m, frequency, column) in zip(samples, reference):
-            assert (s.register_value, s.frequency) == (m, frequency)
-            assert np.array_equal(joint.vectors[:, s.eigenvector_index], column)
+        outcomes = zip(samples.register_values, samples.frequencies, samples.eigenvector_indices)
+        for (m_s, f_s, l_s), (m, frequency, column) in zip(outcomes, reference):
+            assert (m_s, f_s) == (m, frequency)
+            assert np.array_equal(joint.vectors[:, l_s], column)
 
 
 class TestSampleEigenpairs:
@@ -281,17 +285,17 @@ class TestSampleEigenpairs:
         gen = DensityOperator(np.diag([0.25, 0.75]))
         inp = DensityOperator(np.diag([1.0, 0.0]))
         samples = sample_eigenpairs(phase_estimation(gen, inp, 4), 500, seed=0)
-        assert len(samples) == 1
-        assert samples[0].frequency == 1.0
-        assert samples[0].eigenvalue == pytest.approx(0.25)
+        assert samples.register_values.size == 1
+        assert samples.frequencies[0] == 1.0
+        assert samples.eigenvalues[0] == pytest.approx(0.25)
 
     def test_uniform_mixture_frequencies(self):
         gen = DensityOperator(np.diag([0.25, 0.75]))
         joint = phase_estimation(gen, DensityOperator(np.eye(2) / 2.0), 4)
         samples = sample_eigenpairs(joint, 10_000, seed=1)
-        assert len(samples) == 2
-        for s in samples:
-            assert abs(s.frequency - 0.5) <= 0.02
+        assert samples.register_values.size == 2
+        for frequency in samples.frequencies:
+            assert abs(frequency - 0.5) <= 0.02
 
     def test_rank_one_input_recovers_eigenvector(self):
         rng = np.random.default_rng(9)
@@ -301,8 +305,8 @@ class TestSampleEigenpairs:
         inp = DensityOperator(np.outer(target, target.conj()))
         joint = phase_estimation(gen, inp, 8)
         samples = sample_eigenpairs(joint, 4096, seed=3)
-        top = max(samples, key=lambda s: s.frequency)
-        assert abs(np.vdot(joint.vectors[:, top.eigenvector_index], target)) >= 0.99
+        top = samples.eigenvector_indices[np.argmax(samples.frequencies)]
+        assert abs(np.vdot(joint.vectors[:, top], target)) >= 0.99
 
     def test_zero_draws_rejected(self):
         gen = DensityOperator(np.diag([0.25, 0.75]))

@@ -42,13 +42,14 @@ def test_sample_vector_attains_top_eigenvalue_of_outcome_block(case):
     gen, inp, t, seed = case
     joint = phase_estimation(gen, inp, t)
     samples = sample_eigenpairs(joint, 512, seed=seed)
-    assert samples
+    assert samples.register_values.size
+    assert np.all(np.diff(samples.register_values) < 0)
     profiles = one_expression_profiles(joint.phases, joint.t)
-    for s in samples:
-        a = profiles[:, s.register_value]
+    for m, index in zip(samples.register_values, samples.eigenvector_indices):
+        a = profiles[:, m]
         block = joint.vectors @ (joint.beta * np.outer(a, a.conj())) @ joint.vectors.conj().T
         top = np.linalg.eigvalsh(block)[-1]
-        vector = joint.vectors[:, s.eigenvector_index]
+        vector = joint.vectors[:, index]
         assert abs(np.linalg.norm(vector) - 1.0) < 1e-12
         assert abs(np.vdot(vector, block @ vector).real - top) < 1e-12
 
