@@ -259,7 +259,7 @@ def prepare_stage(
     c_const = _rotation_constant(f_j, values, eps)
     a1 = np.zeros(registers.size)
     # a tuple of floats: callers may hash the arguments
-    a1[resolved] = rotation_amplitudes(tuple(values.tolist()), f_j, c_const)[1][where]
+    a1[resolved] = rotation_amplitudes(tuple(values.tolist()), f_j, c_const)[where]
     return PreparedStage(sol.eigenvectors, registers, resolved, c_const, a1, _copies(w[keep], eps))
 
 

@@ -359,12 +359,13 @@ def run_rotate_check(args) -> tuple[dict, dict, dict]:
     grid = descending[_filter_mask(descending, args.kappa_eff)][::-1]
     c_const = _rotation_constant(f, grid, args.eps) if args.c_const is None else args.c_const
     lams = tuple(grid.tolist())
-    _, exact = rotation_amplitudes(lams, f, c_const, method="exact")
-    _, fixed = rotation_amplitudes(
+    exact = rotation_amplitudes(lams, f, c_const, method="exact")
+    fixed = rotation_amplitudes(
         lams, f, c_const, fraction_bits=args.bits, order=args.order, arcsin_terms=args.arcsin_terms
     )
     theta_exact = np.array([math.asin(a) for a in exact.tolist()])
-    theta_fixed = np.array([math.asin(min(max(a, -1.0), 1.0)) for a in fixed.tolist()])
+    # each fixed amplitude is math.sin of the angle register or exactly +-1
+    theta_fixed = np.array([math.asin(a) for a in fixed.tolist()])
     errors = np.abs(theta_fixed - theta_exact)
     budget = 2.0 ** (-args.bits + 3)
     metrics = {

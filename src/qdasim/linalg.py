@@ -39,7 +39,7 @@ class HermitianOperator:
             raise DomainRejection("operator dimension must be >= 1")
         if not np.all(np.isfinite(m)):
             raise DomainRejection("operator has non-finite entries")
-        asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+        asym = float(np.max(np.abs(m - m.conj().T)))
         if asym > HERMITICITY_TOL:
             raise DomainRejection(
                 f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {HERMITICITY_TOL:.0e}"

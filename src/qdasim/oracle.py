@@ -35,7 +35,14 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
-        self.labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
+        # an integral float such as 1.0 names a class; 1.5, nan or "a" never does
+        integral = labels.dtype.kind == "f" and (
+            np.isfinite(labels).all() and np.array_equal(labels, np.trunc(labels))
+        )
+        if labels.dtype.kind not in "iu" and not integral:
+            raise DomainRejection("class labels must be integers in 1..k")
+        self.labels = labels.astype(int)
         if self.samples.ndim != 2:
             raise DomainRejection("samples must form an M x N matrix")
         if not np.all(np.isfinite(self.samples)):

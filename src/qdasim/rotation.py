@@ -3,7 +3,7 @@
 Registers are signed binary fixed-point numbers. The pipeline evaluates a
 spectral function through a windowed Taylor expansion, feeds the result into
 the arcsin Maclaurin series to obtain the rotation angle theta, and then
-produces the ancilla amplitudes (cos theta, sin theta). Every arithmetic
+produces the ancilla-|1> amplitude sin theta. Every arithmetic
 step truncates toward zero at the declared register widths, so the
 fixed-point path has a fully accountable error budget; an exact-arithmetic
 reference path runs alongside it.
@@ -199,8 +199,8 @@ def _fixed_point_amplitudes(
     fraction_bits: int,
     order: int,
     arcsin_terms: int | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The register pipeline of ``rotation_amplitudes`` over every lane of lam."""
+) -> np.ndarray:
+    """The register pipeline of ``rotation_amplitudes``: a_1 = sin theta per lane of lam."""
     wb = fraction_bits + DEFAULT_GUARD_BITS
     ib = DEFAULT_INTEGER_BITS
     lanes = _Lanes(ib, wb)
@@ -240,12 +240,9 @@ def _fixed_point_amplitudes(
     theta = _Lanes(ib, fraction_bits).checked(
         _signed(theta, np.abs(theta) >> DEFAULT_GUARD_BITS)
     )
-    angles = _float_values(theta, fraction_bits).tolist()
-    a0 = np.array([math.cos(v) for v in angles])
-    a1 = np.array([math.sin(v) for v in angles])
-    a0[saturated] = 0.0
+    a1 = np.array([math.sin(v) for v in _float_values(theta, fraction_bits).tolist()])
     a1[saturated] = np.where(g[saturated] > 0, 1.0, -1.0)
-    return a0, a1
+    return a1
 
 
 def rotation_amplitudes(
@@ -258,15 +255,15 @@ def rotation_amplitudes(
     arcsin_terms: int | None = None,
     method: str = "fixed",
 ):
-    """Ancilla amplitudes (sqrt(1 - C^2 f(lam)^2), C f(lam)) for the stage rotation.
+    """The ancilla-|1> amplitude a_1 = C f(lam) of the stage rotation.
 
-    ``lam`` is one eigenvalue or a sequence of them; each amplitude has the
-    shape of ``lam`` (a float for a float), and the whole sequence runs
-    through the register pipeline at once.
+    Postselection keeps only the |1> branch, so a_0 is never built. ``lam``
+    is one eigenvalue or a sequence of them; a_1 has its shape (a float for
+    a float), and the whole sequence runs through the register pipeline at once.
 
     method="fixed" runs the full register pipeline: window lookup, scaled
-    Taylor evaluation of g = C*f, arcsin series, then sin/cos of the
-    truncated angle register. Above |g| = 1/sqrt(2) the angle is computed
+    Taylor evaluation of g = C*f, arcsin series, then sin of the truncated
+    angle register. Above |g| = 1/sqrt(2) the angle is computed
     through the complementary form pi/2 - arcsin(sqrt(1 - g^2)) (the square
     root runs through the same windowed series), which keeps the arcsin
     argument well inside its convergence radius all the way to |g| = 1.
@@ -296,9 +293,8 @@ def rotation_amplitudes(
         )
     if method == "exact":
         a1 = np.clip(target, -1.0, 1.0)
-        a0 = np.sqrt(np.maximum(0.0, 1.0 - a1 * a1))
     elif method == "fixed":
-        a0, a1 = _fixed_point_amplitudes(flat, f, c_const, fraction_bits, order, arcsin_terms)
+        a1 = _fixed_point_amplitudes(flat, f, c_const, fraction_bits, order, arcsin_terms)
     else:
         raise DomainRejection(f"unknown rotation method {method!r}")
-    return a0.reshape(values.shape)[()], a1.reshape(values.shape)[()]
+    return a1.reshape(values.shape)[()]

@@ -228,7 +228,7 @@ class TestAcceptance:
             c_const = 0.9 / float(np.max(np.abs(f(np.array(grid)))))
             errors = []
             for lam in grid:
-                _, a1 = rotation_amplitudes(lam, f, c_const, fraction_bits=16)
+                a1 = rotation_amplitudes(lam, f, c_const, fraction_bits=16)
                 theta_fixed = math.asin(min(max(a1, -1.0), 1.0))
                 errors.append(abs(theta_fixed - math.asin(c_const * float(f(lam)))))
             worst[fname] = max(errors)

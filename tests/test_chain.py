@@ -44,13 +44,15 @@ def spectrum_density(values) -> DensityOperator:
 
 def joint_route_stage(rho, a, f, t, kappa_eff, eps=DEFAULT_EPS):
     """Reference stage: build the 2N x 2N system x ancilla state after the
-    eigenvalue-controlled rotation, then postselect the ancilla on |1>."""
+    eigenvalue-controlled rotation, then postselect the ancilla on |1>. The
+    |0> amplitude sqrt(1 - a_1^2) only fills the branch postselection drops."""
     stage = prepare_stage(a, f, t, kappa_eff, eps)
     n = a.dim
     pairs = np.zeros((n, 2))
     pairs[:, 0] = 1.0
     for l in np.nonzero(stage.resolved)[0]:
-        pairs[l] = rotation_amplitudes(float(stage.registers[l]), f, stage.c_const)
+        a1 = rotation_amplitudes(float(stage.registers[l]), f, stage.c_const)
+        pairs[l] = (math.sqrt(1.0 - a1 * a1), a1)
     v = stage.eigenvectors
     beta = v.conj().T @ rho.matrix @ v
     columns = np.empty((2 * n, n), dtype=complex)
@@ -336,7 +338,7 @@ class TestPreparedStage:
             assert prepared.c_const == c_const
             expected = np.zeros(12)
             for l in np.nonzero(prepared.resolved)[0]:
-                expected[l] = rotation_amplitudes(float(prepared.registers[l]), f, c_const)[1]
+                expected[l] = rotation_amplitudes(float(prepared.registers[l]), f, c_const)
             assert np.array_equal(prepared.a1, expected)
 
 

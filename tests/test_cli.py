@@ -4,12 +4,16 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdasim
 from qdasim import chain, cli, lda, qda
 from qdasim.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, UNECHOED, build_parser, main
 from qdasim.data_io import load_csv
@@ -782,6 +786,18 @@ class TestSeedFallback:
 
 
 class TestFlagSurface:
+    def test_version_prints_the_package_version_and_exits_0(self, capsys):
+        expected = f"qdasim {qdasim.__version__}\n"
+        with pytest.raises(SystemExit) as err:
+            main(["--version"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out == expected
+        env = dict(os.environ, PYTHONPATH=str(Path(qdasim.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "qdasim.cli", "--version"], capture_output=True, text=True, env=env
+        )
+        assert (done.returncode, done.stdout) == (0, expected), done.stderr
+
     def test_each_subcommand_accepts_only_the_flags_it_reads(self, tmp_path, capsys):
         (commands,) = [
             a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)

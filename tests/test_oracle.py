@@ -60,6 +60,17 @@ class TestLabeledDataset:
         with pytest.raises(DomainRejection):
             LabeledDataset(np.zeros((3, 2)), np.array([1, 1]))
 
+    @pytest.mark.parametrize("bad", [0, 1.5, "a"])
+    def test_non_integer_or_zero_label_rejected(self, bad):
+        with pytest.raises(DomainRejection) as err:
+            LabeledDataset(np.eye(3), [1, 2, bad])
+        assert str(err.value) == "class labels must be integers in 1..k"
+
+    def test_integral_float_labels_accepted(self):
+        data = LabeledDataset(np.eye(3), [1.0, 2.0, 2.0])
+        assert data.labels.dtype.kind == "i"
+        assert data.labels.tolist() == [1, 2, 2]
+
 
 class TestClassStatistics:
     def test_single_class_pair(self):

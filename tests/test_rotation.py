@@ -333,7 +333,7 @@ def scalar_rotation_amplitudes(lam, f, c_const, *, fraction_bits=16, order=8, ar
     lam_reg = FixedPointValue.from_float(lam, ib, fraction_bits)
     g = scalar_windowed_series(lam_reg, f, c_const, order, ib, wb)
     if abs(g.value) >= 1.0:
-        return 0.0, float(g.sign)
+        return float(g.sign)
     split = math.sqrt(0.5)
     half_pi = FixedPointValue.from_float(math.pi / 2.0, ib, wb)
     if abs(g.value) <= split:
@@ -356,7 +356,7 @@ def scalar_rotation_amplitudes(lam, f, c_const, *, fraction_bits=16, order=8, ar
             complement = half_pi - arcsin_angle(root, terms)
             theta_wide = complement if g.sign > 0 else -complement
     theta = theta_wide.truncate(ib, fraction_bits)
-    return math.cos(theta.value), math.sin(theta.value)
+    return math.sin(theta.value)
 
 
 def rejection(fn, *args, **kwargs) -> str:
@@ -525,30 +525,17 @@ class TestArcsinAngle:
 class TestRotationAmplitudes:
     def test_identity_at_one_exact(self):
         f = SpectralFunction.from_name("identity")
-        a0, a1 = rotation_amplitudes(1.0, f, 1.0, method="exact")
-        assert (a0, a1) == (0.0, 1.0)
+        assert rotation_amplitudes(1.0, f, 1.0, method="exact") == 1.0
 
     def test_pythagorean_pair(self):
         f = SpectralFunction.from_name("identity")
-        a0, a1 = rotation_amplitudes(0.6, f, 1.0, method="exact")
-        assert (a0, a1) == (pytest.approx(0.8), pytest.approx(0.6))
-        a0f, a1f = rotation_amplitudes(0.6, f, 1.0)
-        assert a1f == pytest.approx(0.6, abs=2.0**-13)
+        assert rotation_amplitudes(0.6, f, 1.0, method="exact") == pytest.approx(0.6)
+        assert rotation_amplitudes(0.6, f, 1.0) == pytest.approx(0.6, abs=2.0**-13)
 
     def test_rejects_overlarge_cf(self):
         f = SpectralFunction.from_name("inverse")
         with pytest.raises(DomainRejection, match="exceeds 1"):
             rotation_amplitudes(0.1, f, 1.0)
-
-    def test_normalization_exact_path(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            lam = float(rng.uniform(0.02, 1.0))
-            r = float(rng.uniform(-1.5, 1.5))
-            f = SpectralFunction.power(r)
-            c = 0.95 / float(abs(f(lam)))
-            a0, a1 = rotation_amplitudes(lam, f, c, method="exact")
-            assert a0 * a0 + a1 * a1 == pytest.approx(1.0, abs=1e-12)
 
     def test_fixed_vs_exact_within_budget_b16(self):
         grid = [m / 256 for m in range(3, 257, 7)]
@@ -556,8 +543,8 @@ class TestRotationAmplitudes:
             f = SpectralFunction.from_name(name)
             c = 0.9 / float(np.max(np.abs(f(np.array(grid)))))
             for lam in grid:
-                a0, a1 = rotation_amplitudes(lam, f, c)
-                _, a1e = rotation_amplitudes(lam, f, c, method="exact")
+                a1 = rotation_amplitudes(lam, f, c)
+                a1e = rotation_amplitudes(lam, f, c, method="exact")
                 assert abs(a1 - a1e) <= 2.0 ** (-16 + 3)
 
     def test_error_shrinks_geometrically_in_fraction_bits(self):
@@ -568,7 +555,7 @@ class TestRotationAmplitudes:
         def max_err(bits):
             errs = []
             for lam in grid:
-                _, a1 = rotation_amplitudes(lam, f, c, fraction_bits=bits)
+                a1 = rotation_amplitudes(lam, f, c, fraction_bits=bits)
                 errs.append(abs(a1 - c * float(f(lam))))
             return max(errs)
 
@@ -585,10 +572,9 @@ class TestBatchedRotation:
         for t in range(2, 13):
             values = np.arange(1, 1 << t) / (1 << t)
             c = (1.0 - 0.1) / float(np.max(np.abs(f(values))))
-            a0, a1 = rotation_amplitudes(tuple(values.tolist()), f, c)
+            a1 = rotation_amplitudes(tuple(values.tolist()), f, c)
             expected = np.array([scalar_rotation_amplitudes(v, f, c) for v in values.tolist()])
-            assert np.array_equal(a0, expected[:, 0]), t
-            assert np.array_equal(a1, expected[:, 1]), t
+            assert np.array_equal(a1, expected), t
 
     @pytest.mark.parametrize("bits", [8, 24])
     def test_other_register_widths_match_scalar_reference_bitwise(self, bits):
@@ -598,19 +584,18 @@ class TestBatchedRotation:
             f = SpectralFunction.from_name(name)
             c = 0.9 / float(np.max(np.abs(f(values))))
             for terms in (None, 3):
-                a0, a1 = rotation_amplitudes(
-                    values, f, c, fraction_bits=bits, arcsin_terms=terms
-                )
+                a1 = rotation_amplitudes(values, f, c, fraction_bits=bits, arcsin_terms=terms)
                 for k, v in enumerate(values.tolist()):
                     ref = scalar_rotation_amplitudes(
                         v, f, c, fraction_bits=bits, arcsin_terms=terms
                     )
-                    assert (a0[k], a1[k]) == ref
+                    assert a1[k] == ref
 
     def test_saturation_and_quarter_turn_lanes_match_scalar_reference_bitwise(self):
         # |C f| within a few working-register steps of 1, with both signs of C:
-        # the inverse series overshoots 1 and saturates (a0 = 0); identity
-        # lanes take the exact quarter turn or the complement branch
+        # the inverse series overshoots 1 and saturates (|a1| = 1); identity
+        # lanes take the exact quarter turn or the complement branch. A rotated
+        # lane's angle register stays below pi/2, so only saturation gives |a1| = 1
         cases = (
             ("identity", (1.0, 1.0 - 2.0**-16, 1.0 - 2.0**-15)),
             ("inverse", (1.0,)),
@@ -621,18 +606,16 @@ class TestBatchedRotation:
             for k in range(64):
                 for sign in (1.0, -1.0):
                     c = sign * (1.0 - k * 2.0**-24)
-                    a0, a1 = rotation_amplitudes(values, f, c)
-                    for lam, b0, b1 in zip(values, a0, a1):
-                        assert (b0, b1) == scalar_rotation_amplitudes(lam, f, c)
-                        saturated.add((bool(b0 == 0.0), math.copysign(1.0, b1)))
+                    a1 = rotation_amplitudes(values, f, c)
+                    for lam, b1 in zip(values, a1):
+                        assert b1 == scalar_rotation_amplitudes(lam, f, c)
+                        saturated.add((bool(abs(b1) == 1.0), math.copysign(1.0, b1)))
         assert saturated == {(True, 1.0), (True, -1.0), (False, 1.0), (False, -1.0)}
 
     def test_scalar_input_gives_floats_and_shape_follows_input(self):
         f = SpectralFunction.from_name("inverse")
-        a0, a1 = rotation_amplitudes(0.5, f, 0.4)
-        assert isinstance(a0, float) and isinstance(a1, float)
-        b0, b1 = rotation_amplitudes([[0.5, 0.25]], f, 0.2)
-        assert b0.shape == b1.shape == (1, 2)
+        assert isinstance(rotation_amplitudes(0.5, f, 0.4), float)
+        assert rotation_amplitudes([[0.5, 0.25]], f, 0.2).shape == (1, 2)
 
     def test_rejection_messages_match_scalar_reference(self):
         inverse = SpectralFunction.from_name("inverse")
@@ -666,10 +649,10 @@ class TestBatchedRotation:
     def test_arcsin_terms_beyond_the_budget_table_match_scalar_reference_bitwise(self):
         f = SpectralFunction.from_name("identity")
         values = np.arange(1, 64) / 64
-        a0, a1 = rotation_amplitudes(values, f, 0.9, arcsin_terms=_MAX_ARCSIN_TERMS + 12)
+        a1 = rotation_amplitudes(values, f, 0.9, arcsin_terms=_MAX_ARCSIN_TERMS + 12)
         for k, v in enumerate(values.tolist()):
             ref = scalar_rotation_amplitudes(v, f, 0.9, arcsin_terms=_MAX_ARCSIN_TERMS + 12)
-            assert (a0[k], a1[k]) == ref
+            assert a1[k] == ref
 
 
 class TestLostBits:
