@@ -283,12 +283,6 @@ def chain_stage(
     return result.state, result.probability
 
 
-def stage_copies(a: DensityOperator, kappa_eff: float, eps: float) -> int:
-    """Copies of ``a`` that one chain stage on it consumes at precision eps."""
-    w, keep = _kappa_window(eig_hermitian(a).eigenvalues, kappa_eff)
-    return _copies(w[keep], eps)
-
-
 def chain_apply(spec: ChainSpec, rho0: DensityOperator | None = None) -> ChainReport:
     """Fold the stages in order over rho0 (default: the maximally mixed state).
 

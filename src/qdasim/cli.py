@@ -31,7 +31,6 @@ from .chain import (
     _rotation_constant,
     chain_apply,
     classical_chain_oracle,
-    stage_copies,
 )
 from .data_io import RunReport, generate, load_csv, save_csv, synthetic_preset
 from .errors import DomainRejection, NumericalFailure
@@ -44,7 +43,7 @@ from .linalg import (
     trace_distance,
 )
 from .lda import (_check_lda_register_width, classical_lda_oracle, feature_map, fisher_criterion,
-                  qpe_draws, quantum_lda, whitening_chain)
+                  quantum_lda, whitening_chain)
 from .oracle import LabeledDataset, class_statistics
 from .qda import classify_many, fit
 from .qsim import PHASE_BITS_MAX, _check_register_width, _check_shots
@@ -204,7 +203,7 @@ def run_reduce(args) -> tuple[dict, dict, dict]:
             metrics["chain_stage_success"] = basis.chain.stage_success_probabilities
             metrics["chain_stage_bounds"] = basis.chain.stage_bounds
             metrics["copies_used"] = basis.chain.copies_used
-            metrics["draws_consumed"] = qpe_draws(args.t)
+            metrics["draws_consumed"] = basis.draws
         else:
             basis = classical_lda_oracle(spec, args.p)
         outputs[path] = {
@@ -274,9 +273,7 @@ def run_classify(args) -> tuple[dict, dict, dict]:
         )
     if "quantum" in paths:
         metrics["shots_consumed"] = int(args.shots) * records["quantum"].draws
-        metrics["copies_used"] = np.array(
-            [stage_copies(op, args.kappa_eff, args.eps) for op in model.covariance_ops]
-        )
+        metrics["copies_used"] = records["quantum"].copies
     return {"train": descriptor, "test": test_descriptor}, outputs, metrics
 
 

@@ -351,16 +351,3 @@ class RunReport:
         out: list = []
         _write(payload, 0, out)
         return "".join(out) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        payload = json.loads(text)
-        return cls(
-            command=payload["command"],
-            parameters=payload["parameters"],
-            outputs=payload["outputs"],
-            metrics=payload["metrics"],
-            seed=payload["seed"],
-            version=payload["version"],
-            timestamp=payload["timestamp"],
-        )

@@ -34,14 +34,16 @@ class ProjectionBasis:
     oriented where they are built, largest-magnitude entry positive, so no
     consumer rescales or flips them. ``eigenvalue_estimates`` refer to the
     unit-trace chain operator, so both construction paths report on the same
-    scale. ``chain`` is the whitening chain run of the quantum path (None for
-    the classical oracle).
+    scale. ``chain`` is the whitening chain run of the quantum path and
+    ``draws`` the register draws its eigenvector sampling spent (None and 0
+    for the classical oracle).
     """
 
     directions: np.ndarray
     intermediates: np.ndarray
     eigenvalue_estimates: np.ndarray
     chain: ChainReport | None = field(default=None, repr=False, compare=False)
+    draws: int = 0
 
     def __post_init__(self) -> None:
         w = np.atleast_2d(np.asarray(self.directions, dtype=float))
@@ -58,10 +60,6 @@ class ProjectionBasis:
             raise DomainRejection("intermediate vectors are not orthonormal")
         if np.max(np.abs(np.linalg.norm(w, axis=1) - 1.0)) > 1e-6:
             raise DomainRejection("discriminant directions are not unit vectors")
-
-    @property
-    def p(self) -> int:
-        return self.directions.shape[0]
 
 
 def _real_cast(v: np.ndarray) -> np.ndarray:
@@ -88,7 +86,7 @@ def _fix_vector_sign(v: np.ndarray) -> np.ndarray:
     return v / phase
 
 
-def _basis(vectors, back_map, estimates, chain: ChainReport | None = None) -> ProjectionBasis:
+def _basis(vectors, back_map, estimates, chain=None, draws=0) -> ProjectionBasis:
     """Sign-fixed intermediates v_r and their back-mapped unit directions
     w_r = back_map(v_r) / |back_map(v_r)|, sign-fixed the same way."""
     vs = [_real_cast(_fix_vector_sign(v)) for v in vectors]
@@ -99,7 +97,7 @@ def _basis(vectors, back_map, estimates, chain: ChainReport | None = None) -> Pr
         if norm < 1e-12:
             raise DomainRejection(f"direction {r} lies outside the between-class support")
         ws.append(_fix_vector_sign(_real_cast(w / norm)))
-    return ProjectionBasis(np.array(ws), np.array(vs), np.asarray(estimates), chain)
+    return ProjectionBasis(np.array(ws), np.array(vs), np.asarray(estimates), chain, draws)
 
 
 def classical_lda_oracle(spec: ChainSpec, p: int) -> ProjectionBasis:
@@ -143,9 +141,9 @@ def quantum_lda(spec: ChainSpec, p: int, seed=None) -> ProjectionBasis:
 
     Runs the whitening chain ``spec`` through the staged pipeline at its
     kappa_eff, eps and t, phase-estimates the chain output against itself and
-    samples its register. The highest drawn bin of each eigenvector index with
-    probability >= 2^-t and frequency >= half that gives one v_r, the first p
-    by descending eigenvalue. Each v_r maps back to the Fisher direction
+    samples its register ``qpe_draws(t)`` times (the basis's ``draws``). The
+    highest drawn bin of each eigenvector index with probability >= 2^-t and
+    frequency >= half that gives one v_r, the first p by descending eigenvalue. Each v_r maps back to the Fisher direction
     S_W^(-1) S_B^(1/2) v_r through two prepared chain stages, each read in
     closed form: the chain's own (S_B, sqrt) stage, then one (S_W, inverse) stage.
     """
@@ -167,7 +165,8 @@ def quantum_lda(spec: ChainSpec, p: int, seed=None) -> ProjectionBasis:
         (1.0 - gamma) * rho_chain.matrix + gamma * np.eye(n) / n
     )
     joint = phase_estimation(generator, generator, t)
-    samples = sample_eigenpairs(joint, qpe_draws(t), seed=seed)
+    draws = qpe_draws(t)
+    samples = sample_eigenpairs(joint, draws, seed=seed)
 
     # adjacent register bins of one eigenvalue repeat its eigenvector; the
     # first (highest) bin above the sampling noise floor stands for it
@@ -185,7 +184,7 @@ def quantum_lda(spec: ChainSpec, p: int, seed=None) -> ProjectionBasis:
     inv_w = prepare_stage(spec.stages[0][0], _INV, t, spec.kappa_eff, spec.eps)
     estimates = (samples.eigenvalues[keep] - gamma / n) / (1.0 - gamma)
     return _basis(joint.vectors[:, samples.eigenvector_indices[keep]].T,
-                  lambda v: inv_w.apply_pure(sqrt_b.apply_pure(v)), estimates, chain)
+                  lambda v: inv_w.apply_pure(sqrt_b.apply_pure(v)), estimates, chain, draws)
 
 
 def fisher_criterion(source, directions) -> float:

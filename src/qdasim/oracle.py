@@ -56,9 +56,18 @@ class LabeledDataset:
             raise DomainRejection("dataset is empty")
         if self.labels.min() < 1:
             raise DomainRejection("class labels must be integers in 1..k")
-        missing = (np.flatnonzero(np.bincount(self.labels)[1:] == 0) + 1).tolist()
-        if missing:
-            raise DomainRejection(f"classes {missing} have no samples")
+        ordered = np.sort(self.labels)
+        distinct = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+        k = int(ordered[-1])
+        if distinct < k:
+            # at most `distinct` of 1..distinct + 10 are taken, so counting that
+            # range finds the first 10 missing classes, however large k is
+            limit = min(k, distinct + 10)
+            counts = np.bincount(ordered[ordered <= limit], minlength=limit + 1)
+            shown = np.flatnonzero(counts[1:] == 0)[:10] + 1
+            rest = k - distinct - shown.size
+            more = f" and {rest} more" if rest else ""
+            raise DomainRejection(f"classes {shown.tolist()}{more} have no samples")
 
     @property
     def M(self) -> int:

@@ -65,13 +65,16 @@ class ClassifierModel:
 class Classification:
     """A scored query batch: ``discriminants[i, c-1]`` is row i's value for
     class c, ``decisions[i]`` its class (lowest index among equal maxima),
-    ``margins[i]`` the gap to the runner-up (``inf`` when k = 1) and ``draws``
-    the (row, class) estimates that spent shots (0 on the classical path)."""
+    ``margins[i]`` the gap to the runner-up (``inf`` when k = 1), ``draws``
+    the (row, class) estimates that spent shots and ``copies[c-1]`` the copies
+    of class c's covariance operator its inversion consumed (both 0 on the
+    classical path)."""
 
     discriminants: np.ndarray
     decisions: np.ndarray
     margins: np.ndarray
     draws: int
+    copies: np.ndarray
 
 
 def _invert_mean(inv: np.ndarray, scale: float, mu: np.ndarray) -> tuple[np.ndarray, float]:
@@ -131,31 +134,30 @@ def fit(
 
 def invert_apply(
     model: ClassifierModel, path: str = "classical", t: int = DEFAULT_T, eps: float = DEFAULT_EPS
-) -> list[tuple[np.ndarray, float]]:
-    """Unit direction and norm of every class's inverted-covariance mean, in class order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every class's inverted-covariance mean as a unit row, in class order,
+    and the copies of each class's covariance operator its inversion consumed.
 
     Each direction d already points along its class mean, d . mu > 0: the
     classical inverse is a PSD pseudo-inverse, and every quantum stage
     amplitude a_1 = C f(lambda) is >= 0. The quantum path prepares one
     inversion stage per distinct covariance operator (one for all classes
-    under ``shared_covariance``) and reads each unit mean's output vector in
-    closed form (``apply_pure``); the norm is always the classically
-    recorded scalar, as the oracles present it.
+    under ``shared_covariance``), reads each unit mean's output vector in
+    closed form (``apply_pure``) and counts the stage's ``copies``; the
+    classical path reads the recorded directions and consumes no copies. The
+    norm is always the classically recorded ``model.inverse_norms``.
     """
-    norms = model.inverse_norms.tolist()
     if path == "classical":
-        return [(d.copy(), n) for d, n in zip(model.inverse_directions, norms)]
+        return model.inverse_directions.copy(), np.zeros(model.k, dtype=int)
     if path != "quantum":
         raise DomainRejection(f"unknown path {path!r}")
     # operators hash by identity, so a pooled operator is prepared once
-    stages = {
-        op: prepare_stage(op, _INV, t, model.kappa_eff, eps)
-        for op in dict.fromkeys(model.covariance_ops)
-    }
-    return [
-        (stages[op].apply_pure(mu / np.linalg.norm(mu)), n)
-        for op, mu, n in zip(model.covariance_ops, model.class_means, norms)
-    ]
+    distinct = {op: prepare_stage(op, _INV, t, model.kappa_eff, eps)
+                for op in dict.fromkeys(model.covariance_ops)}
+    stages = [distinct[op] for op in model.covariance_ops]
+    directions = np.array([s.apply_pure(mu / np.linalg.norm(mu))
+                           for s, mu in zip(stages, model.class_means)])
+    return directions, np.array([s.copies for s in stages])
 
 
 def classify_many(
@@ -194,7 +196,8 @@ def classify_many(
     prior_terms = [math.log(p) for p in priors] if prior_mode == "log" else priors
     scores = np.zeros((X.shape[0], model.k))
     draws = 0
-    for c, (direction, inv_norm) in enumerate(invert_apply(model, path, t, eps), start=1):
+    directions, copies = invert_apply(model, path, t, eps)
+    for c, (direction, inv_norm) in enumerate(zip(directions, model.inverse_norms), start=1):
         shifted = X - 0.5 * model.class_means[c - 1]
         norms = np.sqrt([s @ s for s in shifted])
         live = np.flatnonzero(norms >= 1e-14)  # a zero vector contributes zero overlap
@@ -210,4 +213,4 @@ def classify_many(
     values = scores + prior_terms
     ranked = np.sort(values, axis=1)
     margins = ranked[:, -1] - ranked[:, -2] if model.k > 1 else np.full(X.shape[0], np.inf)
-    return Classification(values, np.argmax(values, axis=1) + 1, margins, draws)
+    return Classification(values, np.argmax(values, axis=1) + 1, margins, draws, copies)

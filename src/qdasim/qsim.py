@@ -128,6 +128,9 @@ def density_exponentiation_step(
 def _check_shots(shots: int) -> None:
     if shots < 1:
         raise DomainRejection("shots must be a positive integer")
+    # numpy draws a binomial count of at most int64 trials
+    if shots > 2**63 - 1:
+        raise DomainRejection(f"shots must be at most 2^63 - 1, got {shots}")
 
 
 def _check_register_width(t: int) -> None:

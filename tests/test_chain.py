@@ -15,7 +15,6 @@ from qdasim.chain import (
     chain_stage,
     classical_chain_oracle,
     prepare_stage,
-    stage_copies,
 )
 from qdasim.errors import DomainRejection, NumericalFailure
 from qdasim.linalg import (
@@ -227,7 +226,9 @@ class TestClosedFormStage:
         ops = [random_rank_density(rng, 6, rank, False) for rank in (6, 3)]
         spec = ChainSpec(stages=tuple((a, INVERSE) for a in ops), kappa_eff=50.0, eps=0.2)
         report = chain_apply(spec)
-        assert list(report.copies_used) == [stage_copies(a, 50.0, 0.2) for a in ops]
+        assert list(report.copies_used) == [
+            prepare_stage(a, INVERSE, spec.t, 50.0, 0.2).copies for a in ops
+        ]
 
 
 class TestPreparedStage:
@@ -360,12 +361,13 @@ class TestCopyCount:
     @pytest.mark.parametrize("n", [5, 8, 16, 32])
     def test_integer_ratio_is_not_moved_by_last_bit_of_kappa(self, n, basis):
         a = even_spectrum_operator(n, basis)
-        assert stage_copies(a, 100.0, 0.1) == 25000
         assert prepare_stage(a, INVERSE, 8, 100.0, 0.1).copies == 25000
 
     def test_non_integer_ratio_rounds_up(self):
         a = spectrum_density([1.0, 0.5, 0.3])
-        assert stage_copies(a, 100.0, 0.1) == math.ceil((1.0 / 0.3) ** 2 / 0.1**3)
+        assert prepare_stage(a, INVERSE, 8, 100.0, 0.1).copies == math.ceil(
+            (1.0 / 0.3) ** 2 / 0.1**3
+        )
 
 
 class TestKappaRule:
@@ -374,16 +376,13 @@ class TestKappaRule:
         a = spectrum_density([0.6, 0.3, 0.1])
         with pytest.raises(DomainRejection, match="kappa_eff must be >= 1"):
             prepare_stage(a, INVERSE, 8, kappa_eff)
-        with pytest.raises(DomainRejection, match="kappa_eff must be >= 1"):
-            stage_copies(a, kappa_eff, 0.1)
 
     def test_fully_filtered_operator_rejected_alike_everywhere(self):
         # lambda_max at or below PSD_TOL leaves nothing for the window to keep
         a = HermitianOperator(np.diag([1e-11, 0.0]))
         messages = set()
         for reject in (lambda: matrix_function(a, INVERSE, 100.0),
-                       lambda: prepare_stage(a, INVERSE, 8, 100.0),
-                       lambda: stage_copies(a, 100.0, 0.1)):
+                       lambda: prepare_stage(a, INVERSE, 8, 100.0)):
             with pytest.raises(DomainRejection, match="rank collapse") as err:
                 reject()
             messages.add(str(err.value))

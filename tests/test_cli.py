@@ -718,6 +718,27 @@ class TestSharedFlagChecks:
         assert message in capsys.readouterr().err
 
 
+class TestShotsRange:
+    @pytest.mark.parametrize("path", ["quantum", "classical"])
+    def test_shots_beyond_int64_rejected_on_every_path(self, path, tmp_path, capsys):
+        code, report = run_cli(
+            ["classify", "--synthetic", "three-gauss", "--per-class", "10", "--test-count", "5",
+             "--path", path, "--shots", str(2**63), "--seed", "0"],
+            tmp_path,
+        )
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert f"shots must be at most 2^63 - 1, got {2**63}" in capsys.readouterr().err
+
+    def test_largest_int64_shots_run(self, tmp_path):
+        code, report = run_cli(
+            ["classify", "--synthetic", "three-gauss", "--per-class", "10", "--test-count", "5",
+             "--path", "quantum", "--shots", str(2**63 - 1), "--seed", "0"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        assert report["metrics"]["shots_consumed"] == (2**63 - 1) * 3 * 15
+
+
 class TestGen:
     def test_round_trip_through_csv(self, tmp_path):
         out = tmp_path / "data.csv"

@@ -352,13 +352,13 @@ class TestRunReport:
             metrics={"trace_distance": values[1]},
             seed=7,
         )
-        back = RunReport.from_json(report.to_json())
-        assert back.outputs["matrix"] == [
+        back = json.loads(report.to_json())
+        assert back["outputs"]["matrix"] == [
             [values[0], values[1]],
             [values[2], values[3]],
         ]
-        assert back.metrics["trace_distance"] == values[1]
-        assert back.seed == 7
+        assert back["metrics"]["trace_distance"] == values[1]
+        assert back["seed"] == 7
 
     def test_serialization_is_stable(self):
         report = RunReport(

@@ -241,6 +241,19 @@ class TestQuantumLda:
         out = chain_apply(spec).output
         assert trace_distance(out, a) < 1e-10
 
+    @pytest.mark.parametrize("t", [6, 8])
+    def test_draws_are_the_register_draws_sampling_spent(self, monkeypatch, t):
+        spent = []
+        sample = lda.sample_eigenpairs
+        monkeypatch.setattr(
+            lda, "sample_eigenpairs",
+            lambda joint, draws, seed: spent.append(draws) or sample(joint, draws, seed=seed),
+        )
+        data = two_class_dataset()
+        basis = quantum_lda(whitening_chain(data, 100.0, 0.1, t), 1, seed=1)
+        assert basis.draws == lda.qpe_draws(t) == spent[0]
+        assert classical_lda_oracle(whitening_chain(data, 100.0, 0.1, t), 1).draws == 0
+
     def test_register_width_validated(self):
         data = two_class_dataset()
         with pytest.raises(DomainRejection, match="t="):

@@ -52,6 +52,16 @@ class TestLabeledDataset:
             LabeledDataset(np.zeros((2, 2)), np.array([1, 3]))
         assert str(err.value) == "classes [2] have no samples"
 
+    @pytest.mark.parametrize("rows, labels, shown, rest", [
+        (2, [1, 10**5], list(range(2, 12)), 99988),
+        (2, [1, 10**12], list(range(2, 12)), 999999999988),  # never counted up to k
+        (30, [1] * 29 + [30], list(range(2, 12)), 18),
+    ])
+    def test_missing_class_list_is_bounded(self, rows, labels, shown, rest):
+        with pytest.raises(DomainRejection) as err:
+            LabeledDataset(np.zeros((rows, 2)), labels)
+        assert str(err.value) == f"classes {shown} and {rest} more have no samples"
+
     def test_non_finite_rejected(self):
         with pytest.raises(DomainRejection, match="finite"):
             LabeledDataset(np.array([[np.inf, 0.0]]), np.array([1]))

@@ -116,7 +116,8 @@ class TestInvertApply:
     def test_isotropic_covariance_keeps_mean_direction(self):
         data, mu = isotropic_two_class()
         model = fit(data, 100.0)
-        direction, _ = invert_apply(model, "classical")[0]
+        directions, _ = invert_apply(model, "classical")
+        direction = directions[0]
         assert abs(np.dot(direction, mu / np.linalg.norm(mu))) == pytest.approx(1.0)
 
     def test_diagonal_covariance_reweights_mean(self):
@@ -136,19 +137,26 @@ class TestInvertApply:
             np.diag([1.0, 0.5]),
             atol=1e-12,
         )
-        direction, norm = invert_apply(model, "classical")[0]
+        directions, _ = invert_apply(model, "classical")
         expected = np.array([1.0, 2.0]) / np.sqrt(5.0)
-        assert np.allclose(direction, expected)
-        assert norm == pytest.approx(np.linalg.norm([1.0, 2.0]) / np.sqrt(2.0))
+        assert np.allclose(directions[0], expected)
+        # the norm classify_many scales every path by is the model's recorded one
+        assert model.inverse_norms[0] == pytest.approx(np.linalg.norm([1.0, 2.0]) / np.sqrt(2.0))
 
     def test_quantum_path_matches_classical_20_seeds(self):
         for seed in range(20):
             data, _ = gauss3(seed=seed, per_class=15)
             model = fit(data, 100.0)
-            inverted = zip(invert_apply(model, "classical"), invert_apply(model, "quantum", t=8))
-            for (vc, nc), (vq, nq) in inverted:
+            classical, _ = invert_apply(model, "classical")
+            quantum, _ = invert_apply(model, "quantum", t=8)
+            for c, (vc, vq, nc) in enumerate(zip(classical, quantum, model.inverse_norms), 1):
                 assert abs(np.dot(vc, vq)) >= 0.99
-                assert nq == nc  # quantum path reuses the recorded norm
+                # a query whose shifted vector is the quantum direction itself has
+                # overlap 1, so its score less the prior is the norm the path used
+                x = 0.5 * model.class_means[c - 1] + vq
+                score = classify_many(model, [x], "quantum", seed=0, t=8).discriminants[0, c - 1]
+                nq = score - math.log(model.priors[c - 1])
+                assert nq == pytest.approx(nc, rel=1e-12)  # quantum path reuses the recorded norm
 
 
 class TestDiscriminant:
@@ -189,7 +197,8 @@ class TestDiscriminant:
         classical = classify_many(model, [x], "classical").discriminants[0, c - 1]
         # row i is seeded 0 + i, so the batch replays trials 0..999
         batch = classify_many(model, np.tile(x, (trials, 1)), "quantum", shots=512, seed=0)
-        direction, inv_norm = invert_apply(model, "classical")[c - 1]
+        direction = invert_apply(model, "classical")[0][c - 1]
+        inv_norm = model.inverse_norms[c - 1]
         shifted = x - 0.5 * model.class_means[c - 1]
         shifted_norm = np.linalg.norm(shifted)
         seeds = [np.random.SeedSequence([seed, c]) for seed in range(trials)]
@@ -302,6 +311,18 @@ class TestClassifyMany:
         )
         classify_many(model, means, "quantum", shots=64, seed=5, t=8)
         assert len(analyses) == stages
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_copies_are_each_class_inversion_stage_copies(self, shared):
+        data, means = gauss3(seed=2, per_class=20)
+        model = fit(data, 100.0, shared_covariance=shared)
+        quantum = classify_many(model, means, "quantum", shots=64, seed=5, t=8, eps=0.2)
+        expected = [chain.prepare_stage(op, qda._INV, 8, 100.0, 0.2).copies
+                    for op in model.covariance_ops]
+        assert quantum.copies.tolist() == expected
+        classical = classify_many(model, means, "classical")
+        assert classical.copies.tolist() == [0] * model.k
+        assert quantum.copies.dtype.kind == classical.copies.dtype.kind == "i"
 
     def test_unseeded_rows_stay_unseeded(self, monkeypatch):
         data, means = gauss3(seed=2, per_class=20)

@@ -37,7 +37,7 @@ def test_inverted_means_are_unit_and_on_the_mean_side(case):
     data, shared, t = case
     model = fit(data, shared_covariance=shared)
     for path in ("classical", "quantum"):
-        inverted = invert_apply(model, path, t)
-        for (direction, _), mu in zip(inverted, model.class_means):
+        directions, _ = invert_apply(model, path, t)
+        for direction, mu in zip(directions, model.class_means):
             assert abs(np.linalg.norm(direction) - 1.0) <= 1e-12, path
             assert float(direction @ mu) > 0.0, path

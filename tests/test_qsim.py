@@ -359,6 +359,13 @@ class TestOverlapTestSigned:
                 hits += 1
         assert hits / trials >= 0.99
 
+    def test_shots_bounded_by_int64(self):
+        out = overlap_test_signed([1.0, 0.0], [[0.0, 1.0]], shots=2**63 - 1, seeds=[1])
+        assert out.shots == 2**63 - 1
+        assert abs(out.estimate[0]) < 1e-6
+        with pytest.raises(DomainRejection, match=r"shots must be at most 2\^63 - 1"):
+            overlap_test_signed([1.0, 0.0], [[0.0, 1.0]], shots=2**63, seeds=[1])
+
     def test_standard_error_bound(self):
         out = overlap_test_signed([1.0, 0.0], [[0.0, 1.0]], shots=400, seeds=[1])
         assert out.standard_error[0] <= 1.0 / np.sqrt(400) + 1e-12
