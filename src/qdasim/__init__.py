@@ -27,7 +27,6 @@ from .oracle import (
 )
 from .qsim import (
     QpeState,
-    RegisteredState,
     ShotResult,
     density_exponentiation_step,
     overlap_test_signed,
@@ -80,7 +79,6 @@ __all__ = [
     "class_statistics",
     "within_scatter",
     "QpeState",
-    "RegisteredState",
     "ShotResult",
     "density_exponentiation_step",
     "overlap_test_signed",

@@ -161,6 +161,8 @@ def eig_hermitian(h: HermitianOperator) -> EigenSolution:
 def _check_kappa_eff(kappa_eff: float) -> None:
     if not kappa_eff >= 1.0:
         raise DomainRejection(f"kappa_eff must be >= 1, got {kappa_eff}")
+    if kappa_eff == np.inf:
+        raise DomainRejection(f"kappa_eff must be finite, got {kappa_eff}")
 
 
 def _filter_mask(eigenvalues: np.ndarray, kappa_eff: float) -> np.ndarray:
@@ -169,7 +171,7 @@ def _filter_mask(eigenvalues: np.ndarray, kappa_eff: float) -> np.ndarray:
     A tiny multiplicative slack makes exact-threshold eigenvalues robust to
     rounding. Eigenvalues below the cutoff (including any slightly negative
     ones) are treated as zero under every spectral function. A kappa_eff
-    below 1, or NaN, is rejected.
+    below 1, NaN or infinite, is rejected.
     """
     _check_kappa_eff(kappa_eff)
     lam_max = float(eigenvalues[0])

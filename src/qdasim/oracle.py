@@ -36,9 +36,10 @@ class LabeledDataset:
     def __post_init__(self) -> None:
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
         labels = np.asarray(self.labels)
-        # an integral float such as 1.0 names a class; 1.5, nan or "a" never does
+        # an integral float that int64 holds, such as 1.0, names a class;
+        # 1.5, nan, 1e20 or "a" never does
         integral = labels.dtype.kind == "f" and (
-            np.isfinite(labels).all() and np.array_equal(labels, np.trunc(labels))
+            (np.abs(labels) < 2.0**63).all() and np.array_equal(labels, np.trunc(labels))
         )
         if labels.dtype.kind not in "iu" and not integral:
             raise DomainRejection("class labels must be integers in 1..k")

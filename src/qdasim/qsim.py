@@ -67,42 +67,6 @@ class QpeState:
         return self._register_pass()[0]
 
 
-class RegisteredState:
-    """A density operator spread over named registers.
-
-    ``register_layout`` orders the tensor factors; the product of register
-    dimensions equals the state dimension.
-    """
-
-    def __init__(self, register_layout, state: DensityOperator):
-        self.register_layout = tuple((str(n), int(d)) for n, d in register_layout)
-        if len({name for name, _ in self.register_layout}) != len(self.register_layout):
-            raise DomainRejection("register names must be unique")
-        if any(d < 1 for _, d in self.register_layout):
-            raise DomainRejection("register dimensions must be positive")
-        if state.dim != self.dim:
-            raise DomainRejection(
-                f"register dimensions {self.dims} do not factor state dimension {state.dim}"
-            )
-        self.state = state
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.register_layout)
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.dims))
-
-    def register_index(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.register_layout):
-            if n == name:
-                return i
-        raise DomainRejection(
-            f"no register named {name!r}; layout has {[n for n, _ in self.register_layout]}"
-        )
-
-
 def density_exponentiation_step(
     generator: DensityOperator, target: DensityOperator, dt: float
 ) -> DensityOperator:
@@ -275,35 +239,22 @@ def overlap_test_signed(a, rows, shots: int, seeds) -> ShotResult:
     return _acceptance_estimate(overlaps, shots, seeds)
 
 
-def postselect_ancilla(
-    joint: RegisteredState, register: str, outcome: int
-) -> tuple[RegisteredState, float]:
-    """Project a named register onto a basis outcome and renormalize.
+def postselect_ancilla(joint: DensityOperator, outcome: int) -> tuple[DensityOperator, float]:
+    """Project the trailing ancilla qubit of a system x ancilla state onto a
+    basis outcome and renormalize.
 
-    Returns the conditional state on the remaining registers and the exact
-    outcome probability; a branch below ``POSTSELECT_FLOOR`` is rejected.
+    Returns the conditional system state and the exact outcome probability;
+    a branch below ``POSTSELECT_FLOOR`` is rejected.
     """
-    idx = joint.register_index(register)
-    dims = joint.dims
-    if not 0 <= outcome < dims[idx]:
+    if joint.dim % 2 or outcome not in (0, 1):
         raise DomainRejection(
-            f"outcome {outcome} outside register {register!r} of dimension {dims[idx]}"
+            f"need a system x qubit state and outcome 0 or 1, "
+            f"got dimension {joint.dim} and outcome {outcome}"
         )
-    n_reg = len(dims)
-    r = joint.state.matrix.reshape(*dims, *dims)
-    sel: list = [slice(None)] * (2 * n_reg)
-    sel[idx] = outcome
-    sel[n_reg + idx] = outcome
-    rest = int(np.prod([d for i, d in enumerate(dims) if i != idx]))
-    block = r[tuple(sel)].reshape(rest, rest)
+    block = joint.matrix[outcome::2, outcome::2]
     prob = float(np.trace(block).real)
     if prob < POSTSELECT_FLOOR:
         raise NumericalFailure(
-            f"vanishing postselection branch: P({register}={outcome}) = {prob:.3e}"
+            f"vanishing postselection branch: P(ancilla={outcome}) = {prob:.3e}"
         )
-    layout = tuple(p for i, p in enumerate(joint.register_layout) if i != idx)
-    if not layout:
-        layout = (("scalar", 1),)
-        block = np.array([[prob]])
-    reduced = RegisteredState(layout, DensityOperator(block / prob))
-    return reduced, prob
+    return DensityOperator(block / prob), prob

@@ -24,7 +24,7 @@ from qdasim.linalg import (
     matrix_function,
     trace_distance,
 )
-from qdasim.qsim import RegisteredState, postselect_ancilla
+from qdasim.qsim import postselect_ancilla
 from qdasim.rotation import rotation_amplitudes
 
 from conftest import random_density_spectrum
@@ -57,12 +57,7 @@ def joint_route_stage(rho, a, f, t, kappa_eff, eps=DEFAULT_EPS):
     columns = np.empty((2 * n, n), dtype=complex)
     for l in range(n):
         columns[:, l] = np.kron(v[:, l], pairs[l])
-    joint = RegisteredState(
-        (("system", n), ("ancilla", 2)),
-        DensityOperator(columns @ beta @ columns.conj().T),
-    )
-    reduced, prob = postselect_ancilla(joint, "ancilla", 1)
-    return reduced.state, prob
+    return postselect_ancilla(DensityOperator(columns @ beta @ columns.conj().T), 1)
 
 
 def random_rank_density(rng, n: int, rank: int, real: bool) -> DensityOperator:
@@ -376,6 +371,14 @@ class TestKappaRule:
         a = spectrum_density([0.6, 0.3, 0.1])
         with pytest.raises(DomainRejection, match="kappa_eff must be >= 1"):
             prepare_stage(a, INVERSE, 8, kappa_eff)
+
+    def test_infinite_kappa_rejected_before_any_arithmetic(self):
+        # an infinite cutoff would keep the exact-zero eigenvalue and divide by it
+        a = DensityOperator(np.diag([1.0, 0.0]))
+        for reject in (lambda: prepare_stage(a, SQRT, 8, math.inf),
+                       lambda: matrix_function(a, INVERSE, math.inf)):
+            with pytest.raises(DomainRejection, match="kappa_eff must be finite, got inf"):
+                reject()
 
     def test_fully_filtered_operator_rejected_alike_everywhere(self):
         # lambda_max at or below PSD_TOL leaves nothing for the window to keep

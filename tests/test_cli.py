@@ -717,6 +717,15 @@ class TestSharedFlagChecks:
         assert (code, report) == (EXIT_DOMAIN, None)
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["chain", "--synthetic", "two-gauss"],
+        ["reduce", "--synthetic", "two-gauss", "--path", "classical"],
+    ])
+    def test_infinite_kappa_exits_with_domain_code(self, argv, tmp_path, capsys):
+        code, report = run_cli(argv + ["--kappa-eff", "inf", "--seed", "0"], tmp_path)
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert "kappa_eff must be finite, got inf" in capsys.readouterr().err
+
 
 class TestShotsRange:
     @pytest.mark.parametrize("path", ["quantum", "classical"])

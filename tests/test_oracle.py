@@ -70,7 +70,8 @@ class TestLabeledDataset:
         with pytest.raises(DomainRejection):
             LabeledDataset(np.zeros((3, 2)), np.array([1, 1]))
 
-    @pytest.mark.parametrize("bad", [0, 1.5, "a"])
+    # a float label beyond int64 would make numpy warn in the cast
+    @pytest.mark.parametrize("bad", [0, 1.5, "a", 1e20, -1e20, 2.0**63])
     def test_non_integer_or_zero_label_rejected(self, bad):
         with pytest.raises(DomainRejection) as err:
             LabeledDataset(np.eye(3), [1, 2, bad])

@@ -10,7 +10,6 @@ from qdasim.linalg import DensityOperator, trace_distance
 from qdasim.lda import qpe_draws
 from qdasim.qsim import (
     POSTSELECT_FLOOR,
-    RegisteredState,
     _register_weights,
     density_exponentiation_step,
     overlap_test_signed,
@@ -375,25 +374,19 @@ class TestPostselectAncilla:
     def test_ancilla_already_one(self):
         rng = np.random.default_rng(3)
         sys = random_density(rng, 3)
-        joint = RegisteredState(
-            (("system", 3), ("ancilla", 2)),
-            DensityOperator(np.kron(sys.matrix, np.diag([0.0, 1.0]))),
-        )
-        reduced, prob = postselect_ancilla(joint, "ancilla", 1)
+        joint = DensityOperator(np.kron(sys.matrix, np.diag([0.0, 1.0])))
+        reduced, prob = postselect_ancilla(joint, 1)
         assert prob == pytest.approx(1.0)
-        assert trace_distance(reduced.state, sys) < 1e-12
+        assert trace_distance(reduced, sys) < 1e-12
 
     def test_unentangled_superposed_ancilla(self):
         rng = np.random.default_rng(4)
         sys = random_density(rng, 2)
         plus = np.full((2, 2), 0.5)
-        joint = RegisteredState(
-            (("system", 2), ("ancilla", 2)),
-            DensityOperator(np.kron(sys.matrix, plus)),
-        )
-        reduced, prob = postselect_ancilla(joint, "ancilla", 1)
+        joint = DensityOperator(np.kron(sys.matrix, plus))
+        reduced, prob = postselect_ancilla(joint, 1)
         assert prob == pytest.approx(0.5)
-        assert trace_distance(reduced.state, sys) < 1e-12
+        assert trace_distance(reduced, sys) < 1e-12
 
     def test_inversion_shaped_state_probability(self):
         # ancilla amplitudes C*f(lambda) for f = inverse on spectrum {1, 0.5}
@@ -409,48 +402,54 @@ class TestPostselectAncilla:
             e = np.zeros(2)
             e[l] = 1.0
             columns[:, l] = np.kron(e, psi)
-        joint = RegisteredState(
-            (("system", 2), ("ancilla", 2)),
-            DensityOperator(columns @ beta @ columns.conj().T),
-        )
-        _, prob = postselect_ancilla(joint, "ancilla", 1)
+        joint = DensityOperator(columns @ beta @ columns.conj().T)
+        _, prob = postselect_ancilla(joint, 1)
         expected = sum(beta[l, l].real * (c_const * f_vals[l]) ** 2 for l in range(2))
         assert prob == pytest.approx(expected, abs=1e-12)
 
     def test_vanishing_branch_rejected(self):
-        joint = RegisteredState(
-            (("system", 2), ("ancilla", 2)),
-            DensityOperator(np.kron(np.eye(2) / 2.0, np.diag([1.0, 0.0]))),
-        )
-        with pytest.raises(NumericalFailure, match="vanishing"):
-            postselect_ancilla(joint, "ancilla", 1)
+        joint = DensityOperator(np.kron(np.eye(2) / 2.0, np.diag([1.0, 0.0])))
+        message = r"vanishing postselection branch: P\(ancilla=1\)"
+        with pytest.raises(NumericalFailure, match=message):
+            postselect_ancilla(joint, 1)
 
-    def test_unknown_register_rejected(self):
-        joint = RegisteredState(
-            (("system", 2),), DensityOperator(np.eye(2) / 2.0)
-        )
-        with pytest.raises(DomainRejection, match="no register"):
-            postselect_ancilla(joint, "missing", 0)
+    def test_non_qubit_ancilla_rejected(self):
+        with pytest.raises(DomainRejection, match="system x qubit"):
+            postselect_ancilla(DensityOperator(np.eye(3) / 3.0), 0)
+        for outcome in (-1, 2):
+            with pytest.raises(DomainRejection, match="outcome 0 or 1"):
+                postselect_ancilla(DensityOperator(np.eye(4) / 4.0), outcome)
 
     def test_output_preserves_state_invariants(self):
         # output of postselection revalidates PSD and unit trace on construction
         rng = np.random.default_rng(6)
-        joint_op = random_density(rng, 6)
-        joint = RegisteredState((("system", 3), ("ancilla", 2)), joint_op)
-        reduced, prob = postselect_ancilla(joint, "ancilla", 0)
+        joint = random_density(rng, 6)
+        reduced, prob = postselect_ancilla(joint, 0)
         assert 0.0 < prob <= 1.0
-        assert isinstance(reduced.state, DensityOperator)
+        assert isinstance(reduced, DensityOperator)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_branches_are_strided_blocks_of_the_joint_state(self, real):
+        rng = np.random.default_rng(7)
+        joint = random_density(rng, 10)
+        if real:
+            joint = DensityOperator(joint.matrix.real)
+        probs = []
+        for o in (0, 1):
+            reduced, prob = postselect_ancilla(joint, o)
+            assert np.array_equal(reduced.matrix, joint.matrix[o::2, o::2] / prob)
+            probs.append(prob)
+        assert abs(sum(probs) - 1.0) < 1e-12
+
+    def test_one_dimensional_system(self):
+        joint = DensityOperator(np.array([[0.25, 0.25], [0.25, 0.75]]))
+        reduced, prob = postselect_ancilla(joint, 1)
+        assert reduced.dim == 1
+        assert prob == 0.75
+        assert reduced.matrix[0, 0] == 1.0
 
 
-class TestRegisteredState:
-    def test_layout_must_factor_dimension(self):
-        with pytest.raises(DomainRejection, match="factor"):
-            RegisteredState((("a", 2), ("b", 2)), DensityOperator(np.eye(6) / 6.0))
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(DomainRejection, match="unique"):
-            RegisteredState((("a", 2), ("a", 3)), DensityOperator(np.eye(6) / 6.0))
-
+class TestMaterializedQpeState:
     def test_materialized_qpe_state_matches_factored_marginal(self):
         # dense joint state sum beta[l,l'] |a_l x u_l><a_l' x u_l'| as the reference
         rng = np.random.default_rng(12)
