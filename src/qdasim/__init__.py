@@ -59,7 +59,7 @@ from .qda import (
     fit,
     invert_apply,
 )
-from .data_io import RunReport, SyntheticSpec, generate, load_csv, save_csv, synthetic_preset
+from .data_io import RunReport, load_csv, save_csv, synthetic_preset
 
 __all__ = [
     "__version__",
@@ -105,8 +105,6 @@ __all__ = [
     "fit",
     "invert_apply",
     "RunReport",
-    "SyntheticSpec",
-    "generate",
     "load_csv",
     "save_csv",
     "synthetic_preset",

@@ -200,13 +200,16 @@ class PreparedStage:
     a1: np.ndarray  # ancilla |1> amplitudes, 0 off the resolved spectrum
     copies: int
 
+    def _check_state_dim(self, dim: int) -> None:
+        if dim != self.eigenvectors.shape[0]:
+            raise DomainRejection(
+                f"state dimension {dim} does not match operator {self.eigenvectors.shape[0]}"
+            )
+
     def apply(self, rho_prev: DensityOperator) -> _StageResult:
         """Rotate rho_prev and postselect the ancilla on |1>."""
         v = self.eigenvectors
-        if rho_prev.dim != v.shape[0]:
-            raise DomainRejection(
-                f"state dimension {rho_prev.dim} does not match operator {v.shape[0]}"
-            )
+        self._check_state_dim(rho_prev.dim)
         beta = v.conj().T @ rho_prev.matrix @ v
         # closed-form ancilla-|1> branch of the rotated system x ancilla state,
         # symmetrized before it is renormalized
@@ -227,6 +230,7 @@ class PreparedStage:
     def apply_pure(self, v: np.ndarray) -> np.ndarray:
         """Unit output vector of the stage on a pure state |v><v|, which stays pure:
         u = V (a_1 * V^dagger v) over |u|, with success probability |u|^2."""
+        self._check_state_dim(len(v))
         u = self.eigenvectors @ (self.a1 * (self.eigenvectors.conj().T @ v))
         return u / np.sqrt(_postselected(float(np.vdot(u, u).real)))
 

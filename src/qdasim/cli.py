@@ -32,7 +32,7 @@ from .chain import (
     chain_apply,
     classical_chain_oracle,
 )
-from .data_io import RunReport, generate, load_csv, save_csv, synthetic_preset
+from .data_io import RunReport, load_csv, save_csv, synthetic_preset
 from .errors import DomainRejection, NumericalFailure
 from .linalg import (
     DensityOperator,
@@ -164,7 +164,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _preset(name: str, per_class: int, seed: int):
+def _preset(name: str, per_class: int, seed: int) -> LabeledDataset:
     try:
         return synthetic_preset(name, per_class=per_class, seed=seed)
     except DomainRejection as err:
@@ -178,7 +178,7 @@ def _load_training_data(args) -> tuple[LabeledDataset, dict]:
         return load_csv(args.data), {"source": "file", "path": args.data}
     per_class = _SYNTHETIC_PER_CLASS if args.per_class is None else args.per_class
     descriptor = {"source": "synthetic", "preset": args.synthetic, "per_class": per_class}
-    return generate(_preset(args.synthetic, per_class, args.seed)), descriptor
+    return _preset(args.synthetic, per_class, args.seed), descriptor
 
 
 def run_reduce(args) -> tuple[dict, dict, dict]:
@@ -227,8 +227,7 @@ def _load_test_data(args) -> tuple[LabeledDataset, dict]:
             raise _UsageError(f"test file not found: {args.test}")
         return load_csv(args.test), {"source": "file", "path": args.test}
     if args.synthetic and args.test_count is not None:
-        spec = _preset(args.synthetic, args.test_count, args.seed + 1)
-        return generate(spec), {
+        return _preset(args.synthetic, args.test_count, args.seed + 1), {
             "source": "synthetic",
             "preset": args.synthetic,
             "per_class": args.test_count,
@@ -381,8 +380,7 @@ def run_rotate_check(args) -> tuple[dict, dict, dict]:
 
 
 def run_gen(args) -> tuple[dict, dict, dict]:
-    spec = _preset(args.synthetic, args.per_class, args.seed)
-    data = generate(spec)
+    data = _preset(args.synthetic, args.per_class, args.seed)
     save_csv(data, args.out)
     outputs = {
         "rows": data.M,

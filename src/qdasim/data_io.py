@@ -1,4 +1,4 @@
-"""Dataset ingestion, synthetic Gaussian generation, and run-report
+"""Dataset ingestion, the three seeded synthetic presets, and run-report
 serialization.
 
 CSV files carry a header of feature names plus a final ``label`` column;
@@ -23,81 +23,10 @@ from . import __version__
 from .errors import DomainRejection
 from .oracle import LabeledDataset
 
-_COV_PSD_TOL = 1e-10
 
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Per-class Gaussian sampling plan; the seed fully determines the output."""
-
-    class_means: np.ndarray
-    class_covariances: np.ndarray
-    class_counts: tuple[int, ...]
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        means = np.atleast_2d(np.asarray(self.class_means, dtype=float))
-        covs = np.asarray(self.class_covariances, dtype=float)
-        if covs.ndim == 2:
-            covs = np.broadcast_to(covs, (means.shape[0],) + covs.shape).copy()
-        object.__setattr__(self, "class_means", means)
-        object.__setattr__(self, "class_covariances", covs)
-        object.__setattr__(self, "class_counts", tuple(int(m) for m in self.class_counts))
-        k, n = means.shape
-        if covs.shape != (k, n, n):
-            raise DomainRejection(
-                f"covariance stack shape {covs.shape} does not match {k} classes of dimension {n}"
-            )
-        if len(self.class_counts) != k:
-            raise DomainRejection("class_counts length does not match the mean count")
-        if any(m < 2 for m in self.class_counts):
-            raise DomainRejection("every class needs at least 2 samples")
-        for c in range(k):
-            sym = np.max(np.abs(covs[c] - covs[c].T))
-            if sym > _COV_PSD_TOL:
-                raise DomainRejection(f"class {c + 1} covariance is not symmetric")
-            w = np.linalg.eigvalsh((covs[c] + covs[c].T) / 2.0)
-            if w[0] < -_COV_PSD_TOL:
-                raise DomainRejection(
-                    f"class {c + 1} covariance has negative eigenvalue {w[0]:.3e}"
-                )
-
-    @property
-    def N(self) -> int:
-        return self.class_means.shape[1]
-
-    @property
-    def k(self) -> int:
-        return self.class_means.shape[0]
-
-
-def _covariance_factor(cov: np.ndarray) -> np.ndarray:
-    """Cholesky factor, falling back to an eigen-factor for semidefinite input."""
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(cov)
-        return v * np.sqrt(np.clip(w, 0.0, None))
-
-
-def generate(spec: SyntheticSpec) -> LabeledDataset:
-    """Sample the per-class Gaussians with the seeded generator."""
-    rng = np.random.default_rng(spec.seed)
-    samples, labels = [], []
-    for c in range(spec.k):
-        factor = _covariance_factor(spec.class_covariances[c])
-        z = rng.standard_normal((spec.class_counts[c], spec.N))
-        samples.append(spec.class_means[c] + z @ factor.T)
-        labels.extend([c + 1] * spec.class_counts[c])
-    return LabeledDataset(
-        samples=np.vstack(samples),
-        labels=np.array(labels),
-        label_names=tuple(str(c + 1) for c in range(spec.k)),
-    )
-
-
-def synthetic_preset(name: str, per_class: int = 50, seed: int = 0) -> SyntheticSpec:
-    """Named benchmark layouts.
+def synthetic_preset(name: str, per_class: int = 50, seed: int = 0) -> LabeledDataset:
+    """A named Gaussian layout sampled with ``np.random.default_rng(seed)``:
+    ``per_class`` draws for each class in turn, labelled 1..k.
 
     two-gauss: two 4-d classes separated along the first axis.
     three-gauss: three overlapping 4-d classes for classifier benchmarks.
@@ -109,22 +38,32 @@ def synthetic_preset(name: str, per_class: int = 50, seed: int = 0) -> Synthetic
     if key == "two-gauss":
         means = np.zeros((2, 4))
         means[0, 0], means[1, 0] = 1.5, -1.5
-        covs = np.stack([np.eye(4) * 0.09] * 2)
+        cov = np.eye(4) * 0.09
     elif key == "three-gauss":
         means = np.array(
             [[2.5, 0.0, 0.0, 0.0], [-2.5, 0.5, 0.0, 0.0], [0.0, 2.5, 0.0, 0.0]]
         )
-        covs = np.stack([np.eye(4) * 0.49] * 3)
+        cov = np.eye(4) * 0.49
     elif key == "adversarial":
         means = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        covs = np.stack([np.diag([0.16, 1.6])] * 2)
+        cov = np.diag([0.16, 1.6])
     else:
         raise DomainRejection(
             f"unknown synthetic preset {name!r}; expected two-gauss, three-gauss, "
             "or adversarial"
         )
-    counts = tuple([per_class] * means.shape[0])
-    return SyntheticSpec(means, covs, counts, seed=seed)
+    if not isinstance(per_class, (int, np.integer)):
+        raise DomainRejection(f"per_class must be an integer, got {per_class!r}")
+    if per_class < 2:
+        raise DomainRejection("every class needs at least 2 samples")
+    rng = np.random.default_rng(seed)
+    factor = np.linalg.cholesky(cov)
+    k, n = means.shape
+    return LabeledDataset(
+        samples=np.vstack([m + rng.standard_normal((per_class, n)) @ factor.T for m in means]),
+        labels=np.repeat(np.arange(1, k + 1), per_class),
+        label_names=tuple(str(c) for c in range(1, k + 1)),
+    )
 
 
 def _read_header(reader, path) -> list[str]:

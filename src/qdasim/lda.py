@@ -79,6 +79,14 @@ def whitening_chain(
     return ChainSpec(stages, kappa_eff, eps, t)
 
 
+def _whitening_within(spec: ChainSpec, caller: str) -> DensityOperator:
+    """The S_W operator of the whitening chain ``spec``, for the back-map to
+    Fisher directions; any other chain is rejected."""
+    if tuple(f for _, f in spec.stages) != (_INV_SQRT, _SQRT):
+        raise DomainRejection(f"{caller} needs the whitening chain: inverse-sqrt, then sqrt")
+    return spec.stages[0][0]
+
+
 def _fix_vector_sign(v: np.ndarray) -> np.ndarray:
     """v divided by the phase of its largest-magnitude entry (exactly +-1 on real input)."""
     pivot = int(np.argmax(np.abs(v)))
@@ -110,6 +118,7 @@ def classical_lda_oracle(spec: ChainSpec, p: int) -> ProjectionBasis:
     function is applied at the spec's kappa_eff. The estimates are the top
     eigenvalues over the sum of the eigenvalues above the rank tolerance.
     """
+    s_w = _whitening_within(spec, "classical_lda_oracle")
     if p < 1:
         raise DomainRejection("need at least one direction")
     oracle, (_, sqrt_b) = _oracle_with_factors(spec)
@@ -120,7 +129,7 @@ def classical_lda_oracle(spec: ChainSpec, p: int) -> ProjectionBasis:
             f"requested {p} directions but the whitened operator has rank {rank}"
         )
     trace = float(np.sum(sol.eigenvalues[:rank]))
-    back = matrix_function(spec.stages[0][0], _INV, spec.kappa_eff).matrix @ sqrt_b
+    back = matrix_function(s_w, _INV, spec.kappa_eff).matrix @ sqrt_b
     return _basis(sol.eigenvectors[:, :p].T, lambda v: back @ v, sol.eigenvalues[:p] / trace)
 
 
@@ -147,8 +156,7 @@ def quantum_lda(spec: ChainSpec, p: int, seed=None) -> ProjectionBasis:
     S_W^(-1) S_B^(1/2) v_r through two prepared chain stages, each read in
     closed form: the chain's own (S_B, sqrt) stage, then one (S_W, inverse) stage.
     """
-    if tuple(f for _, f in spec.stages) != (_INV_SQRT, _SQRT):
-        raise DomainRejection("quantum_lda needs the whitening chain: inverse-sqrt, then sqrt")
+    s_w = _whitening_within(spec, "quantum_lda")
     t = spec.t
     _check_lda_register_width(t)
     if p < 1:
@@ -181,7 +189,7 @@ def quantum_lda(spec: ChainSpec, p: int, seed=None) -> ProjectionBasis:
         )
 
     sqrt_b = chain.stages[1]
-    inv_w = prepare_stage(spec.stages[0][0], _INV, t, spec.kappa_eff, spec.eps)
+    inv_w = prepare_stage(s_w, _INV, t, spec.kappa_eff, spec.eps)
     estimates = (samples.eigenvalues[keep] - gamma / n) / (1.0 - gamma)
     return _basis(joint.vectors[:, samples.eigenvector_indices[keep]].T,
                   lambda v: inv_w.apply_pure(sqrt_b.apply_pure(v)), estimates, chain, draws)
@@ -204,6 +212,8 @@ def fisher_criterion(source, directions) -> float:
     else:
         s_b, s_w = (np.asarray(m, dtype=float) for m in source)
     w = np.atleast_2d(np.asarray(directions, dtype=float))
+    if w.ndim != 2:
+        raise DomainRejection(f"directions must be a vector or a stack of rows, got shape {w.shape}")
     if w.shape[1] != s_b.shape[0]:
         raise DomainRejection(
             f"direction dimension {w.shape[1]} does not match scatter dimension "

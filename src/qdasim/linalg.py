@@ -98,9 +98,9 @@ class SpectralFunction:
 
     All supported functions are pure powers f(x) = x**exponent, evaluated on
     positive reals only; named forms are ``identity`` (x), ``inverse`` (1/x),
-    ``sqrt``, ``inverse-sqrt``, and ``power(r)`` for arbitrary real r.
+    ``sqrt``, ``inverse-sqrt``, and ``power(r)`` for any finite real r.
     ``power(0)`` is the constant-one function, the neutral element of a
-    function chain.
+    function chain. A value that overflows to infinity is rejected.
     """
 
     name: str
@@ -129,12 +129,20 @@ class SpectralFunction:
             f"{sorted(cls._NAMED)} or power(r)"
         )
 
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.exponent):
+            raise DomainRejection(f"spectral function exponent must be finite, got {self.exponent}")
+
     @classmethod
     def power(cls, r: float) -> "SpectralFunction":
         return cls(f"power({r:g})", float(r))
 
     def __call__(self, x):
-        return np.asarray(x, dtype=float) ** self.exponent
+        with np.errstate(over="ignore", divide="ignore"):
+            y = np.asarray(x, dtype=float) ** self.exponent
+        if not np.isfinite(y).all():
+            raise DomainRejection(f"{self.name} overflows on the given values")
+        return y
 
     def derivative_coefficients(self, x0: float, order: int) -> np.ndarray:
         """Taylor coefficients f^(i)(x0)/i! for i = 0..order at x0 > 0."""

@@ -275,6 +275,12 @@ class TestPreparedStage:
         with pytest.raises(DomainRejection, match="does not match operator 3"):
             prepared.apply(DensityOperator(np.eye(2) / 2.0))
 
+    def test_apply_pure_rejects_mismatched_dimension_like_apply(self):
+        prepared = prepare_stage(DensityOperator(np.eye(4) / 4.0), INVERSE, 8, 10.0)
+        with pytest.raises(DomainRejection,
+                           match="^state dimension 3 does not match operator 4$"):
+            prepared.apply_pure(np.ones(3))
+
     def test_one_rotation_per_distinct_register_value(self, monkeypatch):
         rng = np.random.default_rng(9)
         q, _ = np.linalg.qr(rng.standard_normal((8, 8)))

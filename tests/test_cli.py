@@ -466,6 +466,21 @@ class TestChain:
         assert "--functions applies only with --operators" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("function, reason", [
+        ("power(-400)", "power(-400) overflows"),
+        ("power(-inf)", "exponent must be finite, got -inf"),
+        ("power(inf)", "exponent must be finite, got inf"),
+        ("power(nan)", "exponent must be finite, got nan"),
+    ])
+    def test_non_finite_function_exits_with_domain_code(self, function, reason, tmp_path,
+                                                        capsys):
+        ops = tmp_path / "ops.json"
+        ops.write_text(json.dumps({"operators": [np.diag([0.4, 0.3, 0.2, 0.1]).tolist()]}))
+        code, report = run_cli(["chain", "--operators", str(ops), "--functions", function,
+                                "--kappa-eff", "10", "--seed", "0"], tmp_path)
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert reason in capsys.readouterr().err
+
     def test_report_carries_no_cost_score(self, tmp_path):
         ops = tmp_path / "ops.json"
         ops.write_text(json.dumps({"operators": [[[0.6, 0.1], [0.1, 0.4]]]}))
@@ -590,6 +605,21 @@ class TestRotateCheck:
         assert (code, report) == (EXIT_DOMAIN, None)
         assert "domain rejection" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("function, reason", [
+        ("power(inf)", "exponent must be finite, got inf"),
+        ("power(-inf)", "exponent must be finite, got -inf"),
+        ("power(nan)", "exponent must be finite, got nan"),
+        ("power(1e400)", "exponent must be finite, got inf"),
+        ("power(-400)", "power(-400) overflows"),
+        # finite, but its Taylor coefficients overflow to inf and NaN
+        ("power(1e300)", "Taylor coefficients overflow"),
+    ])
+    def test_non_finite_function_exits_with_domain_code(self, function, reason, tmp_path,
+                                                        capsys):
+        code, report = run_cli(["rotate-check", "--function", function, "--seed", "0"], tmp_path)
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert reason in capsys.readouterr().err
 
     @pytest.mark.parametrize("bits", ["55", "503"])
     def test_wide_register_sweep_runs(self, bits, tmp_path):

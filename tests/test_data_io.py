@@ -1,7 +1,8 @@
-"""Dataset ingestion, synthetic generation, and report serialization."""
+"""Dataset ingestion, the synthetic presets, and report serialization."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -14,9 +15,7 @@ import pytest
 from qdasim import data_io
 from qdasim.data_io import (
     RunReport,
-    SyntheticSpec,
     _load_rows,
-    generate,
     load_csv,
     save_csv,
     synthetic_preset,
@@ -288,57 +287,49 @@ class TestFastReader:
         assert done.returncode == 0, done.stderr
 
 
+# sha256 of samples.tobytes() + labels.astype(np.int64).tobytes() at
+# per_class=7, seed=3: any change to a preset's draws fails here
+PRESET_DIGESTS = {
+    "two-gauss": "56b5e8bd17380397c3fe6ee5d32dc8b07e0864fc04b82d0687b78b5b91b9c4a9",
+    "three-gauss": "a251f7a06428438a0340ae7b3393a2ebade3748f0b5fb34ec2a4e69620eb523d",
+    "adversarial": "af6c368b7375a8fce7ecdd1c0e46ea9647c51494b32524edfca17aef3bdc87a4",
+}
+
+
 class TestGenerate:
-    def test_zero_covariance_pins_samples_to_means(self):
-        spec = SyntheticSpec(
-            class_means=np.array([[1.0, 2.0], [-1.0, 0.0]]),
-            class_covariances=np.zeros((2, 2, 2)),
-            class_counts=(3, 3),
-            seed=0,
-        )
-        data = generate(spec)
-        assert np.allclose(data.class_members(1), [1.0, 2.0])
-        assert np.allclose(data.class_members(2), [-1.0, 0.0])
+    @pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
+    def test_preset_bits_are_pinned(self, name):
+        d = synthetic_preset(name, per_class=7, seed=3)
+        digest = hashlib.sha256(d.samples.tobytes() + d.labels.astype(np.int64).tobytes())
+        assert digest.hexdigest() == PRESET_DIGESTS[name]
+        assert d.label_names == tuple(str(c) for c in range(1, d.k + 1))
 
     def test_identity_covariance_concentrates(self):
-        spec = SyntheticSpec(
-            class_means=np.zeros((1, 2)),
-            class_covariances=np.eye(2)[None, :, :],
-            class_counts=(10_000,),
-            seed=1,
-        )
-        data = generate(spec)
-        sample_cov = np.cov(data.samples.T)
-        assert np.linalg.norm(sample_cov - np.eye(2), "fro") < 0.05
+        data = synthetic_preset("three-gauss", per_class=10_000, seed=1)
+        sample_cov = np.cov(data.class_members(1).T)
+        assert np.linalg.norm(sample_cov - 0.49 * np.eye(4), "fro") < 0.05
 
     def test_same_seed_reproduces_bits(self):
-        spec = synthetic_preset("three-gauss", per_class=9, seed=13)
-        a, b = generate(spec), generate(spec)
+        a = synthetic_preset("three-gauss", per_class=9, seed=13)
+        b = synthetic_preset("three-gauss", per_class=9, seed=13)
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a.labels, b.labels)
 
-    def test_non_psd_covariance_rejected(self):
-        with pytest.raises(DomainRejection, match="eigenvalue"):
-            SyntheticSpec(
-                class_means=np.zeros((1, 2)),
-                class_covariances=np.diag([1.0, -0.5])[None, :, :],
-                class_counts=(5,),
-            )
-
     def test_undersized_class_rejected(self):
         with pytest.raises(DomainRejection, match="at least 2"):
-            SyntheticSpec(
-                class_means=np.zeros((1, 2)),
-                class_covariances=np.eye(2)[None, :, :],
-                class_counts=(1,),
-            )
+            synthetic_preset("two-gauss", per_class=1)
+
+    @pytest.mark.parametrize("per_class", [2.5, 7.0, "7"])
+    def test_non_integer_class_size_rejected(self, per_class):
+        with pytest.raises(DomainRejection, match="per_class must be an integer"):
+            synthetic_preset("two-gauss", per_class=per_class)
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(DomainRejection, match="preset"):
             synthetic_preset("spiral")
 
     def test_adversarial_preset_shape(self):
-        data = generate(synthetic_preset("adversarial", per_class=30, seed=2))
+        data = synthetic_preset("adversarial", per_class=30, seed=2)
         assert (data.N, data.k, data.M) == (2, 2, 60)
 
 

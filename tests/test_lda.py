@@ -199,18 +199,24 @@ class TestQuantumLda:
     def test_takes_the_chain_a_direction_count_and_a_seed(self):
         assert list(inspect.signature(quantum_lda).parameters) == ["spec", "p", "seed"]
 
+    # each chain once per builder: quantum_lda, and its classical oracle ("oracle-")
     @pytest.mark.parametrize(
-        "stages",
-        [("inverse-sqrt",), ("sqrt", "inverse-sqrt"), ("inverse", "sqrt"),
-         ("inverse-sqrt", "sqrt", "sqrt")],
-        ids=["one-stage", "swapped", "inverse-first", "three-stages"],
+        "build, stages",
+        [pytest.param(build, stages, id=prefix + name)
+         for prefix, build in (("", lambda spec: quantum_lda(spec, 1, seed=1)),
+                               ("oracle-", lambda spec: classical_lda_oracle(spec, 1)))
+         for name, stages in (("one-stage", ("inverse-sqrt",)),
+                              ("swapped", ("sqrt", "inverse-sqrt")),
+                              ("inverse-first", ("inverse", "sqrt")),
+                              ("three-stages", ("inverse-sqrt", "sqrt", "sqrt")))],
     )
-    def test_rejects_a_chain_that_is_not_the_whitening_chain(self, stages):
+    def test_rejects_a_chain_that_is_not_the_whitening_chain(self, build, stages):
         (sw, _), (sb, _) = whitening_chain(two_class_dataset(), 100.0).stages
         ops = (sw, sb, sb)
         spec = ChainSpec(tuple((a, SpectralFunction.from_name(f)) for a, f in zip(ops, stages)))
-        with pytest.raises(DomainRejection, match="needs the whitening chain"):
-            quantum_lda(spec, 1, seed=1)
+        with pytest.raises(DomainRejection,
+                           match="needs the whitening chain: inverse-sqrt, then sqrt"):
+            build(spec)
 
     def test_rejects_whitening_stages_of_two_dimensions(self):
         # the chain itself rejects a stage whose dimension differs from its input's
@@ -393,6 +399,10 @@ class TestFisherCriterion:
         s_w = np.diag([1.0, 0.0])
         with pytest.raises(DomainRejection, match="within-class"):
             fisher_criterion((s_b, s_w), np.array([0.0, 1.0]))
+
+    def test_directions_of_three_axes_rejected(self):
+        with pytest.raises(DomainRejection, match=r"got shape \(1, 4, 1\)"):
+            fisher_criterion(two_class_dataset(), np.ones((1, 4, 1)))
 
 
 class TestProject:

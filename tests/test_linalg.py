@@ -150,6 +150,25 @@ class TestSpectralFunction:
         with pytest.raises(DomainRejection):
             SpectralFunction.from_name("log")
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: SpectralFunction.from_name("power(inf)"),
+         lambda: SpectralFunction.from_name("power(-inf)"),
+         lambda: SpectralFunction.from_name("power(nan)"),
+         lambda: SpectralFunction.from_name("power(1e400)"),
+         lambda: SpectralFunction.power(float("-inf")),
+         lambda: SpectralFunction("custom", float("nan"))],
+        ids=["inf", "-inf", "nan", "1e400", "power-classmethod", "constructor"],
+    )
+    def test_non_finite_exponent_rejected(self, make):
+        with pytest.raises(DomainRejection, match="exponent must be finite"):
+            make()
+
+    def test_overflow_rejected_naming_the_function(self):
+        f = SpectralFunction.from_name("power(-400)")
+        with pytest.raises(DomainRejection, match=r"^power\(-400\) overflows"):
+            f(np.array([0.4, 0.3, 0.2, 0.1]))
+
     def test_finite_on_filter_window(self):
         f = SpectralFunction.from_name("inverse")
         for kappa in (1.0, 10.0, 1e6):
