@@ -32,7 +32,7 @@ from .chain import (
     chain_apply,
     classical_chain_oracle,
 )
-from .data_io import RunReport, load_csv, save_csv, synthetic_preset
+from .data_io import DEFAULT_PER_CLASS, RunReport, load_csv, save_csv, synthetic_preset
 from .errors import DomainRejection, NumericalFailure
 from .linalg import (
     DensityOperator,
@@ -88,8 +88,6 @@ def _resolve_seed(seed: int | None) -> int:
         raise _UsageError(f"{source} must be a non-negative integer, got {seed}")
     return seed
 
-
-_SYNTHETIC_PER_CLASS = 50
 
 _COMMON_FLAGS = {
     "--kappa-eff": {"type": float, "default": DEFAULT_KAPPA_EFF},
@@ -158,7 +156,7 @@ def build_parser() -> _Parser:
 
     gen_p = commands.add_parser("gen", help="generate a synthetic dataset CSV")
     gen_p.add_argument("--synthetic", required=True)
-    gen_p.add_argument("--per-class", type=int, default=_SYNTHETIC_PER_CLASS)
+    gen_p.add_argument("--per-class", type=int, default=DEFAULT_PER_CLASS)
     gen_p.add_argument("--out", required=True, help="destination CSV")
     _add_common(gen_p)
     return parser
@@ -176,7 +174,7 @@ def _load_training_data(args) -> tuple[LabeledDataset, dict]:
         if not os.path.exists(args.data):
             raise _UsageError(f"dataset file not found: {args.data}")
         return load_csv(args.data), {"source": "file", "path": args.data}
-    per_class = _SYNTHETIC_PER_CLASS if args.per_class is None else args.per_class
+    per_class = DEFAULT_PER_CLASS if args.per_class is None else args.per_class
     descriptor = {"source": "synthetic", "preset": args.synthetic, "per_class": per_class}
     return _preset(args.synthetic, per_class, args.seed), descriptor
 
@@ -308,13 +306,17 @@ def _load_chain_stages(args) -> tuple[ChainSpec, dict]:
             raise DomainRejection(f"operator {i} is not a numeric matrix") from None
         try:
             herm = HermitianOperator(matrix)
+            tr = herm.trace()
         except DomainRejection as err:
             raise DomainRejection(f"operator {i}: {err}") from None
-        tr = herm.trace()
         if tr <= 0:
             raise DomainRejection(f"operator {i} has non-positive trace {tr!r}")
+        with np.errstate(over="ignore"):
+            unit = herm.matrix / tr
+        if not np.all(np.isfinite(unit)):
+            raise DomainRejection(f"operator {i} overflows float64 when divided by its trace {tr!r}")
         scales.append(tr)
-        ops.append(DensityOperator(herm.matrix / tr))
+        ops.append(DensityOperator(unit))
     if not functions:
         raise _UsageError("--functions is required with --operators")
     if len(functions) != len(ops):
@@ -412,11 +414,26 @@ def main(argv=None) -> int:
             if name in vars(args):
                 check(getattr(args, name))
         recorded, outputs, metrics = _HANDLERS[args.command](args)
+        echoed = {name: value for name, value in vars(args).items() if name not in UNECHOED}
+        text = RunReport(
+            command=f"qdasim {' '.join(argv)}",
+            parameters={**echoed, **recorded},
+            outputs=outputs,
+            metrics=metrics,
+            seed=args.seed,
+            timestamp=datetime.now(timezone.utc).isoformat(),
+        ).to_json()
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
     except _UsageError as err:
         parser.print_usage(sys.stderr)
         print(f"qdasim: error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as err:
+        # an unreadable input or an unwritable report: the error names the path
         print(f"qdasim: error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except DomainRejection as err:
@@ -425,21 +442,6 @@ def main(argv=None) -> int:
     except (NumericalFailure, np.linalg.LinAlgError) as err:
         print(f"qdasim: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    echoed = {name: value for name, value in vars(args).items() if name not in UNECHOED}
-    report = RunReport(
-        command=f"qdasim {' '.join(argv)}",
-        parameters={**echoed, **recorded},
-        outputs=outputs,
-        metrics=metrics,
-        seed=args.seed,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-    text = report.to_json()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -5,15 +5,16 @@ CSV files carry a header of feature names plus a final ``label`` column;
 labels are arbitrary strings mapped to class indices in first-appearance
 order, and each feature cell is read by the grammar of Python ``float()``.
 ``load_csv`` parses with numpy's C text reader and falls back to a
-row-by-row loop for any input that reader does not take as a plain table.
-Reports serialize as JSON with stable key order so identical seeds
-reproduce byte-identical files (modulo the timestamp field).
+row-by-row loop for any input that reader does not take as a plain table;
+both readers share its one class-numbering rule and its one dataset
+construction. Reports serialize the fields of ``RunReport`` as JSON with
+stable key order, every number written by the json encoder, so identical
+seeds reproduce byte-identical files (modulo the timestamp field).
 """
 from __future__ import annotations
 
 import csv
 import json
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -23,8 +24,10 @@ from . import __version__
 from .errors import DomainRejection
 from .oracle import LabeledDataset
 
+DEFAULT_PER_CLASS = 50
 
-def synthetic_preset(name: str, per_class: int = 50, seed: int = 0) -> LabeledDataset:
+
+def synthetic_preset(name: str, per_class: int = DEFAULT_PER_CLASS, seed: int = 0) -> LabeledDataset:
     """A named Gaussian layout sampled with ``np.random.default_rng(seed)``:
     ``per_class`` draws for each class in turn, labelled 1..k.
 
@@ -79,26 +82,26 @@ def _read_header(reader, path) -> list[str]:
     return header
 
 
-def _load_rows(handle, path) -> LabeledDataset:
-    """Read a dataset row by row; every rejection names the offending line.
+def _load_rows(handle, path, header, class_index) -> tuple[list, list]:
+    """Read the data rows after ``header`` one by one; every rejection names
+    the offending line.
 
     This loop defines the accepted grammar: ``csv`` quoting, and Python
     ``float()`` for each feature cell.
     """
     reader = csv.reader(handle)
-    header = _read_header(reader, path)
-    n = len(header) - 1
-    samples, labels, order = [], [], {}
+    next(reader)  # the header, already checked
+    samples, labels = [], []
     for i, row in enumerate(reader, start=2):
         if not row:
             continue
-        if len(row) != n + 1:
+        if len(row) != len(header):
             raise DomainRejection(
-                f"{path}: line {i}: expected {n + 1} cells, found {len(row)}"
+                f"{path}: line {i}: expected {len(header)} cells, found {len(row)}"
             )
         try:
             # numpy parses each str cell with Python float(): same grammar, same bits
-            values = np.array(row[:-1], dtype=float)
+            samples.append(np.array(row[:-1], dtype=float))
         except ValueError:
             for j, cell in enumerate(row[:-1]):
                 try:
@@ -108,19 +111,10 @@ def _load_rows(handle, path) -> LabeledDataset:
                         f"{path}: line {i}: non-numeric feature value {cell!r} "
                         f"in column {header[j]!r}"
                     ) from None
-        label = row[-1].strip()
-        if label not in order:
-            order[label] = len(order) + 1
-        samples.append(values)
-        labels.append(order[label])
+        labels.append(class_index(row[-1]))
     if not samples:
         raise DomainRejection(f"{path}: no data rows")
-    return LabeledDataset(
-        samples=np.array(samples),
-        labels=np.array(labels),
-        label_names=tuple(order),
-        feature_names=tuple(header[:-1]),
-    )
+    return samples, labels
 
 
 def load_csv(path) -> LabeledDataset:
@@ -136,15 +130,17 @@ def load_csv(path) -> LabeledDataset:
     order: dict[str, int] = {}
 
     def class_index(cell: str) -> int:
+        return order.setdefault(cell.strip(), len(order) + 1)
+
+    def plain_class_index(cell: str) -> int:
         if '"' in cell or "\x00" in cell:
             # csv's quoting rules apply, and csv before Python 3.11 rejects NUL
             raise ValueError("label for the row loop")
-        return order.setdefault(cell.strip(), len(order) + 1)
+        return class_index(cell)
 
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             header = _read_header(csv.reader(handle), path)
-            n = len(header) - 1
             try:
                 with warnings.catch_warnings():
                     # no data rows: loadtxt warns and returns an empty table
@@ -152,19 +148,22 @@ def load_csv(path) -> LabeledDataset:
                     # an explicit text encoding: numpy 1.x otherwise hands converters bytes
                     table = np.loadtxt(
                         handle, delimiter=",", comments=None, quotechar=None, ndmin=2,
-                        converters={n: class_index}, encoding="utf-8",
+                        converters={len(header) - 1: plain_class_index}, encoding="utf-8",
                     )
             except (ValueError, UserWarning):
                 table = None
-            if table is None or table.shape[1] != n + 1:
+            if table is not None and table.shape[1] == len(header):
+                samples, labels = table[:, :-1], table[:, -1]
+            else:
+                order.clear()  # the labels the C reader numbered before it gave up
                 handle.seek(0)
-                return _load_rows(handle, path)
+                samples, labels = _load_rows(handle, path, header, class_index)
     except UnicodeDecodeError:
         # raised by whichever read meets the byte first: header, C reader or row loop
         raise DomainRejection(f"{path}: file is not UTF-8 text") from None
     return LabeledDataset(
-        samples=np.ascontiguousarray(table[:, :-1]),
-        labels=table[:, -1].astype(int),
+        samples=np.ascontiguousarray(samples),
+        labels=labels,
         label_names=tuple(order),
         feature_names=tuple(header[:-1]),
     )
@@ -184,33 +183,22 @@ def save_csv(data: LabeledDataset, path) -> None:
 _INDENT = "  "
 
 
-def _float_text(x: float) -> str:
-    """A float as the JSON encoder writes it, NaN and infinities included."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 def _entry_texts(a: np.ndarray) -> np.ndarray:
-    """The JSON text of each entry of a real float, integer or bool array.
+    """The JSON text of each entry of a real float, integer or bool array,
+    all written by one call of the encoder.
 
     Each distinct float is formatted once, told apart by its bits so that
     -0.0 stays apart from 0.0: a Hermitian output repeats each off-diagonal
     entry, and the imaginary part of a real one is all zeros.
     """
-    if a.dtype.kind == "b":
-        return np.where(a, "true", "false").astype(object)
-    if a.dtype.kind in "iu":
-        return np.array(list(map(str, a.reshape(-1).tolist())), dtype=object).reshape(a.shape)
-    values = np.ascontiguousarray(a, dtype=np.float64)
-    bits, where = np.unique(values.reshape(-1).view(np.uint64), return_inverse=True)
-    distinct = bits.view(np.float64)
-    text = float.__repr__ if np.isfinite(distinct).all() else _float_text
-    return np.array(list(map(text, distinct.tolist())), dtype=object)[where].reshape(a.shape)
+    flat, where = a.reshape(-1), slice(None)
+    if a.dtype.kind == "f":
+        bits, where = np.unique(flat.astype(np.float64, copy=False).view(np.uint64),
+                                return_inverse=True)
+        flat = bits.view(np.float64)
+    # the encoder separates list items with ", ", which no number's text holds
+    texts = json.dumps(flat.tolist())[1:-1].split(", ") if flat.size else []
+    return np.array(texts, dtype=object)[where].reshape(a.shape)
 
 
 def _rows_text(rows: list, ndim: int, depth: int) -> str:
@@ -278,15 +266,6 @@ class RunReport:
         """The report as indented JSON with sorted keys, byte for byte what
         ``json.dumps(..., sort_keys=True, indent=2)`` writes for the same
         values in plain Python containers, plus a final newline."""
-        payload = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "outputs": self.outputs,
-            "metrics": self.metrics,
-            "seed": self.seed,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
         out: list = []
-        _write(payload, 0, out)
+        _write(vars(self), 0, out)
         return "".join(out) + "\n"

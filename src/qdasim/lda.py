@@ -220,7 +220,8 @@ def fisher_criterion(source, directions) -> float:
             f"{s_b.shape[0]}"
         )
     denom = float(np.trace(w @ s_w @ w.T).real)
-    if denom < 1e-14:
+    # relative to tr(S_W) |W|^2, the most it can be, so rescaled data meet the same bound
+    if denom <= 1e-14 * float(np.trace(s_w).real) * float(np.sum(w * w)):
         raise DomainRejection(
             "within-class variance vanishes along the requested directions"
         )

@@ -39,12 +39,15 @@ class HermitianOperator:
             raise DomainRejection("operator dimension must be >= 1")
         if not np.all(np.isfinite(m)):
             raise DomainRejection("operator has non-finite entries")
-        asym = float(np.max(np.abs(m - m.conj().T)))
+        with np.errstate(over="ignore"):
+            asym = float(np.max(np.abs(m - m.conj().T)))
+            self.matrix = (m + m.conj().T) / 2.0
         if asym > HERMITICITY_TOL:
             raise DomainRejection(
                 f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {HERMITICITY_TOL:.0e}"
             )
-        self.matrix = (m + m.conj().T) / 2.0
+        if not np.all(np.isfinite(self.matrix)):
+            raise DomainRejection("operator entries overflow float64 when symmetrized")
         self.matrix.flags.writeable = False
         self._eig = None
 
@@ -53,7 +56,11 @@ class HermitianOperator:
         return self.matrix.shape[0]
 
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        with np.errstate(over="ignore"):
+            tr = float(np.trace(self.matrix).real)
+        if not np.isfinite(tr):
+            raise DomainRejection("operator trace overflows float64")
+        return tr
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"

@@ -16,7 +16,9 @@ import numpy as np
 from .errors import DomainRejection
 from .linalg import DensityOperator
 
-_ZERO_NORM = 1e-24
+# a squared-norm total at most this share of the data's scatter (within plus
+# between) vanishes; a share, unlike a total, stays put when the data are rescaled
+_ZERO_SHARE = 1e-24
 
 
 @dataclass
@@ -25,7 +27,8 @@ class LabeledDataset:
 
     Every class index in 1..k must own at least one sample. ``label_names``
     optionally records the original label strings in index order (class c
-    maps to ``label_names[c - 1]``).
+    maps to ``label_names[c - 1]``), and ``feature_names`` one name per
+    feature.
     """
 
     samples: np.ndarray
@@ -69,6 +72,11 @@ class LabeledDataset:
             rest = k - distinct - shown.size
             more = f" and {rest} more" if rest else ""
             raise DomainRejection(f"classes {shown.tolist()}{more} have no samples")
+        for name, count, what in (("label_names", k, "classes"),
+                                  ("feature_names", self.N, "features")):
+            names = getattr(self, name)
+            if names is not None and len(names) != count:
+                raise DomainRejection(f"{name} holds {len(names)} names for {count} {what}")
 
     @property
     def M(self) -> int:
@@ -104,22 +112,29 @@ class ClassStatistics:
 
 
 def class_statistics(data: LabeledDataset) -> ClassStatistics:
-    """Arithmetic class means, the global sample mean, and the weight norms."""
+    """Arithmetic class means, the global sample mean, and the weight norms.
+
+    Finite samples whose sums or squared norms exceed the float64 range are
+    rejected as such."""
     k = data.k
     means = np.empty((k, data.N))
     counts = np.empty(k, dtype=int)
     per_class = np.empty(k)
     within = 0.0
-    for c in range(1, k + 1):
-        members = data.class_members(c)
-        counts[c - 1] = members.shape[0]
-        means[c - 1] = members.mean(axis=0)
-        dev = members - means[c - 1]
-        per_class[c - 1] = float(np.sum(dev * dev))
-        within += per_class[c - 1]
-    global_mean = data.samples.mean(axis=0)
-    d = means - global_mean
-    between = float(np.sum(d * d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(1, k + 1):
+            members = data.class_members(c)
+            counts[c - 1] = members.shape[0]
+            means[c - 1] = members.mean(axis=0)
+            dev = members - means[c - 1]
+            per_class[c - 1] = float(np.sum(dev * dev))
+            within += per_class[c - 1]
+        global_mean = data.samples.mean(axis=0)
+        d = means - global_mean
+        between = float(np.sum(d * d))
+    # every mean and per-class norm feeds one of these two totals
+    if not np.isfinite(within + between):
+        raise DomainRejection("the data's means or squared norms overflow float64")
     return ClassStatistics(
         class_means=means,
         global_mean=global_mean,
@@ -135,6 +150,10 @@ def _weighted_projector_mixture(deviations: np.ndarray, total: float) -> Density
     return DensityOperator(deviations.T @ deviations / total)
 
 
+def _vanishes(total: float, stats: ClassStatistics) -> bool:
+    return total <= _ZERO_SHARE * (stats.norm_within + stats.norm_between)
+
+
 def between_scatter(stats: ClassStatistics) -> DensityOperator:
     """Norm-weighted mixture of class-mean deviation projectors, unit trace.
 
@@ -143,7 +162,7 @@ def between_scatter(stats: ClassStatistics) -> DensityOperator:
     textbook S_B; the two agree on balanced classes. ``xbar`` is the global
     sample mean.
     """
-    if stats.norm_between <= _ZERO_NORM:
+    if _vanishes(stats.norm_between, stats):
         raise DomainRejection(
             "all class means coincide with the global mean; "
             "no between-class direction exists"
@@ -155,7 +174,7 @@ def between_scatter(stats: ClassStatistics) -> DensityOperator:
 
 def within_scatter(data: LabeledDataset, stats: ClassStatistics) -> DensityOperator:
     """Norm-weighted mixture of centered-sample projectors, unit trace."""
-    if stats.norm_within <= _ZERO_NORM:
+    if _vanishes(stats.norm_within, stats):
         raise DomainRejection("every sample equals its class mean; no within-class spread")
     deviations = data.samples - stats.class_means[data.labels - 1]
     return _weighted_projector_mixture(deviations, stats.norm_within)
@@ -172,7 +191,7 @@ def class_covariance_operator(
     if not 1 <= c <= data.k:
         raise DomainRejection(f"class index {c} outside 1..{data.k}")
     a_c = float(stats.per_class_norm[c - 1])
-    if a_c <= _ZERO_NORM:
+    if _vanishes(a_c, stats):
         raise DomainRejection(
             f"class {c} has zero within-class spread; covariance operator undefined"
         )

@@ -78,12 +78,14 @@ class Classification:
 
 
 def _invert_mean(inv: np.ndarray, scale: float, mu: np.ndarray) -> tuple[np.ndarray, float]:
-    product = np.real(inv @ mu) / scale
-    norm = float(np.linalg.norm(product))
-    if norm < 1e-12:
+    product = np.real(inv @ mu)
+    # |inv @ mu| against the most it can be, so rescaled data meet the same bound
+    if np.linalg.norm(product) <= 1e-12 * np.linalg.norm(inv) * np.linalg.norm(mu):
         raise DomainRejection(
             "class mean lies outside the retained covariance support"
         )
+    product = product / scale
+    norm = float(np.linalg.norm(product))
     return product / norm, norm
 
 
@@ -179,9 +181,10 @@ def classify_many(
     scored one class at a time: on the quantum path one
     ``overlap_test_signed`` call per class takes all rows, row i drawing from
     ``SeedSequence([seed + i, c])`` (unseeded when seed is ``None``). A row
-    whose shifted vector vanishes (norm < 1e-14) scores 0 for that class and
-    takes no draw. Every product stays one dot per row, so a one-row call
-    with seed ``seed + i`` reproduces row i bit for bit.
+    whose shifted vector x - mean/2 vanishes (no entry above 1e-14 of
+    max|x| + max|mean|/2, a bound that rescales with the data) scores 0 for
+    that class and takes no draw. Every product stays one dot per row, so a
+    one-row call with seed ``seed + i`` reproduces row i bit for bit.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -197,19 +200,23 @@ def classify_many(
     scores = np.zeros((X.shape[0], model.k))
     draws = 0
     directions, copies = invert_apply(model, path, t, eps)
+    sizes = np.abs(X).max(axis=1)
     for c, (direction, inv_norm) in enumerate(zip(directions, model.inverse_norms), start=1):
-        shifted = X - 0.5 * model.class_means[c - 1]
-        norms = np.sqrt([s @ s for s in shifted])
-        live = np.flatnonzero(norms >= 1e-14)  # a zero vector contributes zero overlap
+        mean = model.class_means[c - 1]
+        shifted = X - 0.5 * mean
+        # a zero vector contributes zero overlap
+        floor = 1e-14 * (sizes + 0.5 * np.abs(mean).max())
+        live = np.flatnonzero(np.abs(shifted).max(axis=1) > floor)
         if path == "classical":
             scores[live, c - 1] = inv_norm * np.array([direction @ shifted[i] for i in live])
             continue
         draws += live.size
         seeds = [None if seed is None else np.random.SeedSequence([int(seed) + int(i), c])
                  for i in live]
-        unit_rows = shifted[live] / norms[live, None]
+        norms = np.sqrt([s @ s for s in shifted[live]])
+        unit_rows = shifted[live] / norms[:, None]
         estimates = overlap_test_signed(direction, unit_rows, shots, seeds).estimate
-        scores[live, c - 1] = inv_norm * norms[live] * estimates
+        scores[live, c - 1] = inv_norm * norms * estimates
     values = scores + prior_terms
     ranked = np.sort(values, axis=1)
     margins = ranked[:, -1] - ranked[:, -2] if model.k > 1 else np.full(X.shape[0], np.inf)

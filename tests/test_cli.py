@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -550,6 +551,125 @@ class TestUndecodableInput:
         )
         assert (code, report) == (EXIT_USAGE, None)
         assert f"{ops}: invalid JSON" in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    """A report path that cannot be written is an error naming it, not a
+    traceback after the run."""
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_exits_with_usage_code_naming_the_path(self, where, tmp_path, capsys):
+        output = tmp_path / "missing" / "r.json" if where == "missing-directory" else tmp_path
+        code = main(["gen", "--synthetic", "two-gauss", "--out", str(tmp_path / "x.csv"),
+                     "--output", str(output)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("qdasim: error: ") and str(output) in err
+
+
+class TestOverflowingInput:
+    """Finite inputs whose arithmetic leaves the float64 range exit 2 naming
+    the overflow, with no numpy warning (the suite turns warnings into errors)."""
+
+    @pytest.mark.parametrize("matrix, reason", [
+        (np.diag([1e308, 1e308]), "operator 1: operator entries overflow float64 when symmetrized"),
+        (np.diag([8e307, 8e307, 8e307]), "operator 1: operator trace overflows float64"),
+        ([[1e-300, 1e10], [1e10, 1e-300]], "operator 1 overflows float64 when divided by its trace"),
+    ], ids=["symmetrized", "trace", "unit-trace"])
+    def test_operator_file(self, matrix, reason, tmp_path, capsys):
+        ops = tmp_path / "big.json"
+        ops.write_text(json.dumps({"operators": [np.asarray(matrix).tolist()]}))
+        code, report = run_cli(
+            ["chain", "--operators", str(ops), "--functions", "sqrt", "--seed", "0"], tmp_path
+        )
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert f"domain rejection: {reason}" in capsys.readouterr().err
+
+    def test_dataset_file(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text("u,v,label\n1e200,2,a\n3e200,4,a\n-1e200,0,b\n-2e200,1,b\n")
+        code, report = run_cli(
+            ["reduce", "--data", str(data), "--path", "classical", "--seed", "0"], tmp_path
+        )
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert "domain rejection: the data's means or squared norms overflow float64" in (
+            capsys.readouterr().err
+        )
+
+
+def rescaled_three_gauss(scale: float, tmp_path) -> str:
+    """The three-gauss preset (50 a class, seed 1) times ``scale``, as a CSV path."""
+    data = qdasim.synthetic_preset("three-gauss", per_class=50, seed=1)
+    path = tmp_path / f"three_gauss_{scale:g}.csv"
+    qdasim.save_csv(qdasim.LabeledDataset(scale * data.samples, data.labels, data.label_names), path)
+    return str(path)
+
+
+def write_rows(tmp_path, name: str, rows) -> str:
+    path = tmp_path / name
+    path.write_text("u,v,label\n" + "".join(f"{u!r},{v!r},{c}\n" for u, v, c in rows))
+    return str(path)
+
+
+class TestRescaledData:
+    """Discriminant analysis does not depend on the units of the data: every
+    degeneracy check is relative to the size of what it guards."""
+
+    SCALES = [10.0**k for k in (-13, -9, 0, 13)]
+
+    def run_both(self, path, tmp_path):
+        code, reduced = run_cli(["reduce", "--data", path, "--path", "classical", "--p", "2",
+                                 "--seed", "0"], tmp_path, "reduce.json")
+        assert code == EXIT_OK
+        code, classified = run_cli(["classify", "--lda", "--data", path, "--test", path,
+                                    "--path", "classical", "--seed", "0"], tmp_path, "classify.json")
+        assert code == EXIT_OK
+        return (np.array(reduced["outputs"]["classical"]["directions"]),
+                reduced["metrics"]["fisher_classical"],
+                classified["outputs"]["classical"]["decisions"])
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_same_directions_fisher_value_and_decisions_as_at_scale_one(self, scale, tmp_path):
+        directions, fisher, decisions = self.run_both(rescaled_three_gauss(scale, tmp_path),
+                                                      tmp_path)
+        ref_directions, ref_fisher, ref_decisions = self.run_both(
+            rescaled_three_gauss(1.0, tmp_path), tmp_path)
+        assert np.max(np.abs(directions - ref_directions)) < 1e-9
+        assert fisher == pytest.approx(ref_fisher, rel=1e-12)
+        assert decisions == ref_decisions
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_exactly_degenerate_inputs_rejected(self, scale, tmp_path, capsys):
+        s = scale
+        cases = {
+            # class means and the global mean are all exactly 0
+            "coincide.csv": ([(s, 0.0, 1), (-s, 0.0, 1), (0.0, s, 2), (0.0, -s, 2)],
+                             ["reduce"], "all class means coincide"),
+            # three copies of one point a class: the mean's rounding is the only spread
+            "copies.csv": ([(0.1 * s, 0.7 * s, 1)] * 3 + [(0.3 * s, -0.9 * s, 2)] * 3,
+                           ["reduce"], "every sample equals its class mean"),
+            # the pooled spread lies along u, the class means along v
+            "support.csv": ([(s, 5 * s, 1), (-s, 5 * s, 1), (s, -5 * s, 2), (-s, -5 * s, 2)],
+                            ["classify", "--lda"], "outside the retained covariance support"),
+        }
+        for name, (rows, argv, message) in cases.items():
+            path = write_rows(tmp_path, name, rows)
+            test = ["--test", path] if argv[0] == "classify" else []
+            code, _ = run_cli([*argv, "--data", path, *test, "--path", "classical", "--seed", "0"],
+                              tmp_path)
+            assert code == EXIT_DOMAIN, name
+            assert message in capsys.readouterr().err, name
+        # within-class spread along u only, so none along v
+        data = load_csv(write_rows(tmp_path, "flat.csv",
+                                   [(s, s, 1), (-s, s, 1), (2 * s, -s, 2), (0.0, -s, 2)]))
+        with pytest.raises(qdasim.DomainRejection, match="within-class variance vanishes"):
+            lda.fisher_criterion(data, [0.0, 1.0])
+        # a query at half a class mean has a zero shifted vector for that class: no draw
+        model = qda.fit(load_csv(rescaled_three_gauss(s, tmp_path)))
+        result = qda.classify_many(model, 0.5 * model.class_means[2:], "quantum", shots=16,
+                                   seed=0)
+        assert result.draws == 2
+        assert result.discriminants[0, 2] == math.log(model.priors[2])
 
 
 class TestRotateCheck:

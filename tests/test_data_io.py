@@ -15,7 +15,6 @@ import pytest
 from qdasim import data_io
 from qdasim.data_io import (
     RunReport,
-    _load_rows,
     load_csv,
     save_csv,
     synthetic_preset,
@@ -127,8 +126,15 @@ class TestLoadCsv:
 
 
 def row_loop(path) -> LabeledDataset:
-    with open(path, newline="", encoding="utf-8") as handle:
-        return _load_rows(handle, path)
+    """``load_csv`` with numpy's C reader refusing every input, so that the
+    row loop reads the whole file."""
+
+    def refuse(*args, **kwargs):
+        raise ValueError("not a plain table")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_io.np, "loadtxt", refuse)
+        return load_csv(path)
 
 
 def outcome(load, path):

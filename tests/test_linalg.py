@@ -49,6 +49,17 @@ class TestHermitianOperator:
         assert h.matrix.dtype == np.complex128
         assert HermitianOperator(np.eye(2, dtype=complex)).matrix.dtype == np.complex128
 
+    # finite entries whose sum leaves the float64 range: a rejection naming the
+    # overflow, with no numpy warning (the suite turns warnings into errors)
+    def test_symmetrization_overflow_rejected(self):
+        with pytest.raises(DomainRejection, match="overflow float64 when symmetrized"):
+            HermitianOperator(np.diag([1e308, 1e308]))
+
+    def test_trace_overflow_rejected(self):
+        h = HermitianOperator(np.diag([8e307, 8e307, 8e307]))
+        with pytest.raises(DomainRejection, match="trace overflows float64"):
+            h.trace()
+
 
 class TestDensityOperator:
     def test_accepts_valid_state(self):

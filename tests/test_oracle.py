@@ -77,6 +77,16 @@ class TestLabeledDataset:
             LabeledDataset(np.eye(3), [1, 2, bad])
         assert str(err.value) == "class labels must be integers in 1..k"
 
+    @pytest.mark.parametrize("names, message", [
+        ({"label_names": ("a",)}, "label_names holds 1 names for 2 classes"),
+        ({"label_names": ("a", "b", "c")}, "label_names holds 3 names for 2 classes"),
+        ({"feature_names": ("x",)}, "feature_names holds 1 names for 2 features"),
+    ])
+    def test_name_tuple_of_the_wrong_length_rejected(self, names, message):
+        with pytest.raises(DomainRejection) as err:
+            LabeledDataset(np.arange(8.0).reshape(4, 2), [1, 2, 1, 2], **names)
+        assert str(err.value) == message
+
     def test_integral_float_labels_accepted(self):
         data = LabeledDataset(np.eye(3), [1.0, 2.0, 2.0])
         assert data.labels.dtype.kind == "i"
@@ -104,6 +114,12 @@ class TestClassStatistics:
         stats = class_statistics(data)
         assert stats.norm_between == pytest.approx(0.0)
         assert stats.norm_within == pytest.approx(0.0)
+
+    def test_overflowing_squared_norms_rejected_without_a_warning(self):
+        data = LabeledDataset(np.array([[1e200, 2.0], [3e200, 4.0], [-1e200, 0.0], [-2e200, 1.0]]),
+                              np.array([1, 1, 2, 2]))
+        with pytest.raises(DomainRejection, match="overflow float64"):
+            class_statistics(data)
 
     def test_counts_sum_to_m(self):
         rng = np.random.default_rng(5)
