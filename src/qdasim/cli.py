@@ -7,7 +7,8 @@ A report's ``parameters`` echo every parsed flag of the subcommand except
 descriptors, normalized function names and the resolved rotation constant.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 domain rejection
-(rank or degeneracy), 3 numerical failure.
+(rank or degeneracy), 3 numerical failure. A missing or unreadable input
+file exits 1 through the ``OSError`` of opening it, which names the path.
 """
 from __future__ import annotations
 
@@ -171,8 +172,6 @@ def _preset(name: str, per_class: int, seed: int) -> LabeledDataset:
 
 def _load_training_data(args) -> tuple[LabeledDataset, dict]:
     if getattr(args, "data", None):
-        if not os.path.exists(args.data):
-            raise _UsageError(f"dataset file not found: {args.data}")
         return load_csv(args.data), {"source": "file", "path": args.data}
     per_class = DEFAULT_PER_CLASS if args.per_class is None else args.per_class
     descriptor = {"source": "synthetic", "preset": args.synthetic, "per_class": per_class}
@@ -221,8 +220,6 @@ def _load_test_data(args) -> tuple[LabeledDataset, dict]:
     if args.test:
         if args.test_count is not None:
             raise _UsageError("--test-count sizes synthetic test data; it does not apply with --test")
-        if not os.path.exists(args.test):
-            raise _UsageError(f"test file not found: {args.test}")
         return load_csv(args.test), {"source": "file", "path": args.test}
     if args.synthetic and args.test_count is not None:
         return _preset(args.synthetic, args.test_count, args.seed + 1), {
@@ -247,10 +244,6 @@ def _training_classes(test: LabeledDataset, train: LabeledDataset) -> np.ndarray
 def run_classify(args) -> tuple[dict, dict, dict]:
     train, descriptor = _load_training_data(args)
     test, test_descriptor = _load_test_data(args)
-    if test.N != train.N:
-        raise DomainRejection(
-            f"test dimension {test.N} does not match training dimension {train.N}"
-        )
     truth = _training_classes(test, train)
     model = fit(train, args.kappa_eff, shared_covariance=args.lda)
     paths = ("quantum", "classical") if args.path == "both" else (args.path,)
@@ -286,8 +279,6 @@ def _load_chain_stages(args) -> tuple[ChainSpec, dict]:
         for name in (args.functions.split(",") if args.functions else [])
         if name.strip()
     ]
-    if not os.path.exists(args.operators):
-        raise _UsageError(f"operator file not found: {args.operators}")
     with open(args.operators, encoding="utf-8") as handle:
         try:
             payload = json.load(handle)

@@ -79,11 +79,13 @@ def whitening_chain(
     return ChainSpec(stages, kappa_eff, eps, t)
 
 
-def _whitening_within(spec: ChainSpec, caller: str) -> DensityOperator:
+def _whitening_within(spec: ChainSpec, p: int, caller: str) -> DensityOperator:
     """The S_W operator of the whitening chain ``spec``, for the back-map to
-    Fisher directions; any other chain is rejected."""
+    Fisher directions; any other chain, or fewer than one direction, is rejected."""
     if tuple(f for _, f in spec.stages) != (_INV_SQRT, _SQRT):
         raise DomainRejection(f"{caller} needs the whitening chain: inverse-sqrt, then sqrt")
+    if p < 1:
+        raise DomainRejection("need at least one direction")
     return spec.stages[0][0]
 
 
@@ -118,9 +120,7 @@ def classical_lda_oracle(spec: ChainSpec, p: int) -> ProjectionBasis:
     function is applied at the spec's kappa_eff. The estimates are the top
     eigenvalues over the sum of the eigenvalues above the rank tolerance.
     """
-    s_w = _whitening_within(spec, "classical_lda_oracle")
-    if p < 1:
-        raise DomainRejection("need at least one direction")
+    s_w = _whitening_within(spec, p, "classical_lda_oracle")
     oracle, (_, sqrt_b) = _oracle_with_factors(spec)
     sol = eig_hermitian(oracle)
     rank = int(np.sum(sol.eigenvalues > _RANK_TOL * max(sol.eigenvalues[0], 1e-300)))
@@ -156,11 +156,9 @@ def quantum_lda(spec: ChainSpec, p: int, seed=None) -> ProjectionBasis:
     S_W^(-1) S_B^(1/2) v_r through two prepared chain stages, each read in
     closed form: the chain's own (S_B, sqrt) stage, then one (S_W, inverse) stage.
     """
-    s_w = _whitening_within(spec, "quantum_lda")
+    s_w = _whitening_within(spec, p, "quantum_lda")
     t = spec.t
     _check_lda_register_width(t)
-    if p < 1:
-        raise DomainRejection("need at least one direction")
     chain = chain_apply(spec)
     rho_chain = chain.output
 

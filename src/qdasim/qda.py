@@ -162,6 +162,21 @@ def invert_apply(
     return directions, np.array([s.copies for s in stages])
 
 
+def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row over its Euclidean norm sqrt(s @ s), and the norms. A finite
+    row whose s @ s overflows float64 is divided by its largest entry first;
+    its norm is then inf only when the norm itself overflows."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt([s @ s for s in rows])
+        units = rows / norms[:, None]
+        for j in np.flatnonzero(np.isinf(norms)):
+            peak = np.abs(rows[j]).max()
+            size = np.sqrt((rows[j] / peak) @ (rows[j] / peak))
+            units[j] = rows[j] / peak / size
+            norms[j] = peak * size
+    return units, norms
+
+
 def classify_many(
     model: ClassifierModel,
     X,
@@ -184,7 +199,8 @@ def classify_many(
     whose shifted vector x - mean/2 vanishes (no entry above 1e-14 of
     max|x| + max|mean|/2, a bound that rescales with the data) scores 0 for
     that class and takes no draw. Every product stays one dot per row, so a
-    one-row call with seed ``seed + i`` reproduces row i bit for bit.
+    one-row call with seed ``seed + i`` reproduces row i bit for bit. A row
+    whose discriminants or margin overflow float64 is rejected.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -208,16 +224,23 @@ def classify_many(
         floor = 1e-14 * (sizes + 0.5 * np.abs(mean).max())
         live = np.flatnonzero(np.abs(shifted).max(axis=1) > floor)
         if path == "classical":
-            scores[live, c - 1] = inv_norm * np.array([direction @ shifted[i] for i in live])
+            with np.errstate(over="ignore", invalid="ignore"):
+                scores[live, c - 1] = inv_norm * np.array([direction @ shifted[i] for i in live])
             continue
         draws += live.size
         seeds = [None if seed is None else np.random.SeedSequence([int(seed) + int(i), c])
                  for i in live]
-        norms = np.sqrt([s @ s for s in shifted[live]])
-        unit_rows = shifted[live] / norms[:, None]
+        unit_rows, norms = _unit_rows(shifted[live])
         estimates = overlap_test_signed(direction, unit_rows, shots, seeds).estimate
-        scores[live, c - 1] = inv_norm * norms * estimates
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores[live, c - 1] = inv_norm * norms * estimates
     values = scores + prior_terms
     ranked = np.sort(values, axis=1)
-    margins = ranked[:, -1] - ranked[:, -2] if model.k > 1 else np.full(X.shape[0], np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        margins = ranked[:, -1] - ranked[:, -2] if model.k > 1 else np.full(X.shape[0], np.inf)
+    overflow = ~np.isfinite(values).all(axis=1) | (np.isinf(margins) & (model.k > 1))
+    if overflow.any():
+        raise DomainRejection(
+            f"the discriminants of query row {int(np.argmax(overflow))} overflow float64"
+        )
     return Classification(values, np.argmax(values, axis=1) + 1, margins, draws, copies)

@@ -533,3 +533,21 @@ class TestChainSpecValidation:
     def test_non_density_stage_rejected(self):
         with pytest.raises(DomainRejection, match="DensityOperator"):
             ChainSpec(stages=((np.eye(2), IDENTITY),))
+
+
+_QUARTER = DensityOperator(np.eye(4) / 4)
+_SQRT = SpectralFunction.from_name("sqrt")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ChainSpec(((_QUARTER, "sqrt"),), 10.0),
+     "stage 1 function is not a SpectralFunction"),
+    (lambda: classical_chain_oracle(ChainSpec((), 10.0)), "empty chain has no operator content"),
+    (lambda: classical_chain_oracle(
+        ChainSpec(((_QUARTER, _SQRT), (DensityOperator(np.eye(2) / 2), _SQRT)), 10.0)),
+     "chain stages have mismatched dimensions"),
+], ids=["function-name", "empty-chain", "dimensions-4-and-2"])
+def test_chain_rejection(build, message):
+    with pytest.raises(DomainRejection) as info:
+        build()
+    assert str(info.value) == message

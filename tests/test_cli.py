@@ -16,7 +16,8 @@ import pytest
 
 import qdasim
 from qdasim import chain, cli, lda, qda
-from qdasim.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, UNECHOED, build_parser, main
+from qdasim.cli import (EXIT_DOMAIN, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, UNECHOED, build_parser,
+                        main)
 from qdasim.data_io import load_csv
 from qdasim.lda import quantum_lda, whitening_chain
 
@@ -97,6 +98,15 @@ class TestReduce:
         code = main(["reduce", "--synthetic", "two-gauss", "--p", "3", "--seed", "1"])
         assert code == EXIT_DOMAIN
         assert "rank" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", ["quantum", "classical", "both"])
+    def test_zero_directions_exits_with_domain_code(self, path, tmp_path, capsys):
+        code, report = run_cli(
+            ["reduce", "--synthetic", "two-gauss", "--p", "0", "--path", path, "--seed", "0"],
+            tmp_path,
+        )
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert "domain rejection: need at least one direction" in capsys.readouterr().err
 
     def test_classical_path_is_deterministic(self, tmp_path):
         out = tmp_path / "report.json"
@@ -365,6 +375,21 @@ class TestClassify:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("path", ["quantum", "classical", "both"])
+    def test_test_set_of_another_dimension_exits_with_domain_code(self, path, tmp_path,
+                                                                  capsys):
+        test = tmp_path / "narrow.csv"
+        test.write_text("f1,f2,f3,label\n1,2,3,1\n")
+        code, report = run_cli(
+            ["classify", "--data", GOLDEN_CSV, "--test", str(test), "--path", path,
+             "--seed", "0"],
+            tmp_path,
+        )
+        assert (code, report) == (EXIT_DOMAIN, None)
+        err = capsys.readouterr().err
+        assert "domain rejection: query dimension 3 does not match 4" in err
+        assert "Traceback" not in err
+
     def test_zero_test_count_names_the_sample_floor(self, capsys):
         code = main(["classify", "--synthetic", "three-gauss", "--test-count", "0"])
         assert code == EXIT_USAGE
@@ -450,6 +475,38 @@ class TestChain:
         assert code == EXIT_OK
         assert len(report["parameters"]["functions"]) == 2
         assert len(analyses) == 2
+
+    @pytest.mark.parametrize("operators, functions, code, message", [
+        ([], ["--functions", "sqrt"], EXIT_USAGE, "expected a non-empty operator list"),
+        ([[[-1.0, 0.0], [0.0, 0.0]]], ["--functions", "sqrt"], EXIT_DOMAIN,
+         "domain rejection: operator 1 has non-positive trace -1.0"),
+        ([[[1.0, 0.0], [0.0, 1.0]]], [], EXIT_USAGE, "--functions is required with --operators"),
+    ], ids=["empty-list", "negative-trace", "no-functions"])
+    def test_operator_file_rejection(self, operators, functions, code, message, tmp_path,
+                                     capsys):
+        ops = tmp_path / "ops.json"
+        ops.write_text(json.dumps({"operators": operators}))
+        exit_code, report = run_cli(["chain", "--operators", str(ops), *functions, "--seed", "0"],
+                                    tmp_path)
+        assert (exit_code, report) == (code, None)
+        assert message in capsys.readouterr().err
+
+    def test_vanished_stage_postselection_exits_with_numeric_code(self, tmp_path, capsys):
+        # at t=8 stage 1 cannot resolve its 1e-5 eigenvalue, so its output is
+        # exactly |0>, which stage 2 (resolving only |1>) postselects with probability 0
+        ops = tmp_path / "ops.json"
+        ops.write_text(json.dumps(
+            {"operators": [[[0.99999, 0], [0, 0.00001]], [[0.001, 0], [0, 0.999]]]}
+        ))
+        code, report = run_cli(
+            ["chain", "--operators", str(ops), "--functions", "identity,identity",
+             "--kappa-eff", "1e6", "--seed", "0"],
+            tmp_path,
+        )
+        assert (code, report) == (EXIT_NUMERIC, None)
+        err = capsys.readouterr().err
+        assert "numerical failure: stage postselection vanished" in err
+        assert "P(ancilla=1) = 0.000e+00" in err
 
     def test_function_count_mismatch_is_usage_error(self, tmp_path, capsys):
         ops = tmp_path / "ops.json"
@@ -553,6 +610,26 @@ class TestUndecodableInput:
         assert f"{ops}: invalid JSON" in capsys.readouterr().err
 
 
+class TestMissingInputFile:
+    """A missing input file is the OSError of opening it: exit 1, naming the
+    path, the same as a directory or an unreadable file."""
+
+    @pytest.mark.parametrize("args", [
+        ["reduce", "--data", "{missing}"],
+        ["classify", "--data", "{missing}", "--test", GOLDEN_CSV],
+        ["classify", "--data", GOLDEN_CSV, "--test", "{missing}"],
+        ["chain", "--data", "{missing}"],
+        ["chain", "--operators", "{missing}", "--functions", "sqrt"],
+    ], ids=["reduce-data", "classify-data", "classify-test", "chain-data", "chain-operators"])
+    def test_exits_with_usage_code_naming_the_path(self, args, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        code, report = run_cli([a.format(missing=missing) for a in args] + ["--seed", "0"],
+                               tmp_path)
+        assert (code, report) == (EXIT_USAGE, None)
+        err = capsys.readouterr().err
+        assert err == f"qdasim: error: [Errno 2] No such file or directory: {missing!r}\n"
+
+
 class TestUnwritableOutput:
     """A report path that cannot be written is an error naming it, not a
     traceback after the run."""
@@ -594,6 +671,27 @@ class TestOverflowingInput:
         assert (code, report) == (EXIT_DOMAIN, None)
         assert "domain rejection: the data's means or squared norms overflow float64" in (
             capsys.readouterr().err
+        )
+
+
+    @pytest.mark.parametrize("path", ["quantum", "classical"])
+    def test_query_row(self, path, tmp_path, capsys):
+        train = str(tmp_path / "train.csv")
+        assert main(["gen", "--synthetic", "two-gauss", "--per-class", "5", "--seed", "0",
+                     "--out", train, "--output", str(tmp_path / "gen.json")]) == EXIT_OK
+        rows = {"big": "1e200,0,0,0", "huge": "1.7e308,1.7e308,1.7e308,1.7e308"}
+        for name, row in rows.items():
+            (tmp_path / f"{name}.csv").write_text(f"f1,f2,f3,f4,label\n{row},1\n")
+        args = ["classify", "--data", train, "--path", path, "--shots", "256", "--seed", "0"]
+        # a squared norm past float64 is rescaled: the row is scored as the classical path does
+        code, report = run_cli([*args, "--test", str(tmp_path / "big.csv")], tmp_path)
+        assert code == EXIT_OK
+        assert report["outputs"][path]["decisions"] == [1]
+        code, report = run_cli([*args, "--test", str(tmp_path / "huge.csv")], tmp_path,
+                               name="huge.json")
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert capsys.readouterr().err == (
+            "qdasim: domain rejection: the discriminants of query row 0 overflow float64\n"
         )
 
 

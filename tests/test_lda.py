@@ -11,7 +11,7 @@ import pytest
 from qdasim import chain, lda
 from qdasim.chain import ChainSpec, chain_apply, prepare_stage
 from qdasim.data_io import load_csv
-from qdasim.errors import DomainRejection
+from qdasim.errors import DomainRejection, NumericalFailure
 from qdasim.linalg import DensityOperator, SpectralFunction, trace_distance
 from qdasim.lda import (
     ProjectionBasis,
@@ -505,3 +505,36 @@ class TestScatterBridge:
         assert fisher_criterion(data, w) == pytest.approx(
             fisher_ratio(*textbook_scatters(data), w), rel=1e-12
         )
+
+
+def _complex_whitening_chain() -> ChainSpec:
+    s_w = DensityOperator(np.array([[2, 1j], [-1j, 1]]) / 3)
+    s_b = DensityOperator(np.array([[1, -0.5j], [0.5j, 1]]) / 2)
+    return ChainSpec(((s_w, SpectralFunction.from_name("inverse-sqrt")),
+                      (s_b, SpectralFunction.from_name("sqrt"))), 100.0)
+
+
+_DATA4 = LabeledDataset(np.array([[0.0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]]),
+                        np.array([1, 1, 2, 2]))
+_E3 = np.eye(3)[:1]
+
+
+@pytest.mark.parametrize("build, kind, message", [
+    (lambda: ProjectionBasis(np.ones((1, 3)) / np.sqrt(3), np.eye(2)[:1], [1.0]),
+     DomainRejection, "projection basis fields disagree in shape"),
+    (lambda: ProjectionBasis(np.eye(2), np.array([[1.0, 0.0], [1.0, 0.0]]), [1.0, 0.5]),
+     DomainRejection, "intermediate vectors are not orthonormal"),
+    (lambda: ProjectionBasis(2 * np.eye(2), np.eye(2), [1.0, 0.5]),
+     DomainRejection, "discriminant directions are not unit vectors"),
+    (lambda: classical_lda_oracle(_complex_whitening_chain(), 1),
+     NumericalFailure, "expected a real vector from real-valued data"),
+    (lambda: fisher_criterion(_DATA4, np.ones(3)),
+     DomainRejection, "direction dimension 3 does not match scatter dimension 4"),
+    (lambda: project(_DATA4, ProjectionBasis(_E3, _E3, [1.0])),
+     DomainRejection, "direction dimension 3 does not match data dimension 4"),
+], ids=["basis-shapes", "basis-intermediates", "basis-directions", "complex-chain",
+        "fisher-dimension", "project-dimension"])
+def test_lda_rejection(build, kind, message):
+    with pytest.raises(kind) as info:
+        build()
+    assert str(info.value) == message

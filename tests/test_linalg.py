@@ -277,3 +277,13 @@ class TestTraceDistance:
         b = DensityOperator(np.eye(3) / 3.0)
         with pytest.raises(DomainRejection):
             trace_distance(a, b)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: HermitianOperator(np.zeros((0, 0))), "operator dimension must be >= 1"),
+    (lambda: SpectralFunction.from_name("power(x)"), "unparseable power exponent in 'power(x)'"),
+], ids=["empty-operator", "power-of-a-name"])
+def test_linalg_rejection(build, message):
+    with pytest.raises(DomainRejection) as info:
+        build()
+    assert str(info.value) == message

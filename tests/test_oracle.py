@@ -298,3 +298,21 @@ class TestProperties:
             dev = data.class_members(c) - stats.class_means[c - 1]
             classical += dev.T @ dev
         assert np.max(np.abs(stats.norm_within * s_w.matrix - classical)) < 1e-9
+
+
+def _two_class_data() -> LabeledDataset:
+    return LabeledDataset(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 1.0], [1.0, 3.0]]),
+                          np.array([1, 1, 2, 2]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LabeledDataset(np.ones((2, 2, 2)), np.array([1, 1])),
+     "samples must form an M x N matrix"),
+    (lambda: LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int)), "dataset is empty"),
+    (lambda: class_covariance_operator(_two_class_data(), class_statistics(_two_class_data()), 0),
+     "class index 0 outside 1..2"),
+], ids=["3-d-samples", "no-rows", "class-0"])
+def test_oracle_rejection(build, message):
+    with pytest.raises(DomainRejection) as info:
+        build()
+    assert str(info.value) == message

@@ -3,11 +3,13 @@ discriminant values, and argmax decisions against a from-scratch oracle."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qdasim import chain, qda
+from qdasim.data_io import synthetic_preset
 from qdasim.errors import DomainRejection
 from qdasim.oracle import LabeledDataset
 from qdasim.qda import classify_many, fit, invert_apply
@@ -453,3 +455,53 @@ class TestResultInvariants:
         data, _ = gauss3(per_class=3)
         model = fit(data, 100.0)
         assert np.all(np.isfinite(np.log(model.priors)))
+
+
+class TestOverflowingQuery:
+    """Finite queries near the top of the float64 range: a row whose norm
+    overflows is rescaled, and a row whose discriminants or margin overflow
+    is rejected naming the overflow, with no numpy warning (the suite turns
+    warnings into errors)."""
+
+    @staticmethod
+    def model():
+        return fit(synthetic_preset("two-gauss", per_class=5, seed=0))
+
+    def test_row_whose_squared_norm_overflows_is_scored_as_on_the_classical_path(self):
+        model = self.model()
+        for path in ("classical", "quantum"):
+            result = classify_many(model, [[1e200, 0.0, 0.0, 0.0]], path, 256, 0)
+            assert result.decisions.tolist() == [1]
+            assert np.all(np.isfinite(result.discriminants))
+            assert np.all(np.isfinite(result.margins))
+
+    def test_rescaled_row_leaves_every_other_row_bit_for_bit(self):
+        model = self.model()
+        rows = np.random.default_rng(2).standard_normal((5, 4))
+        alone = classify_many(model, rows, "quantum", 256, 7)
+        with_big = classify_many(model, np.vstack([rows, [[1e200, 0.0, 0.0, 0.0]]]),
+                                 "quantum", 256, 7)
+        np.testing.assert_array_equal(with_big.discriminants[:5], alone.discriminants)
+        np.testing.assert_array_equal(with_big.margins[:5], alone.margins)
+
+    @pytest.mark.parametrize("path", ["classical", "quantum"])
+    @pytest.mark.parametrize("row", [[1.7e308] * 4, [6.5e305, 0.0, 0.0, 0.0]],
+                             ids=["discriminant", "margin"])
+    def test_row_whose_scores_overflow_is_rejected(self, path, row):
+        model = self.model()
+        rows = np.vstack([np.zeros((2, 4)), [row]])
+        with pytest.raises(DomainRejection) as info:
+            classify_many(model, rows, path, 256, 0)
+        assert str(info.value) == "the discriminants of query row 2 overflow float64"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("priors", np.array([0.5, 0.3, 0.3]), "class priors must sum to 1"),
+    ("inverse_norms", np.array([1.0, -1.0, 1.0]),
+     "recorded inversion norms must be finite and nonnegative"),
+], ids=["priors", "negative-norm"])
+def test_classifier_model_rejection(field, value, message):
+    model = fit(gauss3(per_class=3)[0], 100.0)
+    with pytest.raises(DomainRejection) as info:
+        replace(model, **{field: value})
+    assert str(info.value) == message

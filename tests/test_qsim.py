@@ -465,3 +465,20 @@ class TestMaterializedQpeState:
                 traces = np.einsum("mimi->m", dense).real
                 assert abs(traces.sum() - 1.0) < 1e-9
                 assert np.max(np.abs(traces - joint.register_marginal())) < 1e-12
+
+
+_QUARTER = DensityOperator(np.eye(4) / 4)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: phase_estimation(_QUARTER, DensityOperator(np.eye(2) / 2), 4),
+     "generator and input dimensions differ"),
+    (lambda: phase_estimation(_QUARTER, _QUARTER, 4, method="bogus"),
+     "unknown phase-estimation method 'bogus'"),
+    (lambda: overlap_test_signed(np.array([1.0, 0.0]), np.eye(2), 16, [0]),
+     "1 seeds for 2 rows; need one per row"),
+], ids=["dimensions", "method", "one-seed-two-rows"])
+def test_qsim_rejection(build, message):
+    with pytest.raises(DomainRejection) as info:
+        build()
+    assert str(info.value) == message

@@ -680,3 +680,19 @@ class TestLostBits:
             lanes.fixed(2.0)
         assert lanes.fixed(-1.99) == -31
         assert lanes.fixed(0.9999) == 15
+
+
+_INVERSE = SpectralFunction.from_name("inverse")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: arcsin_series_reference(0.5, 0), "need at least one arcsin series term"),
+    (lambda: rotation_amplitudes((0.0,), _INVERSE, 0.1), "lambda must lie in (0, 1], got 0.0"),
+    (lambda: rotation_amplitudes((1.5,), _INVERSE, 0.1), "lambda must lie in (0, 1], got 1.5"),
+    (lambda: rotation_amplitudes((0.5,), _INVERSE, 0.1, method="bogus"),
+     "unknown rotation method 'bogus'"),
+], ids=["no-arcsin-terms", "lambda-0", "lambda-1.5", "method"])
+def test_rotation_rejection(build, message):
+    with pytest.raises(DomainRejection) as info:
+        build()
+    assert str(info.value) == message
