@@ -306,8 +306,11 @@ def _load_chain_stages(args) -> tuple[ChainSpec, dict]:
             unit = herm.matrix / tr
         if not np.all(np.isfinite(unit)):
             raise DomainRejection(f"operator {i} overflows float64 when divided by its trace {tr!r}")
+        try:
+            ops.append(DensityOperator(unit))
+        except DomainRejection as err:
+            raise DomainRejection(f"operator {i}: {err}") from None
         scales.append(tr)
-        ops.append(DensityOperator(unit))
     if not functions:
         raise _UsageError("--functions is required with --operators")
     if len(functions) != len(ops):

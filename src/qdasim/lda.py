@@ -152,9 +152,11 @@ def quantum_lda(spec: ChainSpec, p: int, seed=None) -> ProjectionBasis:
     kappa_eff, eps and t, phase-estimates the chain output against itself and
     samples its register ``qpe_draws(t)`` times (the basis's ``draws``). The
     highest drawn bin of each eigenvector index with probability >= 2^-t and
-    frequency >= half that gives one v_r, the first p by descending eigenvalue. Each v_r maps back to the Fisher direction
-    S_W^(-1) S_B^(1/2) v_r through two prepared chain stages, each read in
-    closed form: the chain's own (S_B, sqrt) stage, then one (S_W, inverse) stage.
+    frequency >= half that gives one v_r, the first p by descending eigenvalue;
+    the most frequent drawn bin of that index gives its eigenvalue estimate.
+    Each v_r maps back to the Fisher direction S_W^(-1) S_B^(1/2) v_r through
+    two prepared chain stages, each read in closed form: the chain's own
+    (S_B, sqrt) stage, then one (S_W, inverse) stage.
     """
     s_w = _whitening_within(spec, p, "quantum_lda")
     t = spec.t
@@ -186,10 +188,15 @@ def quantum_lda(spec: ChainSpec, p: int, seed=None) -> ProjectionBasis:
             "the sampling noise floor"
         )
 
+    # a Fejer peak's highest bin lies in its upper shoulder; its most frequent
+    # drawn bin is the eigenvalue estimate
+    indices = samples.eigenvector_indices[keep]
+    modal = np.argmax(np.where(samples.eigenvector_indices == indices[:, None],
+                               samples.frequencies, -1.0), axis=1)
     sqrt_b = chain.stages[1]
     inv_w = prepare_stage(s_w, _INV, t, spec.kappa_eff, spec.eps)
-    estimates = (samples.eigenvalues[keep] - gamma / n) / (1.0 - gamma)
-    return _basis(joint.vectors[:, samples.eigenvector_indices[keep]].T,
+    estimates = (samples.eigenvalues[modal] - gamma / n) / (1.0 - gamma)
+    return _basis(joint.vectors[:, indices].T,
                   lambda v: inv_w.apply_pure(sqrt_b.apply_pure(v)), estimates, chain, draws)
 
 

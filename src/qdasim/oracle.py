@@ -114,13 +114,15 @@ class ClassStatistics:
 def class_statistics(data: LabeledDataset) -> ClassStatistics:
     """Arithmetic class means, the global sample mean, and the weight norms.
 
-    Finite samples whose sums or squared norms exceed the float64 range are
-    rejected as such."""
+    Finite samples whose sums or squared norms exceed the float64 range, or
+    nonzero deviations whose squared total falls below it, are rejected as
+    such."""
     k = data.k
     means = np.empty((k, data.N))
     counts = np.empty(k, dtype=int)
     per_class = np.empty(k)
     within = 0.0
+    underflow = False
     with np.errstate(over="ignore", invalid="ignore"):
         for c in range(1, k + 1):
             members = data.class_members(c)
@@ -129,12 +131,17 @@ def class_statistics(data: LabeledDataset) -> ClassStatistics:
             dev = members - means[c - 1]
             per_class[c - 1] = float(np.sum(dev * dev))
             within += per_class[c - 1]
+            underflow |= per_class[c - 1] == 0 and dev.any()
         global_mean = data.samples.mean(axis=0)
         d = means - global_mean
         between = float(np.sum(d * d))
     # every mean and per-class norm feeds one of these two totals
     if not np.isfinite(within + between):
         raise DomainRejection("the data's means or squared norms overflow float64")
+    if underflow or (between == 0 and d.any()):
+        raise DomainRejection(
+            "the data's deviations from their means underflow float64 when squared"
+        )
     return ClassStatistics(
         class_means=means,
         global_mean=global_mean,

@@ -77,16 +77,28 @@ class Classification:
     copies: np.ndarray
 
 
+def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row over its Euclidean norm sqrt(s @ s), and the norms. Each row
+    is first divided by the power of two at its largest entry, which is exact,
+    so s @ s neither overflows nor underflows; a norm is inf only when the
+    norm itself overflows float64. A zero row has norm 0 and a nan unit row."""
+    _, exponents = np.frexp(np.abs(rows).max(axis=1))
+    scaled = np.ldexp(rows, -exponents[:, None])
+    sizes = np.sqrt([s @ s for s in scaled])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return scaled / sizes[:, None], np.ldexp(sizes, exponents)
+
+
 def _invert_mean(inv: np.ndarray, scale: float, mu: np.ndarray) -> tuple[np.ndarray, float]:
     product = np.real(inv @ mu)
+    _, (size, mu_size) = _unit_rows(np.array([product, mu]))
     # |inv @ mu| against the most it can be, so rescaled data meet the same bound
-    if np.linalg.norm(product) <= 1e-12 * np.linalg.norm(inv) * np.linalg.norm(mu):
+    if size <= 1e-12 * np.linalg.norm(inv) * mu_size:
         raise DomainRejection(
             "class mean lies outside the retained covariance support"
         )
-    product = product / scale
-    norm = float(np.linalg.norm(product))
-    return product / norm, norm
+    units, norms = _unit_rows(product[None] / scale)
+    return units[0], float(norms[0])
 
 
 def fit(
@@ -157,24 +169,9 @@ def invert_apply(
     distinct = {op: prepare_stage(op, _INV, t, model.kappa_eff, eps)
                 for op in dict.fromkeys(model.covariance_ops)}
     stages = [distinct[op] for op in model.covariance_ops]
-    directions = np.array([s.apply_pure(mu / np.linalg.norm(mu))
-                           for s, mu in zip(stages, model.class_means)])
+    units, _ = _unit_rows(model.class_means)
+    directions = np.array([s.apply_pure(mu) for s, mu in zip(stages, units)])
     return directions, np.array([s.copies for s in stages])
-
-
-def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row over its Euclidean norm sqrt(s @ s), and the norms. A finite
-    row whose s @ s overflows float64 is divided by its largest entry first;
-    its norm is then inf only when the norm itself overflows."""
-    with np.errstate(over="ignore"):
-        norms = np.sqrt([s @ s for s in rows])
-        units = rows / norms[:, None]
-        for j in np.flatnonzero(np.isinf(norms)):
-            peak = np.abs(rows[j]).max()
-            size = np.sqrt((rows[j] / peak) @ (rows[j] / peak))
-            units[j] = rows[j] / peak / size
-            norms[j] = peak * size
-    return units, norms
 
 
 def classify_many(

@@ -565,8 +565,9 @@ class TestChain:
         "entry, reason",
         [(None, "operator must be a square matrix, got shape ()"),
          ([[1, 0, 0], [0, 1, 0]], "operator must be a square matrix, got shape (2, 3)"),
-         ([[1, 0], [0, float("nan")]], "operator has non-finite entries")],
-        ids=["null", "2x3", "nan"],
+         ([[1, 0], [0, float("nan")]], "operator has non-finite entries"),
+         ([[0.9, 0], [0, -0.1]], "not positive semidefinite: min eigenvalue -1.250e-01")],
+        ids=["null", "2x3", "nan", "indefinite"],
     )
     def test_operator_rejection_names_the_operator(self, entry, reason, tmp_path, capsys):
         ops = tmp_path / "ops.json"
@@ -735,6 +736,25 @@ class TestRescaledData:
         assert np.max(np.abs(directions - ref_directions)) < 1e-9
         assert fisher == pytest.approx(ref_fisher, rel=1e-12)
         assert decisions == ref_decisions
+
+    @pytest.mark.parametrize("mode", [[], ["--lda"]], ids=["per-class", "lda"])
+    def test_classify_near_the_bottom_of_float64(self, mode, tmp_path, capsys):
+        def run(scale):
+            path = rescaled_three_gauss(scale, tmp_path)
+            return run_cli(["classify", *mode, "--data", path, "--test", path, "--path", "both",
+                            "--seed", "0"], tmp_path, f"classify_{scale:g}.json")
+
+        _, reference = run(1.0)
+        for scale in (1e-155, 1e-160):
+            code, report = run(scale)
+            assert code == EXIT_OK
+            for path in ("classical", "quantum"):
+                assert (report["outputs"][path]["decisions"]
+                        == reference["outputs"][path]["decisions"]), (scale, path)
+        # squared deviations of 1e-165 data fall below the float64 range
+        assert run(1e-165) == (EXIT_DOMAIN, None)
+        assert capsys.readouterr().err == ("qdasim: domain rejection: the data's deviations "
+                                           "from their means underflow float64 when squared\n")
 
     @pytest.mark.parametrize("scale", SCALES)
     def test_exactly_degenerate_inputs_rejected(self, scale, tmp_path, capsys):

@@ -320,7 +320,7 @@ class TestQuantumLda:
             (200, 2, 0.002, 0.002),  # below the 2^-t probability floor
             (180, 0, 0.3, 0.1),  # drawn less than half as often as expected
             (170, 1, 0.3, 0.3),
-            (169, 1, 0.1, 0.1),  # index 1 already owns a higher bin
+            (169, 1, 0.4, 0.4),  # index 1 owns a higher bin, but this one is its mode
             (150, 0, 0.2, 0.2),
             (100, 3, 0.1, 0.1),
         ]
@@ -334,11 +334,18 @@ class TestQuantumLda:
         basis = quantum_lda(spec, 2, seed=4)
         gamma, n = 2.0**-8, spec.stages[0][0].dim
         assert np.array_equal(basis.eigenvalue_estimates,
-                              [(m / 256 - gamma / n) / (1 - gamma) for m in (170, 150)])
+                              [(m / 256 - gamma / n) / (1 - gamma) for m in (169, 150)])
         overlaps = basis.intermediates @ joints[0].vectors[:, [1, 0]]
         assert np.max(np.abs(np.abs(overlaps) - np.eye(2))) < 1e-12
         with pytest.raises(DomainRejection, match="recovered only 3 of 4"):
             quantum_lda(spec, 4, seed=4)
+
+    @pytest.mark.parametrize("t", [8, 12])
+    def test_estimates_lie_within_two_bins_of_the_oracle(self, t):
+        spec = whitening_chain(load_csv(GOLDEN_CSV), 100.0, 0.1, t)
+        quantum = quantum_lda(spec, 2, seed=1).eigenvalue_estimates
+        oracle = classical_lda_oracle(spec, 2).eigenvalue_estimates
+        assert np.max(np.abs(quantum - oracle)) * 2**t <= 2.0
 
     def test_back_map_stage_prepared_once_for_all_directions(self, monkeypatch):
         analyzed = []

@@ -121,6 +121,18 @@ class TestClassStatistics:
         with pytest.raises(DomainRejection, match="overflow float64"):
             class_statistics(data)
 
+    @pytest.mark.parametrize("samples", [
+        # within-class deviations of 1e-165
+        [[1e-165, 0.0], [-1e-165, 0.0], [1.0, 1.0], [1.0, 1.0]],
+        # class means 1e-170 apart, with spread along the other feature
+        [[1e-100, 0.0], [-1e-100, 0.0], [1e-100, 1e-170], [-1e-100, 1e-170]],
+    ], ids=["within", "between"])
+    def test_underflowing_squared_deviations_rejected_without_a_warning(self, samples):
+        data = LabeledDataset(np.array(samples), np.array([1, 1, 2, 2]))
+        with pytest.raises(DomainRejection,
+                           match="deviations from their means underflow float64 when squared"):
+            class_statistics(data)
+
     def test_counts_sum_to_m(self):
         rng = np.random.default_rng(5)
         data = random_dataset(rng, 3, 3, 4)

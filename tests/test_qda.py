@@ -495,6 +495,34 @@ class TestOverflowingQuery:
         assert str(info.value) == "the discriminants of query row 2 overflow float64"
 
 
+class TestExactNormalization:
+    """Every classifier vector is normalized after an exact power-of-two
+    rescale, so a factor 2^k on the data moves no bit of a unit vector."""
+
+    @pytest.mark.parametrize("k", [-600, -1, 0, 1, 600])
+    def test_unit_rows_scale_exactly_past_the_squared_range(self, k):
+        rows = np.random.default_rng(4).standard_normal((6, 4))
+        units, norms = qda._unit_rows(rows)
+        scaled_units, scaled_norms = qda._unit_rows(rows * 2.0**k)
+        np.testing.assert_array_equal(scaled_units, units)
+        np.testing.assert_array_equal(scaled_norms, norms * 2.0**k)
+        np.testing.assert_array_equal(norms, np.sqrt([r @ r for r in rows]))
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["per-class", "shared"])
+    def test_class_means_whose_squared_norm_overflows_score_bit_for_bit(self, shared):
+        # 2^485 (about 1e146) times an offset of 2^47 puts every mean's
+        # squared norm past float64, while the data stay exactly rescaled
+        data = synthetic_preset("two-gauss", per_class=20, seed=0)
+        x, scale = data.samples + 2.0**47, 2.0**485
+        model = fit(LabeledDataset(x, data.labels), shared_covariance=shared)
+        scaled = fit(LabeledDataset(x * scale, data.labels), shared_covariance=shared)
+        np.testing.assert_array_equal(scaled.inverse_norms * scale, model.inverse_norms)
+        for path in ("classical", "quantum"):
+            np.testing.assert_array_equal(
+                classify_many(scaled, x * scale, path, 256, 3).discriminants,
+                classify_many(model, x, path, 256, 3).discriminants)
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("priors", np.array([0.5, 0.3, 0.3]), "class priors must sum to 1"),
     ("inverse_norms", np.array([1.0, -1.0, 1.0]),
