@@ -188,7 +188,7 @@ def run_reduce(args) -> tuple[dict, dict, dict]:
     if args.degree != 1:
         data = feature_map(data, args.degree)
     spec = whitening_chain(data, args.kappa_eff, args.eps, args.t)
-    # the Fisher metric's statistical (S_B, S_W): the chain's unit-trace pair rescaled
+    # the Fisher metric's (S_B, S_W): the chain's unit-trace pair rescaled by the frame's totals
     stats = class_statistics(data)
     (sw, _), (sb, _) = spec.stages
     scatter = (stats.norm_between * sb.matrix, stats.norm_within * sw.matrix)

@@ -161,12 +161,18 @@ def quantum_lda(spec: ChainSpec, p: int, seed=None) -> ProjectionBasis:
     s_w = _whitening_within(spec, p, "quantum_lda")
     t = spec.t
     _check_lda_register_width(t)
+    if s_w.dim < 2:
+        raise DomainRejection(
+            "quantum_lda needs at least 2 features: a one-feature chain output has "
+            "the single eigenvalue 1, which wraps the phase register"
+        )
     chain = chain_apply(spec)
     rho_chain = chain.output
 
-    # depolarizing pre-blend compresses the spectrum strictly below 1 (a pure
-    # chain output would otherwise wrap the phase register); eigenvectors are
-    # untouched and the affine map is inverted on the estimates
+    # depolarizing pre-blend compresses the spectrum strictly below 1 for
+    # N >= 2 (at N = 1 it leaves the eigenvalue (1 - gamma) + gamma = 1; a pure
+    # chain output would wrap the phase register); eigenvectors are untouched
+    # and the affine map is inverted on the estimates
     gamma = 2.0**-t
     n = rho_chain.dim
     generator = DensityOperator(
@@ -209,6 +215,9 @@ def fisher_criterion(source, directions) -> float:
     classical ratio, whatever its norm; several give the trace-ratio
     surrogate tr(W S_B W^T) / tr(W S_W W^T), which weights each row by its
     squared norm, so rows from different sources compare only at one norm.
+    A factor common to S_B and S_W cancels: the dataset form (like ``qdasim
+    reduce``) scales the unit-trace scatters by ``class_statistics``' totals,
+    which lie in its frame, so it uses the statistical pair over 4**exponent.
     """
     if isinstance(source, LabeledDataset):
         stats = class_statistics(source)

@@ -96,11 +96,12 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class ClassStatistics:
-    """Per-class means and the squared-norm totals that weight the oracles.
-
-    ``norm_between`` is sum_c ||mu_c - xbar||^2, ``norm_within`` is
-    sum_j ||x_j - mu_{c_j}||^2, and ``per_class_norm[c-1]`` is the within-class
-    share of class c.
+    """Per-class means (in data units) and the squared-norm totals that weight
+    the oracles, taken in one exact frame: the samples over 2**``exponent``,
+    the ``np.frexp`` exponent of their largest |entry|. So no total overflows,
+    and data times 2**k give the same totals bit for bit. ``norm_between`` is
+    sum_c ||mu_c - xbar||^2, ``norm_within`` is sum_j ||x_j - mu_{c_j}||^2,
+    and ``per_class_norm[c-1]`` is the within-class share of class c.
     """
 
     class_means: np.ndarray
@@ -109,47 +110,52 @@ class ClassStatistics:
     norm_between: float
     norm_within: float
     per_class_norm: np.ndarray
+    exponent: int
 
 
 def class_statistics(data: LabeledDataset) -> ClassStatistics:
-    """Arithmetic class means, the global sample mean, and the weight norms.
-
-    Finite samples whose sums or squared norms exceed the float64 range, or
-    nonzero deviations whose squared total falls below it, are rejected as
-    such."""
+    """Arithmetic class means, the global sample mean, and the weight norms;
+    nonzero deviations whose squared total underflows even in the frame are rejected."""
+    _, exponent = np.frexp(np.abs(data.samples).max())
+    samples = np.ldexp(data.samples, -exponent)
     k = data.k
     means = np.empty((k, data.N))
     counts = np.empty(k, dtype=int)
     per_class = np.empty(k)
     within = 0.0
     underflow = False
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c in range(1, k + 1):
-            members = data.class_members(c)
-            counts[c - 1] = members.shape[0]
-            means[c - 1] = members.mean(axis=0)
-            dev = members - means[c - 1]
-            per_class[c - 1] = float(np.sum(dev * dev))
-            within += per_class[c - 1]
-            underflow |= per_class[c - 1] == 0 and dev.any()
-        global_mean = data.samples.mean(axis=0)
-        d = means - global_mean
-        between = float(np.sum(d * d))
-    # every mean and per-class norm feeds one of these two totals
-    if not np.isfinite(within + between):
-        raise DomainRejection("the data's means or squared norms overflow float64")
+    for c in range(1, k + 1):
+        members = samples[data.labels == c]
+        counts[c - 1] = members.shape[0]
+        means[c - 1] = members.mean(axis=0)
+        dev = members - means[c - 1]
+        per_class[c - 1] = float(np.sum(dev * dev))
+        within += per_class[c - 1]
+        underflow |= per_class[c - 1] == 0 and dev.any()
+    global_mean = samples.mean(axis=0)
+    d = means - global_mean
+    between = float(np.sum(d * d))
     if underflow or (between == 0 and d.any()):
         raise DomainRejection(
             "the data's deviations from their means underflow float64 when squared"
         )
     return ClassStatistics(
-        class_means=means,
-        global_mean=global_mean,
+        class_means=np.ldexp(means, exponent),
+        global_mean=np.ldexp(global_mean, exponent),
         class_counts=counts,
         norm_between=between,
         norm_within=within,
         per_class_norm=per_class,
+        exponent=int(exponent),
     )
+
+
+def _deviations(rows: np.ndarray, means: np.ndarray, which, stats: ClassStatistics) -> np.ndarray:
+    """rows - means[which] in the frame of ``stats``, subtracted in place
+    (``which`` None broadcasts a single mean over the rows)."""
+    deviations = np.ldexp(rows, -stats.exponent)
+    deviations -= np.ldexp(means, -stats.exponent)[which]
+    return deviations
 
 
 def _weighted_projector_mixture(deviations: np.ndarray, total: float) -> DensityOperator:
@@ -175,7 +181,7 @@ def between_scatter(stats: ClassStatistics) -> DensityOperator:
             "no between-class direction exists"
         )
     return _weighted_projector_mixture(
-        stats.class_means - stats.global_mean, stats.norm_between
+        _deviations(stats.class_means, stats.global_mean, None, stats), stats.norm_between
     )
 
 
@@ -183,7 +189,7 @@ def within_scatter(data: LabeledDataset, stats: ClassStatistics) -> DensityOpera
     """Norm-weighted mixture of centered-sample projectors, unit trace."""
     if _vanishes(stats.norm_within, stats):
         raise DomainRejection("every sample equals its class mean; no within-class spread")
-    deviations = data.samples - stats.class_means[data.labels - 1]
+    deviations = _deviations(data.samples, stats.class_means, data.labels - 1, stats)
     return _weighted_projector_mixture(deviations, stats.norm_within)
 
 
@@ -202,6 +208,6 @@ def class_covariance_operator(
         raise DomainRejection(
             f"class {c} has zero within-class spread; covariance operator undefined"
         )
-    deviations = data.class_members(c) - stats.class_means[c - 1]
+    deviations = _deviations(data.class_members(c), stats.class_means, c - 1, stats)
     return _weighted_projector_mixture(deviations, a_c)
 

@@ -1,13 +1,13 @@
 """Discriminant-function classification over per-class covariance operators.
 
-The model stores unit-trace covariance operators with their statistical
-scale factors, class means and priors, and the classically recorded
-inversion products. ``classify_many`` is the one scorer: it inverts every
-class mean once per batch (``invert_apply``) and scores the whole batch
-against those inversions one class at a time, returning a ``Classification``
-of arrays. Discriminant values combine a signed overlap estimate
-between the inverted-mean state and the shifted query state with the
-recorded norms, so shot-based and exact evaluations share one code path.
+The model stores unit-trace covariance operators, class means and priors,
+and the classically recorded inversion products. ``classify_many`` is the
+one scorer: it inverts every class mean once per batch (``invert_apply``)
+and scores the whole batch against those inversions one class at a time,
+returning a ``Classification`` of arrays. Discriminant values combine a
+signed overlap estimate between the inverted-mean state and the shifted
+query state with the recorded norms, so shot-based and exact evaluations
+share one code path.
 """
 from __future__ import annotations
 
@@ -27,20 +27,16 @@ _INV = SpectralFunction.from_name("inverse")
 
 @dataclass(frozen=True)
 class ClassifierModel:
-    """Per-class covariance operators, scales, means, priors, and the
-    classically recorded inversion products that ``invert_apply`` serves.
-
-    ``covariance_scales[c-1]`` bridges the unit-trace operator to the
-    statistical covariance (within-class squared-norm total over M_c - 1;
-    pooled over M - k when ``shared_covariance``). ``inverse_directions`` and
-    ``inverse_norms`` record the unit vector and length of the statistical
-    covariance pseudo-inverse applied to each class mean.
+    """Per-class covariance operators, means, priors, and the classically
+    recorded inversion products that ``invert_apply`` serves:
+    ``inverse_directions`` and ``inverse_norms`` record the unit vector and
+    length (in data units) of the statistical covariance pseudo-inverse
+    applied to each class mean.
     """
 
     class_means: np.ndarray
     priors: np.ndarray
     covariance_ops: tuple[DensityOperator, ...]
-    covariance_scales: np.ndarray
     inverse_directions: np.ndarray
     inverse_norms: np.ndarray
     kappa_eff: float
@@ -94,9 +90,7 @@ def _invert_mean(inv: np.ndarray, scale: float, mu: np.ndarray) -> tuple[np.ndar
     _, (size, mu_size) = _unit_rows(np.array([product, mu]))
     # |inv @ mu| against the most it can be, so rescaled data meet the same bound
     if size <= 1e-12 * np.linalg.norm(inv) * mu_size:
-        raise DomainRejection(
-            "class mean lies outside the retained covariance support"
-        )
+        raise DomainRejection("class mean lies outside the retained covariance support")
     units, norms = _unit_rows(product[None] / scale)
     return units[0], float(norms[0])
 
@@ -118,28 +112,23 @@ def fit(
             f"classes {small} have fewer than 2 samples; covariance is undefined"
         )
     if shared_covariance:
-        pool_scale = stats.norm_within / (data.M - k)
         ops = (within_scatter(data, stats),) * k
-        scales = np.full(k, pool_scale)
+        scales = np.full(k, stats.norm_within / (data.M - k))
     else:
-        ops = tuple(
-            class_covariance_operator(data, stats, c) for c in range(1, k + 1)
-        )
+        ops = tuple(class_covariance_operator(data, stats, c) for c in range(1, k + 1))
         scales = stats.per_class_norm / (stats.class_counts - 1)
     # operators hash by identity, so a pooled operator is inverted once
     inverses = {op: matrix_function(op, _INV, kappa_eff).matrix for op in dict.fromkeys(ops)}
-    directions = np.empty((k, data.N))
-    norms = np.empty(k)
-    for c in range(1, k + 1):
-        directions[c - 1], norms[c - 1] = _invert_mean(
-            inverses[ops[c - 1]], float(scales[c - 1]), stats.class_means[c - 1]
-        )
+    # invert in the statistics' frame; one ldexp moves the norms to data units
+    means = np.ldexp(stats.class_means, -stats.exponent)
+    pairs = [_invert_mean(inverses[op], float(s), mu) for op, s, mu in zip(ops, scales, means)]
+    with np.errstate(over="ignore"):
+        norms = np.ldexp([norm for _, norm in pairs], -stats.exponent)
     return ClassifierModel(
         class_means=stats.class_means,
         priors=stats.class_counts / data.M,
         covariance_ops=ops,
-        covariance_scales=scales,
-        inverse_directions=directions,
+        inverse_directions=np.array([direction for direction, _ in pairs]),
         inverse_norms=norms,
         kappa_eff=kappa_eff,
         shared_covariance=shared_covariance,
@@ -197,7 +186,7 @@ def classify_many(
     max|x| + max|mean|/2, a bound that rescales with the data) scores 0 for
     that class and takes no draw. Every product stays one dot per row, so a
     one-row call with seed ``seed + i`` reproduces row i bit for bit. A row
-    whose discriminants or margin overflow float64 is rejected.
+    whose discriminants, margin or x - mean/2 overflow float64 is rejected.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -216,10 +205,14 @@ def classify_many(
     sizes = np.abs(X).max(axis=1)
     for c, (direction, inv_norm) in enumerate(zip(directions, model.inverse_norms), start=1):
         mean = model.class_means[c - 1]
-        shifted = X - 0.5 * mean
-        # a zero vector contributes zero overlap
-        floor = 1e-14 * (sizes + 0.5 * np.abs(mean).max())
-        live = np.flatnonzero(np.abs(shifted).max(axis=1) > floor)
+        with np.errstate(over="ignore"):
+            shifted = X - 0.5 * mean
+        spans = np.abs(shifted).max(axis=1)
+        # a zero vector contributes zero overlap; a row whose shift overflows
+        # scores inf, which the overflow check below rejects
+        scores[spans == np.inf, c - 1] = np.inf
+        live = np.flatnonzero((spans > 1e-14 * sizes + 5e-15 * np.abs(mean).max())
+                              & (spans < np.inf))
         if path == "classical":
             with np.errstate(over="ignore", invalid="ignore"):
                 scores[live, c - 1] = inv_norm * np.array([direction @ shifted[i] for i in live])

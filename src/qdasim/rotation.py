@@ -79,7 +79,9 @@ def _preconditioned_coefficients(
     Scaling by x0**i keeps every stored register value O(1) even when the raw
     Taylor coefficients of f blow up at small x0 (e.g. inverse powers).
     """
-    raw = f.derivative_coefficients(x0, order)
+    # Python floats: an infinite coefficient times a power that underflows
+    # to 0 is a quiet NaN, which the caller's coefficient check rejects
+    raw = f.derivative_coefficients(x0, order).tolist()
     return [c_const * raw[i] * x0**i for i in range(order + 1)]
 
 

@@ -253,6 +253,21 @@ class TestReduce:
         assert (code, report) == (EXIT_DOMAIN, None)
         assert "degree must be 1, 2, or 3" in capsys.readouterr().err
 
+    def test_one_feature_exits_naming_the_quantum_path_rule(self, tmp_path, capsys):
+        data = tmp_path / "one.csv"
+        data.write_text("u,label\n1.0,a\n1.5,a\n-1.0,b\n-1.4,b\n")
+        code, report = run_cli(["reduce", "--data", str(data), "--p", "1", "--path", "classical",
+                                "--seed", "0"], tmp_path)
+        assert code == EXIT_OK
+        assert report["outputs"]["classical"]["directions"] == [[1.0]]
+        for path in ("quantum", "both"):
+            code, report = run_cli(["reduce", "--data", str(data), "--p", "1", "--path", path,
+                                    "--seed", "0"], tmp_path, f"{path}.json")
+            assert (code, report) == (EXIT_DOMAIN, None)
+            assert capsys.readouterr().err == (
+                "qdasim: domain rejection: quantum_lda needs at least 2 features: a one-feature "
+                "chain output has the single eigenvalue 1, which wraps the phase register\n")
+
 
 class TestClassify:
     def test_quantum_and_classical_agree(self, tmp_path):
@@ -647,7 +662,9 @@ class TestUnwritableOutput:
 
 class TestOverflowingInput:
     """Finite inputs whose arithmetic leaves the float64 range exit 2 naming
-    the overflow, with no numpy warning (the suite turns warnings into errors)."""
+    the overflow, with no numpy warning (the suite turns warnings into errors).
+    Training data are not such inputs: ``class_statistics`` takes their
+    squared norms in the exact frame of their largest entry."""
 
     @pytest.mark.parametrize("matrix, reason", [
         (np.diag([1e308, 1e308]), "operator 1: operator entries overflow float64 when symmetrized"),
@@ -663,16 +680,38 @@ class TestOverflowingInput:
         assert (code, report) == (EXIT_DOMAIN, None)
         assert f"domain rejection: {reason}" in capsys.readouterr().err
 
-    def test_dataset_file(self, tmp_path, capsys):
-        data = tmp_path / "big.csv"
-        data.write_text("u,v,label\n1e200,2,a\n3e200,4,a\n-1e200,0,b\n-2e200,1,b\n")
-        code, report = run_cli(
-            ["reduce", "--data", str(data), "--path", "classical", "--seed", "0"], tmp_path
-        )
-        assert (code, report) == (EXIT_DOMAIN, None)
-        assert "domain rejection: the data's means or squared norms overflow float64" in (
-            capsys.readouterr().err
-        )
+    def test_dataset_file(self, tmp_path):
+        # squared norms near 1e400 give the report of the same rows times
+        # 2**-600, an exact rescale
+        rows = [(1e200, 2.0, "a"), (3e200, 4.0, "a"), (-1e200, 0.0, "b"), (-2e200, 1.0, "b")]
+        reports = []
+        for k in (0, -600):
+            data = write_rows(tmp_path, f"big{k}.csv",
+                              [(math.ldexp(u, k), math.ldexp(v, k), c) for u, v, c in rows])
+            code, report = run_cli(["reduce", "--data", data, "--path", "classical", "--seed", "0"],
+                                   tmp_path, f"reduce{k}.json")
+            assert code == EXIT_OK
+            reports.append(report)
+        assert reports[0]["outputs"] == reports[1]["outputs"]
+        assert reports[0]["metrics"] == reports[1]["metrics"]
+
+    def test_training_data_at_the_top_of_float64(self, tmp_path, capsys):
+        # two-gauss with its largest entry at 1.7e308: reduce and chain run,
+        # while classify's x - mean/2 overflows for some training row
+        data = qdasim.synthetic_preset("two-gauss", per_class=50, seed=0)
+        path = str(tmp_path / "top.csv")
+        top = 1.7e308 / np.abs(data.samples).max()
+        qdasim.save_csv(qdasim.LabeledDataset(top * data.samples, data.labels, data.label_names),
+                        path)
+        for argv in (["reduce", "--p", "1"], ["chain"]):
+            code, _ = run_cli([*argv, "--data", path, "--seed", "0"], tmp_path)
+            assert code == EXIT_OK, argv
+        for mode in ([], ["--lda"]):
+            code, report = run_cli(["classify", *mode, "--data", path, "--test", path,
+                                    "--seed", "0"], tmp_path, "classify.json")
+            assert (code, report) == (EXIT_DOMAIN, None)
+            assert re.fullmatch(r"qdasim: domain rejection: the discriminants of query row \d+ "
+                                r"overflow float64\n", capsys.readouterr().err)
 
 
     @pytest.mark.parametrize("path", ["quantum", "classical"])
@@ -738,23 +777,23 @@ class TestRescaledData:
         assert decisions == ref_decisions
 
     @pytest.mark.parametrize("mode", [[], ["--lda"]], ids=["per-class", "lda"])
-    def test_classify_near_the_bottom_of_float64(self, mode, tmp_path, capsys):
+    def test_classify_near_the_bottom_of_float64(self, mode, tmp_path):
         def run(scale):
             path = rescaled_three_gauss(scale, tmp_path)
             return run_cli(["classify", *mode, "--data", path, "--test", path, "--path", "both",
                             "--seed", "0"], tmp_path, f"classify_{scale:g}.json")
 
         _, reference = run(1.0)
-        for scale in (1e-155, 1e-160):
+        # squared deviations of 1e-165 data fall below the float64 range in
+        # data units, but not in the frame of the largest entry
+        for scale in (1e-155, 1e-160, 1e-165):
             code, report = run(scale)
             assert code == EXIT_OK
             for path in ("classical", "quantum"):
-                assert (report["outputs"][path]["decisions"]
-                        == reference["outputs"][path]["decisions"]), (scale, path)
-        # squared deviations of 1e-165 data fall below the float64 range
-        assert run(1e-165) == (EXIT_DOMAIN, None)
-        assert capsys.readouterr().err == ("qdasim: domain rejection: the data's deviations "
-                                           "from their means underflow float64 when squared\n")
+                outputs, expected = report["outputs"][path], reference["outputs"][path]
+                assert outputs["decisions"] == expected["decisions"], (scale, path)
+                np.testing.assert_allclose(outputs["discriminants"], expected["discriminants"],
+                                           rtol=1e-12, atol=1e-12, err_msg=f"{scale} {path}")
 
     @pytest.mark.parametrize("scale", SCALES)
     def test_exactly_degenerate_inputs_rejected(self, scale, tmp_path, capsys):
@@ -837,6 +876,8 @@ class TestRotateCheck:
         ("--grid-bits", "13"), ("--grid-bits", "40"),
         # the 1/3 register of the windowed series would pass 2^1024 as a float
         ("--bits", "504"),
+        # x0**-201 overflows float64 in the series of the narrowest windows
+        ("--order", "200"),
     ])
     def test_invalid_register_setting_exits_with_domain_code(self, flag, value, tmp_path, capsys):
         code, report = run_cli(["rotate-check", flag, value, "--seed", "0"], tmp_path)

@@ -503,8 +503,11 @@ class TestScatterBridge:
         data = three_class_dataset(seed=6)
         stats = class_statistics(data)
         s_b, s_w = textbook_scatters(data)
-        assert np.max(np.abs(stats.norm_between * between_scatter(stats).matrix - s_b)) < 1e-9
-        assert np.max(np.abs(stats.norm_within * within_scatter(data, stats).matrix - s_w)) < 1e-9
+        # the totals are taken in the frame of 2**exponent
+        norm_between, norm_within = np.ldexp([stats.norm_between, stats.norm_within],
+                                             2 * stats.exponent)
+        assert np.max(np.abs(norm_between * between_scatter(stats).matrix - s_b)) < 1e-9
+        assert np.max(np.abs(norm_within * within_scatter(data, stats).matrix - s_w)) < 1e-9
 
     def test_dataset_criterion_is_the_textbook_ratio(self):
         data = three_class_dataset(seed=6)

@@ -99,15 +99,16 @@ class TestClassStatistics:
         stats = class_statistics(data)
         assert np.allclose(stats.class_means[0], [0.0, 0.0])
         assert np.allclose(stats.global_mean, [0.0, 0.0])
-        assert stats.norm_between == pytest.approx(0.0)
-        assert stats.norm_within == pytest.approx(2.0)
+        # the totals are taken in the frame of 2**exponent
+        assert np.ldexp(stats.norm_between, 2 * stats.exponent) == pytest.approx(0.0)
+        assert np.ldexp(stats.norm_within, 2 * stats.exponent) == pytest.approx(2.0)
 
     def test_one_sample_per_class(self):
         data = LabeledDataset(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1, 2]))
         stats = class_statistics(data)
         assert np.allclose(stats.global_mean, [0.0, 0.0])
-        assert stats.norm_between == pytest.approx(2.0)
-        assert stats.norm_within == pytest.approx(0.0)
+        assert np.ldexp(stats.norm_between, 2 * stats.exponent) == pytest.approx(2.0)
+        assert np.ldexp(stats.norm_within, 2 * stats.exponent) == pytest.approx(0.0)
 
     def test_all_samples_identical(self):
         data = LabeledDataset(np.tile([2.0, 3.0], (4, 1)), np.array([1, 1, 2, 2]))
@@ -115,23 +116,47 @@ class TestClassStatistics:
         assert stats.norm_between == pytest.approx(0.0)
         assert stats.norm_within == pytest.approx(0.0)
 
-    def test_overflowing_squared_norms_rejected_without_a_warning(self):
-        data = LabeledDataset(np.array([[1e200, 2.0], [3e200, 4.0], [-1e200, 0.0], [-2e200, 1.0]]),
-                              np.array([1, 1, 2, 2]))
-        with pytest.raises(DomainRejection, match="overflow float64"):
-            class_statistics(data)
+    @staticmethod
+    def assert_same_in_the_frame(samples, k):
+        """The statistics and within-class scatter of samples * 2**k equal
+        those of the samples bit for bit, with the frame's exponent shifted by k."""
+        labels = np.array([1, 1, 2, 2])
+        data, scaled = LabeledDataset(samples, labels), LabeledDataset(np.ldexp(samples, k), labels)
+        stats, moved = class_statistics(data), class_statistics(scaled)
+        assert moved.exponent == stats.exponent + k
+        for name in ("norm_between", "norm_within", "per_class_norm"):
+            np.testing.assert_array_equal(getattr(moved, name), getattr(stats, name))
+        np.testing.assert_array_equal(np.ldexp(moved.class_means, -k), stats.class_means)
+        np.testing.assert_array_equal(within_scatter(scaled, moved).matrix,
+                                      within_scatter(data, stats).matrix)
+        return stats, moved
 
-    @pytest.mark.parametrize("samples", [
-        # within-class deviations of 1e-165
-        [[1e-165, 0.0], [-1e-165, 0.0], [1.0, 1.0], [1.0, 1.0]],
-        # class means 1e-170 apart, with spread along the other feature
-        [[1e-100, 0.0], [-1e-100, 0.0], [1e-100, 1e-170], [-1e-100, 1e-170]],
-    ], ids=["within", "between"])
-    def test_underflowing_squared_deviations_rejected_without_a_warning(self, samples):
-        data = LabeledDataset(np.array(samples), np.array([1, 1, 2, 2]))
+    def test_squared_norms_past_float64_are_taken_in_the_frame(self):
+        # within 2.5e400 and between 6.125e400 in data units; no warning (the
+        # suite turns warnings into errors)
+        samples = np.array([[1e200, 2.0], [3e200, 4.0], [-1e200, 0.0], [-2e200, 1.0]])
+        stats, moved = self.assert_same_in_the_frame(samples, -600)
+        np.testing.assert_array_equal(between_scatter(moved).matrix, between_scatter(stats).matrix)
+        assert stats.norm_within / stats.norm_between == pytest.approx(2.5 / 6.125, rel=1e-15)
+
+    def test_underflowing_squared_deviations_rejected_without_a_warning(self):
+        # within-class deviations of 1e-165 beside entries of 1
+        data = LabeledDataset(np.array([[1e-165, 0.0], [-1e-165, 0.0], [1.0, 1.0], [1.0, 1.0]]),
+                              np.array([1, 1, 2, 2]))
         with pytest.raises(DomainRejection,
                            match="deviations from their means underflow float64 when squared"):
             class_statistics(data)
+
+    def test_class_means_1e_170_apart_square_inside_the_frame(self):
+        # the largest entry is 1e-100, so in the frame the means' offset
+        # squares to about 1e-140; the spread lies along the other feature
+        samples = np.array([[1e-100, 0.0], [-1e-100, 0.0], [1e-100, 1e-170], [-1e-100, 1e-170]])
+        stats, _ = self.assert_same_in_the_frame(samples, 400)
+        offset = np.ldexp(1e-170, -stats.exponent)
+        assert stats.norm_between == pytest.approx(0.5 * offset**2, rel=1e-15)
+        # a share of 1e-140 of the scatter is a vanishing between-class total
+        with pytest.raises(DomainRejection, match="all class means coincide"):
+            between_scatter(stats)
 
     def test_counts_sum_to_m(self):
         rng = np.random.default_rng(5)
@@ -309,7 +334,8 @@ class TestProperties:
         for c in range(1, 3):
             dev = data.class_members(c) - stats.class_means[c - 1]
             classical += dev.T @ dev
-        assert np.max(np.abs(stats.norm_within * s_w.matrix - classical)) < 1e-9
+        norm_within = np.ldexp(stats.norm_within, 2 * stats.exponent)
+        assert np.max(np.abs(norm_within * s_w.matrix - classical)) < 1e-9
 
 
 def _two_class_data() -> LabeledDataset:

@@ -11,7 +11,7 @@ import pytest
 from qdasim import chain, qda
 from qdasim.data_io import synthetic_preset
 from qdasim.errors import DomainRejection
-from qdasim.oracle import LabeledDataset
+from qdasim.oracle import LabeledDataset, class_statistics
 from qdasim.qda import classify_many, fit, invert_apply
 from qdasim.qsim import overlap_test_signed
 
@@ -39,6 +39,14 @@ def isotropic_two_class(scale_target=1.0):
     mu = np.array([2.0, 0.0, 0.0, 0.0])
     samples = np.vstack([mu + devs, -mu + devs])
     return LabeledDataset(samples, np.repeat([1, 2], 2 * n)), mu
+
+
+def covariance_scales(data: LabeledDataset) -> np.ndarray:
+    """Each per-class covariance operator's statistical scale in data units:
+    the class's squared-norm total, which ``class_statistics`` takes in the
+    frame of 2**exponent, over M_c - 1."""
+    stats = class_statistics(data)
+    return np.ldexp(stats.per_class_norm / (stats.class_counts - 1), 2 * stats.exponent)
 
 
 def oracle_discriminants(data: LabeledDataset, x: np.ndarray) -> np.ndarray:
@@ -70,19 +78,20 @@ class TestFit:
         samples = np.vstack([mu + E1, mu - E1, -mu + E1, -mu - E1])
         data = LabeledDataset(samples, np.array([1, 1, 2, 2]))
         model = fit(data, 100.0)
-        assert model.covariance_scales[0] == pytest.approx(2.0)
+        assert covariance_scales(data)[0] == pytest.approx(2.0)
         assert np.allclose(model.covariance_ops[0].matrix, np.outer(E1, E1))
 
     def test_scale_bridges_to_statistical_covariance_50_seeds(self):
         for seed in range(50):
             data, _ = gauss3(seed=seed, per_class=12)
             model = fit(data, 100.0)
+            scales = covariance_scales(data)
             for c in range(1, 4):
                 members = data.class_members(c)
                 mu = members.mean(axis=0)
                 centered = members - mu
                 cov = centered.T @ centered / (len(members) - 1)
-                rebuilt = model.covariance_scales[c - 1] * model.covariance_ops[c - 1].matrix
+                rebuilt = scales[c - 1] * model.covariance_ops[c - 1].matrix
                 assert np.max(np.abs(rebuilt - cov)) < 1e-9
 
     def test_undersized_class_rejected_by_name(self):
@@ -105,13 +114,16 @@ class TestSharedCovarianceFit:
         assert len(calls) == 1
         pooled = model.covariance_ops[0]
         assert all(op is pooled for op in model.covariance_ops)
+        # fit inverts in the frame of 2**exponent and moves the norms back
+        stats = class_statistics(data)
+        scale = stats.norm_within / (data.M - 3)
         for c in range(1, 4):
             inv = inverse(pooled, qda._INV, 100.0).matrix
             direction, norm = qda._invert_mean(
-                inv, float(model.covariance_scales[c - 1]), model.class_means[c - 1]
+                inv, scale, np.ldexp(model.class_means[c - 1], -stats.exponent)
             )
             assert np.array_equal(direction, model.inverse_directions[c - 1])
-            assert norm == model.inverse_norms[c - 1]
+            assert np.ldexp(norm, -stats.exponent) == model.inverse_norms[c - 1]
 
 
 class TestInvertApply:
@@ -135,7 +147,7 @@ class TestInvertApply:
         data = LabeledDataset(samples, np.repeat([1, 2], 4))
         model = fit(data, 100.0)
         assert np.allclose(
-            model.covariance_scales[0] * model.covariance_ops[0].matrix,
+            covariance_scales(data)[0] * model.covariance_ops[0].matrix,
             np.diag([1.0, 0.5]),
             atol=1e-12,
         )
@@ -493,6 +505,28 @@ class TestOverflowingQuery:
         with pytest.raises(DomainRejection) as info:
             classify_many(model, rows, path, 256, 0)
         assert str(info.value) == "the discriminants of query row 2 overflow float64"
+
+    def test_training_data_at_the_top_of_float64(self):
+        # the largest entry at 1.7e308: fit takes it in class_statistics' frame
+        data = synthetic_preset("two-gauss", per_class=5, seed=0)
+        # every entry positive, so no x - mean/2 overflows, though |x| + |mean|/2 does:
+        # the rows score as at the exact scale 2**-600
+        x = data.samples + 8.0
+        x *= 1.7e308 / np.abs(x).max()
+        model = fit(LabeledDataset(x, data.labels))
+        small = fit(LabeledDataset(np.ldexp(x, -600), data.labels))
+        for path in ("classical", "quantum"):
+            np.testing.assert_array_equal(
+                classify_many(model, x, path, 256, 0).discriminants,
+                classify_many(small, np.ldexp(x, -600), path, 256, 0).discriminants)
+        # the two classes on either side of 0: some x - mean/2 overflows, which
+        # names its row
+        x = data.samples * (1.7e308 / np.abs(data.samples).max())
+        model = fit(LabeledDataset(x, data.labels))
+        for path in ("classical", "quantum"):
+            with pytest.raises(DomainRejection,
+                               match=r"^the discriminants of query row \d+ overflow float64$"):
+                classify_many(model, x, path, 256, 0)
 
 
 class TestExactNormalization:
