@@ -43,7 +43,7 @@ from .linalg import (
     _filter_mask,
     trace_distance,
 )
-from .lda import (_check_lda_register_width, classical_lda_oracle, feature_map, fisher_criterion,
+from .lda import (_check_quantum_lda, classical_lda_oracle, feature_map, fisher_criterion,
                   quantum_lda, whitening_chain)
 from .oracle import LabeledDataset, class_statistics
 from .qda import classify_many, fit
@@ -181,12 +181,12 @@ def _load_training_data(args) -> tuple[LabeledDataset, dict]:
 def run_reduce(args) -> tuple[dict, dict, dict]:
     # the exact oracle goes first, so a rank excess is reported as such
     paths = ("classical", "quantum") if args.path == "both" else (args.path,)
-    if "quantum" in paths:
-        # the quantum path's narrower t rule, checked before any path runs
-        _check_lda_register_width(args.t)
     data, descriptor = _load_training_data(args)
     if args.degree != 1:
         data = feature_map(data, args.degree)
+    if "quantum" in paths:
+        # the quantum path's own rules, checked before any path runs
+        _check_quantum_lda(args.t, data.N)
     spec = whitening_chain(data, args.kappa_eff, args.eps, args.t)
     # the Fisher metric's (S_B, S_W): the chain's unit-trace pair rescaled by the frame's totals
     stats = class_statistics(data)

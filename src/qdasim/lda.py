@@ -133,11 +133,17 @@ def classical_lda_oracle(spec: ChainSpec, p: int) -> ProjectionBasis:
     return _basis(sol.eigenvectors[:, :p].T, lambda v: back @ v, sol.eigenvalues[:p] / trace)
 
 
-def _check_lda_register_width(t: int) -> None:
-    """The register widths ``quantum_lda`` accepts: [4, PHASE_BITS_MAX], narrower
-    than the [2, PHASE_BITS_MAX] a single chain stage takes."""
+def _check_quantum_lda(t: int, n: int) -> None:
+    """The rules ``quantum_lda`` adds to its chain's: a register width in
+    [4, PHASE_BITS_MAX], narrower than the [2, PHASE_BITS_MAX] a single chain
+    stage takes, and at least 2 features."""
     if not 4 <= t <= PHASE_BITS_MAX:
         raise DomainRejection(f"t={t} outside [4, {PHASE_BITS_MAX}]")
+    if n < 2:
+        raise DomainRejection(
+            "quantum_lda needs at least 2 features: a one-feature chain output has "
+            "the single eigenvalue 1, which wraps the phase register"
+        )
 
 
 def qpe_draws(t: int) -> int:
@@ -160,12 +166,7 @@ def quantum_lda(spec: ChainSpec, p: int, seed=None) -> ProjectionBasis:
     """
     s_w = _whitening_within(spec, p, "quantum_lda")
     t = spec.t
-    _check_lda_register_width(t)
-    if s_w.dim < 2:
-        raise DomainRejection(
-            "quantum_lda needs at least 2 features: a one-feature chain output has "
-            "the single eigenvalue 1, which wraps the phase register"
-        )
+    _check_quantum_lda(t, s_w.dim)
     chain = chain_apply(spec)
     rho_chain = chain.output
 
@@ -276,9 +277,13 @@ def feature_map(data: LabeledDataset, degree: int) -> LabeledDataset:
     base_names = data.feature_names or tuple(f"x{i + 1}" for i in range(n))
     for d in range(1, degree + 1):
         for combo in itertools.combinations_with_replacement(range(n), d):
-            col = np.prod(data.samples[:, combo], axis=1)
-            columns.append(col)
             names.append("*".join(base_names[i] for i in combo))
+            # its running products are lower-degree features, already checked: no inf * 0
+            with np.errstate(over="ignore"):
+                columns.append(np.prod(data.samples[:, combo], axis=1))
+            if not np.isfinite(columns[-1]).all():
+                raise DomainRejection(
+                    f"feature {names[-1]} of the degree-{degree} feature map overflows float64")
     return LabeledDataset(
         samples=np.column_stack(columns),
         labels=data.labels.copy(),

@@ -96,12 +96,13 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class ClassStatistics:
-    """Per-class means (in data units) and the squared-norm totals that weight
-    the oracles, taken in one exact frame: the samples over 2**``exponent``,
-    the ``np.frexp`` exponent of their largest |entry|. So no total overflows,
-    and data times 2**k give the same totals bit for bit. ``norm_between`` is
-    sum_c ||mu_c - xbar||^2, ``norm_within`` is sum_j ||x_j - mu_{c_j}||^2,
-    and ``per_class_norm[c-1]`` is the within-class share of class c.
+    """Per-class means, the global mean and the squared-norm totals that
+    weight the oracles, all in one exact frame: the samples over
+    2**``exponent``, the ``np.frexp`` exponent of their largest |entry|. So
+    no total overflows, and data times 2**k give the same fields bit for bit
+    (with ``exponent`` moved by k). ``norm_between`` is sum_c ||mu_c - xbar||^2,
+    ``norm_within`` is sum_j ||x_j - mu_{c_j}||^2, and ``per_class_norm[c-1]``
+    is the within-class share of class c.
     """
 
     class_means: np.ndarray
@@ -139,22 +140,14 @@ def class_statistics(data: LabeledDataset) -> ClassStatistics:
         raise DomainRejection(
             "the data's deviations from their means underflow float64 when squared"
         )
-    return ClassStatistics(
-        class_means=np.ldexp(means, exponent),
-        global_mean=np.ldexp(global_mean, exponent),
-        class_counts=counts,
-        norm_between=between,
-        norm_within=within,
-        per_class_norm=per_class,
-        exponent=int(exponent),
-    )
+    return ClassStatistics(means, global_mean, counts, between, within, per_class, int(exponent))
 
 
-def _deviations(rows: np.ndarray, means: np.ndarray, which, stats: ClassStatistics) -> np.ndarray:
-    """rows - means[which] in the frame of ``stats``, subtracted in place
-    (``which`` None broadcasts a single mean over the rows)."""
+def _deviations(rows: np.ndarray, which, stats: ClassStatistics) -> np.ndarray:
+    """Data rows minus ``stats.class_means[which]``, in the frame of ``stats``
+    and subtracted in place."""
     deviations = np.ldexp(rows, -stats.exponent)
-    deviations -= np.ldexp(means, -stats.exponent)[which]
+    deviations -= stats.class_means[which]
     return deviations
 
 
@@ -180,16 +173,14 @@ def between_scatter(stats: ClassStatistics) -> DensityOperator:
             "all class means coincide with the global mean; "
             "no between-class direction exists"
         )
-    return _weighted_projector_mixture(
-        _deviations(stats.class_means, stats.global_mean, None, stats), stats.norm_between
-    )
+    return _weighted_projector_mixture(stats.class_means - stats.global_mean, stats.norm_between)
 
 
 def within_scatter(data: LabeledDataset, stats: ClassStatistics) -> DensityOperator:
     """Norm-weighted mixture of centered-sample projectors, unit trace."""
     if _vanishes(stats.norm_within, stats):
         raise DomainRejection("every sample equals its class mean; no within-class spread")
-    deviations = _deviations(data.samples, stats.class_means, data.labels - 1, stats)
+    deviations = _deviations(data.samples, data.labels - 1, stats)
     return _weighted_projector_mixture(deviations, stats.norm_within)
 
 
@@ -208,6 +199,6 @@ def class_covariance_operator(
         raise DomainRejection(
             f"class {c} has zero within-class spread; covariance operator undefined"
         )
-    deviations = _deviations(data.class_members(c), stats.class_means, c - 1, stats)
+    deviations = _deviations(data.class_members(c), c - 1, stats)
     return _weighted_projector_mixture(deviations, a_c)
 

@@ -30,8 +30,10 @@ class ClassifierModel:
     """Per-class covariance operators, means, priors, and the classically
     recorded inversion products that ``invert_apply`` serves:
     ``inverse_directions`` and ``inverse_norms`` record the unit vector and
-    length (in data units) of the statistical covariance pseudo-inverse
-    applied to each class mean.
+    length of the statistical covariance pseudo-inverse applied to each class
+    mean. Means and lengths are in the training data's frame, the data over
+    2**``exponent`` (``ClassStatistics``), so training data times 2**k give
+    the same record with ``exponent`` moved by k.
     """
 
     class_means: np.ndarray
@@ -40,7 +42,7 @@ class ClassifierModel:
     inverse_directions: np.ndarray
     inverse_norms: np.ndarray
     kappa_eff: float
-    shared_covariance: bool = False
+    exponent: int
 
     def __post_init__(self) -> None:
         if abs(float(np.sum(self.priors)) - 1.0) > 1e-9:
@@ -119,19 +121,16 @@ def fit(
         scales = stats.per_class_norm / (stats.class_counts - 1)
     # operators hash by identity, so a pooled operator is inverted once
     inverses = {op: matrix_function(op, _INV, kappa_eff).matrix for op in dict.fromkeys(ops)}
-    # invert in the statistics' frame; one ldexp moves the norms to data units
-    means = np.ldexp(stats.class_means, -stats.exponent)
-    pairs = [_invert_mean(inverses[op], float(s), mu) for op, s, mu in zip(ops, scales, means)]
-    with np.errstate(over="ignore"):
-        norms = np.ldexp([norm for _, norm in pairs], -stats.exponent)
+    pairs = [_invert_mean(inverses[op], float(s), mu)
+             for op, s, mu in zip(ops, scales, stats.class_means)]
     return ClassifierModel(
         class_means=stats.class_means,
         priors=stats.class_counts / data.M,
         covariance_ops=ops,
         inverse_directions=np.array([direction for direction, _ in pairs]),
-        inverse_norms=norms,
+        inverse_norms=np.array([norm for _, norm in pairs]),
         kappa_eff=kappa_eff,
-        shared_covariance=shared_covariance,
+        exponent=stats.exponent,
     )
 
 
@@ -178,7 +177,11 @@ def classify_many(
     Class c's discriminant is the combined inner product of its inverted mean
     with (x - mean/2), rescaled by the recorded norms, plus the prior term:
     log-prior scoring (default) or, with ``prior_mode="linear"``, the literal
-    linear prior; both orders coincide for balanced classes. The batch is
+    linear prior; both orders coincide for balanced classes. Each row is
+    scored in the model's frame (``ClassifierModel``); a row whose largest
+    entry outgrows that frame is scored in its own power-of-two frame, 2**lift
+    above the model's, and its discriminant is multiplied back by 2**lift.
+    Every such map is exact, so x - mean/2 never overflows. The batch is
     scored one class at a time: on the quantum path one
     ``overlap_test_signed`` call per class takes all rows, row i drawing from
     ``SeedSequence([seed + i, c])`` (unseeded when seed is ``None``). A row
@@ -186,7 +189,7 @@ def classify_many(
     max|x| + max|mean|/2, a bound that rescales with the data) scores 0 for
     that class and takes no draw. Every product stays one dot per row, so a
     one-row call with seed ``seed + i`` reproduces row i bit for bit. A row
-    whose discriminants, margin or x - mean/2 overflow float64 is rejected.
+    whose discriminants or margin overflow float64 is rejected.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -203,16 +206,17 @@ def classify_many(
     draws = 0
     directions, copies = invert_apply(model, path, t, eps)
     sizes = np.abs(X).max(axis=1)
+    # a zero row stays in the model's frame
+    lifts = np.where(sizes > 0, np.maximum(np.frexp(sizes)[1] - model.exponent, 0), 0)
+    frames = (model.exponent + lifts)[:, None]
+    X, sizes = np.ldexp(X, -frames), np.ldexp(sizes, -frames[:, 0])
     for c, (direction, inv_norm) in enumerate(zip(directions, model.inverse_norms), start=1):
         mean = model.class_means[c - 1]
-        with np.errstate(over="ignore"):
-            shifted = X - 0.5 * mean
+        shifted = np.ldexp(-0.5 * mean, -lifts[:, None])
+        shifted += X
         spans = np.abs(shifted).max(axis=1)
-        # a zero vector contributes zero overlap; a row whose shift overflows
-        # scores inf, which the overflow check below rejects
-        scores[spans == np.inf, c - 1] = np.inf
-        live = np.flatnonzero((spans > 1e-14 * sizes + 5e-15 * np.abs(mean).max())
-                              & (spans < np.inf))
+        # a zero vector contributes zero overlap
+        live = np.flatnonzero(spans > 1e-14 * sizes + np.ldexp(5e-15 * np.abs(mean).max(), -lifts))
         if path == "classical":
             with np.errstate(over="ignore", invalid="ignore"):
                 scores[live, c - 1] = inv_norm * np.array([direction @ shifted[i] for i in live])
@@ -224,9 +228,9 @@ def classify_many(
         estimates = overlap_test_signed(direction, unit_rows, shots, seeds).estimate
         with np.errstate(over="ignore", invalid="ignore"):
             scores[live, c - 1] = inv_norm * norms * estimates
-    values = scores + prior_terms
-    ranked = np.sort(values, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
+        values = np.ldexp(scores, lifts[:, None]) + prior_terms
+        ranked = np.sort(values, axis=1)
         margins = ranked[:, -1] - ranked[:, -2] if model.k > 1 else np.full(X.shape[0], np.inf)
     overflow = ~np.isfinite(values).all(axis=1) | (np.isinf(margins) & (model.k > 1))
     if overflow.any():

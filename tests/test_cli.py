@@ -253,13 +253,18 @@ class TestReduce:
         assert (code, report) == (EXIT_DOMAIN, None)
         assert "degree must be 1, 2, or 3" in capsys.readouterr().err
 
-    def test_one_feature_exits_naming_the_quantum_path_rule(self, tmp_path, capsys):
+    def test_one_feature_exits_naming_the_quantum_path_rule(self, tmp_path, capsys, monkeypatch):
         data = tmp_path / "one.csv"
         data.write_text("u,label\n1.0,a\n1.5,a\n-1.0,b\n-1.4,b\n")
         code, report = run_cli(["reduce", "--data", str(data), "--p", "1", "--path", "classical",
                                 "--seed", "0"], tmp_path)
         assert code == EXIT_OK
         assert report["outputs"]["classical"]["directions"] == [[1.0]]
+
+        def never(*args, **kwargs):
+            raise AssertionError("the classical path ran before the feature count was checked")
+
+        monkeypatch.setattr(cli, "classical_lda_oracle", never)
         for path in ("quantum", "both"):
             code, report = run_cli(["reduce", "--data", str(data), "--p", "1", "--path", path,
                                     "--seed", "0"], tmp_path, f"{path}.json")
@@ -356,7 +361,8 @@ class TestClassify:
     def test_shots_consumed_counts_only_the_draws_taken(self, tmp_path):
         # a test row at mu_3 / 2 has a vanishing shifted vector for class 3: no draw
         header, *rows = Path(GOLDEN_CSV).read_text().splitlines(keepends=True)
-        half_mean = 0.5 * qda.fit(load_csv(GOLDEN_CSV)).class_means[2]
+        model = qda.fit(load_csv(GOLDEN_CSV))
+        half_mean = 0.5 * np.ldexp(model.class_means[2], model.exponent)
         test = tmp_path / "half_mean.csv"
         test.write_text(header + "".join(rows[:5])
                         + ",".join(repr(float(x)) for x in half_mean) + ",3\n")
@@ -664,7 +670,8 @@ class TestOverflowingInput:
     """Finite inputs whose arithmetic leaves the float64 range exit 2 naming
     the overflow, with no numpy warning (the suite turns warnings into errors).
     Training data are not such inputs: ``class_statistics`` takes their
-    squared norms in the exact frame of their largest entry."""
+    statistics, and ``classify`` its scores, in the exact frame of their
+    largest entry."""
 
     @pytest.mark.parametrize("matrix, reason", [
         (np.diag([1e308, 1e308]), "operator 1: operator entries overflow float64 when symmetrized"),
@@ -695,23 +702,28 @@ class TestOverflowingInput:
         assert reports[0]["outputs"] == reports[1]["outputs"]
         assert reports[0]["metrics"] == reports[1]["metrics"]
 
-    def test_training_data_at_the_top_of_float64(self, tmp_path, capsys):
+    def test_training_data_at_the_top_of_float64(self, tmp_path):
         # two-gauss with its largest entry at 1.7e308: reduce and chain run,
-        # while classify's x - mean/2 overflows for some training row
+        # and classify scores every row as the same set times 2**-600 does,
+        # though x - mean/2 in data units would overflow for some row
         data = qdasim.synthetic_preset("two-gauss", per_class=50, seed=0)
-        path = str(tmp_path / "top.csv")
+        path, low = str(tmp_path / "top.csv"), str(tmp_path / "low.csv")
         top = 1.7e308 / np.abs(data.samples).max()
-        qdasim.save_csv(qdasim.LabeledDataset(top * data.samples, data.labels, data.label_names),
-                        path)
+        for name, samples in ((path, top * data.samples),
+                              (low, np.ldexp(top * data.samples, -600))):
+            qdasim.save_csv(qdasim.LabeledDataset(samples, data.labels, data.label_names), name)
         for argv in (["reduce", "--p", "1"], ["chain"]):
             code, _ = run_cli([*argv, "--data", path, "--seed", "0"], tmp_path)
             assert code == EXIT_OK, argv
         for mode in ([], ["--lda"]):
-            code, report = run_cli(["classify", *mode, "--data", path, "--test", path,
-                                    "--seed", "0"], tmp_path, "classify.json")
-            assert (code, report) == (EXIT_DOMAIN, None)
-            assert re.fullmatch(r"qdasim: domain rejection: the discriminants of query row \d+ "
-                                r"overflow float64\n", capsys.readouterr().err)
+            reports = []
+            for name in (path, low):
+                code, report = run_cli(["classify", *mode, "--data", name, "--test", name,
+                                        "--seed", "0"], tmp_path, "classify.json")
+                assert code == EXIT_OK, (mode, name)
+                reports.append(report)
+            assert reports[0]["outputs"] == reports[1]["outputs"]
+            assert reports[0]["metrics"] == reports[1]["metrics"]
 
 
     @pytest.mark.parametrize("path", ["quantum", "classical"])
@@ -823,8 +835,8 @@ class TestRescaledData:
             lda.fisher_criterion(data, [0.0, 1.0])
         # a query at half a class mean has a zero shifted vector for that class: no draw
         model = qda.fit(load_csv(rescaled_three_gauss(s, tmp_path)))
-        result = qda.classify_many(model, 0.5 * model.class_means[2:], "quantum", shots=16,
-                                   seed=0)
+        result = qda.classify_many(model, 0.5 * np.ldexp(model.class_means[2:], model.exponent),
+                                   "quantum", shots=16, seed=0)
         assert result.draws == 2
         assert result.discriminants[0, 2] == math.log(model.priors[2])
 

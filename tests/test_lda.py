@@ -542,8 +542,11 @@ _E3 = np.eye(3)[:1]
      DomainRejection, "direction dimension 3 does not match scatter dimension 4"),
     (lambda: project(_DATA4, ProjectionBasis(_E3, _E3, [1.0])),
      DomainRejection, "direction dimension 3 does not match data dimension 4"),
+    # 1e110 cubed overflows float64, though every sample is finite
+    (lambda: feature_map(LabeledDataset(1e110 * _DATA4.samples, _DATA4.labels), 3),
+     DomainRejection, "feature x1*x1*x1 of the degree-3 feature map overflows float64"),
 ], ids=["basis-shapes", "basis-intermediates", "basis-directions", "complex-chain",
-        "fisher-dimension", "project-dimension"])
+        "fisher-dimension", "project-dimension", "feature-map-overflow"])
 def test_lda_rejection(build, kind, message):
     with pytest.raises(kind) as info:
         build()

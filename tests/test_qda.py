@@ -114,16 +114,16 @@ class TestSharedCovarianceFit:
         assert len(calls) == 1
         pooled = model.covariance_ops[0]
         assert all(op is pooled for op in model.covariance_ops)
-        # fit inverts in the frame of 2**exponent and moves the norms back
+        # fit inverts in the frame of 2**exponent, where the model records its
+        # means and norms
         stats = class_statistics(data)
+        assert model.exponent == stats.exponent
         scale = stats.norm_within / (data.M - 3)
         for c in range(1, 4):
             inv = inverse(pooled, qda._INV, 100.0).matrix
-            direction, norm = qda._invert_mean(
-                inv, scale, np.ldexp(model.class_means[c - 1], -stats.exponent)
-            )
+            direction, norm = qda._invert_mean(inv, scale, model.class_means[c - 1])
             assert np.array_equal(direction, model.inverse_directions[c - 1])
-            assert np.ldexp(norm, -stats.exponent) == model.inverse_norms[c - 1]
+            assert norm == model.inverse_norms[c - 1]
 
 
 class TestInvertApply:
@@ -154,8 +154,10 @@ class TestInvertApply:
         directions, _ = invert_apply(model, "classical")
         expected = np.array([1.0, 2.0]) / np.sqrt(5.0)
         assert np.allclose(directions[0], expected)
-        # the norm classify_many scales every path by is the model's recorded one
-        assert model.inverse_norms[0] == pytest.approx(np.linalg.norm([1.0, 2.0]) / np.sqrt(2.0))
+        # the norm classify_many scales every path by is the model's recorded
+        # one, in the frame of 2**exponent
+        assert np.ldexp(model.inverse_norms[0], -model.exponent) == pytest.approx(
+            np.linalg.norm([1.0, 2.0]) / np.sqrt(2.0))
 
     def test_quantum_path_matches_classical_20_seeds(self):
         for seed in range(20):
@@ -166,11 +168,13 @@ class TestInvertApply:
             for c, (vc, vq, nc) in enumerate(zip(classical, quantum, model.inverse_norms), 1):
                 assert abs(np.dot(vc, vq)) >= 0.99
                 # a query whose shifted vector is the quantum direction itself has
-                # overlap 1, so its score less the prior is the norm the path used
-                x = 0.5 * model.class_means[c - 1] + vq
+                # overlap 1, so its score less the prior is the norm the path used,
+                # in data units
+                x = 0.5 * np.ldexp(model.class_means[c - 1], model.exponent) + vq
                 score = classify_many(model, [x], "quantum", seed=0, t=8).discriminants[0, c - 1]
                 nq = score - math.log(model.priors[c - 1])
-                assert nq == pytest.approx(nc, rel=1e-12)  # quantum path reuses the recorded norm
+                # the quantum path reuses the recorded norm
+                assert nq == pytest.approx(np.ldexp(nc, -model.exponent), rel=1e-12)
 
 
 class TestDiscriminant:
@@ -212,8 +216,8 @@ class TestDiscriminant:
         # row i is seeded 0 + i, so the batch replays trials 0..999
         batch = classify_many(model, np.tile(x, (trials, 1)), "quantum", shots=512, seed=0)
         direction = invert_apply(model, "classical")[0][c - 1]
-        inv_norm = model.inverse_norms[c - 1]
-        shifted = x - 0.5 * model.class_means[c - 1]
+        inv_norm = np.ldexp(model.inverse_norms[c - 1], -model.exponent)
+        shifted = x - 0.5 * np.ldexp(model.class_means[c - 1], model.exponent)
         shifted_norm = np.linalg.norm(shifted)
         seeds = [np.random.SeedSequence([seed, c]) for seed in range(trials)]
         probe = overlap_test_signed(
@@ -371,7 +375,8 @@ class TestClassifyMany:
         data, means = gauss3(seed=2, per_class=20)
         model = fit(data, 100.0)
         queries = means + 0.8 * np.random.default_rng(7).standard_normal((3, 4))
-        queries[1] = 0.5 * model.class_means[2]  # class 3's shifted vector is zero
+        # class 3's shifted vector is zero
+        queries[1] = 0.5 * np.ldexp(model.class_means[2], model.exponent)
         rows = []
         overlap = qda.overlap_test_signed
         monkeypatch.setattr(
@@ -471,8 +476,9 @@ class TestResultInvariants:
 
 class TestOverflowingQuery:
     """Finite queries near the top of the float64 range: a row whose norm
-    overflows is rescaled, and a row whose discriminants or margin overflow
-    is rejected naming the overflow, with no numpy warning (the suite turns
+    overflows, or whose largest entry outgrows the training data's frame, is
+    rescaled exactly, and a row whose discriminants or margin overflow is
+    rejected naming the overflow, with no numpy warning (the suite turns
     warnings into errors)."""
 
     @staticmethod
@@ -519,14 +525,15 @@ class TestOverflowingQuery:
             np.testing.assert_array_equal(
                 classify_many(model, x, path, 256, 0).discriminants,
                 classify_many(small, np.ldexp(x, -600), path, 256, 0).discriminants)
-        # the two classes on either side of 0: some x - mean/2 overflows, which
-        # names its row
+        # the two classes on either side of 0: x - mean/2 in data units would
+        # overflow for some row, but not in the model's frame
         x = data.samples * (1.7e308 / np.abs(data.samples).max())
         model = fit(LabeledDataset(x, data.labels))
+        small = fit(LabeledDataset(np.ldexp(x, -600), data.labels))
         for path in ("classical", "quantum"):
-            with pytest.raises(DomainRejection,
-                               match=r"^the discriminants of query row \d+ overflow float64$"):
-                classify_many(model, x, path, 256, 0)
+            np.testing.assert_array_equal(
+                classify_many(model, x, path, 256, 0).discriminants,
+                classify_many(small, np.ldexp(x, -600), path, 256, 0).discriminants)
 
 
 class TestExactNormalization:
@@ -550,7 +557,9 @@ class TestExactNormalization:
         x, scale = data.samples + 2.0**47, 2.0**485
         model = fit(LabeledDataset(x, data.labels), shared_covariance=shared)
         scaled = fit(LabeledDataset(x * scale, data.labels), shared_covariance=shared)
-        np.testing.assert_array_equal(scaled.inverse_norms * scale, model.inverse_norms)
+        assert scaled.exponent == model.exponent + 485
+        np.testing.assert_array_equal(scaled.class_means, model.class_means)
+        np.testing.assert_array_equal(scaled.inverse_norms, model.inverse_norms)
         for path in ("classical", "quantum"):
             np.testing.assert_array_equal(
                 classify_many(scaled, x * scale, path, 256, 3).discriminants,
