@@ -218,17 +218,13 @@ def run_reduce(args) -> tuple[dict, dict, dict]:
 
 def _load_test_data(args) -> tuple[LabeledDataset, dict]:
     if args.test:
-        if args.test_count is not None:
-            raise _UsageError("--test-count sizes synthetic test data; it does not apply with --test")
         return load_csv(args.test), {"source": "file", "path": args.test}
-    if args.synthetic and args.test_count is not None:
-        return _preset(args.synthetic, args.test_count, args.seed + 1), {
-            "source": "synthetic",
-            "preset": args.synthetic,
-            "per_class": args.test_count,
-            "seed": args.seed + 1,
-        }
-    raise _UsageError("classify needs --test FILE, or --synthetic with --test-count")
+    return _preset(args.synthetic, args.test_count, args.seed + 1), {
+        "source": "synthetic",
+        "preset": args.synthetic,
+        "per_class": args.test_count,
+        "seed": args.seed + 1,
+    }
 
 
 def _training_classes(test: LabeledDataset, train: LabeledDataset) -> np.ndarray:
@@ -242,6 +238,11 @@ def _training_classes(test: LabeledDataset, train: LabeledDataset) -> np.ndarray
 
 
 def run_classify(args) -> tuple[dict, dict, dict]:
+    # the test-source rules need no file, so they are checked before any is read
+    if args.test and args.test_count is not None:
+        raise _UsageError("--test-count sizes synthetic test data; it does not apply with --test")
+    if not args.test and not (args.synthetic and args.test_count is not None):
+        raise _UsageError("classify needs --test FILE, or --synthetic with --test-count")
     train, descriptor = _load_training_data(args)
     test, test_descriptor = _load_test_data(args)
     truth = _training_classes(test, train)
@@ -279,6 +280,8 @@ def _load_chain_stages(args) -> tuple[ChainSpec, dict]:
         for name in (args.functions.split(",") if args.functions else [])
         if name.strip()
     ]
+    if not functions:
+        raise _UsageError("--functions is required with --operators")
     with open(args.operators, encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
@@ -311,8 +314,6 @@ def _load_chain_stages(args) -> tuple[ChainSpec, dict]:
         except DomainRejection as err:
             raise DomainRejection(f"operator {i}: {err}") from None
         scales.append(tr)
-    if not functions:
-        raise _UsageError("--functions is required with --operators")
     if len(functions) != len(ops):
         raise _UsageError(f"{len(functions)} functions for {len(ops)} operators")
     spec = ChainSpec(tuple(zip(ops, functions)), args.kappa_eff, args.eps, args.t)
@@ -350,11 +351,11 @@ def run_rotate_check(args) -> tuple[dict, dict, dict]:
     # kappa_eff >= 1 keeps the top grid point 1, so the grid is never empty
     grid = descending[_filter_mask(descending, args.kappa_eff)][::-1]
     c_const = _rotation_constant(f, grid, args.eps) if args.c_const is None else args.c_const
-    lams = tuple(grid.tolist())
-    exact = rotation_amplitudes(lams, f, c_const, method="exact")
     fixed = rotation_amplitudes(
-        lams, f, c_const, fraction_bits=args.bits, order=args.order, arcsin_terms=args.arcsin_terms
+        grid, f, c_const, fraction_bits=args.bits, order=args.order, arcsin_terms=args.arcsin_terms
     )
+    # the pipeline has accepted C and the grid, so the exact amplitude is safe to form
+    exact = np.clip(c_const * f(grid), -1.0, 1.0)
     theta_exact = np.array([math.asin(a) for a in exact.tolist()])
     # each fixed amplitude is math.sin of the angle register or exactly +-1
     theta_fixed = np.array([math.asin(a) for a in fixed.tolist()])

@@ -1,8 +1,8 @@
 """Dense Hermitian linear algebra, real or complex.
 
 Eigendecomposition, spectral matrix functions with condition-number
-filtering, and the trace distance. Everything here
-is a pure function of its inputs; matrices are small (N <= 256) and dense.
+filtering, and the trace distance. Everything here is a pure function of its
+inputs; matrices are dense and desk-sized (the benchmark's widest is N=256).
 An operator keeps the arithmetic of its input: real symmetric input is
 stored as float64 and stays real through every function here, complex input
 as complex128.

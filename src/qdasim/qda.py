@@ -2,12 +2,12 @@
 
 The model stores unit-trace covariance operators, class means and priors,
 and the classically recorded inversion products. ``classify_many`` is the
-one scorer: it inverts every class mean once per batch (``invert_apply``)
-and scores the whole batch against those inversions one class at a time,
-returning a ``Classification`` of arrays. Discriminant values combine a
-signed overlap estimate between the inverted-mean state and the shifted
-query state with the recorded norms, so shot-based and exact evaluations
-share one code path.
+one scorer: it takes every class's inverted mean once per batch (recorded,
+or on the quantum path from ``invert_apply``), scores the whole batch against
+them one class at a time and returns a ``Classification`` of arrays.
+Discriminant values combine a signed overlap estimate between the
+inverted-mean state and the shifted query state with the recorded norms, so
+shot-based and exact evaluations share one code path.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ _INV = SpectralFunction.from_name("inverse")
 @dataclass(frozen=True)
 class ClassifierModel:
     """Per-class covariance operators, means, priors, and the classically
-    recorded inversion products that ``invert_apply`` serves:
+    recorded inversion products that ``classify_many`` reads:
     ``inverse_directions`` and ``inverse_norms`` record the unit vector and
     length of the statistical covariance pseudo-inverse applied to each class
     mean. Means and lengths are in the training data's frame, the data over
@@ -135,24 +135,18 @@ def fit(
 
 
 def invert_apply(
-    model: ClassifierModel, path: str = "classical", t: int = DEFAULT_T, eps: float = DEFAULT_EPS
+    model: ClassifierModel, t: int = DEFAULT_T, eps: float = DEFAULT_EPS
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every class's inverted-covariance mean as a unit row, in class order,
-    and the copies of each class's covariance operator its inversion consumed.
+    """Every class's covariance inverse applied to its mean by the quantum
+    inversion stage, as a unit row in class order, and the copies of each
+    class's covariance operator the inversion consumed.
 
-    Each direction d already points along its class mean, d . mu > 0: the
-    classical inverse is a PSD pseudo-inverse, and every quantum stage
-    amplitude a_1 = C f(lambda) is >= 0. The quantum path prepares one
-    inversion stage per distinct covariance operator (one for all classes
-    under ``shared_covariance``), reads each unit mean's output vector in
-    closed form (``apply_pure``) and counts the stage's ``copies``; the
-    classical path reads the recorded directions and consumes no copies. The
-    norm is always the classically recorded ``model.inverse_norms``.
+    One stage is prepared per distinct covariance operator (one for all
+    classes under ``shared_covariance``) and reads each unit mean's output
+    vector in closed form (``apply_pure``). Each direction d points along its
+    class mean, d . mu > 0, since every amplitude a_1 = C f(lambda) is >= 0.
+    The norm is the classically recorded ``model.inverse_norms``.
     """
-    if path == "classical":
-        return model.inverse_directions.copy(), np.zeros(model.k, dtype=int)
-    if path != "quantum":
-        raise DomainRejection(f"unknown path {path!r}")
     # operators hash by identity, so a pooled operator is prepared once
     distinct = {op: prepare_stage(op, _INV, t, model.kappa_eff, eps)
                 for op in dict.fromkeys(model.covariance_ops)}
@@ -200,11 +194,14 @@ def classify_many(
         raise DomainRejection("query vector has non-finite entries")
     if prior_mode not in ("log", "linear"):
         raise DomainRejection(f"unknown prior mode {prior_mode!r}")
+    if path not in ("classical", "quantum"):
+        raise DomainRejection(f"unknown path {path!r}")
     priors = model.priors.tolist()
     prior_terms = [math.log(p) for p in priors] if prior_mode == "log" else priors
     scores = np.zeros((X.shape[0], model.k))
     draws = 0
-    directions, copies = invert_apply(model, path, t, eps)
+    directions, copies = ((model.inverse_directions, np.zeros(model.k, dtype=int))
+                          if path == "classical" else invert_apply(model, t, eps))
     sizes = np.abs(X).max(axis=1)
     # a zero row stays in the model's frame
     lifts = np.where(sizes > 0, np.maximum(np.frexp(sizes)[1] - model.exponent, 0), 0)

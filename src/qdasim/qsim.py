@@ -120,8 +120,7 @@ def phase_estimation(
     generator: DensityOperator,
     input_state: DensityOperator,
     t: int,
-    steps: int = 64,
-    method: str = "exact",
+    steps: int | None = None,
 ) -> QpeState:
     """Joint eigenvalue-register x system state after t-bit phase estimation.
 
@@ -129,10 +128,11 @@ def phase_estimation(
     to t-bit precision with probability equal to the input's overlap with the
     corresponding eigenspace.
 
-    method="exact" is the eigendecomposition reference. method="simulated"
-    composes ``steps`` fixed-angle swap-interaction slices per base period in
-    their coherent limit, which phase-estimates the slightly distorted
-    spectrum steps * arctan(lambda tan(2 pi / steps)) / (2 pi); the
+    With ``steps=None`` the register reads the exact spectrum, the
+    eigendecomposition reference. An integer ``steps`` (at least
+    ``MIN_SLICES``) composes that many fixed-angle swap-interaction slices per
+    base period in their coherent limit, which phase-estimates the slightly
+    distorted spectrum steps * arctan(lambda tan(2 pi / steps)) / (2 pi); the
     distortion vanishes quadratically in 1/steps. At steps = 64 the register
     shift stays below a twentieth of a bin for t <= 5.
     """
@@ -146,15 +146,12 @@ def phase_estimation(
             f"generator spectrum reaches {sol.eigenvalues[0]:.6g}; rescale eigenvalues "
             "into [0, 1) first (e.g. multiply the operator by 1 - 2**-t)"
         )
-    if method == "exact":
-        phases = w
-    elif method == "simulated":
+    phases = w
+    if steps is not None:
         if steps < MIN_SLICES:
             raise DomainRejection(f"need at least {MIN_SLICES} slices, got {steps}")
         delta = 2.0 * np.pi / steps
         phases = steps * np.arctan(w * np.tan(delta)) / (2.0 * np.pi)
-    else:
-        raise DomainRejection(f"unknown phase-estimation method {method!r}")
     beta = sol.eigenvectors.conj().T @ input_state.matrix @ sol.eigenvectors
     return QpeState(phases=phases, t=t, vectors=sol.eigenvectors, beta=beta)
 

@@ -5,8 +5,8 @@ spectral function through a windowed Taylor expansion, feeds the result into
 the arcsin Maclaurin series to obtain the rotation angle theta, and then
 produces the ancilla-|1> amplitude sin theta. Every arithmetic
 step truncates toward zero at the declared register widths, so the
-fixed-point path has a fully accountable error budget; an exact-arithmetic
-reference path runs alongside it.
+fixed-point path has a fully accountable error budget against the exact
+amplitude C f(lambda).
 
 ``rotation_amplitudes`` runs the pipeline over a whole array of eigenvalues
 at once, in the integer lanes of ``_Lanes``; a chain stage rotates all of its
@@ -256,7 +256,6 @@ def rotation_amplitudes(
     fraction_bits: int = DEFAULT_FRACTION_BITS,
     order: int = DEFAULT_TAYLOR_ORDER,
     arcsin_terms: int | None = None,
-    method: str = "fixed",
 ):
     """The ancilla-|1> amplitude a_1 = C f(lam) of the stage rotation.
 
@@ -264,13 +263,13 @@ def rotation_amplitudes(
     is one eigenvalue or a sequence of them; a_1 has its shape (a float for
     a float), and the whole sequence runs through the register pipeline at once.
 
-    method="fixed" runs the full register pipeline: window lookup, scaled
-    Taylor evaluation of g = C*f, arcsin series, then sin of the truncated
-    angle register. Above |g| = 1/sqrt(2) the angle is computed
-    through the complementary form pi/2 - arcsin(sqrt(1 - g^2)) (the square
-    root runs through the same windowed series), which keeps the arcsin
-    argument well inside its convergence radius all the way to |g| = 1.
-    method="exact" is the reference arithmetic path.
+    The pipeline: window lookup, scaled Taylor evaluation of g = C*f, arcsin
+    series, then sin of the truncated angle register. Above |g| = 1/sqrt(2)
+    the angle is computed through the complementary form
+    pi/2 - arcsin(sqrt(1 - g^2)) (the square root runs through the same
+    windowed series), which keeps the arcsin argument well inside its
+    convergence radius all the way to |g| = 1. The exact reference is
+    ``np.clip(c_const * f(lam), -1.0, 1.0)``.
     """
     if fraction_bits < 0:
         raise DomainRejection("register widths must be non-negative")
@@ -294,10 +293,5 @@ def rotation_amplitudes(
             f"|C f(lambda)| = {abs(float(target[over][0])):.6g} exceeds 1; "
             "no valid rotation exists"
         )
-    if method == "exact":
-        a1 = np.clip(target, -1.0, 1.0)
-    elif method == "fixed":
-        a1 = _fixed_point_amplitudes(flat, f, c_const, fraction_bits, order, arcsin_terms)
-    else:
-        raise DomainRejection(f"unknown rotation method {method!r}")
+    a1 = _fixed_point_amplitudes(flat, f, c_const, fraction_bits, order, arcsin_terms)
     return a1.reshape(values.shape)[()]

@@ -261,11 +261,9 @@ class TestAcceptance:
             vec = q[:, pick]
             input_state = DensityOperator(np.outer(vec, vec))
             target_bin = int(round(grid_vals[pick] * big_t))
-            exact = phase_estimation(generator, input_state, t, method="exact")
+            exact = phase_estimation(generator, input_state, t)
             p_exact = exact.register_marginal()[target_bin]
-            simulated = phase_estimation(
-                generator, input_state, t, steps=64, method="simulated"
-            )
+            simulated = phase_estimation(generator, input_state, t, steps=64)
             p_sim = simulated.register_marginal()[target_bin]
             exact_ok += p_exact >= 1.0 - 1e-9
             simulated_ok += p_sim >= 0.99

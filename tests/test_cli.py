@@ -512,6 +512,17 @@ class TestChain:
         assert (exit_code, report) == (code, None)
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("file", ["non-psd", "missing"])
+    def test_missing_functions_rejected_before_the_file_is_read(self, file, tmp_path, capsys):
+        ops = tmp_path / "ops.json"
+        if file == "non-psd":
+            # the README's file, whose second operator alone would exit 2
+            ops.write_text('{"operators": [[[0.5, 0], [0, 0.5]], [[0.9, 0], [0, -0.1]]]}')
+        code, report = run_cli(["chain", "--operators", str(ops), "--seed", "0"], tmp_path)
+        assert (code, report) == (EXIT_USAGE, None)
+        assert capsys.readouterr().err.endswith(
+            "qdasim: error: --functions is required with --operators\n")
+
     def test_vanished_stage_postselection_exits_with_numeric_code(self, tmp_path, capsys):
         # at t=8 stage 1 cannot resolve its 1e-5 eigenvalue, so its output is
         # exactly |0>, which stage 2 (resolving only |1>) postselects with probability 0
@@ -983,6 +994,21 @@ class TestDataSourceFlags:
         )
         assert (code, report) == (EXIT_USAGE, None)
         assert "--test-count sizes synthetic test data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("test_flags, message", [
+        ([], "classify needs --test FILE, or --synthetic with --test-count"),
+        (["--test", GOLDEN_CSV, "--test-count", "5"],
+         "--test-count sizes synthetic test data; it does not apply with --test"),
+    ], ids=["no-test-source", "test-count-with-test"])
+    def test_test_source_rules_precede_reading_the_training_file(self, test_flags, message,
+                                                                  tmp_path, capsys):
+        # a training file whose non-numeric cell alone would exit 2
+        bad = tmp_path / "bad.csv"
+        bad.write_text("u,v,label\n1,x,a\n3,4,b\n")
+        code, report = run_cli(["classify", "--data", str(bad), *test_flags, "--seed", "0"],
+                               tmp_path)
+        assert (code, report) == (EXIT_USAGE, None)
+        assert capsys.readouterr().err.endswith(f"qdasim: error: {message}\n")
 
     @pytest.mark.parametrize("per_class, recorded", [([], 50), (["--per-class", "7"], 7)])
     def test_synthetic_per_class_recorded(self, per_class, recorded, tmp_path):

@@ -130,7 +130,7 @@ class TestInvertApply:
     def test_isotropic_covariance_keeps_mean_direction(self):
         data, mu = isotropic_two_class()
         model = fit(data, 100.0)
-        directions, _ = invert_apply(model, "classical")
+        directions = model.inverse_directions
         direction = directions[0]
         assert abs(np.dot(direction, mu / np.linalg.norm(mu))) == pytest.approx(1.0)
 
@@ -151,7 +151,7 @@ class TestInvertApply:
             np.diag([1.0, 0.5]),
             atol=1e-12,
         )
-        directions, _ = invert_apply(model, "classical")
+        directions = model.inverse_directions
         expected = np.array([1.0, 2.0]) / np.sqrt(5.0)
         assert np.allclose(directions[0], expected)
         # the norm classify_many scales every path by is the model's recorded
@@ -163,8 +163,8 @@ class TestInvertApply:
         for seed in range(20):
             data, _ = gauss3(seed=seed, per_class=15)
             model = fit(data, 100.0)
-            classical, _ = invert_apply(model, "classical")
-            quantum, _ = invert_apply(model, "quantum", t=8)
+            classical = model.inverse_directions
+            quantum, _ = invert_apply(model, t=8)
             for c, (vc, vq, nc) in enumerate(zip(classical, quantum, model.inverse_norms), 1):
                 assert abs(np.dot(vc, vq)) >= 0.99
                 # a query whose shifted vector is the quantum direction itself has
@@ -175,6 +175,17 @@ class TestInvertApply:
                 nq = score - math.log(model.priors[c - 1])
                 # the quantum path reuses the recorded norm
                 assert nq == pytest.approx(np.ldexp(nc, -model.exponent), rel=1e-12)
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"t": 99}, "phase register width t=99 outside [2, 12]"),
+        ({"eps": 7.0}, "eps must lie in (0, 1), got 7.0"),
+    ], ids=["t", "eps"])
+    def test_invalid_stage_setting_rejected(self, setting, message):
+        # every setting drives the inversion stage, so none is accepted unread
+        model = fit(gauss3(seed=0, per_class=15)[0], 100.0)
+        with pytest.raises(DomainRejection) as info:
+            invert_apply(model, **setting)
+        assert str(info.value) == message
 
 
 class TestDiscriminant:
@@ -215,7 +226,7 @@ class TestDiscriminant:
         classical = classify_many(model, [x], "classical").discriminants[0, c - 1]
         # row i is seeded 0 + i, so the batch replays trials 0..999
         batch = classify_many(model, np.tile(x, (trials, 1)), "quantum", shots=512, seed=0)
-        direction = invert_apply(model, "classical")[0][c - 1]
+        direction = model.inverse_directions[c - 1]
         inv_norm = np.ldexp(model.inverse_norms[c - 1], -model.exponent)
         shifted = x - 0.5 * np.ldexp(model.class_means[c - 1], model.exponent)
         shifted_norm = np.linalg.norm(shifted)
@@ -309,7 +320,8 @@ class TestClassifyMany:
             qda, "invert_apply", lambda *args: calls.append(args) or invert(*args)
         )
         results = classify_many(model, queries, path, shots=256, seed=40, t=8)
-        assert len(calls) == 1
+        # only the quantum path inverts; the classical path reads the model's record
+        assert len(calls) == (path == "quantum")
         assert len(results.decisions) == len(queries)
         for i, want in enumerate(expected):
             assert np.array_equal(results.discriminants[i], want.discriminants[0])

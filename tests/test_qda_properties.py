@@ -1,6 +1,6 @@
-"""Property tests for the class inversions: every inverted mean leaves
-``invert_apply`` as a unit direction on the class mean's side, on both paths,
-so no consumer needs to re-orient it."""
+"""Property tests for the class inversions: every inverted mean, recorded by
+``fit`` or returned by ``invert_apply``, is a unit direction on the class
+mean's side, so no consumer needs to re-orient it."""
 from __future__ import annotations
 
 import numpy as np
@@ -36,8 +36,8 @@ def gaussian_classes(draw):
 def test_inverted_means_are_unit_and_on_the_mean_side(case):
     data, shared, t = case
     model = fit(data, shared_covariance=shared)
-    for path in ("classical", "quantum"):
-        directions, _ = invert_apply(model, path, t)
+    for path, directions in (("classical", model.inverse_directions),
+                             ("quantum", invert_apply(model, t)[0])):
         for direction, mu in zip(directions, model.class_means):
             assert abs(np.linalg.norm(direction) - 1.0) <= 1e-12, path
             assert float(direction @ mu) > 0.0, path

@@ -144,8 +144,8 @@ class TestPhaseEstimation:
         t = 4
         gen = DensityOperator(np.diag([1 / 16, 3 / 16, 5 / 16, 7 / 16]))
         inp = DensityOperator(np.diag([0.0, 0.0, 0.0, 1.0]))
-        exact = phase_estimation(gen, inp, t, method="exact").register_marginal()
-        sim = phase_estimation(gen, inp, t, steps=64, method="simulated").register_marginal()
+        exact = phase_estimation(gen, inp, t).register_marginal()
+        sim = phase_estimation(gen, inp, t, steps=64).register_marginal()
         assert exact[7] == pytest.approx(1.0, abs=1e-12)
         assert sim[7] >= 0.99
 
@@ -154,14 +154,14 @@ class TestPhaseEstimation:
         inp = DensityOperator(np.diag([0.0, 1.0, 0.0]))
         errs = []
         for steps in (16, 64, 256):
-            marginal = phase_estimation(gen, inp, 5, steps=steps, method="simulated")
+            marginal = phase_estimation(gen, inp, 5, steps=steps)
             errs.append(1.0 - marginal.register_marginal()[12])
         assert errs[0] > errs[1] > errs[2]
 
     def test_min_slice_count_enforced(self):
         gen = DensityOperator(np.diag([0.25, 0.75]))
         with pytest.raises(DomainRejection, match="slices"):
-            phase_estimation(gen, gen, 4, steps=2, method="simulated")
+            phase_estimation(gen, gen, 4, steps=2)
 
 
 class TestRegisterProfiles:
@@ -473,11 +473,12 @@ _QUARTER = DensityOperator(np.eye(4) / 4)
 @pytest.mark.parametrize("build, message", [
     (lambda: phase_estimation(_QUARTER, DensityOperator(np.eye(2) / 2), 4),
      "generator and input dimensions differ"),
-    (lambda: phase_estimation(_QUARTER, _QUARTER, 4, method="bogus"),
-     "unknown phase-estimation method 'bogus'"),
+    # a negative slice count is rejected, not read as the exact spectrum
+    (lambda: phase_estimation(_QUARTER, _QUARTER, 4, steps=-5),
+     "need at least 5 slices, got -5"),
     (lambda: overlap_test_signed(np.array([1.0, 0.0]), np.eye(2), 16, [0]),
      "1 seeds for 2 rows; need one per row"),
-], ids=["dimensions", "method", "one-seed-two-rows"])
+], ids=["dimensions", "negative-steps", "one-seed-two-rows"])
 def test_qsim_rejection(build, message):
     with pytest.raises(DomainRejection) as info:
         build()
