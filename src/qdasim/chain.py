@@ -79,7 +79,9 @@ class ChainSpec:
     """Ordered (operator, spectral function) stages plus the run parameters.
 
     Stage j applies f_j to A_j; stage 1 acts first (it is the rightmost
-    factor of the chain product). Every stage's rotation normalization
+    factor of the chain product). A chain has at least one stage, and every
+    stage operator has stage 1's dimension; both rules are checked here,
+    before any operator is decomposed. Every stage's rotation normalization
     constant is C_j = (1 - eps) / max |f_j| over the register-resolved
     kept spectrum, which maximizes postselection success.
     """
@@ -91,11 +93,15 @@ class ChainSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", tuple((a, f) for a, f in self.stages))
+        if not self.stages:
+            raise DomainRejection("empty chain has no operator content")
         for j, (a, f) in enumerate(self.stages, start=1):
             if not isinstance(a, DensityOperator):
                 raise DomainRejection(f"stage {j} operator is not a DensityOperator")
             if not isinstance(f, SpectralFunction):
                 raise DomainRejection(f"stage {j} function is not a SpectralFunction")
+            if a.dim != self.stages[0][0].dim:
+                raise DomainRejection("chain stages have mismatched dimensions")
         _check_kappa_eff(self.kappa_eff)
         _check_eps(self.eps)
         _check_register_width(self.t)
@@ -143,14 +149,9 @@ class ChainReport:
 def _oracle_with_factors(spec: ChainSpec) -> tuple[DensityOperator, list[np.ndarray]]:
     """``classical_chain_oracle`` of spec together with its stage factors
     f_j(A_j), in stage order, for callers that reuse a factor."""
-    if not spec.stages:
-        raise DomainRejection("empty chain has no operator content")
-    dim = spec.stages[0][0].dim
-    f_total = np.eye(dim)
+    f_total = np.eye(spec.stages[0][0].dim)
     factors = []
     for a, f in spec.stages:
-        if a.dim != dim:
-            raise DomainRejection("chain stages have mismatched dimensions")
         factors.append(matrix_function(a, f, spec.kappa_eff).matrix)
         f_total = factors[-1] @ f_total
     product = f_total @ f_total.conj().T
@@ -287,26 +288,22 @@ def chain_stage(
     return result.state, result.probability
 
 
-def chain_apply(spec: ChainSpec, rho0: DensityOperator | None = None) -> ChainReport:
-    """Fold the stages in order over rho0 (default: the maximally mixed state).
+def chain_apply(spec: ChainSpec) -> ChainReport:
+    """Fold the stages in order over the maximally mixed state I/N, the state
+    ``classical_chain_oracle`` starts from.
 
     The report carries the prepared stages, per-stage success probabilities,
     their guaranteed floors, the per-stage copy counts, and their products;
     the output state's trace distance to ``classical_chain_oracle`` shrinks as t grows.
     """
-    if rho0 is None:
-        if not spec.stages:
-            raise DomainRejection("empty chain needs an explicit rho0")
-        n = spec.stages[0][0].dim
-        rho0 = DensityOperator(np.eye(n) / n)
-    rho, stages, outcomes = rho0, [], []
+    n = spec.stages[0][0].dim
+    rho, stages, outcomes = DensityOperator(np.eye(n) / n), [], []
     for a, f in spec.stages:
         stages.append(prepare_stage(a, f, spec.t, spec.kappa_eff, spec.eps))
         outcomes.append(stages[-1].apply(rho))
         rho = outcomes[-1].state
     probs = np.array([r.probability for r in outcomes])
     bounds = np.array([r.floor for r in outcomes])
-    # the product of no factors is 1: an empty chain succeeds with certainty
     return ChainReport(
         output=rho,
         stage_success_probabilities=probs,
@@ -314,6 +311,5 @@ def chain_apply(spec: ChainSpec, rho0: DensityOperator | None = None) -> ChainRe
         stages=tuple(stages),
         stage_bounds=bounds,
         theoretical_bound=float(np.prod(bounds)),
-        amplified_bound_stage1=float(np.prod([r.amplified_floor for r in outcomes[:1]])),
+        amplified_bound_stage1=outcomes[0].amplified_floor,
     )
-

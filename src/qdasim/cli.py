@@ -284,7 +284,8 @@ def _load_chain_stages(args) -> tuple[ChainSpec, dict]:
         raise _UsageError("--functions is required with --operators")
     with open(args.operators, encoding="utf-8") as handle:
         try:
-            payload = json.load(handle)
+            # an integer literal past float64 reads as inf, which the operator check names
+            payload = json.load(handle, parse_int=float)
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
             # JSON text is UTF-8, so undecodable bytes are invalid JSON
             raise _UsageError(f"{args.operators}: invalid JSON ({err})") from err
@@ -295,24 +296,22 @@ def _load_chain_stages(args) -> tuple[ChainSpec, dict]:
     ops = []
     for i, entry in enumerate(raw, start=1):
         try:
-            matrix = np.asarray(entry, dtype=float)
-        except (ValueError, TypeError):
-            raise DomainRejection(f"operator {i} is not a numeric matrix") from None
-        try:
+            matrix = np.asarray(entry)  # ValueError for a ragged nesting
+            if matrix.dtype.kind != "f":  # a string, boolean, null or object entry
+                raise ValueError
             herm = HermitianOperator(matrix)
             tr = herm.trace()
-        except DomainRejection as err:
-            raise DomainRejection(f"operator {i}: {err}") from None
-        if tr <= 0:
-            raise DomainRejection(f"operator {i} has non-positive trace {tr!r}")
-        with np.errstate(over="ignore"):
-            unit = herm.matrix / tr
-        if not np.all(np.isfinite(unit)):
-            raise DomainRejection(f"operator {i} overflows float64 when divided by its trace {tr!r}")
-        try:
+            if tr <= 0:
+                raise DomainRejection(f"has non-positive trace {tr!r}")
+            with np.errstate(over="ignore"):
+                unit = herm.matrix / tr
+            if not np.all(np.isfinite(unit)):
+                raise DomainRejection(f"overflows float64 when divided by its trace {tr!r}")
             ops.append(DensityOperator(unit))
         except DomainRejection as err:
             raise DomainRejection(f"operator {i}: {err}") from None
+        except ValueError:
+            raise DomainRejection(f"operator {i}: not a numeric matrix") from None
         scales.append(tr)
     if len(functions) != len(ops):
         raise _UsageError(f"{len(functions)} functions for {len(ops)} operators")

@@ -2,10 +2,21 @@
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 
 from qdasim.linalg import DensityOperator, HermitianOperator
+
+# hypothesis's report of a failing example imports libcst, whose import of
+# mypy_extensions.TypedDict warns; imported here once, that warning cannot turn
+# the report into an internal error when every warning is an error
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> HermitianOperator:

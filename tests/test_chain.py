@@ -402,16 +402,10 @@ class TestKappaRule:
 
 
 class TestChainApply:
-    def test_empty_chain_returns_input(self):
-        rho = DensityOperator(np.diag([0.2, 0.8]))
-        spec = ChainSpec(stages=())
-        report = chain_apply(spec, rho0=rho)
-        assert report.total_success_probability == 1.0
-        assert trace_distance(report.output, rho) < 1e-15
-
     def test_empty_chain_without_state_rejected(self):
-        with pytest.raises(DomainRejection, match="rho0"):
-            chain_apply(ChainSpec(stages=()))
+        # the spec itself rejects it, so chain_apply never sees an empty chain
+        with pytest.raises(DomainRejection, match="^empty chain has no operator content$"):
+            ChainSpec(stages=())
 
     def test_constant_one_chain_returns_initial_state_exactly(self):
         rng = np.random.default_rng(3)
@@ -551,3 +545,16 @@ def test_chain_rejection(build, message):
     with pytest.raises(DomainRejection) as info:
         build()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("dims, message", [
+    ((), "empty chain has no operator content"),
+    ((4, 2), "chain stages have mismatched dimensions"),
+], ids=["empty-chain", "dimensions-4-and-2"])
+def test_chain_shape_rejected_before_any_decomposition(dims, message):
+    # the shape rules belong to the spec: no stage operator is diagonalized
+    ops = [DensityOperator(np.eye(n) / n) for n in dims]
+    with pytest.raises(DomainRejection) as info:
+        ChainSpec(tuple((a, _SQRT) for a in ops), 10.0)
+    assert str(info.value) == message
+    assert all(a._eig is None for a in ops)

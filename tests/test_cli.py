@@ -500,7 +500,7 @@ class TestChain:
     @pytest.mark.parametrize("operators, functions, code, message", [
         ([], ["--functions", "sqrt"], EXIT_USAGE, "expected a non-empty operator list"),
         ([[[-1.0, 0.0], [0.0, 0.0]]], ["--functions", "sqrt"], EXIT_DOMAIN,
-         "domain rejection: operator 1 has non-positive trace -1.0"),
+         "domain rejection: operator 1: has non-positive trace -1.0"),
         ([[[1.0, 0.0], [0.0, 1.0]]], [], EXIT_USAGE, "--functions is required with --operators"),
     ], ids=["empty-list", "negative-trace", "no-functions"])
     def test_operator_file_rejection(self, operators, functions, code, message, tmp_path,
@@ -581,8 +581,10 @@ class TestChain:
             assert "complexity_score" not in report["metrics"]
             assert "x_cost" not in report["parameters"]
 
-    @pytest.mark.parametrize("entry", [[[1, 0], [0]], [["a", "b"], ["c", "d"]], {}],
-                             ids=["ragged-row", "strings", "object"])
+    # numpy would read a quoted number or a boolean as a number; the file format does not
+    @pytest.mark.parametrize("entry", [[[1, 0], [0]], [["a", "b"], ["c", "d"]], {},
+                                       [["1", "0"], ["0", "1"]], [[True, False], [False, True]]],
+                             ids=["ragged-row", "strings", "object", "quoted-numbers", "booleans"])
     def test_malformed_operator_entry_exits_with_domain_code(self, entry, tmp_path, capsys):
         ops = tmp_path / "ops.json"
         ops.write_text(json.dumps({"operators": [[[1.0, 0.0], [0.0, 1.0]], entry]}))
@@ -591,11 +593,11 @@ class TestChain:
             tmp_path,
         )
         assert (code, report) == (EXIT_DOMAIN, None)
-        assert "operator 2 is not a numeric matrix" in capsys.readouterr().err
+        assert "domain rejection: operator 2: not a numeric matrix" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "entry, reason",
-        [(None, "operator must be a square matrix, got shape ()"),
+        [(None, "not a numeric matrix"),
          ([[1, 0, 0], [0, 1, 0]], "operator must be a square matrix, got shape (2, 3)"),
          ([[1, 0], [0, float("nan")]], "operator has non-finite entries"),
          ([[0.9, 0], [0, -0.1]], "not positive semidefinite: min eigenvalue -1.250e-01")],
@@ -687,8 +689,10 @@ class TestOverflowingInput:
     @pytest.mark.parametrize("matrix, reason", [
         (np.diag([1e308, 1e308]), "operator 1: operator entries overflow float64 when symmetrized"),
         (np.diag([8e307, 8e307, 8e307]), "operator 1: operator trace overflows float64"),
-        ([[1e-300, 1e10], [1e10, 1e-300]], "operator 1 overflows float64 when divided by its trace"),
-    ], ids=["symmetrized", "trace", "unit-trace"])
+        ([[1e-300, 1e10], [1e10, 1e-300]], "operator 1: overflows float64 when divided by its trace"),
+        # a 400-digit integer literal reads as inf, not as an int that float() overflows on
+        ([[10**399, 0], [0, 1]], "operator 1: operator has non-finite entries"),
+    ], ids=["symmetrized", "trace", "unit-trace", "integer-past-float64"])
     def test_operator_file(self, matrix, reason, tmp_path, capsys):
         ops = tmp_path / "big.json"
         ops.write_text(json.dumps({"operators": [np.asarray(matrix).tolist()]}))

@@ -219,11 +219,10 @@ class TestQuantumLda:
             build(spec)
 
     def test_rejects_whitening_stages_of_two_dimensions(self):
-        # the chain itself rejects a stage whose dimension differs from its input's
+        # the chain spec itself rejects a stage whose dimension differs from stage 1's
         (sw, f_w), _ = whitening_chain(two_class_dataset(), 100.0).stages
-        spec = ChainSpec(((sw, f_w), (DensityOperator(np.eye(2) / 2.0), lda._SQRT)))
-        with pytest.raises(DomainRejection, match="state dimension 4 does not match operator 2"):
-            quantum_lda(spec, 1, seed=1)
+        with pytest.raises(DomainRejection, match="^chain stages have mismatched dimensions$"):
+            ChainSpec(((sw, f_w), (DensityOperator(np.eye(2) / 2.0), lda._SQRT)))
 
     def test_rank_shortfall_rejected_with_count(self):
         data = two_class_dataset()
