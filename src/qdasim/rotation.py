@@ -9,9 +9,9 @@ fixed-point path has a fully accountable error budget against the exact
 amplitude C f(lambda).
 
 ``rotation_amplitudes`` runs the pipeline over a whole array of eigenvalues
-at once, in the integer lanes of ``_Lanes``; a chain stage rotates all of its
-register values in one call. A value that does not fit its register is never
-dropped silently: a lost high bit raises ``NumericalFailure``.
+at once, in the Python-integer lanes of ``_Lanes``; a chain stage rotates all
+of its register values in one call. A value that does not fit its register is
+never dropped silently: a lost high bit raises ``NumericalFailure``.
 """
 from __future__ import annotations
 
@@ -38,23 +38,21 @@ _MAX_ARCSIN_TERMS = 48
 _SQRT = SpectralFunction.from_name("sqrt")
 
 
-def _arcsin_coefficients(terms: int) -> list[float]:
-    """Maclaurin coefficients of arcsin: x + x^3/6 + 3x^5/40 + 5x^7/112 + ...
-
-    Entry j multiplies x**(2j + 1); integer true division rounds each exact
-    ratio correctly to the nearest float.
-    """
-    return [math.comb(2 * j, j) / (4**j * (2 * j + 1)) for j in range(terms)]
+def _arcsin_coefficient(j: int) -> float:
+    """Maclaurin coefficient j of arcsin = x + x^3/6 + 3x^5/40 + 5x^7/112 + ...,
+    the one of x**(2j + 1); integer true division rounds the exact ratio
+    correctly to the nearest float."""
+    return math.comb(2 * j, j) / (4**j * (2 * j + 1))
 
 
-_ARCSIN_FLOATS = tuple(_arcsin_coefficients(_MAX_ARCSIN_TERMS))
+_ARCSIN_FLOATS = tuple(map(_arcsin_coefficient, range(_MAX_ARCSIN_TERMS)))
 
 
 def arcsin_series_reference(x: float, terms: int) -> float:
     """Exact-arithmetic (float) evaluation of the truncated arcsin series."""
     if terms < 1:
         raise DomainRejection("need at least one arcsin series term")
-    return float(sum(c * x ** (2 * j + 1) for j, c in enumerate(_arcsin_coefficients(terms))))
+    return float(sum(_arcsin_coefficient(j) * x ** (2 * j + 1) for j in range(terms)))
 
 
 def arcsin_terms_for_budget(x_max: float, fraction_bits: int) -> int:
@@ -97,10 +95,10 @@ def _float_values(v: np.ndarray, fraction_bits: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Lanes:
-    """Arrays of signed fixed-point values v = sign * magnitude, all at
-    Q(integer_bits).(fraction_bits). Every operation truncates toward zero,
-    and a magnitude that reaches the register limit raises
-    ``NumericalFailure`` rather than losing its high bits."""
+    """Arrays of Python integers, signed fixed-point values v = sign *
+    magnitude, all at Q(integer_bits).(fraction_bits). Products are exact,
+    every operation truncates toward zero, and a magnitude that reaches the
+    register limit raises ``NumericalFailure`` rather than losing its high bits."""
 
     integer_bits: int
     fraction_bits: int
@@ -108,12 +106,6 @@ class _Lanes:
     @property
     def limit(self) -> int:
         return 1 << (self.integer_bits + self.fraction_bits)
-
-    @property
-    def dtype(self):
-        # the product of two register values needs 2 * (ib + fb) bits; wider
-        # registers fall back to Python integers
-        return np.int64 if 2 * (self.integer_bits + self.fraction_bits) < 63 else object
 
     def checked(self, v):
         """v itself; a lane whose magnitude reaches the register limit raises."""
@@ -133,14 +125,18 @@ class _Lanes:
         p = a * b
         return self.checked(_signed(p, np.abs(p) >> self.fraction_bits))
 
-    def taylor(self, coeffs: np.ndarray, aux: np.ndarray) -> np.ndarray:
-        """The series around 0: lane k sums coeffs[k, i] * aux[k]**i with a
-        running power register and a running total."""
-        power = np.full(aux.shape, 1 << self.fraction_bits, dtype=self.dtype)
-        total = coeffs[:, 0]
-        for i in range(1, coeffs.shape[1]):
+    def taylor(self, column, count: int, aux: np.ndarray) -> np.ndarray:
+        """The series around 0: lane k sums column(i)[k] * aux[k]**i over
+        i < count with a running power register and a running total. A
+        product of truncations only shrinks, so once the power register reads
+        0 in every lane each later term adds 0, and its column is never built."""
+        power = np.full(aux.shape, 1 << self.fraction_bits, dtype=object)
+        total = column(0)
+        for i in range(1, count):
             power = self.multiply(power, aux)
-            total = self.checked(total + self.multiply(power, coeffs[:, i]))
+            if not power.any():
+                break
+            total = self.checked(total + self.multiply(power, column(i)))
         return total
 
     def series(
@@ -172,27 +168,27 @@ class _Lanes:
                     f"preconditioned Taylor coefficients overflow the {ib}-bit integer field"
                 )
             table.append([self.fixed(c) for c in coeffs])
-        coeffs = np.array(table, dtype=self.dtype).reshape(-1, order + 1)[which]
-        level = level.astype(self.dtype)
+        coeffs = np.array(table, dtype=object).reshape(-1, order + 1)[which]
+        level = level.astype(object)
         # u = (x - x0) 2^(j+2) / 3: an exact subtraction and shift, then one
-        # multiply by 1/3 held at 2 wb fraction bits, split into two wb-bit
-        # limbs so that every partial product fits the lane type
+        # exact multiply by 1/3 held at 2 wb fraction bits, truncated once
         d = ((x << (wb - x_bits)) - (3 << (wb - 2 - level))) * (1 << (level + 2))
         third = _Lanes(ib, 2 * wb).fixed(1.0 / 3.0)
-        m = np.abs(d)
-        low_limb = (m * (third & ((1 << wb) - 1))) >> wb
-        u = self.checked(_signed(d, (m * (third >> wb) + low_limb) >> wb))
-        return self.taylor(coeffs, u)
+        u = self.checked(_signed(d, (np.abs(d) * third) >> (2 * wb)))
+        return self.taylor(lambda i: coeffs[:, i], order + 1, u)
 
     def arcsin(self, x: np.ndarray, terms: np.ndarray) -> np.ndarray:
         """theta = arcsin(x) by the Maclaurin series around 0, with terms[k]
         series terms in lane k. Only odd powers appear, and magnitudes
-        truncate toward zero, so the result is exactly odd in x."""
-        width = int(terms.max(initial=1))
-        a = np.array([self.fixed(c) for c in _arcsin_coefficients(width)], dtype=self.dtype)
-        coeffs = np.zeros((x.size, 2 * width), dtype=self.dtype)
-        coeffs[:, 1::2] = a * (np.arange(width) < terms[:, None])
-        return self.taylor(coeffs, x)
+        truncate toward zero, so the result is exactly odd in x. A term past
+        the last power register that is nonzero in some lane is never built."""
+
+        def column(i):
+            j, odd = divmod(i, 2)
+            coefficient = self.fixed(_arcsin_coefficient(j)) if odd else 0
+            return (j < terms) * np.array(coefficient, dtype=object)
+
+        return self.taylor(column, 2 * int(terms.max(initial=1)), x)
 
 
 def _fixed_point_amplitudes(
@@ -208,7 +204,7 @@ def _fixed_point_amplitudes(
     ib = DEFAULT_INTEGER_BITS
     lanes = _Lanes(ib, wb)
     one = 1 << wb
-    x = np.array([int(v) for v in (lam * (1 << fraction_bits)).tolist()], dtype=lanes.dtype)
+    x = np.array([int(v) for v in (lam * (1 << fraction_bits)).tolist()], dtype=object)
     g = lanes.series(x, fraction_bits, f, c_const, order)
     # a lane at |g| >= 1 saturates at a quarter turn
     saturated = np.abs(g) >= one
@@ -219,7 +215,6 @@ def _fixed_point_amplitudes(
     # 1 - g^2 is below 2^-(wb-2), the quarter-turn constant is exact
     s = one - lanes.multiply(g, g)
     complement = ~saturated & ~direct & (s >= 4)
-    quarter = ~saturated & ~direct & (s < 4)
     arg = g.copy()
     arg[complement] = lanes.series(s[complement], wb, _SQRT, 1.0, order)
     rotated = direct | complement
@@ -231,14 +226,14 @@ def _fixed_point_amplitudes(
             dtype=np.int64,
         )
     else:
-        terms = np.full(int(rotated.sum()), arcsin_terms, dtype=np.int64)
-    angle = lanes.arcsin(arg[rotated], terms)
-    half_pi = lanes.fixed(math.pi / 2.0)
-    turned = lanes.checked(half_pi - angle)
-    theta = np.zeros(g.shape, dtype=lanes.dtype)
-    theta[rotated] = np.where(direct[rotated], angle, np.where(g[rotated] > 0, turned, -turned))
-    # built in the lane type: a wide register's pi/2 does not fit an int64
-    theta[quarter] = _signed(g[quarter], np.full(int(quarter.sum()), half_pi, lanes.dtype))
+        # any count: the series builds no term past the last nonzero power
+        terms = np.full(int(rotated.sum()), arcsin_terms, dtype=object)
+    theta = np.zeros(g.shape, dtype=object)
+    theta[rotated] = lanes.arcsin(arg[rotated], terms)
+    # every other lane turns by sign(g) (pi/2 - arcsin), a quarter turn with no
+    # arcsin; a saturated lane's angle is never read
+    turned = lanes.checked(lanes.fixed(math.pi / 2.0) - theta[~direct])
+    theta[~direct] = _signed(g[~direct], turned)
     # truncate the angle register to the declared fraction width
     theta = _Lanes(ib, fraction_bits).checked(
         _signed(theta, np.abs(theta) >> DEFAULT_GUARD_BITS)

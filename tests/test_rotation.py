@@ -21,8 +21,8 @@ from qdasim.rotation import (
     DEFAULT_FRACTION_BITS,
     DEFAULT_GUARD_BITS,
     DEFAULT_INTEGER_BITS,
+    _ARCSIN_FLOATS,
     _MAX_ARCSIN_TERMS,
-    _arcsin_coefficients,
     _Lanes,
     _preconditioned_coefficients,
     arcsin_series_reference,
@@ -493,7 +493,7 @@ class TestArcsinAngle:
         ]
         # the pipeline's floats are the correctly rounded exact coefficients
         exact = arcsin_series_coefficients(_MAX_ARCSIN_TERMS)
-        assert _arcsin_coefficients(_MAX_ARCSIN_TERMS) == [float(c) for c in exact]
+        assert list(_ARCSIN_FLOATS) == [float(c) for c in exact]
 
     def test_four_terms_at_half_exact_arithmetic(self):
         val = arcsin_series_reference(0.5, 4)
@@ -576,9 +576,10 @@ class TestBatchedRotation:
             expected = np.array([scalar_rotation_amplitudes(v, f, c) for v in values.tolist()])
             assert np.array_equal(a1, expected), t
 
-    @pytest.mark.parametrize("bits", [8, 24])
+    @pytest.mark.parametrize("bits", [8, 19, 20, 24, 60])
     def test_other_register_widths_match_scalar_reference_bitwise(self, bits):
-        # at 24 fraction bits the lanes hold Python integers: products need > 63 bits
+        # a product of two registers needs 62 bits at 19 fraction bits and 64 at
+        # 20; at 60 a register alone is wider than a float's 53-bit significand
         values = np.arange(1, 256) / 256
         for name in ("inverse", "sqrt"):
             f = SpectralFunction.from_name(name)
@@ -645,6 +646,19 @@ class TestBatchedRotation:
             FixedPointValue, 1, 0, DEFAULT_INTEGER_BITS, -2
         )
         assert "must be finite" in rejection(rotation_amplitudes, 0.5, inverse, math.nan)
+
+    @pytest.mark.parametrize("bits", [16, 60])
+    def test_arcsin_terms_past_the_last_nonzero_power_change_no_bit(self, bits):
+        # a million terms, or more than an int64 holds, costs what a thousand
+        # do: the series stops building terms once every lane's power reads 0
+        values = np.arange(1, 256) / 256
+        for name in ("identity", "inverse-sqrt"):
+            f = SpectralFunction.from_name(name)
+            c = 0.9 / float(np.max(np.abs(f(values))))
+            ref = rotation_amplitudes(values, f, c, fraction_bits=bits, arcsin_terms=1000)
+            for terms in (10**6, 10**20):
+                a1 = rotation_amplitudes(values, f, c, fraction_bits=bits, arcsin_terms=terms)
+                assert np.array_equal(a1, ref)
 
     def test_arcsin_terms_beyond_the_budget_table_match_scalar_reference_bitwise(self):
         f = SpectralFunction.from_name("identity")
