@@ -262,7 +262,10 @@ def feature_map(data: LabeledDataset, degree: int) -> LabeledDataset:
 
     Output dimension is C(N + degree, degree) - 1; discriminant analysis of
     the mapped data realizes polynomial-kernel discrimination without any
-    Gram-matrix machinery.
+    Gram-matrix machinery. Monomials are formed from the samples over their
+    largest |entry|, a real number (a power of two would still scale degree d
+    by the d-th power of a factor in [1, 2)), so every feature lies in [-1, 1]
+    and a uniform rescale of the data moves the mapped data only by rounding.
     """
     if degree not in (1, 2, 3):
         raise DomainRejection(f"degree must be 1, 2, or 3, got {degree}")
@@ -272,18 +275,14 @@ def feature_map(data: LabeledDataset, degree: int) -> LabeledDataset:
         raise DomainRejection(
             f"mapped dimension {out_dim} exceeds the desk-scale cap {FEATURE_DIM_CAP}"
         )
+    samples = data.samples / (np.max(np.abs(data.samples)) or 1.0)
     columns = []
     names = []
     base_names = data.feature_names or tuple(f"x{i + 1}" for i in range(n))
     for d in range(1, degree + 1):
         for combo in itertools.combinations_with_replacement(range(n), d):
             names.append("*".join(base_names[i] for i in combo))
-            # its running products are lower-degree features, already checked: no inf * 0
-            with np.errstate(over="ignore"):
-                columns.append(np.prod(data.samples[:, combo], axis=1))
-            if not np.isfinite(columns[-1]).all():
-                raise DomainRejection(
-                    f"feature {names[-1]} of the degree-{degree} feature map overflows float64")
+            columns.append(np.prod(samples[:, combo], axis=1))
     return LabeledDataset(
         samples=np.column_stack(columns),
         labels=data.labels.copy(),

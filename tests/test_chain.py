@@ -328,6 +328,12 @@ class TestPreparedStage:
         chain_apply(ChainSpec(stages=tuple(zip(ops, (INVERSE, SQRT, INV_SQRT))), t=8))
         assert len(calls) == 4
 
+    @pytest.mark.parametrize("t", [2, 8, 12])
+    def test_pure_state_reads_the_top_register_value(self, t):
+        # eigenvalue exactly 1 saturates at 2^t - 1 of 2^t instead of wrapping to 0
+        prepared = prepare_stage(DensityOperator(np.diag([1.0, 0.0])), SQRT, t, 2.0)
+        assert prepared.registers[prepared.resolved].tolist() == [1.0 - 2.0**-t]
+
     def test_amplitudes_match_per_eigenvalue_rotation_bitwise(self):
         rng = np.random.default_rng(10)
         q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
@@ -453,6 +459,15 @@ class TestChainApply:
         spec = ChainSpec(stages=((a, SQRT),), kappa_eff=100.0, eps=0.1, t=8)
         report = chain_apply(spec)
         assert report.copies_used[0] == math.ceil(4.0**2 / 0.1**3)
+
+    def test_amplified_floor_is_the_root_of_a_fully_resolved_stage_floor(self):
+        # every eigenvalue is kept and resolved, so I/N lies in the resolved
+        # support (weight 1) and the floors are min_amp and min_amp^2
+        a = spectrum_density(np.linspace(1.0, 2.0, 8))
+        report = chain_apply(ChainSpec(stages=((a, INVERSE),), kappa_eff=100.0, t=8))
+        assert report.stages[0].resolved.all()
+        assert report.amplified_bound_stage1 == pytest.approx(
+            math.sqrt(report.stage_bounds[0]), rel=1e-12)
 
     def test_measured_success_never_undershoots_floor(self):
         for seed in range(30):

@@ -803,6 +803,21 @@ class TestRescaledData:
         assert fisher == pytest.approx(ref_fisher, rel=1e-12)
         assert decisions == ref_decisions
 
+    def test_degree_three_feature_map_of_data_times_1e110(self, tmp_path):
+        # the map forms its monomials from the samples over their largest
+        # entry, so cubes of 1e110 never leave float64
+        data = qdasim.synthetic_preset("two-gauss", seed=0)
+        fisher = []
+        for scale in (1.0, 1e110):
+            path = tmp_path / f"two_gauss_{scale:g}.csv"
+            qdasim.save_csv(qdasim.LabeledDataset(scale * data.samples, data.labels,
+                                                  data.label_names), path)
+            code, report = run_cli(["reduce", "--data", str(path), "--degree", "3",
+                                    "--path", "both", "--seed", "0"], tmp_path)
+            assert code == EXIT_OK, scale
+            fisher.append(report["metrics"]["fisher_classical"])
+        assert fisher[1] == pytest.approx(fisher[0], rel=1e-9)
+
     @pytest.mark.parametrize("mode", [[], ["--lda"]], ids=["per-class", "lda"])
     def test_classify_near_the_bottom_of_float64(self, mode, tmp_path):
         def run(scale):

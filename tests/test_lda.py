@@ -10,7 +10,7 @@ import pytest
 
 from qdasim import chain, lda
 from qdasim.chain import ChainSpec, chain_apply, prepare_stage
-from qdasim.data_io import load_csv
+from qdasim.data_io import load_csv, synthetic_preset
 from qdasim.errors import DomainRejection, NumericalFailure
 from qdasim.linalg import DensityOperator, SpectralFunction, trace_distance
 from qdasim.lda import (
@@ -246,6 +246,10 @@ class TestQuantumLda:
         out = chain_apply(spec).output
         assert trace_distance(out, a) < 1e-10
 
+    @pytest.mark.parametrize("t, draws", [(4, 4096), (8, 16384), (12, 262144)])
+    def test_qpe_draws_at_register_widths(self, t, draws):
+        assert lda.qpe_draws(t) == draws
+
     @pytest.mark.parametrize("t", [6, 8])
     def test_draws_are_the_register_draws_sampling_spent(self, monkeypatch, t):
         spent = []
@@ -455,16 +459,34 @@ class TestProject:
 
 class TestFeatureMap:
     def test_degree_one_is_identity(self):
+        # up to the one scale of the map, the samples' largest |entry|
         data = two_class_dataset(per_class=5)
         out = feature_map(data, 1)
-        assert np.allclose(out.samples, data.samples)
+        assert np.allclose(out.samples, data.samples / np.max(np.abs(data.samples)))
 
     def test_degree_two_monomial_count_and_values(self):
         data = LabeledDataset(np.array([[2.0, 3.0], [1.0, 1.0]]), np.array([1, 2]))
         out = feature_map(data, 2)
         assert out.N == 5
         assert out.feature_names == ("x1", "x2", "x1*x1", "x1*x2", "x2*x2")
-        assert np.allclose(out.samples[0], [2.0, 3.0, 4.0, 6.0, 9.0])
+        # the row [2, 3] over the largest entry 3
+        assert np.allclose(out.samples[0], [2 / 3, 1.0, 4 / 9, 2 / 3, 1.0])
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    @pytest.mark.parametrize("preset", ["two-gauss", "three-gauss", "adversarial"])
+    def test_fisher_value_does_not_depend_on_the_data_units(self, preset, degree):
+        # 1e110 cubed would overflow float64 in data units; 2**100 is an exact rescale
+        data = synthetic_preset(preset, seed=0)
+
+        def top_fisher(scale):
+            mapped = feature_map(LabeledDataset(scale * data.samples, data.labels), degree)
+            basis = classical_lda_oracle(whitening_chain(mapped, 100.0), 1)
+            return fisher_criterion(mapped, basis.directions[0])
+
+        values = {scale: top_fisher(scale) for scale in (1.0, 3.0, 1e60, 1e-60, 2.0**100, 1e110)}
+        for scale, value in values.items():
+            assert value == pytest.approx(values[1.0], rel=1e-9), scale
+        assert values[2.0**100] == values[1.0]
 
     def test_concentric_circles_become_separable(self):
         rng = np.random.default_rng(5)
@@ -541,11 +563,8 @@ _E3 = np.eye(3)[:1]
      DomainRejection, "direction dimension 3 does not match scatter dimension 4"),
     (lambda: project(_DATA4, ProjectionBasis(_E3, _E3, [1.0])),
      DomainRejection, "direction dimension 3 does not match data dimension 4"),
-    # 1e110 cubed overflows float64, though every sample is finite
-    (lambda: feature_map(LabeledDataset(1e110 * _DATA4.samples, _DATA4.labels), 3),
-     DomainRejection, "feature x1*x1*x1 of the degree-3 feature map overflows float64"),
 ], ids=["basis-shapes", "basis-intermediates", "basis-directions", "complex-chain",
-        "fisher-dimension", "project-dimension", "feature-map-overflow"])
+        "fisher-dimension", "project-dimension"])
 def test_lda_rejection(build, kind, message):
     with pytest.raises(kind) as info:
         build()

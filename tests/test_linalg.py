@@ -11,6 +11,7 @@ from qdasim.linalg import (
     DensityOperator,
     HermitianOperator,
     SpectralFunction,
+    _filter_mask,
     eig_hermitian,
     matrix_function,
     trace_distance,
@@ -217,6 +218,12 @@ class TestMatrixFunction:
         h = HermitianOperator(np.diag([4.0, 1.0]))
         out = matrix_function(h, SpectralFunction.from_name("sqrt"), 10.0)
         assert np.allclose(out.matrix, np.diag([2.0, 1.0]))
+
+    def test_filter_slack_is_a_rounding_allowance(self):
+        # lambda_max / kappa_eff to within 1e-13 is kept; 0.05% below it is not
+        kappa_eff = 100.0
+        eigenvalues = np.array([1.0, (1.0 - 1e-13) / kappa_eff, 0.9995 / kappa_eff])
+        assert _filter_mask(eigenvalues, kappa_eff).tolist() == [True, True, False]
 
     def test_relative_threshold_filters(self):
         # 0.04 / 1.0 < 1/10, so that eigenvalue is projected out even under inverse-sqrt
