@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -50,17 +51,11 @@ _TRACE_FLOOR = 1e-14
 def _copies(kept: np.ndarray, eps: float) -> int:
     """Copies of the stage operator one stage consumes: ceil(kappa^2 / eps^3), kappa the
     condition number of the kept spectrum, where a ratio within 1e-12 relative of an
-    integer is that integer (kappa's last bit aside)."""
-    kappa = float(kept.max() / kept.min())
-    try:
-        ratio = kappa**2 / eps**3
-    except (OverflowError, ZeroDivisionError):  # kappa^2 overflows or eps^3 underflows
-        ratio = math.inf
-    if not ratio < 2.0**63:
-        raise DomainRejection(
-            f"copy count ceil(kappa^2 / eps^3) does not fit in int64 at kappa = {kappa:.6g}, "
-            f"eps = {eps:g}")
-    return round(ratio) if abs(ratio - round(ratio)) <= 1e-12 * ratio else math.ceil(ratio)
+    integer is that integer (the eigenvalues' last bits aside). The ratio is exact, so
+    the count is an integer of any size."""
+    kappa = Fraction(float(kept.max())) / Fraction(float(kept.min()))
+    ratio = kappa**2 / Fraction(eps) ** 3
+    return round(ratio) if abs(ratio - round(ratio)) * 10**12 <= ratio else math.ceil(ratio)
 
 
 def _rotation_constant(f: SpectralFunction, values: np.ndarray, eps: float) -> float:
@@ -143,7 +138,7 @@ class ChainReport:
     @property
     def copies_used(self) -> np.ndarray:
         """Copies of each stage operator the run consumed, in stage order."""
-        return np.array([s.copies for s in self.stages], dtype=int)
+        return np.array([s.copies for s in self.stages])
 
 
 def _oracle_with_factors(spec: ChainSpec) -> tuple[DensityOperator, list[np.ndarray]]:

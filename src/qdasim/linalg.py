@@ -9,7 +9,6 @@ as complex128.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,19 +150,6 @@ class SpectralFunction:
         if not np.isfinite(y).all():
             raise DomainRejection(f"{self.name} overflows on the given values")
         return y
-
-    def derivative_coefficients(self, x0: float, order: int) -> np.ndarray:
-        """Taylor coefficients f^(i)(x0)/i! for i = 0..order at x0 > 0; one
-        whose power of x0 overflows float64 is c * inf (inf, or NaN when c = 0)."""
-        coeffs = np.empty(order + 1)
-        c = 1.0
-        for i in range(order + 1):
-            try:
-                coeffs[i] = c * x0 ** (self.exponent - i)
-            except OverflowError:
-                coeffs[i] = c * math.inf
-            c *= (self.exponent - i) / (i + 1)
-        return coeffs
 
 
 def eig_hermitian(h: HermitianOperator) -> EigenSolution:

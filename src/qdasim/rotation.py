@@ -74,13 +74,17 @@ def _preconditioned_coefficients(
 ) -> list[float]:
     """Coefficients of u -> C * f(x0 * (1 + u)) as a series in u = (lam - x0)/x0.
 
-    Scaling by x0**i keeps every stored register value O(1) even when the raw
-    Taylor coefficients of f blow up at small x0 (e.g. inverse powers).
+    f is the pure power x**r, so C f(x0 (1 + u)) = C f(x0) (1 + u)**r and
+    coefficient i is C f(x0) binom(r, i): no power of x0 other than f(x0)
+    itself is formed, however small x0 or large the order.
     """
-    # Python floats: an infinite coefficient times a power that underflows
-    # to 0 is a quiet NaN, which the caller's coefficient check rejects
-    raw = f.derivative_coefficients(x0, order).tolist()
-    return [c_const * raw[i] * x0**i for i in range(order + 1)]
+    r = f.exponent
+    scale = c_const * float(f(x0))
+    coeffs, binomial = [], 1.0
+    for i in range(order + 1):
+        coeffs.append(scale * binomial)
+        binomial *= (r - i) / (i + 1)
+    return coeffs
 
 
 def _signed(v: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
@@ -162,7 +166,6 @@ class _Lanes:
         table = []
         for j in windows.tolist():
             coeffs = _preconditioned_coefficients(f, c_const, 3.0 * 2.0 ** -(j + 2), order)
-            # a NaN coefficient (a huge exponent's overflow) fails the test too
             if not all(abs(c) < float(1 << ib) for c in coeffs):
                 raise DomainRejection(
                     f"preconditioned Taylor coefficients overflow the {ib}-bit integer field"

@@ -71,13 +71,17 @@ MUTANTS = (
            "return (1.0 - eps / 2) / float(np.max(np.abs(f(values))))",
            ("tests/test_chain.py",)),
     Mutant("copy count kappa / eps^3", "chain.py",
-           "ratio = kappa**2 / eps**3",
-           "ratio = kappa / eps**3",
+           "ratio = kappa**2 / Fraction(eps) ** 3",
+           "ratio = kappa / Fraction(eps) ** 3",
            ("tests/test_chain.py",)),
     Mutant("copy count rounded down", "chain.py",
            "else math.ceil(ratio)",
            "else math.floor(ratio)",
            ("tests/test_chain.py",)),
+    Mutant("binomial recurrence off by one", "rotation.py",
+           "binomial *= (r - i) / (i + 1)",
+           "binomial *= (r - i) / (i + 2)",
+           ("tests/test_rotation.py",)),
     Mutant("Fejer kernel not squared", "qsim.py",
            "return amp * amp",
            "return amp",

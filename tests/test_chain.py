@@ -3,6 +3,7 @@ and copy counts."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -375,6 +376,25 @@ class TestCopyCount:
         assert prepare_stage(a, INVERSE, 8, 100.0, 0.1).copies == math.ceil(
             (1.0 / 0.3) ** 2 / 0.1**3
         )
+
+    @pytest.mark.parametrize("kept, eps", [
+        ([2.0, 1.0], 1e-7),  # past int64
+        ([1e200, 1.0], 0.1),  # kappa^2 past float64
+        ([1.5, 1.0], 1e-120),  # eps^3 below float64
+        ([1.0, 5.562684646268e-309], 0.1),  # kappa itself past float64
+    ])
+    def test_count_of_any_size_is_the_exact_ceiling(self, kept, eps):
+        # each ratio's fraction exceeds 1/2, where the near-integer rule agrees
+        count = chain._copies(np.array(kept), eps)
+        assert type(count) is int
+        assert count == math.ceil((Fraction(kept[0]) / Fraction(kept[1])) ** 2
+                                  / Fraction(eps) ** 3)
+
+    def test_count_above_the_near_integer_slack_is_the_nearest_integer(self):
+        # every ratio above 5e11 lies within 1e-12 relative of an integer; the
+        # fraction of 4 / 1e-6**3 is 0.023, so its ceiling is one more
+        exact = Fraction(4) / Fraction(1e-6) ** 3
+        assert chain._copies(np.array([2.0, 1.0]), 1e-6) == round(exact) == math.ceil(exact) - 1
 
 
 class TestKappaRule:

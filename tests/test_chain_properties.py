@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from qdasim.chain import ChainSpec, chain_apply  # noqa: E402
 from qdasim.errors import NumericalFailure  # noqa: E402
@@ -43,8 +43,17 @@ def chain_specs(draw) -> ChainSpec:
                      eps=draw(st.floats(0.05, 0.5)), t=draw(st.integers(3, 8)))
 
 
+# rank 5 of 6 at eps = 0.5: amplitudes 0.5 and four of 0.3 give p = 0.102, between the
+# floor min_amp^2 w = 0.075 and 0.5 min_amp w = 0.125, so a floor above the true one fails
+SPREAD_STAGE = ChainSpec(
+    ((DensityOperator(np.diag([1.0, 0.6, 0.6, 0.6, 0.6, 0.0]) / 3.4),
+      SpectralFunction.from_name("identity")),),
+    kappa_eff=10.0, eps=0.5, t=8)
+
+
 @settings(max_examples=60, deadline=None)
 @given(chain_specs())
+@example(SPREAD_STAGE)
 def test_chain_report_is_consistent_with_its_stages(spec):
     try:
         report = chain_apply(spec)

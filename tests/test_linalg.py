@@ -187,26 +187,6 @@ class TestSpectralFunction:
             x = np.linspace(1.0 / kappa, 1.0, 7)
             assert np.all(np.isfinite(f(x)))
 
-    def test_taylor_coefficients_match_finite_differences(self):
-        # oracle: central finite differences of x**r at x0
-        f = SpectralFunction.power(-0.5)
-        x0, h = 0.7, 1e-3
-        c = f.derivative_coefficients(x0, 2)
-        d1 = (f(x0 + h) - f(x0 - h)) / (2 * h)
-        d2 = (f(x0 + h) - 2 * f(x0) + f(x0 - h)) / h**2
-        assert c[0] == pytest.approx(f(x0), rel=1e-12)
-        assert c[1] == pytest.approx(d1, rel=1e-5)
-        assert c[2] == pytest.approx(d2 / 2.0, rel=1e-4)
-
-    def test_coefficients_past_float64_are_inf_or_nan(self):
-        # 1e-3**(r - i) overflows near i = 100 + r: +-inf where the binomial
-        # factor is nonzero, NaN past the degree of power(3), never an OverflowError
-        inverse = SpectralFunction.from_name("inverse").derivative_coefficients(1e-3, 200)
-        assert np.all(np.isfinite(inverse[:100])) and inverse[-1] == np.inf
-        cubic = SpectralFunction.power(3.0).derivative_coefficients(1e-3, 300)
-        np.testing.assert_array_equal(cubic[4:100], 0.0)
-        assert np.isnan(cubic[-1])
-
 
 class TestMatrixFunction:
     def test_diagonal_inverse(self):

@@ -3,6 +3,7 @@ discriminant values, and argmax decisions against a from-scratch oracle."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -514,11 +515,29 @@ class TestOverflowingQuery:
         np.testing.assert_array_equal(with_big.discriminants[:5], alone.discriminants)
         np.testing.assert_array_equal(with_big.margins[:5], alone.margins)
 
+    @staticmethod
+    def margin_overflow_row(model, path):
+        """A multiple s e1 at which every discriminant of row 2 is finite but the
+        top-two gap leaves float64. Far out along e1 the discriminants are s g,
+        with g read at s = 2**900, so s is float64's largest value over the
+        geometric mean of max |g| and the gap of g."""
+        probe = 2.0**900
+        rows = np.vstack([np.zeros((2, 4)), [[probe, 0.0, 0.0, 0.0]]])
+        g = (classify_many(model, rows, path, 256, 0).discriminants[2] / probe).tolist()
+        second, top = sorted(g)[-2:]
+        largest, gap = max(map(abs, g)), top - second
+        # the two top scores have opposite signs, so the gap outgrows every score
+        assert gap > largest
+        s = sys.float_info.max / math.sqrt(largest * gap)
+        assert math.isfinite(s * largest) and math.isinf(s * gap)
+        return [s, 0.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("path", ["classical", "quantum"])
-    @pytest.mark.parametrize("row", [[1.7e308] * 4, [6.5e305, 0.0, 0.0, 0.0]],
-                             ids=["discriminant", "margin"])
+    @pytest.mark.parametrize("row", [[1.7e308] * 4, None], ids=["discriminant", "margin"])
     def test_row_whose_scores_overflow_is_rejected(self, path, row):
         model = self.model()
+        if row is None:
+            row = self.margin_overflow_row(model, path)
         rows = np.vstack([np.zeros((2, 4)), [row]])
         with pytest.raises(DomainRejection) as info:
             classify_many(model, rows, path, 256, 0)

@@ -562,6 +562,41 @@ class TestRotationAmplitudes:
         assert max_err(8) / max_err(16) >= 100.0
 
 
+def _binomial(r: float, i: int) -> Fraction:
+    """The generalized binomial coefficient binom(r, i), exact in the float r."""
+    out = Fraction(1)
+    for k in range(i):
+        out *= (Fraction(r) - k) / (k + 1)
+    return out
+
+
+class TestPreconditionedCoefficients:
+    @pytest.mark.parametrize("r", [-1.0, -0.5, 0.0, 0.5, 3.0])
+    def test_binomial_series_of_the_window(self, r):
+        f, c_const, x0, order = SpectralFunction.power(r), 0.37, 3.0 * 2.0**-5, 8
+        coeffs = _preconditioned_coefficients(f, c_const, x0, order)
+        scale = c_const * float(f(x0))
+        assert len(coeffs) == order + 1
+        for i, c in enumerate(coeffs):
+            exact = scale * float(_binomial(r, i))
+            assert c == pytest.approx(exact, rel=1e-14, abs=0.0)
+        # Lagrange remainder of (1 + u)**r after the u**8 term, at |u| <= 1/3:
+        # |binom(r, 9)| |u|^9 max (1 + xi)**(r - 9) with (1 + xi) in [2/3, 4/3]
+        u = np.linspace(-1.0 / 3.0, 1.0 / 3.0, 41)
+        factor = max((2.0 / 3.0) ** (r - order - 1), (4.0 / 3.0) ** (r - order - 1))
+        bound = abs(scale * float(_binomial(r, order + 1))) * np.abs(u) ** (order + 1) * factor
+        series = sum(c * u**i for i, c in enumerate(coeffs))
+        err = np.abs(series - c_const * f(x0 * (1.0 + u)))
+        assert np.all(err <= bound + 1e-14 * abs(scale))
+
+    def test_integer_power_series_ends_at_its_degree(self):
+        # binom(3, i) = 0 past i = 3, so no order makes a coefficient overflow
+        coeffs = _preconditioned_coefficients(SpectralFunction.power(3.0), 1.0, 3.0 * 2.0**-42, 300)
+        assert coeffs[4:] == [0.0] * 297
+        assert coeffs[:4] == pytest.approx([27.0 * 2.0**-126 * b for b in (1, 3, 3, 1)],
+                                           rel=1e-15, abs=0.0)
+
+
 STAGE_FUNCTIONS = ("identity", "inverse", "sqrt", "inverse-sqrt", "power(0.3)", "power(-1.5)")
 
 
