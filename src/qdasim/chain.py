@@ -50,12 +50,13 @@ _TRACE_FLOOR = 1e-14
 
 def _copies(kept: np.ndarray, eps: float) -> int:
     """Copies of the stage operator one stage consumes: ceil(kappa^2 / eps^3), kappa the
-    condition number of the kept spectrum, where a ratio within 1e-12 relative of an
-    integer is that integer (the eigenvalues' last bits aside). The ratio is exact, so
+    condition number of the kept spectrum, where a ratio within 1e-14 relative of an
+    integer is that integer (the eigenvalues' last bits aside). That window reaches
+    every ratio above 5e13, whose count is the nearest integer. The ratio is exact, so
     the count is an integer of any size."""
     kappa = Fraction(float(kept.max())) / Fraction(float(kept.min()))
     ratio = kappa**2 / Fraction(eps) ** 3
-    return round(ratio) if abs(ratio - round(ratio)) * 10**12 <= ratio else math.ceil(ratio)
+    return round(ratio) if abs(ratio - round(ratio)) * 10**14 <= ratio else math.ceil(ratio)
 
 
 def _rotation_constant(f: SpectralFunction, values: np.ndarray, eps: float) -> float:

@@ -163,25 +163,25 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _preset(name: str, per_class: int, seed: int) -> LabeledDataset:
+def _dataset(path: str | None, preset: str | None, per_class: int | None,
+             seed: int) -> tuple[LabeledDataset, dict]:
+    """The dataset CSV at ``path``, else the synthetic ``preset`` of ``per_class``
+    samples per class (default DEFAULT_PER_CLASS), with the descriptor its report
+    records. A preset the library rejects is a usage error."""
+    if path:
+        return load_csv(path), {"source": "file", "path": path}
+    per_class = DEFAULT_PER_CLASS if per_class is None else per_class
     try:
-        return synthetic_preset(name, per_class=per_class, seed=seed)
+        data = synthetic_preset(preset, per_class=per_class, seed=seed)
     except DomainRejection as err:
         raise _UsageError(str(err)) from err
-
-
-def _load_training_data(args) -> tuple[LabeledDataset, dict]:
-    if getattr(args, "data", None):
-        return load_csv(args.data), {"source": "file", "path": args.data}
-    per_class = DEFAULT_PER_CLASS if args.per_class is None else args.per_class
-    descriptor = {"source": "synthetic", "preset": args.synthetic, "per_class": per_class}
-    return _preset(args.synthetic, per_class, args.seed), descriptor
+    return data, {"source": "synthetic", "preset": preset, "per_class": per_class}
 
 
 def run_reduce(args) -> tuple[dict, dict, dict]:
     # the exact oracle goes first, so a rank excess is reported as such
     paths = ("classical", "quantum") if args.path == "both" else (args.path,)
-    data, descriptor = _load_training_data(args)
+    data, descriptor = _dataset(args.data, args.synthetic, args.per_class, args.seed)
     if args.degree != 1:
         data = feature_map(data, args.degree)
     if "quantum" in paths:
@@ -216,17 +216,6 @@ def run_reduce(args) -> tuple[dict, dict, dict]:
     return {"dataset": descriptor}, outputs, metrics
 
 
-def _load_test_data(args) -> tuple[LabeledDataset, dict]:
-    if args.test:
-        return load_csv(args.test), {"source": "file", "path": args.test}
-    return _preset(args.synthetic, args.test_count, args.seed + 1), {
-        "source": "synthetic",
-        "preset": args.synthetic,
-        "per_class": args.test_count,
-        "seed": args.seed + 1,
-    }
-
-
 def _training_classes(test: LabeledDataset, train: LabeledDataset) -> np.ndarray:
     """Each test sample's training class index, matched by label name: every
     dataset numbers its classes in first-appearance order."""
@@ -243,8 +232,10 @@ def run_classify(args) -> tuple[dict, dict, dict]:
         raise _UsageError("--test-count sizes synthetic test data; it does not apply with --test")
     if not args.test and not (args.synthetic and args.test_count is not None):
         raise _UsageError("classify needs --test FILE, or --synthetic with --test-count")
-    train, descriptor = _load_training_data(args)
-    test, test_descriptor = _load_test_data(args)
+    train, descriptor = _dataset(args.data, args.synthetic, args.per_class, args.seed)
+    test, test_descriptor = _dataset(args.test, args.synthetic, args.test_count, args.seed + 1)
+    if not args.test:
+        test_descriptor["seed"] = args.seed + 1
     truth = _training_classes(test, train)
     model = fit(train, args.kappa_eff, shared_covariance=args.lda)
     paths = ("quantum", "classical") if args.path == "both" else (args.path,)
@@ -272,7 +263,7 @@ def _load_chain_stages(args) -> tuple[ChainSpec, dict]:
     if not args.operators:
         if args.functions is not None:
             raise _UsageError("--functions applies only with --operators")
-        data, descriptor = _load_training_data(args)
+        data, descriptor = _dataset(args.data, args.synthetic, args.per_class, args.seed)
         spec = whitening_chain(data, args.kappa_eff, args.eps, args.t)
         return spec, {"shape": "discriminant-whitening", **descriptor}
     functions = [
@@ -376,7 +367,7 @@ def run_rotate_check(args) -> tuple[dict, dict, dict]:
 
 
 def run_gen(args) -> tuple[dict, dict, dict]:
-    data = _preset(args.synthetic, args.per_class, args.seed)
+    data, _ = _dataset(None, args.synthetic, args.per_class, args.seed)
     save_csv(data, args.out)
     outputs = {
         "rows": data.M,

@@ -1,12 +1,12 @@
 """Mutation check: every rule below is guarded by a test other than a golden.
 
 Each entry is a one-line mutant of ``src/qdasim``: an exact text, which must
-occur exactly once in its file, its replacement, and the test files that must
-fail once it is applied. For each mutant the runner copies ``src/``,
-``tests/`` and ``pyproject.toml`` to a temporary directory (pyproject's
-``pythonpath = ["src"]`` would otherwise import the unmutated package), runs
-the named files there unmutated, which must pass, then applies the mutant and
-runs them again. The reduce golden byte comparison is deselected, so a mutant
+occur exactly once in its file, its replacement, and the test files or test
+ids that must fail once it is applied. For each mutant the runner copies
+``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory
+(pyproject's ``pythonpath = ["src"]`` would otherwise import the unmutated
+package), runs the named tests there unmutated, which must pass, then applies
+the mutant and runs them again. The reduce golden byte comparison is deselected, so a mutant
 that only a stored golden catches survives. A survivor fails the run unless
 its entry says why it is equivalent to the original.
 
@@ -37,7 +37,7 @@ class Mutant:
     module: str  # file name under src/qdasim
     old: str
     new: str
-    tests: tuple[str, ...]  # test files, relative to the repository root
+    tests: tuple[str, ...]  # test files or test ids, relative to the repository root
     equivalent: str = ""  # why no test can tell it from the original, if none can
 
 
@@ -74,6 +74,10 @@ MUTANTS = (
            "ratio = kappa**2 / Fraction(eps) ** 3",
            "ratio = kappa / Fraction(eps) ** 3",
            ("tests/test_chain.py",)),
+    Mutant("copy-count near-integer slack 1e-14 -> 1e-12", "chain.py",
+           "abs(ratio - round(ratio)) * 10**14 <= ratio",
+           "abs(ratio - round(ratio)) * 10**12 <= ratio",
+           ("tests/test_chain.py::TestCopyCount::test_count_below_the_near_integer_slack_is_the_ceiling",)),
     Mutant("copy count rounded down", "chain.py",
            "else math.ceil(ratio)",
            "else math.floor(ratio)",
@@ -122,6 +126,10 @@ MUTANTS = (
            "[math.log(p) for p in priors]",
            "[0.5 * math.log(p) for p in priors]",
            ("tests/test_qda.py",)),
+    Mutant("synthetic test set records no seed", "cli.py",
+           'test_descriptor["seed"] = args.seed + 1',
+           "pass",
+           ("tests/test_cli.py::TestDataSourceFlags::test_each_source_records_its_descriptor",)),
     Mutant("feature map in data units", "lda.py",
            "samples = data.samples / (np.max(np.abs(data.samples)) or 1.0)",
            "samples = data.samples",

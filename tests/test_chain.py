@@ -390,8 +390,16 @@ class TestCopyCount:
         assert count == math.ceil((Fraction(kept[0]) / Fraction(kept[1])) ** 2
                                   / Fraction(eps) ** 3)
 
+    @pytest.mark.parametrize("eps", [1.5e-4, 9e-5, 5.5e-5])
+    def test_count_below_the_near_integer_slack_is_the_ceiling(self, eps):
+        # 4 / eps**3 lies between 5e11 and 5e13 with a fraction between 0.18 and 0.49:
+        # outside 1e-14 relative of an integer, within 1e-12
+        exact = Fraction(4) / Fraction(eps) ** 3
+        assert 5e11 < exact < 5e13 and exact - math.floor(exact) < 0.5
+        assert chain._copies(np.array([2.0, 1.0]), eps) == math.ceil(exact) == round(exact) + 1
+
     def test_count_above_the_near_integer_slack_is_the_nearest_integer(self):
-        # every ratio above 5e11 lies within 1e-12 relative of an integer; the
+        # every ratio above 5e13 lies within 1e-14 relative of an integer; the
         # fraction of 4 / 1e-6**3 is 0.023, so its ceiling is one more
         exact = Fraction(4) / Fraction(1e-6) ** 3
         assert chain._copies(np.array([2.0, 1.0]), 1e-6) == round(exact) == math.ceil(exact) - 1

@@ -1056,6 +1056,26 @@ class TestDataSourceFlags:
         assert code == EXIT_OK
         assert report["parameters"]["dataset"]["per_class"] == recorded
 
+    @pytest.mark.parametrize("argv, recorded", [
+        (["classify", "--data", GOLDEN_CSV, "--test", GOLDEN_CSV, "--path", "classical"],
+         {"train": {"source": "file", "path": GOLDEN_CSV},
+          "test": {"source": "file", "path": GOLDEN_CSV}}),
+        (["classify", "--synthetic", "two-gauss", "--per-class", "9", "--test-count", "4",
+          "--path", "classical"],
+         {"train": {"source": "synthetic", "preset": "two-gauss", "per_class": 9},
+          "test": {"source": "synthetic", "preset": "two-gauss", "per_class": 4, "seed": 6}}),
+        (["chain", "--synthetic", "two-gauss", "--per-class", "6"],
+         {"stages": {"shape": "discriminant-whitening", "source": "synthetic",
+                     "preset": "two-gauss", "per_class": 6}}),
+        (["chain", "--data", GOLDEN_CSV],
+         {"stages": {"shape": "discriminant-whitening", "source": "file", "path": GOLDEN_CSV}}),
+    ], ids=["classify-files", "classify-synthetic", "chain-synthetic", "chain-file"])
+    def test_each_source_records_its_descriptor(self, argv, recorded, tmp_path):
+        # the synthetic test set is drawn at seed + 1, and records that seed
+        code, report = run_cli(argv + ["--seed", "5"], tmp_path)
+        assert code == EXIT_OK
+        assert {key: report["parameters"][key] for key in recorded} == recorded
+
 
 SHARED_FLAG_REJECTIONS = [
     ("--eps", "7", "eps must lie in (0, 1), got 7.0"),

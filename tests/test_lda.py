@@ -23,6 +23,7 @@ from qdasim.lda import (
     whitening_chain,
 )
 from qdasim.oracle import LabeledDataset, between_scatter, class_statistics, within_scatter
+from qdasim.qda import classify_many, fit
 from qdasim.qsim import EigenpairSamples
 
 GOLDEN_CSV = Path(__file__).parent / "golden" / "three_gauss_seed1.csv"
@@ -455,6 +456,41 @@ class TestProject:
         reduced = project(data, basis)
         j_reduced = fisher_criterion(reduced, np.array([1.0]))
         assert j_reduced == pytest.approx(j_original, rel=1e-9)
+
+
+def shared_covariance_split(n, seed=0):
+    """Training and query sets of k=3 classes in dimension n: variances geometric
+    on [1, 3] in a random basis, class means 3 N(0, 1) / sqrt(n), max(100, 4n)
+    training and 100 query samples per class."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    factor = basis * np.sqrt(np.geomspace(1.0, 3.0, n))
+    means = 3.0 * rng.standard_normal((3, n)) / np.sqrt(n)
+
+    def draw(per_class):
+        samples = np.vstack([mu + rng.standard_normal((per_class, n)) @ factor.T
+                             for mu in means])
+        return LabeledDataset(samples, np.repeat([1, 2, 3], per_class))
+
+    return draw(max(100, 4 * n)), draw(100)
+
+
+class TestReducedRankLda:
+    @pytest.mark.parametrize("split", [
+        lambda: (load_csv(GOLDEN_CSV),) * 2,
+        lambda: shared_covariance_split(64),
+    ], ids=["golden-csv", "n64"])
+    def test_k_minus_one_directions_keep_every_shared_covariance_decision(self, split):
+        # ESL 4.3.3: the k - 1 discriminant directions span every difference of
+        # whitened class means, so LDA on the projections decides as LDA on all N
+        train, queries = split()
+        full = fit(train, 100.0, shared_covariance=True)
+        basis = classical_lda_oracle(whitening_chain(train, 100.0), train.k - 1)
+        reduced = fit(project(train, basis), 100.0, shared_covariance=True)
+        assert np.array_equal(
+            classify_many(reduced, project(queries, basis).samples).decisions,
+            classify_many(full, queries.samples).decisions,
+        )
 
 
 class TestFeatureMap:
