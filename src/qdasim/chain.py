@@ -129,11 +129,11 @@ class ChainReport:
     def __post_init__(self) -> None:
         p = np.asarray(self.stage_success_probabilities, dtype=float)
         b = np.asarray(self.stage_bounds, dtype=float)
-        if p.size and (np.any(p <= 0.0) or np.any(p > 1.0 + 1e-12)):
+        if np.any(p <= 0.0) or np.any(p > 1.0 + 1e-12):
             raise DomainRejection("stage success probabilities must lie in (0, 1]")
         if p.size != len(self.stages) or p.size != b.size:
             raise DomainRejection("per-stage arrays disagree in length")
-        if p.size and np.any(p < b * (1.0 - 1e-9)):
+        if np.any(p < b * (1.0 - 1e-9)):
             raise DomainRejection("a stage undershot its success-probability floor")
 
     @property

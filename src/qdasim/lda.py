@@ -91,9 +91,8 @@ def _whitening_within(spec: ChainSpec, p: int, caller: str) -> DensityOperator:
 
 def _fix_vector_sign(v: np.ndarray) -> np.ndarray:
     """v divided by the phase of its largest-magnitude entry (exactly +-1 on real input)."""
-    pivot = int(np.argmax(np.abs(v)))
-    phase = v[pivot] / abs(v[pivot]) if abs(v[pivot]) > 0 else 1.0
-    return v / phase
+    pivot = v[np.argmax(np.abs(v))]
+    return v / (pivot / abs(pivot))
 
 
 def _basis(vectors, back_map, estimates, chain=None, draws=0) -> ProjectionBasis:
@@ -123,7 +122,7 @@ def classical_lda_oracle(spec: ChainSpec, p: int) -> ProjectionBasis:
     s_w = _whitening_within(spec, p, "classical_lda_oracle")
     oracle, (_, sqrt_b) = _oracle_with_factors(spec)
     sol = eig_hermitian(oracle)
-    rank = int(np.sum(sol.eigenvalues > _RANK_TOL * max(sol.eigenvalues[0], 1e-300)))
+    rank = int(np.sum(sol.eigenvalues > _RANK_TOL * sol.eigenvalues[0]))
     if p > rank:
         raise DomainRejection(
             f"requested {p} directions but the whitened operator has rank {rank}"

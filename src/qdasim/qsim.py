@@ -106,13 +106,13 @@ def _check_register_width(t: int) -> None:
 
 def _register_weights(phases: np.ndarray, t: int, values: np.ndarray) -> np.ndarray:
     """QPE outcome probabilities |a_m(phi)|^2 = sin^2(pi T d) / (T sin(pi d))^2,
-    d = phi - m/T (the Fejer kernel), for every phase and register value m."""
+    d = phi - m/T (the Fejer kernel), for every phase and register value m;
+    the weight is 1 where |T sin(pi d)| < 1e-14, where the phase sits on m."""
     big_t = 1 << t
     delta = phases[:, None] - values[None, :] / big_t
     num = np.sin(np.pi * big_t * delta)
     den = big_t * np.sin(np.pi * delta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        amp = np.where(np.abs(den) < 1e-14, 1.0, num / np.where(den == 0.0, 1.0, den))
+    amp = np.divide(num, den, out=np.ones(den.shape), where=np.abs(den) >= 1e-14)
     return amp * amp
 
 
@@ -209,7 +209,7 @@ def _acceptance_estimate(x: np.ndarray, shots: int, seeds) -> ShotResult:
     return ShotResult(
         estimate=2.0 * p_hat - 1.0,
         shots=shots,
-        standard_error=2.0 * np.sqrt(np.maximum(p_hat * (1.0 - p_hat), 0.0) / shots),
+        standard_error=2.0 * np.sqrt(p_hat * (1.0 - p_hat) / shots),
     )
 
 

@@ -90,6 +90,10 @@ MUTANTS = (
            "return amp * amp",
            "return amp",
            ("tests/test_qsim.py",)),
+    Mutant("Fejer peak weight 0 in place of 1", "qsim.py",
+           "out=np.ones(den.shape)",
+           "out=np.zeros(den.shape)",
+           ("tests/test_qsim.py",)),
     Mutant("blend gamma halved", "lda.py",
            "gamma = 2.0**-t",
            "gamma = 2.0**-t / 2",

@@ -6,8 +6,9 @@ import pytest
 
 from qdasim import lda, rotation
 from qdasim.chain import ChainReport, prepare_stage
-from qdasim.errors import DomainRejection
+from qdasim.errors import DomainRejection, NumericalFailure
 from qdasim.linalg import DensityOperator, SpectralFunction
+from qdasim.qsim import QpeState, sample_eigenpairs
 
 HALF = DensityOperator(np.eye(2) / 2.0)
 
@@ -41,3 +42,10 @@ def outcome(call):
 )
 def test_guard_is_reached_by_a_direct_call(call, expected):
     assert outcome(call) == expected
+
+
+def test_vanished_register_marginal_is_a_numerical_failure():
+    # beta = 0 commutes with the generator trivially, and every register weight is 0
+    joint = QpeState(phases=np.array([0.25, 0.5]), t=3, vectors=np.eye(2), beta=np.zeros((2, 2)))
+    with pytest.raises(NumericalFailure, match="^register marginal vanished$"):
+        sample_eigenpairs(joint, 16, seed=0)
