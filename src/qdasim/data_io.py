@@ -57,8 +57,8 @@ def synthetic_preset(name: str, per_class: int = DEFAULT_PER_CLASS, seed: int = 
         )
     if not isinstance(per_class, (int, np.integer)):
         raise DomainRejection(f"per_class must be an integer, got {per_class!r}")
-    if per_class < 2:
-        raise DomainRejection("every class needs at least 2 samples")
+    if per_class < 1:
+        raise DomainRejection("every class needs at least 1 sample")
     rng = np.random.default_rng(seed)
     factor = np.linalg.cholesky(cov)
     k, n = means.shape

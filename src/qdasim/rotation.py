@@ -35,6 +35,7 @@ DEFAULT_GUARD_BITS = 8
 _MAX_FRACTION_BITS = (sys.float_info.max_exp - 1) // 2 - DEFAULT_GUARD_BITS
 
 _MAX_ARCSIN_TERMS = 48
+_TRUNCATE = np.frompyfunc(int, 1, 1)  # int() toward zero, elementwise into Python integers
 _SQRT = SpectralFunction.from_name("sqrt")
 
 
@@ -100,29 +101,28 @@ def _float_values(v: np.ndarray, fraction_bits: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _Lanes:
     """Arrays of Python integers, signed fixed-point values v = sign *
-    magnitude, all at Q(integer_bits).(fraction_bits). Products are exact,
-    every operation truncates toward zero, and a magnitude that reaches the
-    register limit raises ``NumericalFailure`` rather than losing its high bits."""
+    magnitude, all at Q(DEFAULT_INTEGER_BITS).(fraction_bits). Products are
+    exact, every operation truncates toward zero, and a magnitude that reaches
+    the register limit raises ``NumericalFailure`` rather than losing its high bits."""
 
-    integer_bits: int
     fraction_bits: int
 
     @property
     def limit(self) -> int:
-        return 1 << (self.integer_bits + self.fraction_bits)
+        return 1 << (DEFAULT_INTEGER_BITS + self.fraction_bits)
 
     def checked(self, v):
         """v itself; a lane whose magnitude reaches the register limit raises."""
         if np.asarray(abs(v) >= self.limit).any():
             raise NumericalFailure(
-                f"a value overflows the Q{self.integer_bits}.{self.fraction_bits} "
+                f"a value overflows the Q{DEFAULT_INTEGER_BITS}.{self.fraction_bits} "
                 "register: high bits would be lost"
             )
         return v
 
-    def fixed(self, x: float) -> int:
-        """The register value of a real number, truncated toward zero."""
-        return self.checked(int(x * (1 << self.fraction_bits)))
+    def fixed(self, x):
+        """Register values of real numbers (a scalar or an array), truncated toward zero."""
+        return self.checked(_TRUNCATE(x * (1 << self.fraction_bits)))
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The exact integer product of the operands, truncated once to this width."""
@@ -151,17 +151,13 @@ class _Lanes:
         Each lane uses the series of u -> C f(x0 (1 + u)) on its dyadic window
         x in (2^-j-1, 2^-j], x0 = 3 * 2^-j-2, where |u| = |x - x0| / x0 <= 1/3,
         so every power function converges geometrically however small x is.
+        Each lane is >= 2^-(wb-2) (a lambda lane is at least one declared
+        register step, a complement lane has s >= 4), so j + 2 <= wb.
         """
-        ib, wb = self.integer_bits, self.fraction_bits
-        value = _float_values(x, x_bits)
-        level = np.zeros(x.shape, dtype=np.int64)
-        for k in range(1, wb):
-            level += value <= 2.0**-k
-        low = level + 2 > wb
-        if low.any():
-            raise DomainRejection(
-                f"value {value[low][0]:.3g} is below the resolution of {wb} fraction bits"
-            )
+        ib, wb = DEFAULT_INTEGER_BITS, self.fraction_bits
+        # value = m 2^e with m in [1/2, 1) lies in window j = -e, or 1 - e at m = 1/2
+        mantissa, exponent = np.frexp(_float_values(x, x_bits))
+        level = (mantissa == 0.5) - exponent
         windows, which = np.unique(level, return_inverse=True)
         table = []
         for j in windows.tolist():
@@ -176,7 +172,7 @@ class _Lanes:
         # u = (x - x0) 2^(j+2) / 3: an exact subtraction and shift, then one
         # exact multiply by 1/3 held at 2 wb fraction bits, truncated once
         d = ((x << (wb - x_bits)) - (3 << (wb - 2 - level))) * (1 << (level + 2))
-        third = _Lanes(ib, 2 * wb).fixed(1.0 / 3.0)
+        third = _Lanes(2 * wb).fixed(1.0 / 3.0)
         u = self.checked(_signed(d, (np.abs(d) * third) >> (2 * wb)))
         return self.taylor(lambda i: coeffs[:, i], order + 1, u)
 
@@ -204,11 +200,9 @@ def _fixed_point_amplitudes(
 ) -> np.ndarray:
     """The register pipeline of ``rotation_amplitudes``: a_1 = sin theta per lane of lam."""
     wb = fraction_bits + DEFAULT_GUARD_BITS
-    ib = DEFAULT_INTEGER_BITS
-    lanes = _Lanes(ib, wb)
+    lanes, declared = _Lanes(wb), _Lanes(fraction_bits)
     one = 1 << wb
-    x = np.array([int(v) for v in (lam * (1 << fraction_bits)).tolist()], dtype=object)
-    g = lanes.series(x, fraction_bits, f, c_const, order)
+    g = lanes.series(declared.fixed(lam), fraction_bits, f, c_const, order)
     # a lane at |g| >= 1 saturates at a quarter turn
     saturated = np.abs(g) >= one
     split = math.sqrt(0.5)
@@ -238,9 +232,7 @@ def _fixed_point_amplitudes(
     turned = lanes.checked(lanes.fixed(math.pi / 2.0) - theta[~direct])
     theta[~direct] = _signed(g[~direct], turned)
     # truncate the angle register to the declared fraction width
-    theta = _Lanes(ib, fraction_bits).checked(
-        _signed(theta, np.abs(theta) >> DEFAULT_GUARD_BITS)
-    )
+    theta = declared.checked(_signed(theta, np.abs(theta) >> DEFAULT_GUARD_BITS))
     a1 = np.array([math.sin(v) for v in _float_values(theta, fraction_bits).tolist()])
     a1[saturated] = np.where(g[saturated] > 0, 1.0, -1.0)
     return a1
@@ -267,7 +259,8 @@ def rotation_amplitudes(
     pi/2 - arcsin(sqrt(1 - g^2)) (the square root runs through the same
     windowed series), which keeps the arcsin argument well inside its
     convergence radius all the way to |g| = 1. The exact reference is
-    ``np.clip(c_const * f(lam), -1.0, 1.0)``.
+    ``np.clip(c_const * f(lam), -1.0, 1.0)``. A lambda below one register
+    step 2^-fraction_bits would read 0 in the register, and is refused.
     """
     if fraction_bits < 0:
         raise DomainRejection("register widths must be non-negative")
@@ -290,6 +283,12 @@ def rotation_amplitudes(
         raise DomainRejection(
             f"|C f(lambda)| = {abs(float(target[over][0])):.6g} exceeds 1; "
             "no valid rotation exists"
+        )
+    low = flat < 2.0**-fraction_bits
+    if low.any():
+        raise DomainRejection(
+            f"lambda {float(flat[low][0]):.3g} is below the resolution of "
+            f"{fraction_bits} fraction bits"
         )
     a1 = _fixed_point_amplitudes(flat, f, c_const, fraction_bits, order, arcsin_terms)
     return a1.reshape(values.shape)[()]

@@ -86,6 +86,10 @@ MUTANTS = (
            "binomial *= (r - i) / (i + 1)",
            "binomial *= (r - i) / (i + 2)",
            ("tests/test_rotation.py",)),
+    Mutant("resolution rule one bit loose", "rotation.py",
+           "2.0**-fraction_bits",
+           "2.0**-(fraction_bits + 1)",
+           ("tests/test_rotation.py",)),
     Mutant("Fejer kernel not squared", "qsim.py",
            "return amp * amp",
            "return amp",
@@ -134,6 +138,10 @@ MUTANTS = (
            'test_descriptor["seed"] = args.seed + 1',
            "pass",
            ("tests/test_cli.py::TestDataSourceFlags::test_each_source_records_its_descriptor",)),
+    Mutant("synthetic floor back at 2", "data_io.py",
+           "if per_class < 1:",
+           "if per_class < 2:",
+           ("tests/test_cli.py::TestClassify::test_one_synthetic_query_per_class_classifies",)),
     Mutant("feature map in data units", "lda.py",
            "samples = data.samples / (np.max(np.abs(data.samples)) or 1.0)",
            "samples = data.samples",

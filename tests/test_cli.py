@@ -414,7 +414,17 @@ class TestClassify:
     def test_zero_test_count_names_the_sample_floor(self, capsys):
         code = main(["classify", "--synthetic", "three-gauss", "--test-count", "0"])
         assert code == EXIT_USAGE
-        assert "every class needs at least 2 samples" in capsys.readouterr().err
+        assert "every class needs at least 1 sample" in capsys.readouterr().err
+
+    def test_one_synthetic_query_per_class_classifies(self, tmp_path):
+        # the two-sample floor is the training covariance's rule; a test set needs none
+        code, report = run_cli(
+            ["classify", "--synthetic", "three-gauss", "--test-count", "1", "--seed", "0"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        for path in ("classical", "quantum"):
+            assert len(report["outputs"][path]["decisions"]) == 3
 
 
 class TestChain:
@@ -959,9 +969,28 @@ class TestRotateCheck:
         assert (code, report) == (EXIT_DOMAIN, None)
         assert reason in capsys.readouterr().err
 
+    def test_grid_value_below_one_register_step_names_lambda_and_width(self, tmp_path, capsys):
+        # kappa_eff 1000 keeps 5/4096 on the 12-bit grid, under the 8-bit step 1/256
+        code, report = run_cli(["rotate-check", "--bits", "8", "--grid-bits", "12",
+                                "--kappa-eff", "1000", "--seed", "0"], tmp_path)
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert capsys.readouterr().err.endswith(
+            "domain rejection: lambda 0.00122 is below the resolution of 8 fraction bits\n"
+        )
+
+    @pytest.mark.parametrize("order, within", [([], False), (["--order", "9"], True)],
+                             ids=["default-order", "order-9"])
+    def test_eighteen_bits_need_order_nine(self, order, within, tmp_path):
+        # the budget 2^(3 - bits) is 3.05e-5 at 18 bits; order 8 leaves 4.4e-5
+        code, report = run_cli(["rotate-check", "--bits", "18", *order, "--seed", "0"], tmp_path)
+        assert code == EXIT_OK
+        assert report["metrics"]["within_budget"] is within
+
     @pytest.mark.parametrize("bits", ["55", "503"])
     def test_wide_register_sweep_runs(self, bits, tmp_path):
-        # from 55 bits on, pi/2 in the working register no longer fits an int64
+        # at 55 bits the working register holds pi/2 as pi/2 * 2^63, past the
+        # int64 range, in exact Python-integer lanes; 503 is the widest width
+        # whose 1/3 register still converts to a float
         code, report = run_cli(
             ["rotate-check", "--bits", bits, "--grid-bits", "4", "--seed", "0"], tmp_path
         )
@@ -1045,6 +1074,19 @@ class TestDataSourceFlags:
                                tmp_path)
         assert (code, report) == (EXIT_USAGE, None)
         assert capsys.readouterr().err.endswith(f"qdasim: error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["reduce", "chain"])
+    def test_one_sample_per_class_is_rejected_as_a_csv_is(self, command, tmp_path, capsys):
+        # a one-per-class synthetic set meets the within-scatter rule a CSV meets
+        one = tmp_path / "one.csv"
+        one.write_text("u,v,w,x,label\n1.5,0,0,0,1\n-1.5,0,0,0,2\n")
+        rejections = []
+        for source in (["--synthetic", "two-gauss", "--per-class", "1"], ["--data", str(one)]):
+            code, report = run_cli([command, *source, "--seed", "0"], tmp_path)
+            assert (code, report) == (EXIT_DOMAIN, None)
+            rejections.append(capsys.readouterr().err)
+        assert rejections[0] == rejections[1]
+        assert rejections[0].endswith("no within-class spread\n")
 
     @pytest.mark.parametrize("per_class, recorded", [([], 50), (["--per-class", "7"], 7)])
     def test_synthetic_per_class_recorded(self, per_class, recorded, tmp_path):

@@ -322,8 +322,8 @@ class TestGenerate:
         assert np.array_equal(a.labels, b.labels)
 
     def test_undersized_class_rejected(self):
-        with pytest.raises(DomainRejection, match="at least 2"):
-            synthetic_preset("two-gauss", per_class=1)
+        with pytest.raises(DomainRejection, match="every class needs at least 1 sample"):
+            synthetic_preset("two-gauss", per_class=0)
 
     @pytest.mark.parametrize("per_class", [2.5, 7.0, "7"])
     def test_non_integer_class_size_rejected(self, per_class):

@@ -290,10 +290,6 @@ def _dyadic_window(lam: float) -> tuple[int, float]:
 def scalar_windowed_series(x, f, c_const, order, integer_bits, working_bits):
     """Reference: C * f(x) for one positive fixed-point x via its window's series."""
     j, x0 = _dyadic_window(x.value)
-    if j + 2 > working_bits:
-        raise DomainRejection(
-            f"value {x.value:.3g} is below the resolution of {working_bits} fraction bits"
-        )
     x0_reg = FixedPointValue.from_float(x0, integer_bits, working_bits)
     d = x.widen(integer_bits, working_bits) - x0_reg
     d_shifted = FixedPointValue(
@@ -327,6 +323,10 @@ def scalar_rotation_amplitudes(lam, f, c_const, *, fraction_bits=16, order=8, ar
     if abs(target) > 1.0 + 1e-12:
         raise DomainRejection(
             f"|C f(lambda)| = {abs(target):.6g} exceeds 1; no valid rotation exists"
+        )
+    if lam < 2.0**-fraction_bits:
+        raise DomainRejection(
+            f"lambda {lam:.3g} is below the resolution of {fraction_bits} fraction bits"
         )
     wb = fraction_bits + DEFAULT_GUARD_BITS
     ib = DEFAULT_INTEGER_BITS
@@ -665,12 +665,16 @@ class TestBatchedRotation:
         message = rejection(rotation_amplitudes, 1.0, steep, 1.0)
         assert message == rejection(scalar_rotation_amplitudes, 1.0, steep, 1.0)
         assert "overflow the 4-bit integer field" in message
-        # below the window resolution of the working register
-        x = FixedPointValue.from_float(2.0**-10, 4, 16)
-        lanes = np.array([x.magnitude], dtype=np.int64)
-        message = rejection(_Lanes(4, 8).series, lanes, 16, inverse, 2.0**-11, 8)
-        assert message == rejection(scalar_windowed_series, x, inverse, 2.0**-11, 8, 4, 8)
-        assert "below the resolution of 8 fraction bits" in message
+        # below one step of the declared register, where it would read 0;
+        # one whole step is kept
+        message = rejection(rotation_amplitudes, (0.5, 0.75 * 2.0**-8), inverse, 2.0**-11,
+                            fraction_bits=8)
+        assert message == rejection(scalar_rotation_amplitudes, 0.75 * 2.0**-8, inverse,
+                                    2.0**-11, fraction_bits=8)
+        assert message == "lambda 0.00293 is below the resolution of 8 fraction bits"
+        assert rotation_amplitudes(2.0**-8, inverse, 2.0**-11, fraction_bits=8) == (
+            scalar_rotation_amplitudes(2.0**-8, inverse, 2.0**-11, fraction_bits=8)
+        )
         # an eigenvalue under one register step is rejected, not looped on
         assert "below the resolution" in rejection(rotation_amplitudes, 2.0**-20, inverse, 1e-7)
         # register widths and series lengths the scalar types refuse
@@ -708,27 +712,30 @@ class TestLostBits:
     """A value that does not fit its lane register raises; nothing is masked."""
 
     def test_product_beyond_the_register_raises(self):
-        # 31 * 31 at Q1.4 is 60.06, which needs 7 magnitude bits of the 5
-        lanes = _Lanes(1, 4)
-        with pytest.raises(NumericalFailure, match="Q1.4"):
+        # 15.5 * 15.5 at Q4.1 is 240.25, which needs 9 magnitude bits of the 5
+        lanes = _Lanes(1)
+        with pytest.raises(NumericalFailure, match="Q4.1"):
             lanes.multiply(np.array([31]), np.array([31]))
         with pytest.raises(NumericalFailure):
             lanes.multiply(np.array([3, -31]), np.array([3, 31]))
-        assert lanes.multiply(np.array([16, -31]), np.array([16, 16])).tolist() == [16, -31]
+        assert lanes.multiply(np.array([2, -31]), np.array([2, 2])).tolist() == [2, -31]
 
     def test_sum_at_the_register_limit_raises(self):
-        lanes = _Lanes(1, 4)
+        lanes = _Lanes(1)
         for v in (32, -32, 31 + 31):
             with pytest.raises(NumericalFailure):
                 lanes.checked(np.array([0, v]))
         assert lanes.checked(np.array([31, -31, 0])).tolist() == [31, -31, 0]
 
     def test_real_number_beyond_the_register_raises(self):
-        lanes = _Lanes(1, 4)
+        lanes = _Lanes(1)
         with pytest.raises(NumericalFailure):
-            lanes.fixed(2.0)
-        assert lanes.fixed(-1.99) == -31
-        assert lanes.fixed(0.9999) == 15
+            lanes.fixed(16.0)
+        assert lanes.fixed(-15.99) == -31
+        assert lanes.fixed(0.9999) == 1
+        with pytest.raises(NumericalFailure):
+            lanes.fixed(np.array([0.5, 16.0]))
+        assert lanes.fixed(np.array([-15.99, 0.9999])).tolist() == [-31, 1]
 
 
 _INVERSE = SpectralFunction.from_name("inverse")
