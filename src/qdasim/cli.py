@@ -111,11 +111,13 @@ def _add_common(sub: argparse.ArgumentParser, *flags: str) -> None:
     sub.add_argument("--output", default=None, help="report path (default: stdout)")
 
 
-def _add_dataset_source(sub: argparse.ArgumentParser) -> None:
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--data", default=None, help="training dataset CSV")
-    group.add_argument("--synthetic", default=None, help="preset: two-gauss, three-gauss, adversarial")
+def _add_dataset_source(sub: argparse.ArgumentParser) -> argparse._MutuallyExclusiveGroup:
+    # the group comes last, so a source a caller adds to it stays beside the others in usage
     sub.add_argument("--per-class", type=int, default=None, help="samples per class for synthetic data")
+    group = sub.add_mutually_exclusive_group(required=True)
+    group.add_argument("--data", default=None, help="dataset CSV")
+    group.add_argument("--synthetic", default=None, help="preset: two-gauss, three-gauss, adversarial")
+    return group
 
 
 def build_parser() -> _Parser:
@@ -138,11 +140,7 @@ def build_parser() -> _Parser:
     _add_common(cls_p, *_COMMON_FLAGS)
 
     chain_p = commands.add_parser("chain", help="spectral-function chain evaluation")
-    src = chain_p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--operators", default=None, help="JSON file with PSD matrices")
-    src.add_argument("--data", default=None, help="dataset CSV for the discriminant-shaped chain")
-    src.add_argument("--synthetic", default=None)
-    chain_p.add_argument("--per-class", type=int, default=None)
+    _add_dataset_source(chain_p).add_argument("--operators", default=None, help="JSON file with PSD matrices")
     chain_p.add_argument("--functions", default=None, help="comma-separated spectral functions, stage order")
     _add_common(chain_p, "--kappa-eff", "--eps", "--t")
 
@@ -187,9 +185,9 @@ def run_reduce(args) -> tuple[dict, dict, dict]:
     if "quantum" in paths:
         # the quantum path's own rules, checked before any path runs
         _check_quantum_lda(args.t, data.N)
-    spec = whitening_chain(data, args.kappa_eff, args.eps, args.t)
-    # the Fisher metric's (S_B, S_W): the chain's unit-trace pair rescaled by the frame's totals
     stats = class_statistics(data)
+    spec = whitening_chain(stats, args.kappa_eff, args.eps, args.t)
+    # the Fisher metric's (S_B, S_W): the chain's unit-trace pair rescaled by the frame's totals
     (sw, _), (sb, _) = spec.stages
     scatter = (stats.norm_between * sb.matrix, stats.norm_within * sw.matrix)
     outputs: dict = {}
@@ -264,7 +262,7 @@ def _load_chain_stages(args) -> tuple[ChainSpec, dict]:
         if args.functions is not None:
             raise _UsageError("--functions applies only with --operators")
         data, descriptor = _dataset(args.data, args.synthetic, args.per_class, args.seed)
-        spec = whitening_chain(data, args.kappa_eff, args.eps, args.t)
+        spec = whitening_chain(class_statistics(data), args.kappa_eff, args.eps, args.t)
         return spec, {"shape": "discriminant-whitening", **descriptor}
     functions = [
         SpectralFunction.from_name(name)

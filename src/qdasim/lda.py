@@ -15,7 +15,8 @@ from .chain import (DEFAULT_EPS, DEFAULT_T, ChainReport, ChainSpec, _oracle_with
                     chain_apply, prepare_stage)
 from .errors import DomainRejection, NumericalFailure
 from .linalg import DensityOperator, SpectralFunction, eig_hermitian, matrix_function
-from .oracle import LabeledDataset, between_scatter, class_statistics, within_scatter
+from .oracle import (ClassStatistics, LabeledDataset, between_scatter, class_statistics,
+                     within_scatter)
 from .qsim import PHASE_BITS_MAX, phase_estimation, sample_eigenpairs
 
 _SQRT = SpectralFunction.from_name("sqrt")
@@ -69,13 +70,12 @@ def _real_cast(v: np.ndarray) -> np.ndarray:
 
 
 def whitening_chain(
-    data: LabeledDataset, kappa_eff: float, eps: float = DEFAULT_EPS, t: int = DEFAULT_T
+    stats: ClassStatistics, kappa_eff: float, eps: float = DEFAULT_EPS, t: int = DEFAULT_T
 ) -> ChainSpec:
-    """The discriminant whitening chain on the unit-trace scatter operators:
-    S_W^(-1/2) first, then S_B^(1/2). Both LDA paths and ``qdasim chain
-    --data`` run this chain."""
-    stats = class_statistics(data)
-    stages = ((within_scatter(data, stats), _INV_SQRT), (between_scatter(stats), _SQRT))
+    """The discriminant whitening chain on the unit-trace scatter operators of
+    ``stats``: S_W^(-1/2) first, then S_B^(1/2). Both LDA paths and ``qdasim
+    chain --data`` run this chain."""
+    stages = ((within_scatter(stats), _INV_SQRT), (between_scatter(stats), _SQRT))
     return ChainSpec(stages, kappa_eff, eps, t)
 
 
@@ -222,7 +222,7 @@ def fisher_criterion(source, directions) -> float:
     if isinstance(source, LabeledDataset):
         stats = class_statistics(source)
         s_b = stats.norm_between * between_scatter(stats).matrix
-        s_w = stats.norm_within * within_scatter(source, stats).matrix
+        s_w = stats.norm_within * within_scatter(stats).matrix
     else:
         s_b, s_w = (np.asarray(m, dtype=float) for m in source)
     w = np.atleast_2d(np.asarray(directions, dtype=float))

@@ -9,7 +9,7 @@ gate-level QRAM is modeled; norms are read directly from the stored data.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,7 +102,8 @@ class ClassStatistics:
     no total overflows, and data times 2**k give the same fields bit for bit
     (with ``exponent`` moved by k). ``norm_between`` is sum_c ||mu_c - xbar||^2,
     ``norm_within`` is sum_j ||x_j - mu_{c_j}||^2, and ``per_class_norm[c-1]``
-    is the within-class share of class c.
+    is the within-class share of class c. ``data`` is the dataset described,
+    so every operator builder takes this one record.
     """
 
     class_means: np.ndarray
@@ -112,6 +113,7 @@ class ClassStatistics:
     norm_within: float
     per_class_norm: np.ndarray
     exponent: int
+    data: LabeledDataset = field(repr=False, compare=False)
 
 
 def class_statistics(data: LabeledDataset) -> ClassStatistics:
@@ -140,7 +142,8 @@ def class_statistics(data: LabeledDataset) -> ClassStatistics:
         raise DomainRejection(
             "the data's deviations from their means underflow float64 when squared"
         )
-    return ClassStatistics(means, global_mean, counts, between, within, per_class, int(exponent))
+    return ClassStatistics(means, global_mean, counts, between, within, per_class, int(exponent),
+                           data)
 
 
 def _deviations(rows: np.ndarray, which, stats: ClassStatistics) -> np.ndarray:
@@ -176,29 +179,27 @@ def between_scatter(stats: ClassStatistics) -> DensityOperator:
     return _weighted_projector_mixture(stats.class_means - stats.global_mean, stats.norm_between)
 
 
-def within_scatter(data: LabeledDataset, stats: ClassStatistics) -> DensityOperator:
+def within_scatter(stats: ClassStatistics) -> DensityOperator:
     """Norm-weighted mixture of centered-sample projectors, unit trace."""
     if _vanishes(stats.norm_within, stats):
         raise DomainRejection("every sample equals its class mean; no within-class spread")
-    deviations = _deviations(data.samples, data.labels - 1, stats)
+    deviations = _deviations(stats.data.samples, stats.data.labels - 1, stats)
     return _weighted_projector_mixture(deviations, stats.norm_within)
 
 
-def class_covariance_operator(
-    data: LabeledDataset, stats: ClassStatistics, c: int
-) -> DensityOperator:
+def class_covariance_operator(stats: ClassStatistics, c: int) -> DensityOperator:
     """Unit-trace covariance operator of one class.
 
     The weighted projector mixture of the class's centered samples: the
     index-register trace of the class superposition, without building it.
     """
-    if not 1 <= c <= data.k:
-        raise DomainRejection(f"class index {c} outside 1..{data.k}")
+    if not 1 <= c <= stats.data.k:
+        raise DomainRejection(f"class index {c} outside 1..{stats.data.k}")
     a_c = float(stats.per_class_norm[c - 1])
     if _vanishes(a_c, stats):
         raise DomainRejection(
             f"class {c} has zero within-class spread; covariance operator undefined"
         )
-    deviations = _deviations(data.class_members(c), c - 1, stats)
+    deviations = _deviations(stats.data.class_members(c), c - 1, stats)
     return _weighted_projector_mixture(deviations, a_c)
 

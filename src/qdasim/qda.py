@@ -27,8 +27,8 @@ _INV = SpectralFunction.from_name("inverse")
 
 @dataclass(frozen=True)
 class ClassifierModel:
-    """Per-class covariance operators, means, priors, and the classically
-    recorded inversion products that ``classify_many`` reads:
+    """Per-class covariance operators, means, priors (at least 2 classes), and
+    the classically recorded inversion products that ``classify_many`` reads:
     ``inverse_directions`` and ``inverse_norms`` record the unit vector and
     length of the statistical covariance pseudo-inverse applied to each class
     mean. Means and lengths are in the training data's frame, the data over
@@ -45,6 +45,8 @@ class ClassifierModel:
     exponent: int
 
     def __post_init__(self) -> None:
+        if self.k < 2:
+            raise DomainRejection(f"classification needs at least 2 classes, got {self.k}")
         if abs(float(np.sum(self.priors)) - 1.0) > 1e-9:
             raise DomainRejection("class priors must sum to 1")
         if np.any(~np.isfinite(self.inverse_norms)) or np.any(self.inverse_norms < 0):
@@ -63,10 +65,9 @@ class ClassifierModel:
 class Classification:
     """A scored query batch: ``discriminants[i, c-1]`` is row i's value for
     class c, ``decisions[i]`` its class (lowest index among equal maxima),
-    ``margins[i]`` the gap to the runner-up (``inf`` when k = 1), ``draws``
-    the (row, class) estimates that spent shots and ``copies[c-1]`` the copies
-    of class c's covariance operator its inversion consumed (both 0 on the
-    classical path)."""
+    ``margins[i]`` the gap to the runner-up, ``draws`` the (row, class)
+    estimates that spent shots and ``copies[c-1]`` the copies of class c's
+    covariance operator its inversion consumed (both 0 on the classical path)."""
 
     discriminants: np.ndarray
     decisions: np.ndarray
@@ -114,10 +115,10 @@ def fit(
             f"classes {small} have fewer than 2 samples; covariance is undefined"
         )
     if shared_covariance:
-        ops = (within_scatter(data, stats),) * k
+        ops = (within_scatter(stats),) * k
         scales = np.full(k, stats.norm_within / (data.M - k))
     else:
-        ops = tuple(class_covariance_operator(data, stats, c) for c in range(1, k + 1))
+        ops = tuple(class_covariance_operator(stats, c) for c in range(1, k + 1))
         scales = stats.per_class_norm / (stats.class_counts - 1)
     # operators hash by identity, so a pooled operator is inverted once
     inverses = {op: matrix_function(op, _INV, kappa_eff).matrix for op in dict.fromkeys(ops)}
@@ -228,8 +229,8 @@ def classify_many(
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.ldexp(scores, lifts[:, None]) + prior_terms
         ranked = np.sort(values, axis=1)
-        margins = ranked[:, -1] - ranked[:, -2] if model.k > 1 else np.full(X.shape[0], np.inf)
-    overflow = ~np.isfinite(values).all(axis=1) | (np.isinf(margins) & (model.k > 1))
+        margins = ranked[:, -1] - ranked[:, -2]
+    overflow = ~np.isfinite(values).all(axis=1) | np.isinf(margins)
     if overflow.any():
         raise DomainRejection(
             f"the discriminants of query row {int(np.argmax(overflow))} overflow float64"

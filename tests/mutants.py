@@ -134,6 +134,10 @@ MUTANTS = (
            "[math.log(p) for p in priors]",
            "[0.5 * math.log(p) for p in priors]",
            ("tests/test_qda.py",)),
+    Mutant("one-class model accepted", "qda.py",
+           "if self.k < 2:",
+           "if self.k < 1:",
+           ("tests/test_qda.py::TestClassifyMany::test_single_class_model_is_rejected",)),
     Mutant("synthetic test set records no seed", "cli.py",
            'test_descriptor["seed"] = args.seed + 1',
            "pass",

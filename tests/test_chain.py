@@ -472,7 +472,7 @@ class TestChainApply:
         stats = class_statistics(data)
         spec = ChainSpec(
             stages=(
-                (within_scatter(data, stats), INV_SQRT),
+                (within_scatter(stats), INV_SQRT),
                 (between_scatter(stats), SQRT),
             ),
             kappa_eff=100.0,

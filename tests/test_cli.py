@@ -20,14 +20,21 @@ from qdasim.cli import (EXIT_DOMAIN, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, UNECHOED
                         main)
 from qdasim.data_io import load_csv
 from qdasim.lda import quantum_lda, whitening_chain
+from qdasim.oracle import class_statistics
 
 GOLDEN_CSV = str(Path(__file__).parent / "golden" / "three_gauss_seed1.csv")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"report holds {name}, which is not a JSON number")
+
+
 def run_cli(args, tmp_path, name="report.json"):
+    """Exit code and parsed report of one in-process run; the report must be
+    strict JSON, so NaN and Infinity, which Python's parser accepts, fail it."""
     out = tmp_path / name
     code = main(args + ["--output", str(out)])
-    report = json.loads(out.read_text()) if out.exists() else None
+    report = json.loads(out.read_text(), parse_constant=_reject_constant) if out.exists() else None
     return code, report
 
 
@@ -411,6 +418,14 @@ class TestClassify:
         assert "domain rejection: query dimension 3 does not match 4" in err
         assert "Traceback" not in err
 
+    def test_one_class_training_set_exits_with_domain_code(self, tmp_path, capsys):
+        # with one class there is no runner-up, so no margin
+        one = tmp_path / "one.csv"
+        one.write_text("u,v,label\n1,2,a\n2,1,a\n3,5,a\n")
+        code, report = run_cli(["classify", "--data", str(one), "--test", str(one)], tmp_path)
+        assert (code, report) == (EXIT_DOMAIN, None)
+        assert "classification needs at least 2 classes, got 1" in capsys.readouterr().err
+
     def test_zero_test_count_names_the_sample_floor(self, capsys):
         code = main(["classify", "--synthetic", "three-gauss", "--test-count", "0"])
         assert code == EXIT_USAGE
@@ -453,7 +468,7 @@ class TestChain:
             tmp_path,
         )
         assert code == EXIT_OK
-        spec = whitening_chain(load_csv(GOLDEN_CSV), 50.0, 0.2, 8)
+        spec = whitening_chain(class_statistics(load_csv(GOLDEN_CSV)), 50.0, 0.2, 8)
         output = quantum_lda(spec, 2, seed=1).chain.output
         quantum = report["outputs"]["quantum"]
         assert np.array_equal(np.array(quantum["real"]), output.matrix)
@@ -1258,6 +1273,30 @@ class TestSeedFallback:
         assert "QDASIM_SEED must be a non-negative integer, got -1" in err
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
+
+
+class TestStatisticsPass:
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--data", GOLDEN_CSV, "--path", "both", "--p", "2", "--t", "8"],
+        ["chain", "--data", GOLDEN_CSV],
+        ["classify", "--data", GOLDEN_CSV, "--test", GOLDEN_CSV, "--shots", "64"],
+    ], ids=["reduce", "chain", "classify"])
+    def test_each_run_forms_its_class_statistics_once(self, argv, tmp_path, monkeypatch):
+        # rebind the name in every qdasim module that holds it, so calls
+        # between modules are counted too
+        original, calls = class_statistics, []
+
+        def counted(data):
+            calls.append(data)
+            return original(data)
+
+        for name, module in list(sys.modules.items()):
+            if name == "qdasim" or name.startswith("qdasim."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        code, _ = run_cli(argv, tmp_path)
+        assert (code, len(calls)) == (EXIT_OK, 1)
 
 
 class TestFlagSurface:

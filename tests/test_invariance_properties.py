@@ -11,7 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from qdasim.lda import classical_lda_oracle, whitening_chain  # noqa: E402
-from qdasim.oracle import LabeledDataset  # noqa: E402
+from qdasim.oracle import LabeledDataset, class_statistics  # noqa: E402
 from qdasim.qda import classify_many, fit  # noqa: E402
 
 
@@ -52,8 +52,8 @@ def angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @given(transformed_classes())
 def test_discriminant_analysis_follows_the_map_of_the_data(case):
     data, mapped, q, factor = case
-    before = classical_lda_oracle(whitening_chain(data, 100.0), 1)
-    after = classical_lda_oracle(whitening_chain(mapped, 100.0), 1)
+    before = classical_lda_oracle(whitening_chain(class_statistics(data), 100.0), 1)
+    after = classical_lda_oracle(whitening_chain(class_statistics(mapped), 100.0), 1)
     assert np.max(angles(before.directions @ q.T, after.directions)) <= 1e-8
     np.testing.assert_allclose(after.eigenvalue_estimates, before.eigenvalue_estimates,
                                rtol=0.0, atol=1e-12)

@@ -129,7 +129,7 @@ class TestClassicalOracle:
     def test_separated_classes_recover_axis(self):
         # the two-class Fisher direction is S_W^-1 (mu_1 - mu_2), not the mean axis itself
         data = two_class_dataset()
-        basis = classical_lda_oracle(whitening_chain(data, 100.0), 1)
+        basis = classical_lda_oracle(whitening_chain(class_statistics(data), 100.0), 1)
         _, s_w = textbook_scatters(data)
         fisher = np.linalg.solve(s_w, data.class_members(1).mean(0) - data.class_members(2).mean(0))
         angle = np.degrees(np.arccos(min(1.0, overlap(basis.directions[0], fisher))))
@@ -138,7 +138,7 @@ class TestClassicalOracle:
     @pytest.mark.parametrize("source", FISHER_CASES)
     def test_directions_reach_the_generalized_eigenvalues(self, source):
         data = FISHER_CASES[source]()
-        basis = classical_lda_oracle(whitening_chain(data, 100.0), data.k - 1)
+        basis = classical_lda_oracle(whitening_chain(class_statistics(data), 100.0), data.k - 1)
         assert np.max(np.abs(fisher_over_eigenvalue(data, basis) - 1.0)) <= 1e-9
 
     def test_isotropic_within_scatter_reduces_to_between_directions(self):
@@ -149,12 +149,12 @@ class TestClassicalOracle:
         mu1 = np.array([1.0, 0.0, 0.0, 0.0])
         samples = np.vstack([mu1 + devs, -mu1 + devs])
         data = LabeledDataset(samples, np.repeat([1, 2], 2 * n))
-        basis = classical_lda_oracle(whitening_chain(data, 100.0), 1)
+        basis = classical_lda_oracle(whitening_chain(class_statistics(data), 100.0), 1)
         assert overlap(basis.directions[0], mu1) >= 1.0 - 1e-9
 
     def test_adversarial_set_beats_pca(self):
         data = adversarial_dataset()
-        basis = classical_lda_oracle(whitening_chain(data, 100.0), 1)
+        basis = classical_lda_oracle(whitening_chain(class_statistics(data), 100.0), 1)
         w_pca = pca_direction(data)
         assert overlap(basis.directions[0], np.array([1.0, 0.0])) >= 0.99
         # the principal component is dominated by the noisy axis instead
@@ -173,7 +173,7 @@ class TestClassicalOracle:
                 lambda a, f, *rest, evaluate=evaluate: evaluated.append(f.name)
                 or evaluate(a, f, *rest),
             )
-        spec = whitening_chain(load_csv(GOLDEN_CSV), 100.0, 0.1, 8)
+        spec = whitening_chain(class_statistics(load_csv(GOLDEN_CSV)), 100.0, 0.1, 8)
         classical_lda_oracle(spec, 2)
         # the oracle's S_B^(1/2) factor serves the back-map too
         assert evaluated == ["inverse-sqrt", "sqrt", "inverse"]
@@ -181,20 +181,21 @@ class TestClassicalOracle:
     def test_rank_rejection_reports_achievable_rank(self):
         data = two_class_dataset()
         with pytest.raises(DomainRejection, match="rank 1"):
-            classical_lda_oracle(whitening_chain(data, 100.0), 2)
+            classical_lda_oracle(whitening_chain(class_statistics(data), 100.0), 2)
 
 
 class TestQuantumLda:
     def test_matches_oracle_on_two_classes(self):
         data = two_class_dataset()
-        oracle = classical_lda_oracle(whitening_chain(data, 100.0), 1)
-        quantum = quantum_lda(whitening_chain(data, 100.0, 0.1, 8), 1, seed=1)
+        oracle = classical_lda_oracle(whitening_chain(class_statistics(data), 100.0), 1)
+        quantum = quantum_lda(whitening_chain(class_statistics(data), 100.0, 0.1, 8), 1, seed=1)
         assert overlap(quantum.directions[0], oracle.directions[0]) >= 0.98
 
     @pytest.mark.parametrize("source", FISHER_CASES)
     def test_directions_reach_the_generalized_eigenvalues_at_t12(self, source):
         data = FISHER_CASES[source]()
-        basis = quantum_lda(whitening_chain(data, 100.0, 0.1, 12), data.k - 1, seed=1)
+        spec = whitening_chain(class_statistics(data), 100.0, 0.1, 12)
+        basis = quantum_lda(spec, data.k - 1, seed=1)
         assert np.min(fisher_over_eigenvalue(data, basis)) >= 0.9999
 
     def test_takes_the_chain_a_direction_count_and_a_seed(self):
@@ -212,7 +213,7 @@ class TestQuantumLda:
                               ("three-stages", ("inverse-sqrt", "sqrt", "sqrt")))],
     )
     def test_rejects_a_chain_that_is_not_the_whitening_chain(self, build, stages):
-        (sw, _), (sb, _) = whitening_chain(two_class_dataset(), 100.0).stages
+        (sw, _), (sb, _) = whitening_chain(class_statistics(two_class_dataset()), 100.0).stages
         ops = (sw, sb, sb)
         spec = ChainSpec(tuple((a, SpectralFunction.from_name(f)) for a, f in zip(ops, stages)))
         with pytest.raises(DomainRejection,
@@ -221,14 +222,14 @@ class TestQuantumLda:
 
     def test_rejects_whitening_stages_of_two_dimensions(self):
         # the chain spec itself rejects a stage whose dimension differs from stage 1's
-        (sw, f_w), _ = whitening_chain(two_class_dataset(), 100.0).stages
+        (sw, f_w), _ = whitening_chain(class_statistics(two_class_dataset()), 100.0).stages
         with pytest.raises(DomainRejection, match="^chain stages have mismatched dimensions$"):
             ChainSpec(((sw, f_w), (DensityOperator(np.eye(2) / 2.0), lda._SQRT)))
 
     def test_rank_shortfall_rejected_with_count(self):
         data = two_class_dataset()
         with pytest.raises(DomainRejection, match="only 1 of 2"):
-            quantum_lda(whitening_chain(data, 100.0, 0.1, 8), 2, seed=1)
+            quantum_lda(whitening_chain(class_statistics(data), 100.0, 0.1, 8), 2, seed=1)
 
     def test_identical_scatter_operators_fix_the_top_eigenvector(self):
         # both stages fed the same rank-one operator: the chain output is that
@@ -260,19 +261,20 @@ class TestQuantumLda:
             lambda joint, draws, seed: spent.append(draws) or sample(joint, draws, seed=seed),
         )
         data = two_class_dataset()
-        basis = quantum_lda(whitening_chain(data, 100.0, 0.1, t), 1, seed=1)
+        spec = whitening_chain(class_statistics(data), 100.0, 0.1, t)
+        basis = quantum_lda(spec, 1, seed=1)
         assert basis.draws == lda.qpe_draws(t) == spent[0]
-        assert classical_lda_oracle(whitening_chain(data, 100.0, 0.1, t), 1).draws == 0
+        assert classical_lda_oracle(spec, 1).draws == 0
 
     def test_register_width_validated(self):
         data = two_class_dataset()
         with pytest.raises(DomainRejection, match="t="):
-            quantum_lda(whitening_chain(data, 100.0, 0.1, 3), 1, seed=0)
+            quantum_lda(whitening_chain(class_statistics(data), 100.0, 0.1, 3), 1, seed=0)
 
     def test_multiclass_directions_match_oracle(self):
         data = three_class_dataset(seed=4)
-        oracle = classical_lda_oracle(whitening_chain(data, 100.0), 2)
-        quantum = quantum_lda(whitening_chain(data, 100.0, 0.1, 8), 2, seed=4)
+        oracle = classical_lda_oracle(whitening_chain(class_statistics(data), 100.0), 2)
+        quantum = quantum_lda(whitening_chain(class_statistics(data), 100.0, 0.1, 8), 2, seed=4)
         for r in range(2):
             assert overlap(quantum.directions[r], oracle.directions[r]) >= 0.95
         gram = quantum.intermediates @ quantum.intermediates.T
@@ -297,7 +299,8 @@ class TestQuantumLda:
             return samples
 
         monkeypatch.setattr(lda, "sample_eigenpairs", sample_and_read_every_vector)
-        quantum_lda(whitening_chain(three_class_dataset(seed=4), 100.0, 0.1, 8), 2, seed=4)
+        stats = class_statistics(three_class_dataset(seed=4))
+        quantum_lda(whitening_chain(stats, 100.0, 0.1, 8), 2, seed=4)
         assert eigh_shapes == []
 
     def test_back_map_reuses_the_chain_spectra_after_sampling(self, monkeypatch):
@@ -315,7 +318,8 @@ class TestQuantumLda:
             return samples
 
         monkeypatch.setattr(lda, "sample_eigenpairs", sample_then_count)
-        quantum_lda(whitening_chain(three_class_dataset(seed=4), 100.0, 0.1, 8), 2, seed=4)
+        stats = class_statistics(three_class_dataset(seed=4))
+        quantum_lda(whitening_chain(stats, 100.0, 0.1, 8), 2, seed=4)
         assert after_sampling == []
 
     def test_highest_qualifying_bin_of_each_eigenvector_kept(self, monkeypatch):
@@ -334,7 +338,7 @@ class TestQuantumLda:
         monkeypatch.setattr(
             lda, "sample_eigenpairs", lambda joint, *a, **k: joints.append(joint) or record
         )
-        spec = whitening_chain(three_class_dataset(seed=4), 100.0, 0.1, 8)
+        spec = whitening_chain(class_statistics(three_class_dataset(seed=4)), 100.0, 0.1, 8)
         basis = quantum_lda(spec, 2, seed=4)
         gamma, n = 2.0**-8, spec.stages[0][0].dim
         assert np.array_equal(basis.eigenvalue_estimates,
@@ -346,7 +350,7 @@ class TestQuantumLda:
 
     @pytest.mark.parametrize("t", [8, 12])
     def test_estimates_lie_within_two_bins_of_the_oracle(self, t):
-        spec = whitening_chain(load_csv(GOLDEN_CSV), 100.0, 0.1, t)
+        spec = whitening_chain(class_statistics(load_csv(GOLDEN_CSV)), 100.0, 0.1, t)
         quantum = quantum_lda(spec, 2, seed=1).eigenvalue_estimates
         oracle = classical_lda_oracle(spec, 2).eigenvalue_estimates
         assert np.max(np.abs(quantum - oracle)) * 2**t <= 2.0
@@ -361,9 +365,9 @@ class TestQuantumLda:
 
         monkeypatch.setattr(chain, "eig_hermitian", counted)
         data = three_class_dataset(seed=4)
-        basis = quantum_lda(whitening_chain(data, 100.0, 0.1, 8), 2, seed=4)
+        basis = quantum_lda(whitening_chain(class_statistics(data), 100.0, 0.1, 8), 2, seed=4)
         stats = class_statistics(data)
-        sb, sw = between_scatter(stats), within_scatter(data, stats)
+        sb, sw = between_scatter(stats), within_scatter(stats)
         # two whitening stages, then one (S_W, inverse) stage for both directions;
         # the back-map reuses the chain's (S_B, sqrt) stage
         assert len(analyzed) == 3
@@ -391,14 +395,14 @@ class TestFisherCriterion:
 
     def test_lda_beats_pca_on_adversarial_data(self):
         data = adversarial_dataset()
-        basis = classical_lda_oracle(whitening_chain(data, 100.0), 1)
+        basis = classical_lda_oracle(whitening_chain(class_statistics(data), 100.0), 1)
         assert fisher_criterion(data, basis.directions[0]) >= 5.0 * fisher_criterion(
             data, pca_direction(data)
         )
 
     def test_top_direction_is_the_argmax(self):
         data = three_class_dataset(seed=2)
-        basis = classical_lda_oracle(whitening_chain(data, 100.0), 1)
+        basis = classical_lda_oracle(whitening_chain(class_statistics(data), 100.0), 1)
         best = fisher_criterion(data, basis.directions[0])
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -441,7 +445,7 @@ class TestProject:
 
     def test_projected_class_gap_on_adversarial_data(self):
         data = adversarial_dataset()
-        basis = classical_lda_oracle(whitening_chain(data, 100.0), 1)
+        basis = classical_lda_oracle(whitening_chain(class_statistics(data), 100.0), 1)
         out = project(data, basis)
         one = out.samples[out.labels == 1, 0]
         two = out.samples[out.labels == 2, 0]
@@ -451,7 +455,7 @@ class TestProject:
 
     def test_scalar_consistency_of_projected_criterion(self):
         data = two_class_dataset()
-        basis = classical_lda_oracle(whitening_chain(data, 100.0), 1)
+        basis = classical_lda_oracle(whitening_chain(class_statistics(data), 100.0), 1)
         j_original = fisher_criterion(data, basis.directions[0])
         reduced = project(data, basis)
         j_reduced = fisher_criterion(reduced, np.array([1.0]))
@@ -485,7 +489,7 @@ class TestReducedRankLda:
         # whitened class means, so LDA on the projections decides as LDA on all N
         train, queries = split()
         full = fit(train, 100.0, shared_covariance=True)
-        basis = classical_lda_oracle(whitening_chain(train, 100.0), train.k - 1)
+        basis = classical_lda_oracle(whitening_chain(class_statistics(train), 100.0), train.k - 1)
         reduced = fit(project(train, basis), 100.0, shared_covariance=True)
         assert np.array_equal(
             classify_many(reduced, project(queries, basis).samples).decisions,
@@ -516,7 +520,7 @@ class TestFeatureMap:
 
         def top_fisher(scale):
             mapped = feature_map(LabeledDataset(scale * data.samples, data.labels), degree)
-            basis = classical_lda_oracle(whitening_chain(mapped, 100.0), 1)
+            basis = classical_lda_oracle(whitening_chain(class_statistics(mapped), 100.0), 1)
             return fisher_criterion(mapped, basis.directions[0])
 
         values = {scale: top_fisher(scale) for scale in (1.0, 3.0, 1e60, 1e-60, 2.0**100, 1e110)}
@@ -533,13 +537,11 @@ class TestFeatureMap:
             for c in (1, 2)
         ]
         circles = LabeledDataset(np.vstack(rows), np.repeat([1, 2], 120))
-        j_flat = fisher_criterion(
-            circles, classical_lda_oracle(whitening_chain(circles, 100.0), 1).directions[0]
-        )
+        flat = classical_lda_oracle(whitening_chain(class_statistics(circles), 100.0), 1)
+        j_flat = fisher_criterion(circles, flat.directions[0])
         mapped = feature_map(circles, 2)
-        j_mapped = fisher_criterion(
-            mapped, classical_lda_oracle(whitening_chain(mapped, 100.0), 1).directions[0]
-        )
+        lifted = classical_lda_oracle(whitening_chain(class_statistics(mapped), 100.0), 1)
+        j_mapped = fisher_criterion(mapped, lifted.directions[0])
         assert j_mapped >= 10.0 * j_flat
 
     def test_dimension_cap_enforced(self):
@@ -564,7 +566,7 @@ class TestScatterBridge:
         norm_between, norm_within = np.ldexp([stats.norm_between, stats.norm_within],
                                              2 * stats.exponent)
         assert np.max(np.abs(norm_between * between_scatter(stats).matrix - s_b)) < 1e-9
-        assert np.max(np.abs(norm_within * within_scatter(data, stats).matrix - s_w)) < 1e-9
+        assert np.max(np.abs(norm_within * within_scatter(stats).matrix - s_w)) < 1e-9
 
     def test_dataset_criterion_is_the_textbook_ratio(self):
         data = three_class_dataset(seed=6)

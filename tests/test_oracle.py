@@ -110,6 +110,14 @@ class TestClassStatistics:
         assert np.ldexp(stats.norm_between, 2 * stats.exponent) == pytest.approx(2.0)
         assert np.ldexp(stats.norm_within, 2 * stats.exponent) == pytest.approx(0.0)
 
+    def test_record_keeps_the_dataset_it_describes(self):
+        # the builders read the samples from the record, so no second argument
+        # can name other data; the dataset stays out of repr and comparison
+        data = LabeledDataset(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1, 2]))
+        stats = class_statistics(data)
+        assert stats.data is data
+        assert "data" not in repr(stats)
+
     def test_all_samples_identical(self):
         data = LabeledDataset(np.tile([2.0, 3.0], (4, 1)), np.array([1, 1, 2, 2]))
         stats = class_statistics(data)
@@ -127,8 +135,8 @@ class TestClassStatistics:
         for name in ("class_means", "global_mean", "norm_between", "norm_within",
                      "per_class_norm"):
             np.testing.assert_array_equal(getattr(moved, name), getattr(stats, name))
-        np.testing.assert_array_equal(within_scatter(scaled, moved).matrix,
-                                      within_scatter(data, stats).matrix)
+        np.testing.assert_array_equal(within_scatter(moved).matrix,
+                                      within_scatter(stats).matrix)
         return stats, moved
 
     def test_squared_norms_past_float64_are_taken_in_the_frame(self):
@@ -203,7 +211,7 @@ class TestWithinScatter:
     def test_single_ray_deviations(self):
         mu = np.array([3.0, 1.0])
         data = LabeledDataset(np.array([mu + E2, mu - E2]), np.array([1, 1]))
-        s_w = within_scatter(data, class_statistics(data))
+        s_w = within_scatter(class_statistics(data))
         assert np.allclose(s_w.matrix, np.outer(E2, E2))
 
     def test_isotropic_deviations(self):
@@ -211,7 +219,7 @@ class TestWithinScatter:
         data = LabeledDataset(
             np.array([mu + E1, mu - E1, mu + E2, mu - E2]), np.array([1, 1, 1, 1])
         )
-        s_w = within_scatter(data, class_statistics(data))
+        s_w = within_scatter(class_statistics(data))
         assert np.allclose(s_w.matrix, np.eye(2) / 2.0)
 
     def test_zero_deviation_samples_skipped(self):
@@ -220,13 +228,13 @@ class TestWithinScatter:
             np.array([[1.0, 0.0], [-1.0, 0.0], [5.0, 5.0], [5.0, 5.0]]),
             np.array([1, 1, 2, 2]),
         )
-        s_w = within_scatter(data, class_statistics(data))
+        s_w = within_scatter(class_statistics(data))
         assert np.allclose(s_w.matrix, np.outer(E1, E1))
 
     def test_degenerate_rejected(self):
         data = LabeledDataset(np.tile([1.0, 2.0], (3, 1)), np.array([1, 1, 1]))
         with pytest.raises(DomainRejection, match="within-class"):
-            within_scatter(data, class_statistics(data))
+            within_scatter(class_statistics(data))
 
 
 class TestWeightedProjectorMixture:
@@ -256,7 +264,7 @@ class TestClassCovarianceOperator:
     def test_single_ray(self):
         mu = np.array([4.0, 4.0])
         data = LabeledDataset(np.array([mu + E1, mu - E1]), np.array([1, 1]))
-        op = class_covariance_operator(data, class_statistics(data), 1)
+        op = class_covariance_operator(class_statistics(data), 1)
         assert np.allclose(op.matrix, np.outer(E1, E1))
 
     def test_squared_norm_weights(self):
@@ -270,7 +278,7 @@ class TestClassCovarianceOperator:
             np.array([mu + E1, mu - E1, mu + 2 * E2, mu - 2 * E2]),
             np.array([1, 1, 1, 1]),
         )
-        op = class_covariance_operator(data, class_statistics(data), 1)
+        op = class_covariance_operator(class_statistics(data), 1)
         expected = (2 * np.outer(E1, E1) + 8 * np.outer(E2, E2)) / 10.0
         assert np.allclose(op.matrix, expected)
         assert np.allclose(np.diag(op.matrix).real, [1 / 5, 4 / 5])
@@ -280,7 +288,7 @@ class TestClassCovarianceOperator:
             np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.array([1, 2, 2])
         )
         with pytest.raises(DomainRejection, match="class 1"):
-            class_covariance_operator(data, class_statistics(data), 1)
+            class_covariance_operator(class_statistics(data), 1)
 
 
 class TestProperties:
@@ -291,7 +299,7 @@ class TestProperties:
             stats = class_statistics(data)
             # constructors validate PSD and unit trace
             assert isinstance(between_scatter(stats), DensityOperator)
-            assert isinstance(within_scatter(data, stats), DensityOperator)
+            assert isinstance(within_scatter(stats), DensityOperator)
 
     def test_superposition_pathway_matches_between_scatter(self):
         rng = np.random.default_rng(12)
@@ -313,7 +321,7 @@ class TestProperties:
         psi = weighted_superposition(deviations)
         projector = DensityOperator(np.outer(psi, psi.conj()))
         reduced = trace_out_index(projector, deviations.shape[0])
-        direct = class_covariance_operator(data, stats, c)
+        direct = class_covariance_operator(stats, c)
         assert np.max(np.abs(reduced.matrix - direct.matrix)) < 1e-10
 
     def test_between_scatter_rank_bound_balanced_classes(self):
@@ -329,7 +337,7 @@ class TestProperties:
         rng = np.random.default_rng(33)
         data = random_dataset(rng, 4, 2, 6)
         stats = class_statistics(data)
-        s_w = within_scatter(data, stats)
+        s_w = within_scatter(stats)
         classical = np.zeros((4, 4))
         for c in range(1, 3):
             dev = data.class_members(c) - np.ldexp(stats.class_means[c - 1], stats.exponent)
@@ -347,7 +355,7 @@ def _two_class_data() -> LabeledDataset:
     (lambda: LabeledDataset(np.ones((2, 2, 2)), np.array([1, 1])),
      "samples must form an M x N matrix"),
     (lambda: LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int)), "dataset is empty"),
-    (lambda: class_covariance_operator(_two_class_data(), class_statistics(_two_class_data()), 0),
+    (lambda: class_covariance_operator(class_statistics(_two_class_data()), 0),
      "class index 0 outside 1..2"),
 ], ids=["3-d-samples", "no-rows", "class-0"])
 def test_oracle_rejection(build, message):

@@ -56,8 +56,8 @@ def test_power_of_two_rescale_moves_no_bit(case, j):
     assert moved.exponent == stats.exponent + power
     for name in ("class_means", "global_mean", "norm_between", "norm_within", "per_class_norm"):
         np.testing.assert_array_equal(getattr(moved, name), getattr(stats, name), err_msg=name)
-    for (op, _), (moved_op, _) in zip(whitening_chain(data, 100.0).stages,
-                                      whitening_chain(scaled, 100.0).stages):
+    for (op, _), (moved_op, _) in zip(whitening_chain(class_statistics(data), 100.0).stages,
+                                      whitening_chain(class_statistics(scaled), 100.0).stages):
         np.testing.assert_array_equal(moved_op.matrix, op.matrix)
     # the same queries 2**j above the training data, where both stay finite:
     # their rows outgrow the model's frame and are scored in their own

@@ -419,13 +419,15 @@ class TestClassifyMany:
         assert result.margins[0] == 0.0 < result.margins[1]
 
     @pytest.mark.parametrize("path", ["classical", "quantum"])
-    def test_single_class_margin_is_infinite(self, path):
+    def test_single_class_model_is_rejected(self, path):
+        # one class has no runner-up, so a margin would be infinite
         data, means = gauss3(seed=2, per_class=20)
         one = LabeledDataset(data.samples[data.labels == 1], np.ones(20, dtype=int))
-        result = classify_many(fit(one, 100.0), means, path, shots=64, seed=3, t=8)
-        assert result.discriminants.shape == (3, 1)
-        assert result.decisions.tolist() == [1, 1, 1]
-        assert np.all(result.margins == np.inf)
+        for shared in (False, True):
+            with pytest.raises(DomainRejection) as info:
+                classify_many(fit(one, 100.0, shared_covariance=shared), means, path,
+                              shots=64, seed=3, t=8)
+            assert str(info.value) == "classification needs at least 2 classes, got 1"
 
     def test_bad_query_rejected(self):
         data, means = gauss3(seed=2, per_class=20)

@@ -130,10 +130,10 @@ class TestRealDataStaysReal:
     def test_scatter_and_covariance_operators(self):
         data = labeled(np.random.default_rng(0))
         stats = class_statistics(data)
-        assert within_scatter(data, stats).matrix.dtype == np.float64
+        assert within_scatter(stats).matrix.dtype == np.float64
         assert between_scatter(stats).matrix.dtype == np.float64
         for c in (1, 2, 3):
-            assert class_covariance_operator(data, stats, c).matrix.dtype == np.float64
+            assert class_covariance_operator(stats, c).matrix.dtype == np.float64
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_fitted_covariance_operators(self, shared):
@@ -141,6 +141,6 @@ class TestRealDataStaysReal:
         assert all(op.matrix.dtype == np.float64 for op in model.covariance_ops)
 
     def test_quantum_lda_chain_output(self):
-        spec = whitening_chain(labeled(np.random.default_rng(2)), KAPPA, 0.1, T)
+        spec = whitening_chain(class_statistics(labeled(np.random.default_rng(2))), KAPPA, 0.1, T)
         basis = quantum_lda(spec, 2, seed=2)
         assert basis.chain.output.matrix.dtype == np.float64
